@@ -7,8 +7,7 @@ passes, 1 when a check fails (the first counterexample is serialized into
 the report), 2 for invalid configuration or input.
 
 Reports are JSON with sorted keys; the timestamp is isolated in a single
-``meta.timestamp`` field so reruns diff cleanly.  ``CSCX_THREADS`` caps
-block parallelism in the core modules.
+``meta.timestamp`` field so reruns diff cleanly.
 """
 
 from __future__ import annotations
@@ -68,6 +67,9 @@ class RunConfig:
         if self.model == "torus":
             if self.max_weight is not None:
                 raise ConfigError("the torus model is truncated by modes, not weight")
+            # a shell of negative sup-norm is empty: alone it would truncate to nothing
+            if any(norm < 0 for norm in self.mode_norms):
+                raise ConfigError("mode norms must be >= 0 (a negative shell is empty)")
         else:
             if self.max_weight is None or self.max_weight < 0:
                 raise ConfigError("affine truncation needs --max-weight >= 0")
@@ -244,15 +246,19 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _finish(config: RunConfig) -> None:
+def _run(build) -> tuple[RunConfig, int, dict]:
+    """Build the configuration and run it; bad input exits 2 with one line."""
     try:
+        config = build()
         code, report = run_suite(config)
-    except ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     except CscxError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+    return config, code, report
+
+
+def _finish(build) -> None:
+    config, code, report = _run(build)
     _emit(report, config.out)
     sys.exit(code)
 
@@ -339,12 +345,9 @@ def lefschetz() -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def lefschetz_table(n: int, fmt: str, out: str | None) -> None:
     """Dimension table of all primitive summands for every exterior power."""
-    config = RunConfig(pipeline="lefschetz-table", model="cs-affine", n=n, max_weight=0)
-    try:
-        code, report = run_suite(config)
-    except ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    _, code, report = _run(
+        lambda: RunConfig(pipeline="lefschetz-table", model="cs-affine", n=n, max_weight=0)
+    )
     if fmt == "csv":
         lines = ["k,total_dim,primitive_dim,summands"]
         for row in report["result"]["table"]:
@@ -377,7 +380,7 @@ def rumin() -> None:
 def rumin_verify(n: int, max_weight: int, modular: bool, out: str | None) -> None:
     """Verify the complex property, grading and operator orders."""
     _finish(
-        RunConfig(
+        lambda: RunConfig(
             pipeline="rumin-verify",
             model="contact-affine",
             n=n,
@@ -404,7 +407,7 @@ def rs_build(model, n, max_weight, modes, sample_modes, out) -> None:
     """Serialize the operator matrices of the intrinsic complex."""
     torus = model == "torus"
     _finish(
-        RunConfig(
+        lambda: RunConfig(
             pipeline="rs-build",
             model="torus" if torus else "cs-affine",
             ring="trig" if torus else "poly",
@@ -424,7 +427,7 @@ def rs_build(model, n, max_weight, modes, sample_modes, out) -> None:
 def rs_crosscheck(n: int, max_weight: int, out: str | None) -> None:
     """Verify the three-way operator equality on the affine model."""
     _finish(
-        RunConfig(
+        lambda: RunConfig(
             pipeline="rs-crosscheck",
             model="cs-affine",
             n=n,
@@ -448,23 +451,20 @@ def rs_crosscheck(n: int, max_weight: int, out: str | None) -> None:
 def cohomology_cmd(model, n, max_weight, modes, sample_modes, modular, seed, csv_path, out) -> None:
     """Cohomology report with the long-exact-sequence verification."""
     torus = model == "torus"
-    config = RunConfig(
-        pipeline="cohomology",
-        model="torus" if torus else "cs-affine",
-        ring="trig" if torus else "poly",
-        n=n,
-        max_weight=max_weight if not torus else None,
-        mode_norms=_parse_norms(modes) if torus else (),
-        sample_count=sample_modes if torus else 0,
-        modular=modular,
-        seed=seed,
-        out=out,
+    config, code, report = _run(
+        lambda: RunConfig(
+            pipeline="cohomology",
+            model="torus" if torus else "cs-affine",
+            ring="trig" if torus else "poly",
+            n=n,
+            max_weight=max_weight if not torus else None,
+            mode_norms=_parse_norms(modes) if torus else (),
+            sample_count=sample_modes if torus else 0,
+            modular=modular,
+            seed=seed,
+            out=out,
+        )
     )
-    try:
-        code, report = run_suite(config)
-    except (ConfigError, CscxError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     if csv_path:
         dims = report["result"]["dims"]
         lines = ["degree," + ",".join(sorted(dims))]
@@ -491,7 +491,7 @@ def les_cmd(model, n, max_weight, modes, sample_modes, seed, out) -> None:
     """Verify the long exact sequence and the degreewise splice."""
     torus = model == "torus"
     _finish(
-        RunConfig(
+        lambda: RunConfig(
             pipeline="les",
             model="torus" if torus else "cs-affine",
             ring="trig" if torus else "poly",

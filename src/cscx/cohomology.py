@@ -39,8 +39,7 @@ from .grading import (
     weight_truncation,
 )
 from .lefschetz import CsChart, TwistedForm
-from .linalg import OperatorMatrix, sparse_nullspace, sparse_rank, sparse_solve
-from .util import parallel_map
+from .linalg import Echelon, OperatorMatrix, sparse_nullspace, sparse_rank
 
 __all__ = [
     "OperatorMatrix",
@@ -89,7 +88,9 @@ class CochainQuotient:
 
     Built from the incoming and outgoing differentials of the node; the
     representatives extend a basis of the image to a basis of the kernel,
-    chosen deterministically by leftmost pivoting.
+    chosen deterministically by leftmost pivoting.  One ``Echelon`` holds
+    the image columns followed by the representatives, so class
+    coordinates are a single reduction against it.
     """
 
     def __init__(
@@ -98,43 +99,29 @@ class CochainQuotient:
         d_out: OperatorMatrix | None,
         space_dim: int,
     ):
-        self.space_dim = space_dim
         if d_out is not None:
             kernel = d_out.nullspace()
         else:
             kernel = [{i: Fraction(1)} for i in range(space_dim)]
-        image_cols: list[dict[int, Fraction]] = []
+        self._span = Echelon()
         if d_in is not None:
-            raw: dict[int, dict[int, Fraction]] = {}
+            image_cols: dict[int, dict[int, Fraction]] = {}
             for (r, c), v in d_in.entries.items():
-                raw.setdefault(c, {})[r] = v
-            image_cols = _independent_vectors([raw[c] for c in sorted(raw)], space_dim)
-        self.image = image_cols
-        self.kernel = kernel
+                image_cols.setdefault(c, {})[r] = v
+            for c in sorted(image_cols):
+                self._span.add(image_cols[c])
+        self._image_rank = len(self._span)
         # representatives: kernel vectors independent modulo the image
-        combined = list(self.image)
-        reps: list[dict[int, Fraction]] = []
-        for vec in kernel:
-            if not _in_span(combined, vec, space_dim):
-                combined.append(vec)
-                reps.append(vec)
-        self.reps = reps
-        self.dim = len(reps)
-        self._solve_cols = self.image + self.reps
+        self.reps = [vec for vec in kernel if self._span.add(vec)]
+        self.dim = len(self.reps)
 
     def coords(self, vec: dict[int, Fraction]) -> dict[int, Fraction] | None:
         """Class coordinates of a cocycle over the representatives."""
-        if not vec:
-            return {}
-        entries = {}
-        for j, col in enumerate(self._solve_cols):
-            for r, v in col.items():
-                entries[(r, j)] = v
-        sol = sparse_solve(entries, self.space_dim, len(self._solve_cols), vec)
-        if sol is None:
+        coords = self._span.coords(vec)
+        if coords is None:
             return None
-        offset = len(self.image)
-        return {j - offset: v for j, v in sol.items() if j >= offset and v}
+        offset = self._image_rank
+        return {j - offset: v for j, v in coords.items() if j >= offset}
 
     def induced_matrix(self, push, target: "CochainQuotient") -> dict[tuple[int, int], Fraction]:
         """Matrix of a chain map on cohomology (push maps vectors to vectors)."""
@@ -149,23 +136,8 @@ class CochainQuotient:
         return out
 
 
-def _independent_vectors(vectors, space_dim: int) -> list[dict[int, Fraction]]:
-    out: list[dict[int, Fraction]] = []
-    for vec in vectors:
-        vec = {i: v for i, v in vec.items() if v}
-        if vec and not _in_span(out, vec, space_dim):
-            out.append(vec)
-    return out
-
-
-def _in_span(vectors, vec, space_dim: int) -> bool:
-    if not vectors:
-        return not vec
-    entries = {}
-    for j, col in enumerate(vectors):
-        for r, v in col.items():
-            entries[(r, j)] = v
-    return sparse_solve(entries, space_dim, len(vectors), vec) is not None
+def _in_span(vectors, vec) -> bool:
+    return Echelon(vectors).coords(vec) is not None
 
 
 # -- complex builders -------------------------------------------------------------
@@ -485,7 +457,6 @@ def _les_on_block(cs: CsChart, block: tuple) -> LesBlockResult:
             if not failure:
                 failure = f"node {name}[{k}]: composite not zero"
             return
-        kernel = sparse_nullspace(outgoing, max(dim, 1), dim)
         rank_ker = dim - _rank(outgoing, max(dim, 1), dim)
         if rank_ker == rank_in:
             return
@@ -496,11 +467,8 @@ def _les_on_block(cs: CsChart, block: tuple) -> LesBlockResult:
         for (r, c), v in incoming.items():
             image_cols.setdefault(c, {})[r] = v
         cols = [image_cols[c] for c in sorted(image_cols)]
-        witness = None
-        for vec in kernel:
-            if not _in_span(cols, vec, dim):
-                witness = vec
-                break
+        kernel = sparse_nullspace(outgoing, max(dim, 1), dim)
+        witness = next((vec for vec in kernel if not _in_span(cols, vec)), None)
         serialized = (
             {str(i): f"{v.numerator}/{v.denominator}" for i, v in witness.items()}
             if witness
@@ -571,7 +539,7 @@ class LesReport:
 
 def les_check(cs: CsChart, truncation: Truncation) -> LesReport:
     """Node-by-node verification of the long exact sequence, per block."""
-    results = parallel_map(lambda b: _les_on_block(cs, b), truncation.blocks())
+    results = [_les_on_block(cs, b) for b in truncation.blocks()]
     top = 2 * cs.n + 1
     de_rham = tuple(sum(r.de_rham_dims[k] for r in results) for k in range(top + 1))
     twisted = tuple(sum(r.twisted_dims[k] for r in results) for k in range(top + 1))
@@ -617,12 +585,11 @@ class CohomologyReport:
         }
 
 
-def _dims_per_block(cs: CsChart, blocks: list[tuple], builder) -> dict[tuple, list[int]]:
-    def run(block):
-        return cohomology_dims(builder(Truncation.single(block)))
-
-    results = parallel_map(run, blocks)
-    return dict(zip([tuple(b) for b in blocks], results))
+def _dims_per_block(blocks: list[tuple], builder, rank_method: str) -> dict[tuple, list[int]]:
+    return {
+        tuple(b): cohomology_dims(builder(Truncation.single(b)), rank_method)
+        for b in blocks
+    }
 
 
 def rs_cohomology(
@@ -635,7 +602,8 @@ def rs_cohomology(
     blocks = truncation.blocks()
     top = 2 * cs.n + 1
 
-    rs_by_block = _dims_per_block(cs, blocks, lambda t: rs_complex(cs, t))
+    # ranks of the rs blocks follow rank_method; the LES keeps exact ranks as the oracle
+    rs_by_block = _dims_per_block(blocks, lambda t: rs_complex(cs, t), rank_method)
     les = les_check(cs, truncation)
     les_by_block = {r.block: r for r in les.blocks}
 

@@ -78,24 +78,6 @@ class ContactChart:
     def fiber(self) -> FiberCalculus:
         return fiber_from_form(self.lef_form(), self.n)
 
-    def with_xi_scale(self, scale: Fraction | int) -> "ContactChart":
-        """Same chart with the transversal field rescaled (alpha adjusts)."""
-        scale = Fraction(scale)
-        if scale == 0:
-            raise ContactConditionError("transversal field cannot vanish")
-        dt = basis_form(self.chart, (self.t_axis,))
-        alpha = (dt + self.beta).scale(1 / scale)
-        xi = coordinate_vector(self.chart, self.t_axis).scale(scale)
-        return ContactChart(
-            n=self.n,
-            chart=self.chart,
-            base=self.base,
-            beta=self.beta,
-            alpha=alpha,
-            xi=xi,
-            xi_scale=scale,
-        )
-
 
 def _sample_points(nvars: int, count: int = 5) -> list[list[Fraction]]:
     rng = seeded_rng("contact-samples", nvars, count)

@@ -280,13 +280,6 @@ def rs_apply(cs: CsChart, i: int, payload: DifferentialForm) -> DifferentialForm
     return out
 
 
-def rs_class(cs: CsChart, i: int, payload: DifferentialForm):
-    """Wrap a payload as the public object: plain below, twisted above."""
-    if i <= cs.n:
-        return payload
-    return TwistedForm(payload, 1)
-
-
 def rs_operator(cs: CsChart, i: int, truncation: Truncation) -> OperatorMatrix:
     """Matrix of the intrinsic degree-i operator over the class bases."""
     struct = cs_two_step(cs)

@@ -43,11 +43,11 @@ from .forms import (
     merge_wedge,
 )
 from .linalg import (
+    Echelon,
     OperatorMatrix,
     SectionBasis,
     dense_inverse,
-    dense_nullspace,
-    dense_rref,
+    sparse_nullspace,
 )
 
 Block = tuple  # ("w", weight) | ("m", mode-tuple)
@@ -111,7 +111,7 @@ class FiberCalculus:
         self._wedge: dict[int, dict[tuple[int, int], Fraction]] = {}
         self._insert: dict[int, dict[tuple[int, int], Fraction]] = {}
         self._primitive: dict[int, list[FiberVector]] = {}
-        self._extract: dict[int, tuple[list[int], list[list[Fraction]]]] = {}
+        self._primitive_span: dict[int, Echelon] = {}
         self._decomp: dict[int, tuple[list[tuple[int, int]], list[list[Fraction]]]] = {}
         self._inverse_bivector: dict[tuple[int, int], Fraction] | None = None
 
@@ -218,53 +218,21 @@ class FiberCalculus:
                 else:
                     entries = self.wedge_map(k)
                     nrows = self.dim(k + 2)
-                dense = [[Fraction(0)] * self.dim(k) for _ in range(nrows)]
-                for (r, c), v in entries.items():
-                    dense[r][c] = v
-                kernel = dense_nullspace(dense, self.dim(k))
-                self._primitive[k] = [
-                    {i: v for i, v in enumerate(vec) if v} for vec in kernel
-                ]
+                kernel = sparse_nullspace(entries, nrows, self.dim(k))
+                self._primitive[k] = [dict(sorted(vec.items())) for vec in kernel]
         return self._primitive[k]
 
     def primitive_dim(self, k: int) -> int:
         return len(self.primitive_basis(k))
 
-    def _extractor(self, k: int) -> tuple[list[int], list[list[Fraction]]]:
-        """Row subset S and inverse of P[S, :] for primitive coordinates."""
-        if k not in self._extract:
-            basis = self.primitive_basis(k)
-            p = len(basis)
-            if p == 0:
-                self._extract[k] = ([], [])
-                return self._extract[k]
-            transpose = [
-                [vec.get(i, Fraction(0)) for i in range(self.dim(k))] for vec in basis
-            ]
-            _, pivots = dense_rref(transpose)
-            rows = pivots
-            square = [[basis[j].get(i, Fraction(0)) for j in range(p)] for i in rows]
-            self._extract[k] = (rows, dense_inverse(square))
-        return self._extract[k]
-
     def primitive_coords(self, k: int, vec: FiberVector) -> list[Fraction]:
         """Coordinates of a fiber vector in the primitive basis (must lie in it)."""
-        rows, inv = self._extractor(k)
-        basis = self.primitive_basis(k)
-        coords = [
-            sum((inv[i][j] * vec.get(rows[j], Fraction(0)) for j in range(len(rows))), Fraction(0))
-            for i in range(len(rows))
-        ]
-        rebuilt: dict[int, Fraction] = {}
-        for j, c in enumerate(coords):
-            if not c:
-                continue
-            for i, v in basis[j].items():
-                rebuilt[i] = rebuilt.get(i, Fraction(0)) + c * v
-        cleaned = {i: v for i, v in rebuilt.items() if v}
-        if cleaned != {i: v for i, v in vec.items() if v}:
+        if k not in self._primitive_span:
+            self._primitive_span[k] = Echelon(self.primitive_basis(k))
+        coords = self._primitive_span[k].coords(vec)
+        if coords is None:
             raise NonPrimitiveError(f"fiber vector at degree {k} is not primitive")
-        return coords
+        return [coords.get(j, Fraction(0)) for j in range(self.primitive_dim(k))]
 
     # -- full primitive decomposition ----------------------------------------------
 

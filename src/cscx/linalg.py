@@ -1,16 +1,21 @@
 """Exact sparse linear algebra over the rationals.
 
-Rank uses fraction-free elimination on integer-normalized rows (two-row
-cross-multiplication updates followed by a content division) with
-Markowitz-style pivot selection to limit fill-in.  Nullspace, solving and
-reduced echelon form use plain Fraction arithmetic with deterministic
-leftmost pivoting so that cohomology representatives are reproducible.
+One elimination engine, ``Echelon``, sits behind every span test, solve,
+nullspace and coordinate read-off: vectors go in one at a time, an
+independent one becomes a new pivot row that records its combination of
+the kept vectors, and a dependent one is read off in a single reduction.
+Vectors enter in a fixed order (columns left to right), so pivot columns,
+kernel bases and cohomology representatives are reproducible.
 
-A multi-prime modular rank with rational certification is available behind
-a flag: the modular computation proposes a rank r, an exact r x r minor
-certifies the lower bound, and exactly verified kernel vectors (lifted by
-rational reconstruction) certify the upper bound.  On any failure it falls
-back to the exact path.  The default everywhere is the exact path.
+Rank is computed separately, as an independent oracle, by fraction-free
+elimination on integer-normalized rows (two-row cross-multiplication
+updates followed by a content division) with Markowitz-style pivot
+selection to limit fill-in.  A multi-prime modular rank with rational
+certification is available behind a flag: the modular computation proposes
+a rank r, an exact r x r minor certifies the lower bound, and exactly
+verified kernel vectors (lifted by rational reconstruction) certify the
+upper bound.  On any failure it falls back to the exact path.  The dense
+helpers serve the small fiber matrices and the tests' reference.
 """
 
 from __future__ import annotations
@@ -82,20 +87,6 @@ def dense_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     if pivots[:n] != list(range(n)):
         raise InternalConsistencyError("matrix is not invertible")
     return [row[n:] for row in rref[:n]]
-
-
-def dense_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One particular solution of A x = b, or None."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(nrows)]
-    rref, pivots = dense_rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rref[r][ncols]
-    return x
 
 
 # -- sparse exact rank -------------------------------------------------------
@@ -176,95 +167,128 @@ def sparse_rank(entries: Entries, nrows: int, ncols: int) -> int:
     return rank
 
 
-# -- sparse RREF / nullspace / solve (Fraction arithmetic) -------------------
+# -- the elimination engine (Fraction arithmetic) -----------------------------
 
 
-def _sparse_rows(entries: Entries) -> dict[int, dict[int, Fraction]]:
-    rows: dict[int, dict[int, Fraction]] = {}
+class Echelon:
+    """Incremental echelon form of a growing set of sparse vectors.
+
+    ``add`` reduces a vector against the rows held so far.  A nonzero
+    residue becomes a new pivot row (pivot at its smallest index, scaled to
+    one) and the vector is kept under its label; a zero residue means the
+    vector lies in the span and it is dropped.  Every row records its
+    combination of the kept vectors, so ``coords`` -- a span test, a solve
+    and a coordinate read-off in one -- is a single reduction.
+
+    Rows are never back-substituted: row i holds no pivot of an earlier
+    row, so one pass in row order clears every pivot from a residue.
+    Coordinates over the kept (independent) vectors are unique, so they do
+    not depend on the pivot choice.
+    """
+
+    __slots__ = ("labels", "_pivots", "_rows", "_combos")
+
+    def __init__(self, vectors: Sequence[Mapping[int, Fraction]] = ()):
+        self.labels: list = []
+        self._pivots: list[int] = []
+        self._rows: list[dict[int, Fraction]] = []
+        # row i = sum over j of _combos[i][j] * (j-th kept vector)
+        self._combos: list[dict[int, Fraction]] = []
+        for label, vec in enumerate(vectors):
+            self.add(vec, label)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def add(self, vec: Mapping[int, Fraction], label=None) -> bool:
+        """Keep vec under label (default: its kept index) unless it lies in the span.
+
+        Returns True when vec was kept as a new pivot row.
+        """
+        residue, used = self._reduce(vec)
+        if not residue:
+            return False
+        pivot = min(residue)
+        inv = 1 / Fraction(residue[pivot])
+        combo = {j: -v * inv for j, v in self._combine(used).items()}
+        combo[len(self._rows)] = inv
+        self._pivots.append(pivot)
+        self._rows.append({k: v * inv for k, v in residue.items()})
+        self._combos.append(combo)
+        self.labels.append(len(self.labels) if label is None else label)
+        return True
+
+    def coords(self, vec: Mapping[int, Fraction]) -> dict | None:
+        """Coordinates of vec over the kept vectors by label, or None outside the span."""
+        residue, used = self._reduce(vec)
+        if residue:
+            return None
+        return {self.labels[j]: v for j, v in sorted(self._combine(used).items()) if v}
+
+    def _reduce(self, vec: Mapping[int, Fraction]):
+        residue = {k: v for k, v in vec.items() if v}
+        used: list[tuple[int, Fraction]] = []
+        for i, pivot in enumerate(self._pivots):
+            c = residue.get(pivot)
+            if c is None:
+                continue
+            used.append((i, c))
+            for k, v in self._rows[i].items():
+                new = residue.get(k, 0) - c * v
+                if new:
+                    residue[k] = new
+                else:
+                    del residue[k]
+        return residue, used
+
+    def _combine(self, used) -> dict[int, Fraction]:
+        out: dict[int, Fraction] = {}
+        for i, c in used:
+            for j, w in self._combos[i].items():
+                out[j] = out.get(j, 0) + c * w
+        return out
+
+
+def _columns(entries: Entries, ncols: int) -> list[dict[int, Fraction]]:
+    cols: list[dict[int, Fraction]] = [{} for _ in range(ncols)]
     for (r, c), v in entries.items():
         if v:
-            rows.setdefault(r, {})[c] = Fraction(v)
-    return rows
+            cols[c][r] = v
+    return cols
 
 
-def sparse_rref(entries: Entries, nrows: int, ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Reduced echelon rows (pivot-normalized) and pivot columns, leftmost-first."""
-    pending = [row for _, row in sorted(_sparse_rows(entries).items()) if row]
-    done: list[dict[int, Fraction]] = []
-    pivots: list[int] = []
-    for c in range(ncols):
-        pivot_row = None
-        for i, row in enumerate(pending):
-            if c in row:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        row = pending.pop(pivot_row)
-        inv = 1 / row[c]
-        row = {k: v * inv for k, v in row.items()}
-        for other in pending:
-            if c in other:
-                factor = other.pop(c)
-                for k, v in row.items():
-                    if k == c:
-                        continue
-                    new = other.get(k, Fraction(0)) - factor * v
-                    if new:
-                        other[k] = new
-                    elif k in other:
-                        del other[k]
-        for other in done:
-            if c in other:
-                factor = other.pop(c)
-                for k, v in row.items():
-                    if k == c:
-                        continue
-                    new = other.get(k, Fraction(0)) - factor * v
-                    if new:
-                        other[k] = new
-                    elif k in other:
-                        del other[k]
-        done.append(row)
-        pivots.append(c)
-        pending = [r for r in pending if r]
-        if not pending and c >= ncols - 1:
-            break
-    return done, pivots
+def sparse_rref(entries: Entries, nrows: int, ncols: int) -> Echelon:
+    """Column echelon of a matrix: columns added left to right, labelled by index.
+
+    The kept labels are the pivot columns of the reduced row echelon form.
+    """
+    echelon = Echelon()
+    for j, col in enumerate(_columns(entries, ncols)):
+        echelon.add(col, j)
+    return echelon
 
 
 def sparse_nullspace(entries: Entries, nrows: int, ncols: int) -> list[dict[int, Fraction]]:
-    """Deterministic kernel basis, one vector per free column."""
-    rref, pivots = sparse_rref(entries, nrows, ncols)
-    pivot_set = set(pivots)
+    """Deterministic kernel basis, one vector per free column.
+
+    Column j is free exactly when it lies in the span of the columns before
+    it; its coordinates over them give the kernel vector.
+    """
+    echelon = Echelon()
     basis: list[dict[int, Fraction]] = []
-    for free in range(ncols):
-        if free in pivot_set:
+    for j, col in enumerate(_columns(entries, ncols)):
+        if echelon.add(col, j):
             continue
-        vec = {free: Fraction(1)}
-        for row, c in zip(rref, pivots):
-            v = row.get(free)
-            if v:
-                vec[c] = -v
+        vec = {j: Fraction(1)}
+        for c, v in echelon.coords(col).items():
+            vec[c] = -v
         basis.append(vec)
     return basis
 
 
 def sparse_solve(entries: Entries, nrows: int, ncols: int, rhs: Mapping[int, Fraction]) -> dict[int, Fraction] | None:
-    """One particular solution of A x = b, or None if inconsistent."""
-    aug = dict(entries)
-    for r, v in rhs.items():
-        if v:
-            aug[(r, ncols)] = Fraction(v)
-    rref, pivots = sparse_rref(aug, nrows, ncols + 1)
-    if ncols in pivots:
-        return None
-    out: dict[int, Fraction] = {}
-    for row, c in zip(rref, pivots):
-        v = row.get(ncols)
-        if v:
-            out[c] = v
-    return out
+    """The solution of A x = b supported on the pivot columns, or None if inconsistent."""
+    return sparse_rref(entries, nrows, ncols).coords(rhs)
 
 
 # -- modular rank with certification ----------------------------------------
@@ -521,9 +545,6 @@ class OperatorMatrix:
 
     def nullspace(self) -> list[dict[int, Fraction]]:
         return sparse_nullspace(self.entries, self.rows.dim, self.cols.dim)
-
-    def solve(self, rhs: Mapping[int, Fraction]) -> dict[int, Fraction] | None:
-        return sparse_solve(self.entries, self.rows.dim, self.cols.dim, rhs)
 
     def off_block_entries(self) -> list[tuple[int, int]]:
         """Positions whose row and column lie in different grading blocks."""

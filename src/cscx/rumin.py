@@ -53,7 +53,7 @@ from .grading import (
     fiber_apply,
     fiber_from_form,
 )
-from .linalg import OperatorMatrix, dense_inverse, sparse_solve
+from .linalg import OperatorMatrix, dense_inverse, sparse_rref
 
 
 @dataclass(frozen=True)
@@ -447,8 +447,8 @@ def generic_zigzag_matrix(
 
     Works directly on (phi, psi) pairs through the supplied pair
     differential (default: the structure's own block form of d).  Class
-    projections and the middle-degree correction are solved with the
-    generic sparse solver against assembled graded bases; only the class
+    projections and the middle-degree correction are solved against
+    assembled graded bases, each system eliminated once; only the class
     bases themselves are shared with the closed-form path, so the two
     routes produce directly comparable matrices.
     """
@@ -480,12 +480,15 @@ def generic_zigzag_matrix(
         augmented = dict(emb)
         for (r, c), v in e0_entries.items():
             augmented[(r, c + p_dim)] = v
-        total_cols = p_dim + b_slot_basis.dim
+        projection = sparse_rref(augmented, a_next_basis.dim, p_dim + b_slot_basis.dim)
     else:
         # class extraction above the middle: solve against the embedding alone
         b_next = struct.full_space(k, offset=2)
         b_next_basis = b_next.basis(truncation)
         emb_b = _embedding_entries(codomain, codomain_basis, b_next, b_next_basis)
+        extraction = sparse_rref(emb_b, b_next_basis.dim, codomain_basis.dim)
+    if k == n:
+        correction_system = sparse_rref(e0_entries, a_next_basis.dim, b_slot_basis.dim)
 
     entries: dict[tuple[int, int], Fraction] = {}
     for col, label in enumerate(domain_basis.labels):
@@ -499,16 +502,16 @@ def generic_zigzag_matrix(
                 raise InternalConsistencyError("primitive class left the filtration")
         if k < n:
             rhs = a_next.vector(a_out, a_next_basis)
-            solution = sparse_solve(augmented, a_next_basis.dim, total_cols, rhs)
+            solution = projection.coords(rhs)
             if solution is None:
                 raise InternalConsistencyError("graded projection system is unsolvable")
             for pos, q in solution.items():
-                if pos < p_dim and q:
+                if pos < p_dim:
                     entries[(pos, col)] = q
             continue
         if k == n:
             rhs = a_next.vector(-a_out, a_next_basis)
-            solution = sparse_solve(e0_entries, a_next_basis.dim, b_slot_basis.dim, rhs)
+            solution = correction_system.coords(rhs)
             if solution is None:
                 raise InternalConsistencyError("middle correction system is unsolvable")
             correction = zero_form(struct.chart, n - 1)
@@ -523,10 +526,9 @@ def generic_zigzag_matrix(
         if image.is_zero():
             continue
         target = b_next.vector(image, b_next_basis)
-        coords = sparse_solve(emb_b, b_next_basis.dim, codomain_basis.dim, target)
+        coords = extraction.coords(target)
         if coords is None:
             raise NonPrimitiveError("zig-zag output left the class subspace")
         for pos, q in coords.items():
-            if q:
-                entries[(pos, col)] = q
+            entries[(pos, col)] = q
     return OperatorMatrix(codomain_basis, domain_basis, entries)

@@ -1,56 +1,10 @@
-"""Small shared helpers: block-parallel map and deterministic randomness."""
+"""Small shared helpers: deterministic randomness."""
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
-U = TypeVar("U")
-
-
-def thread_budget() -> int:
-    """Number of worker threads for block-parallel computations.
-
-    Controlled by the CSCX_THREADS environment variable; defaults to 1
-    (serial).  Values below 1 are clamped to 1.
-    """
-    raw = os.environ.get("CSCX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
-    """Map fn over items, using threads when CSCX_THREADS > 1.
-
-    Blocks are independent (pure functions over immutable values), so the
-    result order always matches the input order.
-    """
-    workers = thread_budget()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def seeded_rng(*seed_parts: object) -> random.Random:
     """Deterministic RNG derived from a tuple of hashable seed parts."""
     return random.Random(repr(seed_parts))
-
-
-def iterate(fn: Callable[[T], T], start: T, times: int) -> T:
-    value = start
-    for _ in range(times):
-        value = fn(value)
-    return value
-
-
-def first_nonzero(items: Iterable[T]) -> T | None:
-    for item in items:
-        if item:
-            return item
-    return None

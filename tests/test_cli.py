@@ -189,3 +189,38 @@ class TestCliCommands:
     def test_bad_flags_exit_2(self, runner):
         result = runner.invoke(main, ["cohomology", "--model", "affine", "--n", "1", "--max-weight", "2"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "command", [["cohomology"], ["les"], ["rs", "build"]], ids=["cohomology", "les", "rs-build"]
+    )
+    @pytest.mark.parametrize(
+        "modes",
+        [["--modes", "a"], ["--modes", "-1", "--sample-modes", "0"]],
+        ids=["unparsable", "empty-truncation"],
+    )
+    def test_bad_modes_exit_2_with_one_line(self, runner, command, modes):
+        result = runner.invoke(main, command + ["--model", "torus", "--n", "2"] + modes)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    def test_modular_flag_reaches_modular_rank(self, runner, monkeypatch):
+        import cscx.linalg
+
+        calls = []
+        original = cscx.linalg.rank_modular
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cscx.linalg, "rank_modular", counting)
+        args = ["cohomology", "--model", "affine", "--n", "2", "--max-weight", "4"]
+        exact = runner.invoke(main, args)
+        assert exact.exit_code == 0, exact.output
+        assert not calls
+        modular = runner.invoke(main, args + ["--modular"])
+        assert modular.exit_code == 0, modular.output
+        assert calls
+        assert json.loads(modular.stdout)["result"] == json.loads(exact.stdout)["result"]

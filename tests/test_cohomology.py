@@ -131,10 +131,3 @@ class TestReports:
         fiber_dims = [binomial_primitive_dim(n, k) for k in range(n + 1)]
         fiber_dims += [binomial_primitive_dim(n, k) for k in range(n, 2 * n + 1)]
         assert sum((-1) ** k * d for k, d in enumerate(fiber_dims)) == 0
-
-    def test_block_parallelism_gives_same_answer(self, cs_torus2, monkeypatch):
-        modes = [(0, 0, 0, 0), (1, 0, 0, 0), (1, -1, 0, 2)]
-        serial = les_check(cs_torus2, mode_truncation(modes))
-        monkeypatch.setenv("CSCX_THREADS", "3")
-        threaded = les_check(cs_torus2, mode_truncation(modes))
-        assert serial == threaded

@@ -1,13 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cscx.cohomology import CochainQuotient
 from cscx.errors import BasisMismatchError
 from cscx.linalg import (
+    Echelon,
     OperatorMatrix,
     SectionBasis,
     dense_nullspace,
     dense_rank,
+    dense_rref,
     rank_modular,
     sparse_nullspace,
     sparse_rank,
@@ -109,6 +114,94 @@ class TestKernelAndSolve:
                 [vec.get(j, Fraction(0)) for j in range(n)] for vec in sparse
             ]
             assert as_dense == dense_nullspace(dense, n)
+
+
+fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(entries, nrows, ncols) of a random sparse rational matrix."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    cells = draw(st.dictionaries(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), fractions))
+    return {key: v for key, v in cells.items() if v}, m, n
+
+
+def _dense(entries, m, n):
+    return [[entries.get((i, j), Fraction(0)) for j in range(n)] for i in range(m)]
+
+
+def _cols(entries, n):
+    cols = [{} for _ in range(n)]
+    for (i, j), v in entries.items():
+        cols[j][i] = v
+    return cols
+
+
+def _apply(entries, x):
+    out = {}
+    for (i, j), v in entries.items():
+        if x.get(j):
+            out[i] = out.get(i, Fraction(0)) + v * x[j]
+    return {i: v for i, v in out.items() if v}
+
+
+class TestEchelonProperties:
+    """The elimination engine against the dense reference on random sparse rationals."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_matrices(), st.lists(fractions, min_size=6, max_size=6), st.data())
+    def test_coords_rebuild_span_and_reject_outside(self, matrix, weights, data):
+        entries, m, n = matrix
+        cols = _cols(entries, n)
+        echelon = Echelon(cols)
+        assert len(echelon) == dense_rank(_dense(entries, m, n))
+        inside = _apply(entries, dict(enumerate(weights[:n])))
+        other = data.draw(st.dictionaries(st.integers(0, m - 1), fractions))
+        for vec in (inside, {i: v for i, v in other.items() if v}):
+            coords = echelon.coords(vec)
+            augmented = _dense(entries, m, n)
+            for i, row in enumerate(augmented):
+                row.append(vec.get(i, Fraction(0)))
+            in_span = dense_rank(augmented) == dense_rank(_dense(entries, m, n))
+            assert (coords is not None) == in_span
+            if coords is not None:
+                assert _apply(entries, coords) == vec
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_matrices(), st.lists(fractions, min_size=6, max_size=6))
+    def test_solve_is_supported_on_pivot_columns(self, matrix, weights):
+        entries, m, n = matrix
+        rhs = _apply(entries, dict(enumerate(weights[:n])))
+        solution = sparse_solve(entries, m, n, rhs)
+        assert solution is not None
+        assert _apply(entries, solution) == rhs
+        _, pivots = dense_rref(_dense(entries, m, n))
+        assert set(solution) <= set(pivots)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_matrices(), st.data())
+    def test_quotient_dim_is_kernel_minus_image(self, d_in_matrix, data):
+        d_in, space, src = d_in_matrix
+        # d_out: random combinations of covectors that kill the image of d_in
+        transposed = [[d_in.get((i, j), Fraction(0)) for i in range(space)] for j in range(src)]
+        annihilators = dense_nullspace(transposed, space)
+        tgt = data.draw(st.integers(1, 4))
+        d_out = {}
+        for r in range(tgt):
+            for y in annihilators:
+                weight = data.draw(fractions)
+                for i, v in enumerate(y):
+                    if weight and v:
+                        d_out[(r, i)] = d_out.get((r, i), Fraction(0)) + weight * v
+        d_out = {key: v for key, v in d_out.items() if v}
+        a, b, c = _basis("a", src), _basis("b", space), _basis("c", tgt)
+        quotient = CochainQuotient(OperatorMatrix(b, a, d_in), OperatorMatrix(c, b, d_out), space)
+        kernel_dim = space - sparse_rank(d_out, tgt, space)
+        assert quotient.dim == kernel_dim - sparse_rank(d_in, space, src)
+        for j, rep in enumerate(quotient.reps):
+            assert quotient.coords(rep) == {j: Fraction(1)}
 
 
 def _basis(tag: str, size: int) -> SectionBasis:
