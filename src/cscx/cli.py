@@ -51,7 +51,6 @@ class RunConfig:
     mode_norms: tuple[int, ...] = ()
     sample_count: int = 0
     out: str | None = None
-    verbosity: int = 0
     modular: bool = False
     seed: int = 0
 
@@ -294,12 +293,17 @@ def chart_validate(config_file: str) -> None:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         click.echo(f"invalid chart file: {exc}", err=True)
         sys.exit(2)
+    except ZeroDivisionError:
+        click.echo("invalid chart file: a coefficient has a zero denominator", err=True)
+        sys.exit(2)
     click.echo(json.dumps(summary, indent=2, sort_keys=True))
     sys.exit(0)
 
 
 def validate_chart_config(payload: dict) -> dict:
     """Build and check the chart described by a configuration payload."""
+    if not isinstance(payload, dict):
+        raise ConfigError("a chart file holds one JSON object")
     model = payload.get("model")
     n = int(payload.get("n", 0))
     ring = payload.get("ring", "poly")
@@ -309,7 +313,7 @@ def validate_chart_config(payload: dict) -> dict:
         if isinstance(beta_payload, list):
             beta_payload = {"degree": 1, "terms": beta_payload}
         beta = form_from_json(beta_payload, base)
-        cc = contactify(n, beta, symbolic=bool(payload.get("symbolic", False)))
+        cc = contactify(n, beta)
         from .coefficients import coefficient_to_json
         from .contact import volume_coefficient
 

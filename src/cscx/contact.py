@@ -8,10 +8,8 @@ distribution H = ker(alpha) is framed by X_v = d/dv - beta(d/dv) d/dt over
 the base coordinates, and the line Q = TM/H is trivialized by xi (dually,
 its annihilator by alpha) throughout.
 
-Nondegeneracy checks follow a sampling policy: the relevant top coefficient
-is evaluated at the origin and five fixed pseudo-random rational points
-(poly ring) or on its constant Fourier mode (trig ring); the full symbolic
-coefficient is also available behind the ``symbolic`` flag.
+Nondegeneracy is certified only by a nonzero constant top coefficient, on
+both rings; the graded truncations need constant structure forms anyway.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from .forms import (
 )
 from .grading import FiberCalculus, fiber_from_form, multi_indices
 from .linalg import OperatorMatrix, SectionBasis
-from .util import seeded_rng
 
 
 @dataclass(frozen=True)
@@ -79,33 +76,12 @@ class ContactChart:
         return fiber_from_form(self.lef_form(), self.n)
 
 
-def _sample_points(nvars: int, count: int = 5) -> list[list[Fraction]]:
-    rng = seeded_rng("contact-samples", nvars, count)
-    points = [[Fraction(0)] * nvars]
-    for _ in range(count):
-        points.append(
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(nvars)]
-        )
-    return points
+def _nonvanishing(coeff: Coefficient) -> bool:
+    """Nondegeneracy certificate: the coefficient is a nonzero constant."""
+    return coeff.is_constant() and coeff.constant_part() != 0
 
 
-def _nonvanishing(coeff: Coefficient, symbolic: bool) -> bool:
-    """Sampling policy for certifying a nondegeneracy coefficient."""
-    if coeff.is_zero():
-        return False
-    if isinstance(coeff, PolyCoefficient):
-        if coeff.is_constant():
-            return True
-        if symbolic:
-            # the exact coefficient itself is the certificate
-            return True
-        return all(
-            coeff.evaluate(p) != 0 for p in _sample_points(coeff.nvars)
-        )
-    return coeff.constant_part() != 0
-
-
-def check_cs_potential(beta: DifferentialForm, n: int, symbolic: bool = False) -> None:
+def check_cs_potential(beta: DifferentialForm, n: int) -> None:
     """Require d(beta) nondegenerate: top power of d(beta) nonvanishing."""
     if beta.degree != 1:
         raise CsPotentialError("a cs potential is a one-form")
@@ -116,15 +92,16 @@ def check_cs_potential(beta: DifferentialForm, n: int, symbolic: bool = False) -
     base_axes = tuple(a for a in range(beta.chart.dim) if a != beta.chart.t_axis)
     key = tuple(base_axes[: 2 * n])
     coeff = top.coefficient(key)
-    if not _nonvanishing(coeff, symbolic):
-        raise CsPotentialError("not a cs potential: top power of d(beta) vanishes")
+    if not _nonvanishing(coeff):
+        raise CsPotentialError(
+            "not a cs potential: top power of d(beta) is not a nonzero constant"
+        )
 
 
 def contactify(
     n: int,
     beta: DifferentialForm,
     xi_scale: Fraction | int = 1,
-    symbolic: bool = False,
 ) -> ContactChart:
     """Build the contact chart over a cs potential.
 
@@ -138,7 +115,7 @@ def contactify(
         raise CsPotentialError(f"potential chart has dimension {base.dim}, expected {2 * n}")
     if n < 2:
         raise CsPotentialError("contact charts need n >= 2")
-    check_cs_potential(beta, n, symbolic=symbolic)
+    check_cs_potential(beta, n)
 
     chart = contact_chart_over(base)
     promoted_terms = {}
@@ -157,7 +134,7 @@ def contactify(
     cc = ContactChart(
         n=n, chart=chart, base=base, beta=promoted, alpha=alpha, xi=xi, xi_scale=scale
     )
-    _check_contact_condition(cc, symbolic=symbolic)
+    _check_contact_condition(cc)
     if not interior_product(cc.xi, cc.alpha).terms.get((), chart.zero_coeff()) == chart.one_coeff():
         raise InternalConsistencyError("alpha(xi) != 1")
     if not interior_product(cc.xi, cc.d_alpha()).is_zero():
@@ -168,8 +145,8 @@ def contactify(
 def volume_coefficient(cc: ContactChart) -> Coefficient:
     """The exact coefficient of alpha ^ (d alpha)^n on the top multi-index.
 
-    This is the full symbolic certificate behind the sampling policy; for
-    the standard models it is a nonzero constant.
+    The contact condition is certified when it is a nonzero constant, as it
+    is for every potential with constant differential.
     """
     top = cc.alpha
     da = cc.d_alpha()
@@ -178,10 +155,12 @@ def volume_coefficient(cc: ContactChart) -> Coefficient:
     return top.coefficient(tuple(range(cc.dim)))
 
 
-def _check_contact_condition(cc: ContactChart, symbolic: bool = False) -> None:
-    """alpha ^ (d alpha)^n must have an invertible top coefficient."""
-    if not _nonvanishing(volume_coefficient(cc), symbolic):
-        raise ContactConditionError("alpha ^ (d alpha)^n vanishes: not a contact form")
+def _check_contact_condition(cc: ContactChart) -> None:
+    """alpha ^ (d alpha)^n must have a nonzero constant top coefficient."""
+    if not _nonvanishing(volume_coefficient(cc)):
+        raise ContactConditionError(
+            "alpha ^ (d alpha)^n is not a nonzero constant: not a contact form"
+        )
 
 
 def standard_contact_chart(n: int, xi_scale: Fraction | int = 1) -> ContactChart:

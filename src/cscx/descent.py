@@ -12,12 +12,22 @@ must agree matrix-for-matrix:
 
 * ``descend_rumin`` conjugates the contact-chart operators by the descent
   identifications;
-* ``rs_operator`` evaluates the intrinsic formulas directly (primitive
-  projection of d below the middle, the second-order middle operator via
-  the bijective wedge, minus the twisted derivative above the middle);
+* ``rs_operator`` applies the same three-regime operator as the contact
+  side (``rumin_apply``) to the quotient structure, which has no potential
+  and no Lie term: primitive projection of d below the middle, the
+  second-order middle operator via the bijective wedge, minus the twisted
+  derivative above the middle;
 * ``ss_fallback`` runs the generic representative-correction procedure on
   the total complex (pairs (phi, psi) with differential
   (phi, psi) |-> (d phi + omega ^ psi, -d psi)), treating it as a black box.
+
+Since the first two routes share one operator, "descended equals
+intrinsic" checks the descent identifications: promoting and restricting
+payloads (with the transversal rescaling on twisted classes and the
+rescaled structure form of the contact fiber), and that the potential
+twist in dH and the Lie term drop out on lifted invariant payloads.
+"Intrinsic equals fallback" checks the three-regime formula itself
+against the independent generic zig-zag.
 
 The line bundle is trivialized by the closed section omega (its generator
 s unwedges to omega); the induced flat derivative on twisted forms is the
@@ -48,7 +58,7 @@ from .forms import (
     wedge,
     zero_form,
 )
-from .grading import Truncation, assemble_operator, entries_transform, fiber_apply
+from .grading import Truncation, assemble_operator
 from .lefschetz import (
     CsChart,
     TwistedForm,
@@ -59,7 +69,6 @@ from .lefschetz import (
 from .linalg import OperatorMatrix
 from .rumin import (
     TwoStepStructure,
-    _middle_inverse,
     contact_two_step,
     generic_zigzag_matrix,
     rumin_apply,
@@ -255,29 +264,12 @@ def nabla_twisted_d(cs: CsChart, psi: TwistedForm) -> TwistedForm:
 def rs_apply(cs: CsChart, i: int, payload: DifferentialForm) -> DifferentialForm:
     """The intrinsic degree-i operator on class payloads.
 
-    Below the middle: primitive projection of d.  At the middle: solve
-    omega ^ psi = d(payload) by the bijective wedge and return the
-    primitive projection of -d(psi).  Above the middle: -d(payload),
-    automatically primitive (checked).
+    The shared three-regime operator applied to the quotient structure:
+    with no potential and no Lie term it is the primitive projection of d
+    below the middle, -d of the solution of omega ^ psi = d(payload) at the
+    middle, and -d(payload) of a primitive payload above the middle.
     """
-    struct = cs_two_step(cs)
-    n = cs.n
-    fib = struct.fiber()
-    if i < n:
-        image = exterior_derivative(payload)
-        return fiber_apply(fib, lambda v: fib.pi0(i + 1, v), image, i + 1)
-    if i == n:
-        dphi = exterior_derivative(payload)
-        psi = fiber_apply(fib, entries_transform(_middle_inverse(struct)), dphi, n - 1)
-        if wedge(cs.omega, psi) != dphi:
-            raise InternalConsistencyError("middle wedge solve failed")
-        out = -exterior_derivative(psi)
-    else:
-        out = -exterior_derivative(payload)
-    projected = fiber_apply(fib, lambda v: fib.pi0(out.degree, v), out, out.degree)
-    if projected != out:
-        raise InternalConsistencyError("intrinsic operator output is not primitive")
-    return out
+    return rumin_apply(cs_two_step(cs), i, payload)
 
 
 def rs_operator(cs: CsChart, i: int, truncation: Truncation) -> OperatorMatrix:

@@ -8,10 +8,13 @@ grading blocks; a ``GradedSpace`` enumerates an exact basis of a section
 space per block and converts between forms and coordinate vectors.
 
 The fiberwise symplectic linear algebra (wedge by the structure two-form,
-insertion of its inverse bivector, primitive subspaces and the full
-primitive decomposition) lives in ``FiberCalculus`` and is shared by the
-contact and cs sides; both use the same sign conventions as the forms
-module.
+insertion of its inverse bivector, primitive subspaces, the primitive
+projection, the middle-degree inverse and the full primitive
+decomposition) lives in ``FiberCalculus``.  ``fiber_from_form`` keeps one
+shared instance per ``(n, signature)`` of the constant structure form, so
+the contact and cs sides resolve the same object; each fiber map is built
+once on it as a sparse ``FiberMap`` and applied to forms by
+``fiber_apply``.  Sign conventions are those of the forms module.
 """
 
 from __future__ import annotations
@@ -93,6 +96,16 @@ def monomials_of_weight(var_weights: Sequence[int], target: int) -> list[tuple[i
     return out
 
 
+class FiberMap(dict):
+    """Sparse matrix ``{(row, col): value}`` of a fiber map, indexed by column."""
+
+    def __init__(self, entries: dict[tuple[int, int], Fraction]):
+        super().__init__((e, v) for e, v in entries.items() if v)
+        self.columns: dict[int, list[tuple[int, Fraction]]] = {}
+        for (r, c), v in self.items():
+            self.columns.setdefault(c, []).append((r, v))
+
+
 class FiberCalculus:
     """Pointwise symplectic linear algebra for one constant structure two-form.
 
@@ -105,11 +118,12 @@ class FiberCalculus:
         self.m = m
         self.n = n
         self.omega = {k: Fraction(v) for k, v in omega_terms.items() if v}
-        self.signature = tuple(sorted(self.omega.items()))
         self._indices: dict[int, list[MultiIndex]] = {}
         self._positions: dict[int, dict[MultiIndex, int]] = {}
-        self._wedge: dict[int, dict[tuple[int, int], Fraction]] = {}
-        self._insert: dict[int, dict[tuple[int, int], Fraction]] = {}
+        self._wedge: dict[int, FiberMap] = {}
+        self._insert: dict[int, FiberMap] = {}
+        self._pi0: dict[int, FiberMap] = {}
+        self._middle_inverse: FiberMap | None = None
         self._primitive: dict[int, list[FiberVector]] = {}
         self._primitive_span: dict[int, Echelon] = {}
         self._decomp: dict[int, tuple[list[tuple[int, int]], list[list[Fraction]]]] = {}
@@ -152,7 +166,7 @@ class FiberCalculus:
             self._inverse_bivector = P
         return self._inverse_bivector
 
-    def wedge_map(self, k: int) -> dict[tuple[int, int], Fraction]:
+    def wedge_map(self, k: int) -> FiberMap:
         """Matrix of (two-form ^ .) from degree k to degree k + 2."""
         if k not in self._wedge:
             rows = self.indices(k + 2)
@@ -166,10 +180,10 @@ class FiberCalculus:
                     row = self.position(k + 2, new_key)
                     entry = (row, col)
                     entries[entry] = entries.get(entry, Fraction(0)) + v * sign
-            self._wedge[k] = {e: v for e, v in entries.items() if v}
+            self._wedge[k] = FiberMap(entries)
         return self._wedge[k]
 
-    def insertion_map(self, k: int) -> dict[tuple[int, int], Fraction]:
+    def insertion_map(self, k: int) -> FiberMap:
         """Matrix of inserting the inverse bivector, degree k to k - 2."""
         if k not in self._insert:
             P = self.inverse_bivector()
@@ -187,8 +201,21 @@ class FiberCalculus:
                     row = self.position(k - 2, new_key)
                     entry = (row, col)
                     entries[entry] = entries.get(entry, Fraction(0)) + v * s1 * s2
-            self._insert[k] = {e: v for e, v in entries.items() if v}
+            self._insert[k] = FiberMap(entries)
         return self._insert[k]
+
+    def middle_inverse(self) -> FiberMap:
+        """Inverse of the bijective wedge from degree n - 1 to degree n + 1."""
+        if self._middle_inverse is None:
+            size = self.dim(self.n - 1)
+            dense = [[Fraction(0)] * size for _ in range(size)]
+            for (r, c), v in self.wedge_map(self.n - 1).items():
+                dense[r][c] = v
+            inv = dense_inverse(dense)
+            self._middle_inverse = FiberMap(
+                {(r, c): inv[r][c] for r in range(size) for c in range(size)}
+            )
+        return self._middle_inverse
 
     def apply_map(
         self, entries: dict[tuple[int, int], Fraction], vec: FiberVector
@@ -303,78 +330,72 @@ class FiberCalculus:
             offset += p
         return out
 
+    def pi0_map(self, k: int) -> FiberMap:
+        """Matrix of the primitive projection at degree k.
+
+        Column j is the first decomposition component of the j-th unit
+        vector, re-embedded through the primitive basis.
+        """
+        if k not in self._pi0:
+            _, inverse = self.decomposition(k)
+            entries: dict[tuple[int, int], Fraction] = {}
+            for j, vec in enumerate(self.primitive_basis(k)):
+                for col, c in enumerate(inverse[j]):
+                    for i, v in vec.items():
+                        entries[(i, col)] = entries.get((i, col), Fraction(0)) + c * v
+            self._pi0[k] = FiberMap(entries)
+        return self._pi0[k]
+
     def pi0(self, k: int, vec: FiberVector) -> FiberVector:
         """Primitive component of a fiber vector at degree k."""
-        if k <= 1:
-            return dict(vec)
-        parts = self.decompose(k, vec)
-        src, twist, coords = parts[0]
-        if src != k or twist != 0:
-            raise InternalConsistencyError("decomposition slots are misordered")
-        out: dict[int, Fraction] = {}
-        for j, c in enumerate(coords):
-            if not c:
-                continue
-            for i, v in self.primitive_basis(k)[j].items():
-                out[i] = out.get(i, Fraction(0)) + c * v
-        return {i: v for i, v in out.items() if v}
+        return self.apply_map(self.pi0_map(k), vec)
 
 
 def fiber_apply(
-    fib: FiberCalculus,
-    transform: Callable[[FiberVector], FiberVector],
-    form: DifferentialForm,
-    out_degree: int,
+    fib: FiberCalculus, entries: FiberMap, form: DifferentialForm, out_degree: int
 ) -> DifferentialForm:
-    """Apply a rational fiber map to the multi-index coordinates of a form."""
+    """Apply a fiber map to the multi-index coordinates of a form."""
+    out_keys = fib.indices(out_degree)
     accum: dict[MultiIndex, object] = {}
     for key, coeff in form.terms.items():
-        col = fib.position(form.degree, key)
-        for row, q in transform({col: Fraction(1)}).items():
-            out_key = fib.indices(out_degree)[row]
+        for row, q in entries.columns.get(fib.position(form.degree, key), ()):
+            out_key = out_keys[row]
             piece = coeff.scale(q)
-            if out_key in accum:
-                accum[out_key] = accum[out_key] + piece
-            else:
-                accum[out_key] = piece
+            accum[out_key] = accum[out_key] + piece if out_key in accum else piece
     return DifferentialForm(form.chart, out_degree, accum, validated=True)
 
 
-def entries_transform(entries: dict[tuple[int, int], Fraction]) -> Callable[[FiberVector], FiberVector]:
-    """Wrap a sparse matrix-entry dict as a fiber-vector map."""
-    by_col: dict[int, list[tuple[int, Fraction]]] = {}
-    for (r, c), v in entries.items():
-        by_col.setdefault(c, []).append((r, v))
+def is_primitive(fib: FiberCalculus, form: DifferentialForm) -> bool:
+    """The primitivity test: the primitive projection fixes the form."""
+    return fiber_apply(fib, fib.pi0_map(form.degree), form, form.degree) == form
 
-    def apply(vec: FiberVector) -> FiberVector:
-        out: dict[int, Fraction] = {}
-        for c, x in vec.items():
-            for r, v in by_col.get(c, ()):  # noqa: B905
-                out[r] = out.get(r, Fraction(0)) + v * x
-        return {r: v for r, v in out.items() if v}
 
-    return apply
+_SHARED_FIBERS: dict[tuple, FiberCalculus] = {}
 
 
 def fiber_from_form(omega: DifferentialForm, n: int) -> FiberCalculus:
-    """Fiber calculus of a constant-coefficient structure two-form.
+    """The shared fiber calculus of a constant-coefficient structure two-form.
 
     The weight grading this toolkit relies on forces the structure form to
-    have constant coefficients; anything else is rejected here.
+    have constant coefficients; anything else is rejected here.  Forms with
+    the same ``(n, signature)`` -- the signature being the sorted constant
+    terms -- share one ``FiberCalculus``, built on the first request.
     """
     if omega.degree != 2:
         raise CsStructureError("structure form must have degree 2")
-    m = 2 * n
     terms: dict[tuple[int, int], Fraction] = {}
     for key, coeff in omega.terms.items():
-        if any(a >= m for a in key):
+        if any(a >= 2 * n for a in key):
             raise CsStructureError("structure form must live on the base axes")
         if not coeff.is_constant():
             raise CsStructureError(
                 "structure form must have constant coefficients for graded truncation"
             )
         terms[key] = coeff.constant_part()
-    return FiberCalculus(m, n, terms)
+    key = (n, tuple(sorted(terms.items())))
+    if key not in _SHARED_FIBERS:
+        _SHARED_FIBERS[key] = FiberCalculus(2 * n, n, terms)
+    return _SHARED_FIBERS[key]
 
 
 # -- truncations ---------------------------------------------------------------

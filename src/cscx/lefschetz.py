@@ -60,28 +60,20 @@ class CsChart:
             top = wedge(top, self.omega)
         if top.is_zero():
             raise CsStructureError("structure form is degenerate")
+        object.__setattr__(self, "_fiber", fiber_from_form(self.omega, self.n))
 
     @property
     def dim(self) -> int:
         return 2 * self.n
 
     def fiber(self) -> FiberCalculus:
-        return _fiber_cache(self)
+        return self._fiber
 
     def inverse_bivector_field(self) -> PolyVectorField:
         terms = {
             key: self.chart.const(v) for key, v in self.fiber().inverse_bivector().items()
         }
         return PolyVectorField(self.chart, 2, terms)
-
-
-_FIBERS: dict[tuple, FiberCalculus] = {}
-
-
-def _fiber_cache(cs: CsChart) -> FiberCalculus:
-    probe = fiber_from_form(cs.omega, cs.n)
-    key = (cs.n, probe.signature)
-    return _FIBERS.setdefault(key, probe)
 
 
 def standard_omega(chart: Chart, n: int) -> DifferentialForm:
@@ -180,7 +172,7 @@ def primitive_projection(cs: CsChart, phi: TwistedForm) -> TwistedForm:
     if phi.is_zero() or k <= 1:
         return phi
     fib = cs.fiber()
-    projected = fiber_apply(fib, lambda v: fib.pi0(k, v), phi.base, k)
+    projected = fiber_apply(fib, fib.pi0_map(k), phi.base, k)
     return TwistedForm(projected, phi.ell_power)
 
 

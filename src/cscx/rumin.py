@@ -45,15 +45,16 @@ from .forms import (
 )
 from .grading import (
     FiberCalculus,
+    FiberMap,
     GradedSpace,
     SectionBasis,
     Truncation,
     assemble_operator,
-    entries_transform,
     fiber_apply,
     fiber_from_form,
+    is_primitive,
 )
-from .linalg import OperatorMatrix, dense_inverse, sparse_rref
+from .linalg import OperatorMatrix, sparse_rref
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,8 @@ class TwoStepStructure:
 
     The contact side has ``beta`` and a nonzero ``lie_scale``; the cs side
     of the quotient has neither (its pair differential is the total
-    differential of the twisted sum complex).
+    differential of the twisted sum complex).  The shared fiber calculus of
+    ``lef`` is resolved once, at construction.
     """
 
     chart: Chart
@@ -71,8 +73,11 @@ class TwoStepStructure:
     beta: DifferentialForm | None = None
     lie_scale: Fraction = Fraction(0)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_fiber", fiber_from_form(self.lef, self.n))
+
     def fiber(self) -> FiberCalculus:
-        return _fiber_of(self)
+        return self._fiber
 
     def dH(self, omega: DifferentialForm) -> DifferentialForm:
         """Horizontal derivative: d in base directions, twisted by the potential."""
@@ -126,38 +131,9 @@ class TwoStepStructure:
         return GradedSpace(self.chart, degree, weight_offset=offset, tag="full")
 
 
-_STRUCT_FIBERS: dict[tuple, FiberCalculus] = {}
-
-
-def _fiber_of(struct: TwoStepStructure) -> FiberCalculus:
-    probe = fiber_from_form(struct.lef, struct.n)
-    key = (struct.n, struct.chart.coords, probe.signature)
-    return _STRUCT_FIBERS.setdefault(key, probe)
-
-
-_MIDDLE_INVERSES: dict[tuple, dict[tuple[int, int], Fraction]] = {}
-
-
-def _middle_inverse(struct: TwoStepStructure) -> dict[tuple[int, int], Fraction]:
-    """Inverse of the bijective fiber map L at degree n-1 -> n+1."""
-    fib = struct.fiber()
-    key = (struct.n, struct.chart.coords, fib.signature)
-    if key not in _MIDDLE_INVERSES:
-        n = struct.n
-        size = fib.dim(n - 1)
-        if fib.dim(n + 1) != size:
-            raise InternalConsistencyError("middle fiber map is not square")
-        dense = [[Fraction(0)] * size for _ in range(size)]
-        for (r, c), v in fib.wedge_map(n - 1).items():
-            dense[r][c] = v
-        inv = dense_inverse(dense)
-        _MIDDLE_INVERSES[key] = {
-            (r, c): inv[r][c]
-            for r in range(size)
-            for c in range(size)
-            if inv[r][c]
-        }
-    return _MIDDLE_INVERSES[key]
+def _middle_inverse(fib: FiberCalculus) -> FiberMap:
+    """Inverse of the bijective fiber map L at degree n-1 -> n+1 (cached on the fiber)."""
+    return fib.middle_inverse()
 
 
 def contact_two_step(cc: ContactChart) -> TwoStepStructure:
@@ -180,69 +156,33 @@ def rumin_apply(struct: TwoStepStructure, k: int, payload: DifferentialForm) -> 
     derivative (lift-independent, so the canonical zero correction is
     used).  At the middle degree: the correction is the unique solution c
     of  L c = -dH(payload)  and the class of the corrected derivative is
-    -Lie(payload) + dH(c).  Above the middle: -dH(payload), which is
-    automatically primitive.
+    -Lie(payload) + dH(c).  Above the middle: -dH(payload) of a primitive
+    payload, which is automatically primitive.  On the cs quotient
+    (no potential, no Lie term) these are the intrinsic formulas.
     """
     n = struct.n
     fib = struct.fiber()
     if k < n:
         image = struct.dH(payload)
-        return fiber_apply(fib, lambda v: fib.pi0(k + 1, v), image, k + 1)
+        return fiber_apply(fib, fib.pi0_map(k + 1), image, k + 1)
     if k == n:
-        rhs = -struct.dH(payload)
-        correction = fiber_apply(
-            fib, entries_transform(_middle_inverse(struct)), rhs, n - 1
-        )
-        check = struct.dH(payload) + struct.L(correction)
-        if not check.is_zero():
+        image = struct.dH(payload)
+        correction = fiber_apply(fib, _middle_inverse(fib), -image, n - 1)
+        if not (image + struct.L(correction)).is_zero():
             raise InternalConsistencyError("middle correction failed to cancel")
         out = -struct.lie(payload) + struct.dH(correction)
     else:
-        _assert_primitive(struct, payload)
+        _assert_primitive(fib, payload)
         out = -struct.dH(payload)
     # the class is primitive on the nose; the projection is a checked no-op
-    projected = fiber_apply(fib, lambda v: fib.pi0(out.degree, v), out, out.degree)
-    if projected != out:
+    if not is_primitive(fib, out):
         raise InternalConsistencyError("twisted class left the primitive subspace")
     return out
 
 
-def _assert_primitive(struct: TwoStepStructure, payload: DifferentialForm) -> None:
-    fib = struct.fiber()
-    try:
-        for mono_vec in _fiber_vectors(fib, payload):
-            fib.primitive_coords(payload.degree, mono_vec)
-    except NonPrimitiveError:
-        raise NonPrimitiveError("class payload is not primitive") from None
-
-
-def _fiber_vectors(fib: FiberCalculus, payload: DifferentialForm):
-    """Constant-direction fiber vectors spanned by a form's coefficients."""
-    seen: dict[object, dict[int, Fraction]] = {}
-    for key, coeff in payload.terms.items():
-        pos = fib.position(payload.degree, key)
-        for label, val in _coefficient_directions(coeff):
-            vec = seen.setdefault(label, {})
-            vec[pos] = vec.get(pos, Fraction(0)) + val
-    return [
-        {i: v for i, v in vec.items() if v}
-        for vec in seen.values()
-        if any(vec.values())
-    ]
-
-
-def _coefficient_directions(coeff):
-    from .coefficients import PolyCoefficient
-
-    if isinstance(coeff, PolyCoefficient):
-        for exp, q in coeff.terms.items():
-            yield ("p", exp), q
-    else:
-        for freq, c in coeff.terms.items():
-            if c.re:
-                yield ("re", freq), c.re
-            if c.im:
-                yield ("im", freq), c.im
+def _assert_primitive(fib: FiberCalculus, payload: DifferentialForm) -> None:
+    if not is_primitive(fib, payload):
+        raise NonPrimitiveError("class payload is not primitive")
 
 
 # -- public wrappers on contact charts ----------------------------------------
@@ -266,9 +206,7 @@ class RuminClass:
             )
         if self.section.q_power != expected_twist:
             raise DegreeError("wrong twist for this degree")
-        struct = contact_two_step(self.contact)
-        if not self.section.form.is_zero():
-            _assert_primitive(struct, self.section.form)
+        _assert_primitive(self.contact.fiber(), self.section.form)
 
     def is_zero(self) -> bool:
         return self.section.is_zero()
@@ -410,7 +348,7 @@ def class_transport(lift, k: int, payload: DifferentialForm) -> DifferentialForm
     pulled = lift.pullback(payload)
     if k > src.n:
         pulled = pulled.scale(lift.scale)
-    _assert_primitive(contact_two_step(dst), pulled)
+    _assert_primitive(dst.fiber(), pulled)
     return pulled
 
 

@@ -88,6 +88,25 @@ class TestChartValidate:
         assert result.exit_code == 2
 
 
+    def _assert_one_line_exit_2(self, runner, path):
+        result = runner.invoke(main, ["chart", "validate", str(path)])
+        assert result.exit_code == 2
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invalid chart")
+
+    def test_top_level_array_exit_2(self, runner, tmp_path):
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps([GOOD_BETA]))
+        self._assert_one_line_exit_2(runner, path)
+
+    def test_zero_denominator_exit_2(self, runner, tmp_path):
+        payload = json.loads(json.dumps(GOOD_BETA))
+        payload["beta"]["terms"][0]["coef"]["terms"][0]["den"] = "0"
+        path = tmp_path / "zero-den.json"
+        path.write_text(json.dumps(payload))
+        self._assert_one_line_exit_2(runner, path)
+
+
 class TestRunSuite:
     def test_invalid_config_raises(self):
         with pytest.raises(ConfigError):

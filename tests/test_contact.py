@@ -160,6 +160,18 @@ class TestContactify:
         with pytest.raises(CsPotentialError, match="not a cs potential"):
             contactify(2, beta)
 
+    def test_nonconstant_top_power_rejected(self):
+        base = affine_cs_chart(2)
+        x1, x2 = base.coord_coeff(0), base.coord_coeff(2)
+        # x1^2 dy1 + x2 dy2: d(beta) degenerates on x1 = 0
+        squared = basis_form(base, (1,)).times(x1 * x1) + basis_form(base, (3,)).times(x2)
+        # top power 2 (1 + x1): nonzero at the origin, degenerate on x1 = -1
+        shifted = basis_form(base, (1,)).times(x1 + (x1 * x1).scale(Fraction(1, 2)))
+        shifted = shifted + basis_form(base, (3,)).times(x2)
+        for beta in (squared, shifted):
+            with pytest.raises(CsPotentialError, match="not a cs potential"):
+                contactify(2, beta)
+
     def test_zero_transversal_scale_rejected(self):
         base, beta = _standard_beta(2)
         with pytest.raises(ContactConditionError):
