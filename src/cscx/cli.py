@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import click
 
 from .cohomology import (
-    les_check,
+    les_and_splice,
     mode_truncation,
     rs_cohomology,
     sample_modes,
-    short_exact_splice,
     weight_truncation,
 )
 from .contact import contactify, standard_contact_chart
@@ -205,8 +204,7 @@ def _pipeline_cohomology(config: RunConfig):
 
 def _pipeline_les(config: RunConfig):
     cs = _cs_chart(config)
-    les = les_check(cs, config.truncation())
-    splice = short_exact_splice(cs, config.truncation())
+    les, splice = les_and_splice(cs, config.truncation())
     body = {"les": les.to_json(), "splice": splice.to_json()}
     return body, les.exact and les.snake_equals_wedge and splice.ok
 

@@ -3,10 +3,15 @@
 All operators in scope are homogeneous for the grading, so complexes split
 into independent blocks (one per weight, or per Fourier orbit on the
 torus); every block is finite-dimensional and all ranks are exact over the
-rationals.  Cohomology dimensions, representatives, induced maps on
-cohomology, the degreewise splice of de Rham into the total complex, and
-the long exact sequence with its connecting map are all computed at the
-cochain level and verified node by node.
+rationals.  Every check runs in one pass over the blocks: a
+``BlockComplexes`` assembles the block's de Rham, twisted and total
+complexes and the splice maps once, on the node indexing of the long
+exact sequence.  From it come cohomology dimensions, representatives,
+induced maps on cohomology, the long exact sequence with its connecting
+map, and the degreewise splice of de Rham into the total complex, all
+computed at the cochain level and verified node by node.  Since every map
+is block-diagonal (an image leaving its block fails assembly), a
+truncation-wide identity is the conjunction of the per-block ones.
 
 On the torus, operators have constant coefficients and preserve modes; the
 reported cohomology is the constant-mode block, and every sampled nonzero
@@ -19,7 +24,7 @@ minus two and flags disagreement instead of silently reporting.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from .descent import (
@@ -34,6 +39,7 @@ from .grading import (
     GradedSpace,
     SectionBasis,
     Truncation,
+    label_vector,
     mode_truncation,
     sample_modes,
     weight_truncation,
@@ -55,6 +61,8 @@ __all__ = [
     "total_complex",
     "short_exact_splice",
     "les_check",
+    "les_and_splice",
+    "BlockComplexes",
     "rs_cohomology",
     "CohomologyReport",
 ]
@@ -86,7 +94,8 @@ def cohomology_dims(complex_maps: list[OperatorMatrix], rank_method: str = "exac
 class CochainQuotient:
     """Cohomology at one node, with explicit representative vectors.
 
-    Built from the incoming and outgoing differentials of the node; the
+    Built from the incoming and outgoing differentials of the node (an
+    absent or zero outgoing map has the whole space as kernel); the
     representatives extend a basis of the image to a basis of the kernel,
     chosen deterministically by leftmost pivoting.  One ``Echelon`` holds
     the image columns followed by the representatives, so class
@@ -99,7 +108,7 @@ class CochainQuotient:
         d_out: OperatorMatrix | None,
         space_dim: int,
     ):
-        if d_out is not None:
+        if d_out is not None and not d_out.is_zero():
             kernel = d_out.nullspace()
         else:
             kernel = [{i: Fraction(1)} for i in range(space_dim)]
@@ -145,32 +154,27 @@ def _in_span(vectors, vec) -> bool:
 
 def de_rham_complex(cs: CsChart, truncation: Truncation) -> list[OperatorMatrix]:
     """The truncated de Rham complex of the chart."""
-    spaces, bases = _form_spaces(cs, truncation, twist=0)
-    mats = []
-    for k in range(2 * cs.n):
-        mats.append(
-            _assemble(spaces[k], spaces[k + 1], bases[k], bases[k + 1], lambda f: f.d())
-        )
-    return mats
+    return _form_complex(cs, truncation, twist=0)[1]
 
 
 def twisted_complex(cs: CsChart, truncation: Truncation) -> list[OperatorMatrix]:
     """The twisted de Rham complex (flat derivative on the twisted factor)."""
-    spaces, bases = _form_spaces(cs, truncation, twist=1)
-    mats = []
-    for k in range(2 * cs.n):
-        op = lambda f: nabla_twisted_d(cs, TwistedForm(f, 1)).base  # noqa: E731
-        mats.append(_assemble(spaces[k], spaces[k + 1], bases[k], bases[k + 1], op))
-    return mats
+    return _form_complex(cs, truncation, twist=1)[1]
 
 
-def _form_spaces(cs: CsChart, truncation: Truncation, twist: int):
+def _form_complex(cs: CsChart, truncation: Truncation, twist: int):
+    """Spaces and differentials of the plain (twist 0) or twisted (twist 1) complex."""
     spaces = [
         GradedSpace(cs.chart, k, weight_offset=2 * twist, tag=f"forms-tw{twist}")
         for k in range(2 * cs.n + 1)
     ]
     bases = [s.basis(truncation) for s in spaces]
-    return spaces, bases
+    op = (lambda f: nabla_twisted_d(cs, TwistedForm(f, 1)).base) if twist else (lambda f: f.d())
+    mats = [
+        _assemble(spaces[k], spaces[k + 1], bases[k], bases[k + 1], op)
+        for k in range(2 * cs.n)
+    ]
+    return spaces, mats
 
 
 def _assemble(domain, codomain, domain_basis, codomain_basis, op):
@@ -185,7 +189,12 @@ def _assemble(domain, codomain, domain_basis, codomain_basis, op):
 
 
 class _TotalSpace:
-    """Degree-k piece of the sum complex: a k-form slot plus a twisted slot."""
+    """Degree-k piece of the sum complex: a k-form slot plus a twisted slot.
+
+    Basis labels are the slot labels tagged ``"a"`` (form slot, first) or
+    ``"b"`` (twisted slot); coordinates are read against whatever basis is
+    passed, so the space keeps no state between calls.
+    """
 
     def __init__(self, cs: CsChart, k: int):
         self.cs = cs
@@ -195,12 +204,8 @@ class _TotalSpace:
         self.key = ("total", cs.chart.coords, k)
 
     def basis(self, truncation: Truncation) -> SectionBasis:
-        a_basis = self.a.basis(truncation)
-        b_basis = self.b.basis(truncation)
-        labels = [(block, ("a",) + rest) for (block, rest) in a_basis.labels]
-        labels += [(block, ("b",) + rest) for (block, rest) in b_basis.labels]
-        self._a_basis = a_basis
-        self._b_basis = b_basis
+        labels = [(block, ("a",) + rest) for (block, rest) in self.a.basis(truncation).labels]
+        labels += [(block, ("b",) + rest) for (block, rest) in self.b.basis(truncation).labels]
         return SectionBasis(key=self.key + (truncation.kind,), labels=tuple(labels))
 
     def element(self, label):
@@ -215,15 +220,14 @@ class _TotalSpace:
         return total_element(self.cs, phi, psi)
 
     def vector(self, elem, basis: SectionBasis) -> dict[int, Fraction]:
-        a_dim = self._a_basis.dim
-        out: dict[int, Fraction] = {}
+        coords: dict[tuple, Fraction] = {}
         if not elem.phi.is_zero():
-            for row, v in self.a.vector(elem.phi, self._a_basis).items():
-                out[row] = v
+            for (block, rest), v in self.a.coordinates(elem.phi).items():
+                coords[(block, ("a",) + rest)] = v
         if elem.psi is not None and not elem.psi.is_zero():
-            for row, v in self.b.vector(elem.psi.base, self._b_basis).items():
-                out[a_dim + row] = v
-        return out
+            for (block, rest), v in self.b.coordinates(elem.psi.base).items():
+                coords[(block, ("b",) + rest)] = v
+        return label_vector(coords, basis)
 
 
 def total_complex(cs: CsChart, truncation: Truncation) -> list[OperatorMatrix]:
@@ -241,7 +245,10 @@ def total_complex(cs: CsChart, truncation: Truncation) -> list[OperatorMatrix]:
     return mats
 
 
-# -- the degreewise splice ----------------------------------------------------------
+# -- one grading block ----------------------------------------------------------------
+
+
+_EMPTY = SectionBasis(("empty",), ())
 
 
 @dataclass(frozen=True)
@@ -256,101 +263,16 @@ class SpliceReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.inclusion_chain_map
-            and self.projection_chain_map
-            and self.inclusion_then_projection_zero
-            and self.exact_at_each_degree
-            and self.dims_additive
-        )
+        return all(self.to_json().values())
 
     def to_json(self) -> dict:
-        return {
-            "inclusion_chain_map": self.inclusion_chain_map,
-            "projection_chain_map": self.projection_chain_map,
-            "inclusion_then_projection_zero": self.inclusion_then_projection_zero,
-            "exact_at_each_degree": self.exact_at_each_degree,
-            "dims_additive": self.dims_additive,
-        }
+        return asdict(self)
 
-
-def _splice_maps(cs: CsChart, truncation: Truncation):
-    """Spaces, bases and the inclusion/projection matrices of the splice."""
-    n = cs.n
-    a_spaces, a_bases = _form_spaces(cs, truncation, twist=0)
-    w_spaces, w_bases = _form_spaces(cs, truncation, twist=1)
-    t_spaces = [_TotalSpace(cs, k) for k in range(2 * n + 2)]
-    t_bases = [s.basis(truncation) for s in t_spaces]
-
-    inclusions = []
-    projections = []
-    for k in range(2 * n + 2):
-        a_basis = a_bases[k] if k <= 2 * n else SectionBasis(("empty",), ())
-        w_basis = w_bases[k - 1] if k >= 1 else SectionBasis(("empty",), ())
-        t_basis = t_bases[k]
-        t_position = {label: i for i, label in enumerate(t_basis.labels)}
-        inc = {}
-        for col, label in enumerate(a_basis.labels):
-            block, rest = label
-            inc[(t_position[(block, ("a",) + rest)], col)] = Fraction(1)
-        inclusions.append(OperatorMatrix(t_basis, a_basis, inc))
-        proj = {}
-        for row, label in enumerate(w_basis.labels):
-            block, rest = label
-            proj[(row, t_position[(block, ("b",) + rest)])] = Fraction(1)
-        projections.append(OperatorMatrix(w_basis, t_basis, proj))
-    return (a_spaces, a_bases, w_spaces, w_bases, t_spaces, t_bases, inclusions, projections)
-
-
-def short_exact_splice(cs: CsChart, truncation: Truncation) -> SpliceReport:
-    """Verify the degreewise splice of complexes at the cochain level."""
-    n = cs.n
-    data = _splice_maps(cs, truncation)
-    (_, a_bases, _, w_bases, _, t_bases, inclusions, projections) = data
-    de_rham = de_rham_complex(cs, truncation)
-    tw = twisted_complex(cs, truncation)
-    tot = total_complex(cs, truncation)
-
-    inclusion_ok = True
-    projection_ok = True
-    comp_zero = True
-    exact = True
-    additive = True
-    for k in range(2 * n + 2):
-        if k < len(de_rham):
-            left = tot[k].compose(inclusions[k])
-            right = inclusions[k + 1].compose(de_rham[k])
-            if left.entries != right.entries:
-                inclusion_ok = False
-        if 1 <= k <= 2 * n:
-            # projection intertwines the total differential with minus the
-            # twisted derivative
-            left = projections[k + 1].compose(tot[k])
-            right = tw[k - 1].compose(projections[k]).scale(Fraction(-1))
-            if left.entries != right.entries:
-                projection_ok = False
-        if projections[k].compose(inclusions[k]).entries:
-            comp_zero = False
-        a_dim = a_bases[k].dim if k <= 2 * n else 0
-        w_dim = w_bases[k - 1].dim if k >= 1 else 0
-        if a_dim + w_dim != t_bases[k].dim:
-            additive = False
-        rank_inc = inclusions[k].rank()
-        rank_proj = projections[k].rank()
-        if rank_inc != a_dim or rank_proj != w_dim:
-            exact = False
-        if t_bases[k].dim - rank_proj != rank_inc:
-            exact = False
-    return SpliceReport(
-        inclusion_chain_map=inclusion_ok,
-        projection_chain_map=projection_ok,
-        inclusion_then_projection_zero=comp_zero,
-        exact_at_each_degree=exact,
-        dims_additive=additive,
-    )
-
-
-# -- the long exact sequence ----------------------------------------------------------
+    @staticmethod
+    def conjunction(reports: list["SpliceReport"]) -> "SpliceReport":
+        return SpliceReport(
+            *(all(getattr(r, f.name) for r in reports) for f in fields(SpliceReport))
+        )
 
 
 @dataclass(frozen=True)
@@ -365,142 +287,194 @@ class LesBlockResult:
     failure: str = ""
 
 
-def _les_on_block(cs: CsChart, block: tuple) -> LesBlockResult:
-    truncation = Truncation.single(block)
-    n = cs.n
-    top = 2 * n + 1
-    de_rham = de_rham_complex(cs, truncation)
-    tw = twisted_complex(cs, truncation)
-    tot = total_complex(cs, truncation)
-    for name, mats in (("de-rham", de_rham), ("twisted", tw), ("total", tot)):
-        for i in range(len(mats) - 1):
-            if not mats[i + 1].compose(mats[i]).is_zero():
-                raise NotAComplexError(i, f"{name} complex fails at position {i}")
-    data = _splice_maps(cs, truncation)
-    (a_spaces, a_bases, w_spaces, w_bases, t_spaces, t_bases, inclusions, projections) = data
+class BlockComplexes:
+    """The de Rham, twisted and total complexes of one grading block, built once.
 
-    # cohomology at every node of the three complexes
-    h_a = []
-    for k in range(top + 1):
-        d_in = de_rham[k - 1] if 1 <= k <= 2 * n else None
-        d_out = de_rham[k] if k < 2 * n else None
-        dim = a_bases[k].dim if k <= 2 * n else 0
-        h_a.append(CochainQuotient(d_in, d_out, dim))
-    h_w = []
-    for k in range(top + 1):
-        # node k of the shifted twisted complex holds classes of degree k-1
-        d_in = tw[k - 2] if 2 <= k <= 2 * n + 1 else None
-        d_out = tw[k - 1] if 1 <= k <= 2 * n else None
-        dim = w_bases[k - 1].dim if k >= 1 else 0
-        h_w.append(CochainQuotient(d_in, d_out, dim))
-    h_t = []
-    for k in range(top + 1):
-        d_in = tot[k - 1] if k >= 1 else None
-        d_out = tot[k] if k < top else None
-        h_t.append(CochainQuotient(d_in, d_out, t_bases[k].dim))
+    All three sit on the node indexing of the long exact sequence: node k
+    (0 <= k <= 2n+1) holds de Rham degree k, total degree k and twisted
+    degree k-1, so de Rham node 2n+1 and twisted node 0 are empty.
+    ``de_rham[k]``, ``twisted[k]`` and ``total[k]`` map node k to node k+1
+    (zero maps into or out of the empty nodes), and each complex is
+    verified to square to zero once, at construction.  ``inclusions[k]``
+    puts de Rham node k into the form slot of total node k and
+    ``projections[k]`` reads off its twisted slot.
+    """
 
-    # induced maps on cohomology
-    inc_maps = [
-        h_a[k].induced_matrix(inclusions[k].apply, h_t[k]) for k in range(top + 1)
-    ]
-    proj_maps = [
-        h_t[k].induced_matrix(projections[k].apply, h_w[k]) for k in range(top + 1)
-    ]
+    def __init__(self, cs: CsChart, block: tuple):
+        truncation = Truncation.single(block)
+        self.cs = cs
+        self.block = block
+        self.top = 2 * cs.n + 1
+        self.forms, de_rham = _form_complex(cs, truncation, twist=0)
+        self.twisted_forms, twisted = _form_complex(cs, truncation, twist=1)
+        total = total_complex(cs, truncation)
+        for name, mats in (("de-rham", de_rham), ("twisted", twisted), ("total", total)):
+            for i in range(len(mats) - 1):
+                if not mats[i + 1].compose(mats[i]).is_zero():
+                    raise NotAComplexError(i, f"{name} complex fails at position {i}")
+        self.de_rham = de_rham + [OperatorMatrix(_EMPTY, de_rham[-1].rows, {})]
+        self.twisted = [OperatorMatrix(twisted[0].cols, _EMPTY, {})] + twisted
+        self.total = total
+        self.a_bases = [m.cols for m in self.de_rham] + [_EMPTY]
+        self.w_bases = [m.cols for m in self.twisted] + [twisted[-1].rows]
+        self.t_bases = [m.cols for m in total] + [total[-1].rows]
+        self.inclusions = [
+            OperatorMatrix(t, a, {
+                (t.position[(blk, ("a",) + rest)], col): Fraction(1)
+                for col, (blk, rest) in enumerate(a.labels)
+            })
+            for a, t in zip(self.a_bases, self.t_bases)
+        ]
+        self.projections = [
+            OperatorMatrix(w, t, {
+                (row, t.position[(blk, ("b",) + rest)]): Fraction(1)
+                for row, (blk, rest) in enumerate(w.labels)
+            })
+            for w, t in zip(self.w_bases, self.t_bases)
+        ]
 
-    # connecting map by the snake construction: lift a twisted class to the
-    # twisted slot, apply the total differential, read off the form slot
-    snake_maps = []
-    wedge_maps = []
-    for k in range(top):
-        def snake(vec, k=k):
-            lifted = {}
-            a_dim = a_bases[k].dim if k <= 2 * n else 0
-            for i, v in vec.items():
-                lifted[a_dim + i] = v
-            image = tot[k].apply(lifted) if k < top else {}
-            a_next_dim = a_bases[k + 1].dim if k + 1 <= 2 * n else 0
-            for pos in image:
-                if pos >= a_next_dim:
-                    raise InternalConsistencyError("snake image left the form slot")
-            return dict(image)
+    def splice(self) -> SpliceReport:
+        """The degreewise splice identities at the cochain level."""
+        inc, proj = self.inclusions, self.projections
+        a, w, t = self.a_bases, self.w_bases, self.t_bases
 
-        snake_maps.append(h_w[k].induced_matrix(snake, h_a[k + 1]))
+        def exact_at(k):
+            rank_inc, rank_proj = inc[k].rank(), proj[k].rank()
+            return rank_inc == a[k].dim and rank_proj == w[k].dim and t[k].dim - rank_proj == rank_inc
 
-        def wedge_push(vec, k=k):
-            payload = zero_form(cs.chart, k - 1)
-            for i, v in vec.items():
-                payload = payload + w_spaces[k - 1].element(w_bases[k - 1].labels[i]).scale(v)
-            image = wedge(cs.omega, payload)
-            if image.is_zero():
-                return {}
-            return a_spaces[k + 1].vector(image, a_bases[k + 1])
-
-        if k >= 1:
-            wedge_maps.append(h_w[k].induced_matrix(wedge_push, h_a[k + 1]))
-        else:
-            wedge_maps.append(snake_maps[-1])
-
-    snake_equals_wedge = all(
-        snake_maps[k] == wedge_maps[k] for k in range(1, top)
-    )
-
-    # exactness node by node: the composite must vanish and a rank count
-    # certifies im = ker; on failure a witness class is serialized
-    failure = ""
-    exact = True
-    _rank = sparse_rank
-
-    def _node_failure(name, k, incoming, outgoing, dim, rank_in):
-        nonlocal exact, failure
-        if _compose_dicts(outgoing, incoming, dim):
-            exact = False
-            if not failure:
-                failure = f"node {name}[{k}]: composite not zero"
-            return
-        rank_ker = dim - _rank(outgoing, max(dim, 1), dim)
-        if rank_ker == rank_in:
-            return
-        exact = False
-        if failure:
-            return
-        image_cols = {}
-        for (r, c), v in incoming.items():
-            image_cols.setdefault(c, {})[r] = v
-        cols = [image_cols[c] for c in sorted(image_cols)]
-        kernel = sparse_nullspace(outgoing, max(dim, 1), dim)
-        witness = next((vec for vec in kernel if not _in_span(cols, vec)), None)
-        serialized = (
-            {str(i): f"{v.numerator}/{v.denominator}" for i, v in witness.items()}
-            if witness
-            else {}
+        edges, nodes = range(self.top), range(self.top + 1)
+        return SpliceReport(
+            inclusion_chain_map=all(
+                self.total[k].compose(inc[k]).entries
+                == inc[k + 1].compose(self.de_rham[k]).entries
+                for k in edges
+            ),
+            # the projection intertwines the total differential with minus
+            # the twisted derivative
+            projection_chain_map=all(
+                proj[k + 1].compose(self.total[k]).entries
+                == self.twisted[k].compose(proj[k]).scale(Fraction(-1)).entries
+                for k in edges
+            ),
+            inclusion_then_projection_zero=all(
+                proj[k].compose(inc[k]).is_zero() for k in nodes
+            ),
+            exact_at_each_degree=all(exact_at(k) for k in nodes),
+            dims_additive=all(a[k].dim + w[k].dim == t[k].dim for k in nodes),
         )
-        failure = f"node {name}[{k}]: im != ker; counterexample class {serialized}"
 
-    for k in range(top + 1):
-        into_t = inc_maps[k]
-        out_t = proj_maps[k]
-        rank_in = _rank(into_t, h_t[k].dim, h_a[k].dim)
-        rank_out = _rank(out_t, h_w[k].dim, h_t[k].dim)
-        _node_failure("H_total", k, into_t, out_t, h_t[k].dim, rank_in)
-        conn = snake_maps[k] if k < top else {}
-        _node_failure("H_twisted", k, out_t, conn, h_w[k].dim, rank_out)
-        prev_conn = snake_maps[k - 1] if k >= 1 else {}
-        rank_prev = _rank(prev_conn, h_a[k].dim, h_w[k - 1].dim if k >= 1 else 0)
-        _node_failure("H_deRham", k, prev_conn, into_t, h_a[k].dim, rank_prev)
+    def les(self) -> LesBlockResult:
+        """Cohomology of the three complexes and the long exact sequence."""
+        top = self.top
+        a_bases, w_bases, tot = self.a_bases, self.w_bases, self.total
 
-    connecting_ranks = tuple(
-        _rank(snake_maps[k], h_a[k + 1].dim, h_w[k].dim) for k in range(top)
-    )
-    return LesBlockResult(
-        block=block,
-        de_rham_dims=tuple(h.dim for h in h_a),
-        twisted_dims=tuple(h.dim for h in h_w),
-        total_dims=tuple(h.dim for h in h_t),
-        connecting_ranks=connecting_ranks,
-        exact=exact,
-        snake_equals_wedge=snake_equals_wedge,
-        failure=failure,
-    )
+        def quotients(maps, bases):
+            return [
+                CochainQuotient(maps[k - 1] if k else None, maps[k] if k < top else None, bases[k].dim)
+                for k in range(top + 1)
+            ]
+
+        h_a = quotients(self.de_rham, a_bases)
+        h_w = quotients(self.twisted, w_bases)
+        h_t = quotients(tot, self.t_bases)
+
+        # induced maps on cohomology
+        inc_maps = [
+            h_a[k].induced_matrix(self.inclusions[k].apply, h_t[k]) for k in range(top + 1)
+        ]
+        proj_maps = [
+            h_t[k].induced_matrix(self.projections[k].apply, h_w[k]) for k in range(top + 1)
+        ]
+
+        # connecting map by the snake construction: lift a twisted class to the
+        # twisted slot, apply the total differential, read off the form slot
+        snake_maps = []
+        wedge_maps = []
+        for k in range(top):
+            def snake(vec, k=k):
+                a_dim = a_bases[k].dim
+                image = tot[k].apply({a_dim + i: v for i, v in vec.items()})
+                if any(pos >= a_bases[k + 1].dim for pos in image):
+                    raise InternalConsistencyError("snake image left the form slot")
+                return image
+
+            snake_maps.append(h_w[k].induced_matrix(snake, h_a[k + 1]))
+
+            def wedge_push(vec, k=k):
+                payload = zero_form(self.cs.chart, k - 1)
+                for i, v in vec.items():
+                    label = w_bases[k].labels[i]
+                    payload = payload + self.twisted_forms[k - 1].element(label).scale(v)
+                image = wedge(self.cs.omega, payload)
+                if image.is_zero():
+                    return {}
+                return self.forms[k + 1].vector(image, a_bases[k + 1])
+
+            if k >= 1:
+                wedge_maps.append(h_w[k].induced_matrix(wedge_push, h_a[k + 1]))
+            else:
+                wedge_maps.append(snake_maps[-1])
+
+        snake_equals_wedge = all(
+            snake_maps[k] == wedge_maps[k] for k in range(1, top)
+        )
+
+        # exactness node by node: the composite must vanish and a rank count
+        # certifies im = ker; on failure a witness class is serialized
+        failure = ""
+        exact = True
+
+        def _node_failure(name, k, incoming, outgoing, dim, rank_in):
+            nonlocal exact, failure
+            if _compose_dicts(outgoing, incoming, dim):
+                exact = False
+                if not failure:
+                    failure = f"node {name}[{k}]: composite not zero"
+                return
+            rank_ker = dim - sparse_rank(outgoing, max(dim, 1), dim)
+            if rank_ker == rank_in:
+                return
+            exact = False
+            if failure:
+                return
+            image_cols = {}
+            for (r, c), v in incoming.items():
+                image_cols.setdefault(c, {})[r] = v
+            cols = [image_cols[c] for c in sorted(image_cols)]
+            kernel = sparse_nullspace(outgoing, max(dim, 1), dim)
+            witness = next((vec for vec in kernel if not _in_span(cols, vec)), None)
+            serialized = (
+                {str(i): f"{v.numerator}/{v.denominator}" for i, v in witness.items()}
+                if witness
+                else {}
+            )
+            failure = f"node {name}[{k}]: im != ker; counterexample class {serialized}"
+
+        for k in range(top + 1):
+            into_t = inc_maps[k]
+            out_t = proj_maps[k]
+            rank_in = sparse_rank(into_t, h_t[k].dim, h_a[k].dim)
+            rank_out = sparse_rank(out_t, h_w[k].dim, h_t[k].dim)
+            _node_failure("H_total", k, into_t, out_t, h_t[k].dim, rank_in)
+            conn = snake_maps[k] if k < top else {}
+            _node_failure("H_twisted", k, out_t, conn, h_w[k].dim, rank_out)
+            prev_conn = snake_maps[k - 1] if k >= 1 else {}
+            rank_prev = sparse_rank(prev_conn, h_a[k].dim, h_w[k - 1].dim if k >= 1 else 0)
+            _node_failure("H_deRham", k, prev_conn, into_t, h_a[k].dim, rank_prev)
+
+        connecting_ranks = tuple(
+            sparse_rank(snake_maps[k], h_a[k + 1].dim, h_w[k].dim) for k in range(top)
+        )
+        return LesBlockResult(
+            block=self.block,
+            de_rham_dims=tuple(h.dim for h in h_a),
+            twisted_dims=tuple(h.dim for h in h_w),
+            total_dims=tuple(h.dim for h in h_t),
+            connecting_ranks=connecting_ranks,
+            exact=exact,
+            snake_equals_wedge=snake_equals_wedge,
+            failure=failure,
+        )
 
 
 def _compose_dicts(left, right, inner_dim) -> dict:
@@ -514,6 +488,9 @@ def _compose_dicts(left, right, inner_dim) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+# -- truncation-wide checks -----------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class LesReport:
     exact: bool
@@ -524,6 +501,25 @@ class LesReport:
     connecting_ranks: tuple[int, ...]
     blocks: tuple[LesBlockResult, ...]
     failure: str = ""
+
+    @staticmethod
+    def combine(n: int, results: list[LesBlockResult]) -> "LesReport":
+        """Sum the per-block dimensions and ranks; exact when every block is."""
+        top = 2 * n + 1
+
+        def summed(attr, length):
+            return tuple(sum(getattr(r, attr)[k] for r in results) for k in range(length))
+
+        return LesReport(
+            exact=all(r.exact for r in results),
+            snake_equals_wedge=all(r.snake_equals_wedge for r in results),
+            de_rham_dims=summed("de_rham_dims", top + 1),
+            twisted_dims=summed("twisted_dims", top + 1),
+            total_dims=summed("total_dims", top + 1),
+            connecting_ranks=summed("connecting_ranks", top),
+            blocks=tuple(results),
+            failure=next((r.failure for r in results if r.failure), ""),
+        )
 
     def to_json(self) -> dict:
         return {
@@ -539,25 +535,24 @@ class LesReport:
 
 def les_check(cs: CsChart, truncation: Truncation) -> LesReport:
     """Node-by-node verification of the long exact sequence, per block."""
-    results = [_les_on_block(cs, b) for b in truncation.blocks()]
-    top = 2 * cs.n + 1
-    de_rham = tuple(sum(r.de_rham_dims[k] for r in results) for k in range(top + 1))
-    twisted = tuple(sum(r.twisted_dims[k] for r in results) for k in range(top + 1))
-    total = tuple(sum(r.total_dims[k] for r in results) for k in range(top + 1))
-    connecting = tuple(sum(r.connecting_ranks[k] for r in results) for k in range(top))
-    exact = all(r.exact for r in results)
-    snake = all(r.snake_equals_wedge for r in results)
-    failure = next((r.failure for r in results if r.failure), "")
-    return LesReport(
-        exact=exact,
-        snake_equals_wedge=snake,
-        de_rham_dims=de_rham,
-        twisted_dims=twisted,
-        total_dims=total,
-        connecting_ranks=connecting,
-        blocks=tuple(results),
-        failure=failure,
+    return LesReport.combine(cs.n, [BlockComplexes(cs, b).les() for b in truncation.blocks()])
+
+
+def short_exact_splice(cs: CsChart, truncation: Truncation) -> SpliceReport:
+    """Verify the degreewise splice at the cochain level, block by block."""
+    return SpliceReport.conjunction(
+        [BlockComplexes(cs, b).splice() for b in truncation.blocks()]
     )
+
+
+def les_and_splice(cs: CsChart, truncation: Truncation) -> tuple[LesReport, SpliceReport]:
+    """``les_check`` and ``short_exact_splice`` from one build of each block."""
+    results, splices = [], []
+    for b in truncation.blocks():
+        block = BlockComplexes(cs, b)
+        results.append(block.les())
+        splices.append(block.splice())
+    return LesReport.combine(cs.n, results), SpliceReport.conjunction(splices)
 
 
 # -- headline reports ---------------------------------------------------------------
@@ -574,22 +569,7 @@ class CohomologyReport:
     timing_seconds: float
 
     def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "n": self.n,
-            "truncation": self.truncation,
-            "dims": self.dims,
-            "les": self.les,
-            "checks": self.checks,
-            "timing_seconds": self.timing_seconds,
-        }
-
-
-def _dims_per_block(blocks: list[tuple], builder, rank_method: str) -> dict[tuple, list[int]]:
-    return {
-        tuple(b): cohomology_dims(builder(Truncation.single(b)), rank_method)
-        for b in blocks
-    }
+        return asdict(self)
 
 
 def rs_cohomology(
@@ -599,13 +579,19 @@ def rs_cohomology(
 ) -> CohomologyReport:
     """Cohomology dimensions of the intrinsic complex plus the full cross-check."""
     start = time.monotonic()
-    blocks = truncation.blocks()
     top = 2 * cs.n + 1
 
-    # ranks of the rs blocks follow rank_method; the LES keeps exact ranks as the oracle
-    rs_by_block = _dims_per_block(blocks, lambda t: rs_complex(cs, t), rank_method)
-    les = les_check(cs, truncation)
-    les_by_block = {r.block: r for r in les.blocks}
+    # one pass over the blocks: the rs dims follow rank_method, the LES keeps
+    # exact ranks as the oracle
+    rs_by_block: dict[tuple, list[int]] = {}
+    les_blocks = []
+    for block in truncation.blocks():
+        rs_by_block[block] = cohomology_dims(
+            rs_complex(cs, Truncation.single(block)), rank_method
+        )
+        les_blocks.append(BlockComplexes(cs, block).les())
+    les = LesReport.combine(cs.n, les_blocks)
+    les_by_block = {r.block: r for r in les_blocks}
 
     rs_dims = [sum(v[k] for v in rs_by_block.values()) for k in range(top + 1)]
     de_rham_dims = list(les.de_rham_dims[: 2 * cs.n + 1])
@@ -639,19 +625,12 @@ def rs_cohomology(
         checks["weight_stable"] = rs_lower == rs_dims
         checks["stability_compared_bounds"] = [stable_bound, bound]
 
-    dims = {
-        "rs": rs_dims,
-        "deRham": de_rham_dims,
-        "twisted": twisted_dims,
-        "total": total_dims,
-    }
-    report = CohomologyReport(
+    return CohomologyReport(
         model=cs.model,
         n=cs.n,
         truncation=truncation.describe(),
-        dims=dims,
+        dims={"rs": rs_dims, "deRham": de_rham_dims, "twisted": twisted_dims, "total": total_dims},
         les=les.to_json(),
         checks=checks,
         timing_seconds=round(time.monotonic() - start, 3),
     )
-    return report

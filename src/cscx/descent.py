@@ -76,8 +76,14 @@ from .rumin import (
 
 
 def cs_two_step(cs: CsChart) -> TwoStepStructure:
-    """The quotient-side block structure: no potential, no transversal flow."""
-    return TwoStepStructure(chart=cs.chart, n=cs.n, lef=cs.omega)
+    """The quotient-side block structure: no potential, no transversal flow.
+
+    Built once per chart and kept on it, so all operator columns share it.
+    """
+    if "_two_step" not in vars(cs):
+        struct = TwoStepStructure(chart=cs.chart, n=cs.n, lef=cs.omega)
+        object.__setattr__(cs, "_two_step", struct)
+    return cs._two_step
 
 
 @dataclass(frozen=True)

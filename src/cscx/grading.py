@@ -621,13 +621,12 @@ class GradedSpace:
             raise UnsupportedRingOperationError("unknown coefficient type")
         return out
 
-    def vector(self, form: DifferentialForm, basis: SectionBasis) -> dict[int, Fraction]:
-        """Coordinates of a form over a basis previously built by this space."""
+    def coordinates(self, form: DifferentialForm) -> dict[tuple, Fraction]:
+        """Nonzero coordinates of a form, keyed by basis label ``(block, (j, mono))``."""
         if form.degree != self.degree:
             raise NonPrimitiveError(
                 f"degree {form.degree} form in a degree {self.degree} space"
             )
-        position = {label: i for i, label in enumerate(basis.labels)}
         per_block: dict[tuple[Block, tuple], FiberVector] = {}
         for key, coeff in form.terms.items():
             idx = self._pos.get(key)
@@ -637,7 +636,7 @@ class GradedSpace:
                 for mono, q in monos.items():
                     vec = per_block.setdefault((block, mono), {})
                     vec[idx] = vec.get(idx, Fraction(0)) + q
-        out: dict[int, Fraction] = {}
+        out: dict[tuple, Fraction] = {}
         for (block, mono), vec in sorted(per_block.items()):
             vec = {i: v for i, v in vec.items() if v}
             if not vec:
@@ -647,16 +646,25 @@ class GradedSpace:
             else:
                 coords = [vec.get(i, Fraction(0)) for i in range(len(self._indices))]
             for j, q in enumerate(coords):
-                if not q:
-                    continue
-                label = (block, (j, mono))
-                pos = position.get(label)
-                if pos is None:
-                    raise NonPrimitiveError(
-                        f"component {label} lies outside the truncation"
-                    )
-                out[pos] = out.get(pos, Fraction(0)) + q
-        return {i: v for i, v in out.items() if v}
+                if q:
+                    out[(block, (j, mono))] = q
+        return out
+
+    def vector(self, form: DifferentialForm, basis: SectionBasis) -> dict[int, Fraction]:
+        """Coordinates of a form over a basis built by this space."""
+        return label_vector(self.coordinates(form), basis)
+
+
+def label_vector(coords: dict[tuple, Fraction], basis: SectionBasis) -> dict[int, Fraction]:
+    """Label-keyed coordinates as a vector over ``basis``."""
+    position = basis.position
+    out: dict[int, Fraction] = {}
+    for label, q in coords.items():
+        pos = position.get(label)
+        if pos is None:
+            raise NonPrimitiveError(f"component {label} lies outside the truncation")
+        out[pos] = q
+    return out
 
 
 def assemble_operator(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -457,8 +458,10 @@ class SectionBasis:
     def dim(self) -> int:
         return len(self.labels)
 
-    def position(self, label: tuple) -> int:
-        return self.labels.index(label)
+    @cached_property
+    def position(self) -> dict[tuple, int]:
+        """Label -> index, built once per basis."""
+        return {label: i for i, label in enumerate(self.labels)}
 
     def blocks(self) -> list[tuple]:
         seen: list[tuple] = []

@@ -2,10 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from cscx.cli import RunConfig, run_suite
 from cscx.cohomology import (
+    BlockComplexes,
     CochainQuotient,
+    Truncation,
+    _TotalSpace,
     cohomology_dims,
     de_rham_complex,
+    les_and_splice,
     les_check,
     mode_truncation,
     rs_cohomology,
@@ -86,6 +91,59 @@ class TestSplice:
             cs_torus2, mode_truncation([(0, 0, 0, 0), (1, 1, 0, 0)])
         )
         assert report.ok, report
+
+
+    def test_les_pipeline_reads_both_checks_from_one_build(self, cs_affine2):
+        truncation = weight_truncation(3)
+        les, splice = les_and_splice(cs_affine2, truncation)
+        assert les == les_check(cs_affine2, truncation)
+        assert splice == short_exact_splice(cs_affine2, truncation)
+
+    @pytest.mark.parametrize(
+        "maps, node, flag",
+        [("inclusions", 0, "inclusion_chain_map"), ("projections", 1, "projection_chain_map")],
+    )
+    def test_corrupted_entry_trips_only_its_flag(self, cs_affine2, maps, node, flag):
+        # weight 3: node 0 holds cubic functions, node 1 twisted linear
+        # functions, and d is nonzero on every one of them
+        block = BlockComplexes(cs_affine2, ("w", 3))
+        assert block.splice().ok
+        matrix = getattr(block, maps)[node]
+        key = next(iter(matrix.entries))
+        matrix.entries[key] *= 2
+        report = block.splice().to_json()
+        assert report.pop(flag) is False
+        assert all(report.values()), report
+
+
+class TestOneBuildPerBlock:
+    def test_les_pipeline_assembles_each_total_complex_once(self, cs_affine2, monkeypatch):
+        calls = []
+        element = _TotalSpace.element
+
+        def counted(self, label):
+            calls.append(label)
+            return element(self, label)
+
+        monkeypatch.setattr(_TotalSpace, "element", counted)
+        code, _ = run_suite(RunConfig(pipeline="les", model="cs-affine", n=2, max_weight=3))
+        assert code == 0
+        truncation = weight_truncation(3)
+        degrees = range(2 * cs_affine2.n + 1)
+        domain_dims = [_TotalSpace(cs_affine2, k).basis(truncation).dim for k in degrees]
+        assert len(calls) == sum(domain_dims)
+
+    def test_total_space_vector_reads_the_basis_it_is_given(self, cs_affine2):
+        big = _TotalSpace(cs_affine2, 2).basis(weight_truncation(4))
+        fresh = _TotalSpace(cs_affine2, 2)
+        for i, label in enumerate(big.labels):
+            assert fresh.vector(fresh.element(label), big) == {i: Fraction(1)}
+        fresh.basis(weight_truncation(2))
+        single = fresh.basis(Truncation.single(("w", 4)))
+        for i, label in enumerate(single.labels):
+            elem = fresh.element(label)
+            assert fresh.vector(elem, single) == {i: Fraction(1)}
+            assert fresh.vector(elem, big) == {big.position[label]: Fraction(1)}
 
 
 class TestLes:
