@@ -13,7 +13,7 @@ import argparse
 import time
 
 from cscx.cohomology import mode_truncation, rs_cohomology, weight_truncation
-from cscx.grading import sample_modes
+from cscx.grading import sample_modes, sample_orbit_count
 from cscx.lefschetz import standard_cs_chart
 
 
@@ -54,6 +54,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.max_weight < 2:
         parser.error("--max-weight must be at least 2")
+    if args.samples > sample_orbit_count(4):
+        parser.error(f"--samples may be at most {sample_orbit_count(4)}, the nonzero orbit count")
     affine_sweep(args.max_weight)
     torus_sweep(args.samples)
 

@@ -31,7 +31,7 @@ from .contact import contactify, standard_contact_chart
 from .descent import descend_complex, rs_complex, ss_fallback, standard_pair
 from .errors import ConfigError, CscxError
 from .forms import form_from_json, affine_cs_chart, torus_cs_chart
-from .grading import Truncation, mode_shells
+from .grading import Truncation, mode_shells, sample_orbit_count
 from .lefschetz import standard_cs_chart, summand_dimension_table
 from .rumin import contact_two_step, operator_order, rumin_complex
 
@@ -45,12 +45,10 @@ class RunConfig:
     pipeline: str
     model: str = "cs-affine"
     n: int = 2
-    ring: str = "poly"
     max_weight: int | None = None
     mode_norms: tuple[int, ...] = ()
     sample_count: int = 0
     out: str | None = None
-    modular: bool = False
     seed: int = 0
 
     def validate(self) -> None:
@@ -58,16 +56,18 @@ class RunConfig:
             raise ConfigError("n must be at least 2")
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}")
-        if self.model == "torus" and self.ring != "trig":
-            raise ConfigError("the torus model requires the trig ring")
-        if self.model != "torus" and self.ring != "poly":
-            raise ConfigError("affine models require the poly ring")
         if self.model == "torus":
             if self.max_weight is not None:
                 raise ConfigError("the torus model is truncated by modes, not weight")
             # a shell of negative sup-norm is empty: alone it would truncate to nothing
             if any(norm < 0 for norm in self.mode_norms):
                 raise ConfigError("mode norms must be >= 0 (a negative shell is empty)")
+            available = sample_orbit_count(2 * self.n)
+            if self.sample_count > available:
+                raise ConfigError(
+                    f"--sample-modes {self.sample_count} exceeds the {available} nonzero "
+                    "mode orbits of sup-norm <= 2"
+                )
         else:
             if self.max_weight is None or self.max_weight < 0:
                 raise ConfigError("affine truncation needs --max-weight >= 0")
@@ -86,11 +86,10 @@ class RunConfig:
             "pipeline": self.pipeline,
             "model": self.model,
             "n": self.n,
-            "ring": self.ring,
+            "ring": "trig" if self.model == "torus" else "poly",
             "max_weight": self.max_weight,
             "mode_norms": list(self.mode_norms),
             "sample_modes": self.sample_count,
-            "modular": self.modular,
             "seed": self.seed,
         }
 
@@ -135,7 +134,7 @@ def _pipeline_rumin_verify(config: RunConfig):
     orders = [operator_order(struct, k) for k in range(2 * config.n + 1)]
     expected = [2 if k == config.n else 1 for k in range(2 * config.n + 1)]
     body = {
-        "ranks": [m.rank(method="modular" if config.modular else "exact") for m in mats],
+        "ranks": [m.rank() for m in mats],
         "shapes": [list(m.shape) for m in mats],
         "composites_zero": composites_zero,
         "orders": orders,
@@ -188,9 +187,7 @@ def _pipeline_rs_crosscheck(config: RunConfig):
 
 def _pipeline_cohomology(config: RunConfig):
     cs = _cs_chart(config)
-    report = rs_cohomology(
-        cs, config.truncation(), rank_method="modular" if config.modular else "exact"
-    )
+    report = rs_cohomology(cs, config.truncation())
     body = report.to_json()
     # volatile fields live only under meta so reruns diff cleanly
     body.pop("timing_seconds", None)
@@ -377,9 +374,8 @@ def rumin() -> None:
 @rumin.command("verify")
 @click.option("--n", "n", type=int, default=2, show_default=True)
 @click.option("--max-weight", type=int, default=6, show_default=True)
-@click.option("--modular", is_flag=True, default=False)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def rumin_verify(n: int, max_weight: int, modular: bool, out: str | None) -> None:
+def rumin_verify(n: int, max_weight: int, out: str | None) -> None:
     """Verify the complex property, grading and operator orders."""
     _finish(
         lambda: RunConfig(
@@ -387,7 +383,6 @@ def rumin_verify(n: int, max_weight: int, modular: bool, out: str | None) -> Non
             model="contact-affine",
             n=n,
             max_weight=max_weight,
-            modular=modular,
             out=out,
         )
     )
@@ -412,7 +407,6 @@ def rs_build(model, n, max_weight, modes, sample_modes, out) -> None:
         lambda: RunConfig(
             pipeline="rs-build",
             model="torus" if torus else "cs-affine",
-            ring="trig" if torus else "poly",
             n=n,
             max_weight=max_weight if not torus else None,
             mode_norms=_parse_norms(modes) if torus else (),
@@ -445,24 +439,21 @@ def rs_crosscheck(n: int, max_weight: int, out: str | None) -> None:
 @click.option("--max-weight", type=int, default=None)
 @click.option("--modes", default="0", show_default=True, help="Comma-separated sup-norm shells.")
 @click.option("--sample-modes", type=int, default=3, show_default=True)
-@click.option("--modular", is_flag=True, default=False)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None,
               help="Also write the dimension table as CSV.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def cohomology_cmd(model, n, max_weight, modes, sample_modes, modular, seed, csv_path, out) -> None:
+def cohomology_cmd(model, n, max_weight, modes, sample_modes, seed, csv_path, out) -> None:
     """Cohomology report with the long-exact-sequence verification."""
     torus = model == "torus"
     config, code, report = _run(
         lambda: RunConfig(
             pipeline="cohomology",
             model="torus" if torus else "cs-affine",
-            ring="trig" if torus else "poly",
             n=n,
             max_weight=max_weight if not torus else None,
             mode_norms=_parse_norms(modes) if torus else (),
             sample_count=sample_modes if torus else 0,
-            modular=modular,
             seed=seed,
             out=out,
         )
@@ -496,7 +487,6 @@ def les_cmd(model, n, max_weight, modes, sample_modes, seed, out) -> None:
         lambda: RunConfig(
             pipeline="les",
             model="torus" if torus else "cs-affine",
-            ring="trig" if torus else "poly",
             n=n,
             max_weight=max_weight if not torus else None,
             mode_norms=_parse_norms(modes) if torus else (),

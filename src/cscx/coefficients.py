@@ -502,6 +502,13 @@ def coefficient_to_json(f: Coefficient) -> dict:
     return {"ring": "trig", "nvars": f.nvars, "terms": terms}
 
 
+def _exponent_from_json(exp) -> Exponent:
+    # the input boundary: PolyCoefficient trusts its exponents to be polynomial
+    if not all(type(e) is int and e >= 0 for e in exp):
+        raise RingMismatchError(f"poly exponent {exp!r} is not a list of nonnegative integers")
+    return tuple(exp)
+
+
 def coefficient_from_json(obj: dict, nvars: int | None = None) -> Coefficient:
     kind = obj.get("ring")
     count = obj.get("nvars", nvars)
@@ -509,7 +516,7 @@ def coefficient_from_json(obj: dict, nvars: int | None = None) -> Coefficient:
         raise RingMismatchError("serialized coefficient lacks a variable count")
     if kind == "poly":
         terms = {
-            tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"]))
+            _exponent_from_json(t["exp"]): Fraction(int(t["num"]), int(t["den"]))
             for t in obj.get("terms", [])
         }
         return PolyCoefficient(count, terms)

@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 
-def cohomology_dims(complex_maps: list[OperatorMatrix], rank_method: str = "exact") -> list[int]:
+def cohomology_dims(complex_maps: list[OperatorMatrix]) -> list[int]:
     """Per-node cohomology dimensions of a finite complex of matrices.
 
     ``complex_maps`` lists the differentials d_0, ..., d_{m-1}; consecutive
@@ -79,7 +79,7 @@ def cohomology_dims(complex_maps: list[OperatorMatrix], rank_method: str = "exac
     for i in range(len(complex_maps) - 1):
         if not complex_maps[i + 1].compose(complex_maps[i]).is_zero():
             raise NotAComplexError(i)
-    ranks = [m.rank(method=rank_method) for m in complex_maps]
+    ranks = [m.rank() for m in complex_maps]
     dims = []
     for i in range(len(complex_maps) + 1):
         if i < len(complex_maps):
@@ -419,20 +419,29 @@ class BlockComplexes:
             snake_maps[k] == wedge_maps[k] for k in range(1, top)
         )
 
+        # each map of the sequence is ranked once
+        nodes = range(top + 1)
+        rank_inc = [sparse_rank(inc_maps[k], h_t[k].dim, h_a[k].dim) for k in nodes]
+        rank_proj = [sparse_rank(proj_maps[k], h_w[k].dim, h_t[k].dim) for k in nodes]
+        connecting_ranks = tuple(
+            sparse_rank(snake_maps[k], h_a[k + 1].dim, h_w[k].dim) for k in range(top)
+        )
+        # no connecting map leaves the top node or enters node 0
+        rank_conn = connecting_ranks + (0,)
+
         # exactness node by node: the composite must vanish and a rank count
         # certifies im = ker; on failure a witness class is serialized
         failure = ""
         exact = True
 
-        def _node_failure(name, k, incoming, outgoing, dim, rank_in):
+        def _node_failure(name, k, incoming, outgoing, dim, rank_in, rank_out):
             nonlocal exact, failure
             if _compose_dicts(outgoing, incoming, dim):
                 exact = False
                 if not failure:
                     failure = f"node {name}[{k}]: composite not zero"
                 return
-            rank_ker = dim - sparse_rank(outgoing, max(dim, 1), dim)
-            if rank_ker == rank_in:
+            if dim - rank_out == rank_in:
                 return
             exact = False
             if failure:
@@ -450,21 +459,14 @@ class BlockComplexes:
             )
             failure = f"node {name}[{k}]: im != ker; counterexample class {serialized}"
 
-        for k in range(top + 1):
-            into_t = inc_maps[k]
-            out_t = proj_maps[k]
-            rank_in = sparse_rank(into_t, h_t[k].dim, h_a[k].dim)
-            rank_out = sparse_rank(out_t, h_w[k].dim, h_t[k].dim)
-            _node_failure("H_total", k, into_t, out_t, h_t[k].dim, rank_in)
+        for k in nodes:
+            into_t, out_t = inc_maps[k], proj_maps[k]
             conn = snake_maps[k] if k < top else {}
-            _node_failure("H_twisted", k, out_t, conn, h_w[k].dim, rank_out)
             prev_conn = snake_maps[k - 1] if k >= 1 else {}
-            rank_prev = sparse_rank(prev_conn, h_a[k].dim, h_w[k - 1].dim if k >= 1 else 0)
-            _node_failure("H_deRham", k, prev_conn, into_t, h_a[k].dim, rank_prev)
+            _node_failure("H_total", k, into_t, out_t, h_t[k].dim, rank_inc[k], rank_proj[k])
+            _node_failure("H_twisted", k, out_t, conn, h_w[k].dim, rank_proj[k], rank_conn[k])
+            _node_failure("H_deRham", k, prev_conn, into_t, h_a[k].dim, rank_conn[k - 1], rank_inc[k])
 
-        connecting_ranks = tuple(
-            sparse_rank(snake_maps[k], h_a[k + 1].dim, h_w[k].dim) for k in range(top)
-        )
         return LesBlockResult(
             block=self.block,
             de_rham_dims=tuple(h.dim for h in h_a),
@@ -572,23 +574,16 @@ class CohomologyReport:
         return asdict(self)
 
 
-def rs_cohomology(
-    cs: CsChart,
-    truncation: Truncation,
-    rank_method: str = "exact",
-) -> CohomologyReport:
+def rs_cohomology(cs: CsChart, truncation: Truncation) -> CohomologyReport:
     """Cohomology dimensions of the intrinsic complex plus the full cross-check."""
     start = time.monotonic()
     top = 2 * cs.n + 1
 
-    # one pass over the blocks: the rs dims follow rank_method, the LES keeps
-    # exact ranks as the oracle
+    # one pass over the blocks: the rs dims and the LES of each block
     rs_by_block: dict[tuple, list[int]] = {}
     les_blocks = []
     for block in truncation.blocks():
-        rs_by_block[block] = cohomology_dims(
-            rs_complex(cs, Truncation.single(block)), rank_method
-        )
+        rs_by_block[block] = cohomology_dims(rs_complex(cs, Truncation.single(block)))
         les_blocks.append(BlockComplexes(cs, block).les())
     les = LesReport.combine(cs.n, les_blocks)
     les_by_block = {r.block: r for r in les_blocks}

@@ -58,12 +58,11 @@ from .forms import (
     wedge,
     zero_form,
 )
-from .grading import Truncation, assemble_operator
+from .grading import Truncation, assemble_operator, is_primitive
 from .lefschetz import (
     CsChart,
     TwistedForm,
     lefschetz_L,
-    primitive_projection,
     standard_cs_chart,
 )
 from .linalg import OperatorMatrix
@@ -168,10 +167,8 @@ def iso_up(pair: ChartPair, obj, kind: str):
         if not isinstance(obj, DifferentialForm):
             raise DegreeError("untwisted rows take plain forms")
         payload = obj
-    if kind in ("h0", "h0q", "ell0"):
-        check = primitive_projection(cs, TwistedForm(payload, 0))
-        if check.base != payload:
-            raise NonPrimitiveError("row requires a primitive input")
+    if kind in ("h0", "h0q", "ell0") and not is_primitive(cs.fiber(), payload):
+        raise NonPrimitiveError("row requires a primitive input")
     lifted = promote_form(payload, cc)
     if kind in ("h", "h0"):
         _check_invariant(cc, lifted)
@@ -209,10 +206,8 @@ def iso_down(pair: ChartPair, obj, kind: str):
         if kind in ("ell", "ell0"):
             out = TwistedForm(out.scale(1 / cc.xi_scale), 1)
     base = out.base if isinstance(out, TwistedForm) else out
-    if kind in ("h0", "h0q", "ell0"):
-        check = primitive_projection(cs, TwistedForm(base, 0))
-        if check.base != base:
-            raise NonPrimitiveError("row produced a non-primitive output")
+    if kind in ("h0", "h0q", "ell0") and not is_primitive(cs.fiber(), base):
+        raise NonPrimitiveError("row produced a non-primitive output")
     return out
 
 

@@ -33,6 +33,7 @@ from .coefficients import (
     trig_sin,
 )
 from .errors import (
+    ConfigError,
     CsStructureError,
     InternalConsistencyError,
     NonPrimitiveError,
@@ -483,10 +484,20 @@ def mode_shells(nvars: int, norms: Iterable[int]) -> list[tuple[int, ...]]:
     return out
 
 
+def sample_orbit_count(nvars: int) -> int:
+    """Number of nonzero mode orbits of sup-norm <= 2, the pool of ``sample_modes``."""
+    return (5**nvars - 1) // 2
+
+
 def sample_modes(nvars: int, count: int, seed: object = 0) -> list[tuple[int, ...]]:
     """Deterministic sample of nonzero mode orbits (sup-norm <= 2)."""
     from .util import seeded_rng
 
+    available = sample_orbit_count(nvars)
+    if count > available:
+        raise ConfigError(
+            f"cannot sample {count} mode orbits: sup-norm <= 2 has {available} nonzero orbits"
+        )
     rng = seeded_rng("mode-sample", nvars, count, seed)
     out: list[tuple[int, ...]] = []
     while len(out) < count:

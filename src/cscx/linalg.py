@@ -10,12 +10,8 @@ kernel bases and cohomology representatives are reproducible.
 Rank is computed separately, as an independent oracle, by fraction-free
 elimination on integer-normalized rows (two-row cross-multiplication
 updates followed by a content division) with Markowitz-style pivot
-selection to limit fill-in.  A multi-prime modular rank with rational
-certification is available behind a flag: the modular computation proposes
-a rank r, an exact r x r minor certifies the lower bound, and exactly
-verified kernel vectors (lifted by rational reconstruction) certify the
-upper bound.  On any failure it falls back to the exact path.  The dense
-helpers serve the small fiber matrices and the tests' reference.
+selection to limit fill-in.  The dense helpers serve the small fiber
+matrices and the tests' reference.
 """
 
 from __future__ import annotations
@@ -29,8 +25,6 @@ from typing import Mapping, Sequence
 from .errors import BasisMismatchError, InternalConsistencyError
 
 Entries = Mapping[tuple[int, int], Fraction]
-
-_DEFAULT_PRIMES = (2147483647, 2305843009213693951, 4611686018427387847)
 
 
 # -- dense helpers for small fiber matrices ---------------------------------
@@ -168,6 +162,11 @@ def sparse_rank(entries: Entries, nrows: int, ncols: int) -> int:
     return rank
 
 
+# kept only because the TARGETS list of perfbench/tracer.py still wraps this
+# name; the alias goes together with that entry (ROADMAP item 1)
+rank_modular = sparse_rank
+
+
 # -- the elimination engine (Fraction arithmetic) -----------------------------
 
 
@@ -292,154 +291,6 @@ def sparse_solve(entries: Entries, nrows: int, ncols: int, rhs: Mapping[int, Fra
     return sparse_rref(entries, nrows, ncols).coords(rhs)
 
 
-# -- modular rank with certification ----------------------------------------
-
-
-def _integer_matrix(entries: Entries) -> dict[tuple[int, int], int]:
-    scaled: dict[tuple[int, int], int] = {}
-    denom_lcm = 1
-    for v in entries.values():
-        d = Fraction(v).denominator
-        denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-    for key, v in entries.items():
-        iv = int(Fraction(v) * denom_lcm)
-        if iv:
-            scaled[key] = iv
-    return scaled
-
-
-def _rank_mod_p(entries: dict[tuple[int, int], int], nrows: int, ncols: int, p: int):
-    """Rank mod p plus pivot rows/cols and the RREF rows for kernel lifting."""
-    rows: dict[int, dict[int, int]] = {}
-    for (r, c), v in entries.items():
-        vv = v % p
-        if vv:
-            rows.setdefault(r, {})[c] = vv
-    pending = sorted(rows.items())
-    done: list[tuple[int, dict[int, int]]] = []
-    pivots: list[tuple[int, int]] = []
-    for c in range(ncols):
-        src = next((i for i, (_, row) in enumerate(pending) if c in row), None)
-        if src is None:
-            continue
-        ridx, row = pending.pop(src)
-        inv = pow(row[c], -1, p)
-        row = {k: (v * inv) % p for k, v in row.items()}
-        for bucket in (pending, done):
-            for j, (rj, other) in enumerate(bucket):
-                if c in other:
-                    factor = other.pop(c)
-                    for k, v in row.items():
-                        if k == c:
-                            continue
-                        new = (other.get(k, 0) - factor * v) % p
-                        if new:
-                            other[k] = new
-                        elif k in other:
-                            del other[k]
-                    bucket[j] = (rj, other)
-        done.append((ridx, row))
-        pivots.append((ridx, c))
-        pending = [(i, r) for i, r in pending if r]
-    return len(pivots), pivots, done
-
-
-def _crt(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int]:
-    x, m = residues[0] % moduli[0], moduli[0]
-    for r, p in zip(residues[1:], moduli[1:]):
-        k = ((r - x) * pow(m, -1, p)) % p
-        x += m * k
-        m *= p
-    return x % m, m
-
-
-def _rational_reconstruct(a: int, m: int) -> Fraction | None:
-    """Wang reconstruction: fraction n/d with |n|, d <= sqrt(m/2)."""
-    bound = int((m // 2) ** 0.5)
-    r0, r1 = m, a % m
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound:
-        return None
-    frac = Fraction(r1, s1)
-    return frac
-
-
-def rank_modular(entries: Entries, nrows: int, ncols: int, primes: Sequence[int] = _DEFAULT_PRIMES) -> int:
-    """Certified rank via modular elimination; falls back to exact on failure.
-
-    The best modular rank gives candidate pivots; an exact minor check
-    certifies `rank >= r`, and exactly verified kernel vectors certify
-    `rank <= r`.
-    """
-    ints = _integer_matrix(entries)
-    if not ints:
-        return 0
-    best_rank, best_pivots, per_prime = -1, None, {}
-    for p in primes:
-        r, pivots, rref = _rank_mod_p(ints, nrows, ncols, p)
-        per_prime[p] = (r, pivots, rref)
-        if r > best_rank:
-            best_rank, best_pivots = r, pivots
-    r = best_rank
-    # Lower bound: exact rank of the pivot minor.
-    piv_rows = [pr for pr, _ in best_pivots]
-    piv_cols = [pc for _, pc in best_pivots]
-    minor = [
-        [Fraction(ints.get((pr, pc), 0)) for pc in piv_cols] for pr in piv_rows
-    ]
-    if dense_rank(minor) != r:
-        return sparse_rank(entries, nrows, ncols)
-    # Upper bound: reconstruct and exactly verify ncols - r kernel vectors.
-    agreeing = [p for p, (rp, _, _) in per_prime.items() if rp == r]
-    if not agreeing:
-        return sparse_rank(entries, nrows, ncols)
-    kernels: dict[int, dict[int, dict[int, int]]] = {}
-    free_cols = None
-    for p in agreeing:
-        _, pivots, rref = per_prime[p]
-        pset = {c for _, c in pivots}
-        free = [c for c in range(ncols) if c not in pset]
-        if free_cols is None:
-            free_cols = free
-        elif free_cols != free:
-            return sparse_rank(entries, nrows, ncols)
-        vecs: dict[int, dict[int, int]] = {}
-        for f in free:
-            vec = {f: 1}
-            for (_, c), (_, row) in zip(pivots, rref):
-                v = row.get(f)
-                if v:
-                    vec[c] = (-v) % p
-            vecs[f] = vec
-        kernels[p] = vecs
-    moduli = agreeing
-    for f in free_cols or []:
-        lifted: dict[int, Fraction] = {}
-        support = set()
-        for p in moduli:
-            support |= set(kernels[p][f])
-        for c in support:
-            residues = [kernels[p][f].get(c, 0) for p in moduli]
-            combined, modulus = _crt(residues, moduli)
-            value = _rational_reconstruct(combined, modulus)
-            if value is None:
-                return sparse_rank(entries, nrows, ncols)
-            if value:
-                lifted[c] = value
-        # exact verification A v = 0
-        by_row: dict[int, Fraction] = {}
-        for (rr, cc), v in entries.items():
-            if cc in lifted:
-                by_row[rr] = by_row.get(rr, Fraction(0)) + Fraction(v) * lifted[cc]
-        if any(by_row.values()):
-            return sparse_rank(entries, nrows, ncols)
-    return r
-
-
 # -- operator matrices --------------------------------------------------------
 
 
@@ -541,9 +392,7 @@ class OperatorMatrix:
                 out[r] = out.get(r, Fraction(0)) + v * x
         return {r: v for r, v in out.items() if v}
 
-    def rank(self, method: str = "exact") -> int:
-        if method == "modular":
-            return rank_modular(self.entries, self.rows.dim, self.cols.dim)
+    def rank(self) -> int:
         return sparse_rank(self.entries, self.rows.dim, self.cols.dim)
 
     def nullspace(self) -> list[dict[int, Fraction]]:

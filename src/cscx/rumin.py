@@ -277,13 +277,17 @@ def commutator_word(
     return left - right
 
 
-def operator_order(
-    struct: TwoStepStructure, k: int, max_order: int = 3, probe_extra_weight: int = 1
-) -> int:
+# operator_order probes coordinate words of up to _MAX_ORDER letters on the
+# lowest weight block of the class space and _PROBE_EXTRA_WEIGHT blocks above
+_MAX_ORDER = 3
+_PROBE_EXTRA_WEIGHT = 1
+
+
+def operator_order(struct: TwoStepStructure, k: int) -> int:
     """Measured differential order of the degree-k operator on probe sections.
 
     Probes every class-space basis element of the lowest weight blocks
-    against all coordinate words up to length ``max_order``; the order is
+    against all coordinate words up to length ``_MAX_ORDER``; the order is
     the longest word length with a nonvanishing commutator.
     """
     if struct.chart.ring.kind != "poly":
@@ -291,7 +295,7 @@ def operator_order(
     space = struct.class_space(k)
     degree, offset = struct.class_degree(k)
     base_weight = degree + offset
-    blocks = [("w", base_weight + extra) for extra in range(probe_extra_weight + 1)]
+    blocks = [("w", base_weight + extra) for extra in range(_PROBE_EXTRA_WEIGHT + 1)]
     probes = []
     for block in blocks:
         for j in range(space.fiber_dim):
@@ -301,11 +305,11 @@ def operator_order(
     op = lambda form: rumin_apply(struct, k, form)  # noqa: E731
 
     order = 0
-    for length in range(1, max_order + 1):
+    for length in range(1, _MAX_ORDER + 1):
         nonzero = False
         words = _coordinate_words(coords, length)
         # words of maximal length are probed on the lowest block only
-        pool = probes if length < max_order else probes[: space.fiber_dim]
+        pool = probes if length < _MAX_ORDER else probes[: space.fiber_dim]
         for word in words:
             for e in pool:
                 if not commutator_word(op, list(word), e).is_zero():

@@ -106,11 +106,27 @@ class TestChartValidate:
         path.write_text(json.dumps(payload))
         self._assert_one_line_exit_2(runner, path)
 
+    @pytest.mark.parametrize("power", [-1, 0.5], ids=["negative", "fractional"])
+    def test_non_polynomial_exponent_exit_2(self, runner, tmp_path, power):
+        # beta = x1 dy1 + x2 dy2 + x1^power dx1
+        payload = json.loads(json.dumps(GOOD_BETA))
+        payload["beta"]["terms"].append(
+            {
+                "idx": [0],
+                "coef": {
+                    "ring": "poly",
+                    "nvars": 4,
+                    "terms": [{"exp": [power, 0, 0, 0], "num": "1", "den": "1"}],
+                },
+            }
+        )
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(payload))
+        self._assert_one_line_exit_2(runner, path)
+
 
 class TestRunSuite:
     def test_invalid_config_raises(self):
-        with pytest.raises(ConfigError):
-            run_suite(RunConfig(pipeline="cohomology", model="torus", ring="poly", n=2))
         with pytest.raises(ConfigError):
             run_suite(RunConfig(pipeline="cohomology", model="cs-affine", n=1, max_weight=2))
 
@@ -133,7 +149,7 @@ class TestRunSuite:
 
     def test_deterministic_reports(self):
         config = RunConfig(
-            pipeline="cohomology", model="torus", ring="trig", n=2, sample_count=2, seed=5
+            pipeline="cohomology", model="torus", n=2, sample_count=2, seed=5
         )
         _, first = run_suite(config)
         _, second = run_suite(config)
@@ -145,7 +161,7 @@ class TestRunSuite:
         from cscx.grading import sample_modes, mode_shells
 
         config = RunConfig(
-            pipeline="cohomology", model="torus", ring="trig", n=2, sample_count=2, seed=5
+            pipeline="cohomology", model="torus", n=2, sample_count=2, seed=5
         )
         _, report = run_suite(config)
         modes = list(mode_shells(4, {0})) + sample_modes(4, 2, seed=5)
@@ -214,8 +230,8 @@ class TestCliCommands:
     )
     @pytest.mark.parametrize(
         "modes",
-        [["--modes", "a"], ["--modes", "-1", "--sample-modes", "0"]],
-        ids=["unparsable", "empty-truncation"],
+        [["--modes", "a"], ["--modes", "-1", "--sample-modes", "0"], ["--sample-modes", "313"]],
+        ids=["unparsable", "empty-truncation", "more-samples-than-orbits"],
     )
     def test_bad_modes_exit_2_with_one_line(self, runner, command, modes):
         result = runner.invoke(main, command + ["--model", "torus", "--n", "2"] + modes)
@@ -224,22 +240,11 @@ class TestCliCommands:
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.strip().splitlines()) == 1
 
-    def test_modular_flag_reaches_modular_rank(self, runner, monkeypatch):
-        import cscx.linalg
-
-        calls = []
-        original = cscx.linalg.rank_modular
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cscx.linalg, "rank_modular", counting)
-        args = ["cohomology", "--model", "affine", "--n", "2", "--max-weight", "4"]
-        exact = runner.invoke(main, args)
-        assert exact.exit_code == 0, exact.output
-        assert not calls
-        modular = runner.invoke(main, args + ["--modular"])
-        assert modular.exit_code == 0, modular.output
-        assert calls
-        assert json.loads(modular.stdout)["result"] == json.loads(exact.stdout)["result"]
+    @pytest.mark.parametrize(
+        "command",
+        [["rumin", "verify"], ["cohomology", "--model", "affine", "--max-weight", "2"]],
+        ids=["rumin-verify", "cohomology"],
+    )
+    def test_modular_flag_is_gone(self, runner, command):
+        result = runner.invoke(main, command + ["--modular"])
+        assert result.exit_code == 2

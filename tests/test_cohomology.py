@@ -15,13 +15,15 @@ from cscx.cohomology import (
     mode_truncation,
     rs_cohomology,
     short_exact_splice,
+    total_complex,
     twisted_complex,
     weight_truncation,
 )
 from cscx.descent import rs_complex
-from cscx.errors import NotAComplexError
+from cscx.errors import CscxError, NotAComplexError
 from cscx.grading import sample_modes
-from cscx.linalg import OperatorMatrix, SectionBasis
+from cscx.linalg import OperatorMatrix, SectionBasis, dense_rank
+from cscx.rumin import rumin_complex
 
 
 def _basis(tag, size):
@@ -62,10 +64,40 @@ class TestCohomologyDims:
             assert cohomology_dims(twisted_complex(cs_torus2, truncation)) == [0] * 5
             assert cohomology_dims(rs_complex(cs_torus2, truncation)) == [0] * 6
 
-    def test_modular_rank_path_agrees(self, cs_torus2):
-        truncation = mode_truncation([(0, 0, 0, 0), (1, 0, 0, 0)])
-        mats = de_rham_complex(cs_torus2, truncation)
-        assert cohomology_dims(mats, rank_method="modular") == cohomology_dims(mats)
+
+class TestRankOracle:
+    """The exact sparse rank of every assembled block against the dense oracle."""
+
+    @staticmethod
+    def _assert_ranks_match(mats):
+        for m in mats:
+            rows, cols = m.shape
+            dense = [[m.entries.get((i, j), Fraction(0)) for j in range(cols)] for i in range(rows)]
+            assert m.rank() == dense_rank(dense)
+
+    @pytest.mark.parametrize("model", ["affine", "torus"])
+    @pytest.mark.parametrize(
+        "builder", [de_rham_complex, twisted_complex, total_complex, rs_complex],
+        ids=["de-rham", "twisted", "total", "rs"],
+    )
+    def test_cs_complexes(self, cs_affine2, cs_torus2, model, builder):
+        if model == "affine":
+            cs, truncation = cs_affine2, weight_truncation(3)
+        else:
+            cs, truncation = cs_torus2, mode_truncation([(0, 0, 0, 0)])
+        self._assert_ranks_match(builder(cs, truncation))
+
+    def test_rumin_complex(self, contact2):
+        self._assert_ranks_match(rumin_complex(contact2, weight_truncation(3)))
+
+
+class TestSampleModes:
+    def test_every_orbit_then_refuses(self):
+        # sup-norm <= 2 in four variables: (5**4 - 1) / 2 = 312 nonzero orbits
+        modes = sample_modes(4, 312)
+        assert len(set(modes)) == 312
+        with pytest.raises(CscxError):
+            sample_modes(4, 313)
 
 
 class TestQuotient:

@@ -13,7 +13,6 @@ from cscx.linalg import (
     dense_nullspace,
     dense_rank,
     dense_rref,
-    rank_modular,
     sparse_nullspace,
     sparse_rank,
     sparse_solve,
@@ -54,16 +53,8 @@ class TestRank:
             entries, dense = _random_entries(r, m, n, structured=trial % 2 == 0)
             assert sparse_rank(entries, m, n) == dense_rank(dense)
 
-    def test_modular_agrees_with_exact(self):
-        r = rng("rank-modular")
-        for trial in range(120):
-            m, n = r.randint(1, 9), r.randint(1, 9)
-            entries, _ = _random_entries(r, m, n, structured=trial % 2 == 0)
-            assert rank_modular(entries, m, n) == sparse_rank(entries, m, n)
-
     def test_zero_matrix(self):
         assert sparse_rank({}, 5, 7) == 0
-        assert rank_modular({}, 5, 7) == 0
 
 
 class TestKernelAndSolve:
