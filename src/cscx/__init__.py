@@ -10,7 +10,6 @@ finite weight- or mode-truncations.
 """
 
 from .coefficients import (
-    GaussianRational,
     PolyCoefficient,
     Rational,
     Ring,

@@ -19,7 +19,9 @@ import tempfile
 import time
 from dataclasses import dataclass
 import click
+from click.core import ParameterSource
 
+from .coefficients import coefficient_to_json, json_int
 from .cohomology import (
     les_and_splice,
     mode_truncation,
@@ -27,10 +29,10 @@ from .cohomology import (
     sample_modes,
     weight_truncation,
 )
-from .contact import contactify, standard_contact_chart
+from .contact import contactify, standard_contact_chart, volume_coefficient
 from .descent import descend_complex, rs_complex, ss_fallback, standard_pair
 from .errors import ConfigError, CscxError
-from .forms import form_from_json, affine_cs_chart, torus_cs_chart
+from .forms import affine_cs_chart, form_from_json
 from .grading import Truncation, mode_shells, sample_orbit_count
 from .lefschetz import standard_cs_chart, summand_dimension_table
 from .rumin import contact_two_step, operator_order, rumin_complex
@@ -264,6 +266,36 @@ def _parse_norms(text: str) -> tuple[int, ...]:
         raise ConfigError(f"cannot parse mode list {text!r}") from exc
 
 
+def _truncated_config(
+    pipeline: str, model: str, n: int, max_weight, modes: str, sample_modes: int, out, seed: int = 0
+) -> RunConfig:
+    """The ``RunConfig`` of ``rs build``, ``cohomology`` and ``les``.
+
+    Passes on what was typed, so ``RunConfig.validate`` sees a torus
+    ``--max-weight``; a torus-only flag typed for the affine model is refused.
+    """
+    if model == "torus":
+        return RunConfig(
+            pipeline=pipeline,
+            model="torus",
+            n=n,
+            max_weight=max_weight,
+            mode_norms=_parse_norms(modes),
+            sample_count=sample_modes,
+            seed=seed,
+            out=out,
+        )
+    ctx = click.get_current_context()
+    typed = [
+        "--" + name.replace("_", "-")
+        for name in ("modes", "sample_modes", "seed")
+        if ctx.get_parameter_source(name) not in (None, ParameterSource.DEFAULT)
+    ]
+    if typed:
+        raise ConfigError(f"the affine model is truncated by weight; it takes no {', '.join(typed)}")
+    return RunConfig(pipeline=pipeline, model="cs-affine", n=n, max_weight=max_weight, out=out)
+
+
 @click.group()
 def main() -> None:
     """Exact exterior calculus on contact and conformally symplectic charts."""
@@ -295,23 +327,32 @@ def chart_validate(config_file: str) -> None:
     sys.exit(0)
 
 
+# the ring each chart model carries; the torus has no global contact form
+_CHART_RINGS = {"contact": "poly", "cs": "poly", "cs-affine": "poly", "torus": "trig"}
+
+
 def validate_chart_config(payload: dict) -> dict:
     """Build and check the chart described by a configuration payload."""
     if not isinstance(payload, dict):
         raise ConfigError("a chart file holds one JSON object")
     model = payload.get("model")
-    n = int(payload.get("n", 0))
-    ring = payload.get("ring", "poly")
+    if model not in _CHART_RINGS:
+        raise ConfigError(f"unknown chart model {model!r}")
+    n = json_int(payload.get("n", 0), "n", ConfigError)
+    ring = payload.get("ring", _CHART_RINGS[model])
+    if ring not in ("poly", "trig"):
+        raise ConfigError(f"ring must be 'poly' or 'trig', got {ring!r}")
+    if ring != _CHART_RINGS[model]:
+        if model == "contact":
+            raise ConfigError("a contact chart needs ring 'poly': the torus has no global contact form")
+        raise ConfigError(f"the {model} model needs ring {_CHART_RINGS[model]!r}")
     if model == "contact":
-        base = affine_cs_chart(n) if ring == "poly" else torus_cs_chart(n)
+        base = affine_cs_chart(n)
         beta_payload = payload["beta"]
         if isinstance(beta_payload, list):
             beta_payload = {"degree": 1, "terms": beta_payload}
         beta = form_from_json(beta_payload, base)
         cc = contactify(n, beta)
-        from .coefficients import coefficient_to_json
-        from .contact import volume_coefficient
-
         return {
             "model": "contact",
             "n": n,
@@ -320,17 +361,14 @@ def validate_chart_config(payload: dict) -> dict:
             "volume_coefficient": coefficient_to_json(volume_coefficient(cc)),
             "valid": True,
         }
-    if model in ("cs", "cs-affine", "torus"):
-        kind = "torus" if model == "torus" else "affine"
-        cs = standard_cs_chart(n, kind)
-        return {
-            "model": model,
-            "n": n,
-            "ring": cs.chart.ring.kind,
-            "coords": list(cs.chart.coords),
-            "valid": True,
-        }
-    raise ConfigError(f"unknown chart model {model!r}")
+    cs = standard_cs_chart(n, "torus" if model == "torus" else "affine")
+    return {
+        "model": model,
+        "n": n,
+        "ring": cs.chart.ring.kind,
+        "coords": list(cs.chart.coords),
+        "valid": True,
+    }
 
 
 @main.group()
@@ -402,18 +440,7 @@ def rs() -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def rs_build(model, n, max_weight, modes, sample_modes, out) -> None:
     """Serialize the operator matrices of the intrinsic complex."""
-    torus = model == "torus"
-    _finish(
-        lambda: RunConfig(
-            pipeline="rs-build",
-            model="torus" if torus else "cs-affine",
-            n=n,
-            max_weight=max_weight if not torus else None,
-            mode_norms=_parse_norms(modes) if torus else (),
-            sample_count=sample_modes,
-            out=out,
-        )
-    )
+    _finish(lambda: _truncated_config("rs-build", model, n, max_weight, modes, sample_modes, out))
 
 
 @rs.command("crosscheck")
@@ -445,17 +472,9 @@ def rs_crosscheck(n: int, max_weight: int, out: str | None) -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cohomology_cmd(model, n, max_weight, modes, sample_modes, seed, csv_path, out) -> None:
     """Cohomology report with the long-exact-sequence verification."""
-    torus = model == "torus"
     config, code, report = _run(
-        lambda: RunConfig(
-            pipeline="cohomology",
-            model="torus" if torus else "cs-affine",
-            n=n,
-            max_weight=max_weight if not torus else None,
-            mode_norms=_parse_norms(modes) if torus else (),
-            sample_count=sample_modes if torus else 0,
-            seed=seed,
-            out=out,
+        lambda: _truncated_config(
+            "cohomology", model, n, max_weight, modes, sample_modes, out, seed
         )
     )
     if csv_path:
@@ -482,18 +501,8 @@ def cohomology_cmd(model, n, max_weight, modes, sample_modes, seed, csv_path, ou
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def les_cmd(model, n, max_weight, modes, sample_modes, seed, out) -> None:
     """Verify the long exact sequence and the degreewise splice."""
-    torus = model == "torus"
     _finish(
-        lambda: RunConfig(
-            pipeline="les",
-            model="torus" if torus else "cs-affine",
-            n=n,
-            max_weight=max_weight if not torus else None,
-            mode_norms=_parse_norms(modes) if torus else (),
-            sample_count=sample_modes if torus else 0,
-            seed=seed,
-            out=out,
-        )
+        lambda: _truncated_config("les", model, n, max_weight, modes, sample_modes, out, seed)
     )
 
 

@@ -8,11 +8,12 @@ anywhere:
   polynomial is the empty map; zero terms are pruned eagerly so equality
   of canonical forms is exact equality of values.
 
-* ``TrigCoefficient`` -- finite Fourier sums over ``Z^m`` with
-  Gaussian-rational coefficients, stored as a sparse map from frequency
-  tuples to ``GaussianRational``.  Real-valued functions on the torus are
-  encoded with complex exponentials subject to the reality constraint
-  ``c(-k) == conj(c(k))``; products and derivatives are then monomial-like.
+* ``TrigCoefficient`` -- finite real Fourier sums over ``Z^m``, stored as
+  a sparse map from ``("c", m)`` (cos m.theta) and ``("s", m)`` (sin m.theta)
+  to ``Fraction``, one key per mode orbit {m, -m} and function; products
+  follow the product-to-sum rules.  The JSON format keeps the complex
+  coefficients c(k) of e^{ik.theta}; ``coefficient_from_json`` checks the
+  reality constraint ``c(-k) == conj(c(k))`` and converts them.
 
 ``Rational`` is the standard-library ``fractions.Fraction``: it is already
 always reduced, keeps a positive denominator and has a canonical zero, so
@@ -26,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .errors import (
+    CscxError,
     InternalConsistencyError,
     InvalidAxisError,
     RingMismatchError,
@@ -36,46 +38,7 @@ Rational = Fraction
 
 Exponent = tuple[int, ...]
 Frequency = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """A Gaussian rational re + im*i with exact Fraction parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def scale(self, q: Fraction) -> "GaussianRational":
-        return GaussianRational(self.re * q, self.im * q)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def times_i(self, k: int) -> "GaussianRational":
-        """Multiply by i*k (used by the derivative of a Fourier mode)."""
-        return GaussianRational(-k * self.im, k * self.re)
-
-
-GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(Fraction(1), Fraction(0))
+TrigTerm = tuple[str, Frequency]  # ("c" | "s", canonical mode)
 
 
 @dataclass(frozen=True)
@@ -107,7 +70,7 @@ class Ring:
             return PolyCoefficient(self.nvars, {(0,) * self.nvars: q})
         if q == 0:
             return TrigCoefficient(self.nvars, {})
-        return TrigCoefficient(self.nvars, {(0,) * self.nvars: GaussianRational(q)})
+        return TrigCoefficient(self.nvars, {("c", (0,) * self.nvars): q})
 
     def var(self, index: int) -> "PolyCoefficient":
         if self.kind != "poly":
@@ -290,41 +253,29 @@ class PolyCoefficient:
 
 
 class TrigCoefficient:
-    """Finite Fourier sum with Gaussian-rational mode coefficients.
+    """Finite real Fourier sum, a sparse map from ``(kind, mode)`` to ``Fraction``.
 
-    The reality constraint c(-k) == conj(c(k)) is enforced at construction
-    by default; internal single-mode scratch values can opt out via
-    ``require_real=False`` (they never escape the public API).
+    ``("c", m)`` is cos(m . theta) and ``("s", m)`` is sin(m . theta), where m
+    is the ``canonical_mode`` representative of its orbit {m, -m}.  The
+    constant function is ``("c", 0...0)``; there is no ``("s", 0...0)``.
     """
 
     __slots__ = ("nvars", "terms")
 
     kind = "trig"
 
-    def __init__(
-        self,
-        nvars: int,
-        terms: Mapping[Frequency, GaussianRational],
-        require_real: bool = True,
-    ):
+    def __init__(self, nvars: int, terms: Mapping[TrigTerm, Fraction]):
         self.nvars = nvars
-        clean: dict[Frequency, GaussianRational] = {}
-        for freq, coeff in terms.items():
-            if coeff.is_zero():
+        clean: dict[TrigTerm, Fraction] = {}
+        for term, coeff in terms.items():
+            if coeff == 0:
                 continue
-            if len(freq) != nvars:
+            if len(term[1]) != nvars:
                 raise InvalidAxisError(
-                    f"frequency vector of length {len(freq)} in a {nvars}-variable ring"
+                    f"frequency vector of length {len(term[1])} in a {nvars}-variable ring"
                 )
-            clean[freq] = coeff
+            clean[term] = coeff
         self.terms = clean
-        if require_real:
-            for freq, coeff in clean.items():
-                mirror = tuple(-f for f in freq)
-                if clean.get(mirror, GR_ZERO) != coeff.conj():
-                    raise RingMismatchError(
-                        f"reality constraint violated at frequency {freq}"
-                    )
 
     def _check(self, other: "TrigCoefficient") -> None:
         if not isinstance(other, TrigCoefficient) or other.nvars != self.nvars:
@@ -333,36 +284,42 @@ class TrigCoefficient:
     def __add__(self, other: "TrigCoefficient") -> "TrigCoefficient":
         self._check(other)
         out = dict(self.terms)
-        for freq, coeff in other.terms.items():
-            out[freq] = out.get(freq, GR_ZERO) + coeff
-        return TrigCoefficient(self.nvars, out, require_real=False)
+        for term, coeff in other.terms.items():
+            out[term] = out[term] + coeff if term in out else coeff
+        return TrigCoefficient(self.nvars, out)
 
     def __sub__(self, other: "TrigCoefficient") -> "TrigCoefficient":
         self._check(other)
         out = dict(self.terms)
-        for freq, coeff in other.terms.items():
-            out[freq] = out.get(freq, GR_ZERO) - coeff
-        return TrigCoefficient(self.nvars, out, require_real=False)
+        for term, coeff in other.terms.items():
+            out[term] = out[term] - coeff if term in out else -coeff
+        return TrigCoefficient(self.nvars, out)
 
     def __neg__(self) -> "TrigCoefficient":
-        return TrigCoefficient(
-            self.nvars, {f: -c for f, c in self.terms.items()}, require_real=False
-        )
+        return TrigCoefficient(self.nvars, {t: -c for t, c in self.terms.items()})
 
     def __mul__(self, other: "TrigCoefficient") -> "TrigCoefficient":
+        """Product to sum: each pair of terms gives the modes a + b and a - b."""
         self._check(other)
-        out: dict[Frequency, GaussianRational] = {}
-        for fa, ca in self.terms.items():
-            for fb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(fa, fb))
-                out[key] = out.get(key, GR_ZERO) + ca * cb
-        return TrigCoefficient(self.nvars, out, require_real=False)
+        out: dict[TrigTerm, Fraction] = {}
+        for (ka, ma), ca in self.terms.items():
+            for (kb, mb), cb in other.terms.items():
+                half = ca * cb / 2
+                plus = tuple(x + y for x, y in zip(ma, mb))
+                minus = tuple(x - y for x, y in zip(ma, mb))
+                if ka == kb:
+                    # cos a cos b, sin a sin b = (cos(a - b) +- cos(a + b)) / 2
+                    _accumulate(out, "c", minus, half)
+                    _accumulate(out, "c", plus, half if ka == "c" else -half)
+                else:
+                    # sin a cos b, cos a sin b = (sin(a + b) +- sin(a - b)) / 2
+                    _accumulate(out, "s", plus, half)
+                    _accumulate(out, "s", minus, half if ka == "s" else -half)
+        return TrigCoefficient(self.nvars, out)
 
     def scale(self, q: Fraction | int) -> "TrigCoefficient":
         q = Fraction(q)
-        return TrigCoefficient(
-            self.nvars, {f: c.scale(q) for f, c in self.terms.items()}, require_real=False
-        )
+        return TrigCoefficient(self.nvars, {t: c * q for t, c in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -380,40 +337,31 @@ class TrigCoefficient:
     def __repr__(self) -> str:
         if not self.terms:
             return "trig(0)"
-        bits = [f"({c.re}+{c.im}i)e^{{i{f}}}" for f, c in sorted(self.terms.items())]
+        bits = [f"{c}*{'cos' if k == 'c' else 'sin'}{m}" for (k, m), c in sorted(self.terms.items())]
         return "trig(" + " + ".join(bits) + ")"
 
-    def is_real(self) -> bool:
-        return all(
-            self.terms.get(tuple(-x for x in f), GR_ZERO) == c.conj()
-            for f, c in self.terms.items()
-        )
-
     def partial(self, var: int) -> "TrigCoefficient":
+        """d/dv cos(m . theta) = -m_v sin(m . theta), d/dv sin(m . theta) = m_v cos(m . theta)."""
         if not 0 <= var < self.nvars:
             raise InvalidAxisError(f"variable index {var} out of range")
-        out = {f: c.times_i(f[var]) for f, c in self.terms.items() if f[var] != 0}
-        return TrigCoefficient(self.nvars, out, require_real=False)
+        out: dict[TrigTerm, Fraction] = {}
+        for (kind, mode), c in self.terms.items():
+            m = mode[var]
+            if m:
+                if kind == "c":
+                    out[("s", mode)] = -m * c
+                else:
+                    out[("c", mode)] = m * c
+        return TrigCoefficient(self.nvars, out)
 
     def evaluate(self, point):
         raise UnsupportedRingOperationError("Fourier sums have no exact point evaluation")
 
-    def mode_split(self) -> dict[Frequency, "TrigCoefficient"]:
-        """Split by orbit {k, -k}; keys are canonical representatives."""
-        buckets: dict[Frequency, dict[Frequency, GaussianRational]] = {}
-        for freq, coeff in self.terms.items():
-            buckets.setdefault(canonical_mode(freq), {})[freq] = coeff
-        return {
-            m: TrigCoefficient(self.nvars, t, require_real=False)
-            for m, t in buckets.items()
-        }
-
     def constant_part(self) -> Fraction:
-        c = self.terms.get((0,) * self.nvars, GR_ZERO)
-        return c.re
+        return self.terms.get(("c", (0,) * self.nvars), Fraction(0))
 
     def is_constant(self) -> bool:
-        return all(not any(freq) for freq in self.terms)
+        return all(not any(mode) for _, mode in self.terms)
 
 
 Coefficient = Union[PolyCoefficient, TrigCoefficient]
@@ -429,32 +377,45 @@ def canonical_mode(freq: Frequency) -> Frequency:
     return freq
 
 
+def _real_term(kind: str, mode: Frequency) -> tuple[TrigTerm, int] | None:
+    """Canonical ``(term, sign)`` with kind(mode . theta) = sign * term; None for zero.
+
+    cos is even, sin is odd and sin of the zero mode vanishes.
+    """
+    for f in mode:
+        if f > 0:
+            return (kind, mode), 1
+        if f < 0:
+            return (kind, tuple(-x for x in mode)), (1 if kind == "c" else -1)
+    return None if kind == "s" else ((kind, mode), 1)
+
+
+def _accumulate(out: dict[TrigTerm, Fraction], kind: str, mode: Frequency, q: Fraction) -> None:
+    hit = _real_term(kind, mode)
+    if hit is not None:
+        term, sign = hit
+        q = q if sign > 0 else -q
+        out[term] = out[term] + q if term in out else q
+
+
+def _trig_function(ring: Ring, kind: str, freq: Frequency) -> TrigCoefficient:
+    if ring.kind != "trig":
+        raise RingMismatchError("cos and sin live in the trig ring")
+    hit = _real_term(kind, tuple(freq))
+    if hit is None:
+        return TrigCoefficient(ring.nvars, {})
+    term, sign = hit
+    return TrigCoefficient(ring.nvars, {term: Fraction(sign)})
+
+
 def trig_cos(ring: Ring, freq: Frequency) -> TrigCoefficient:
     """cos(k . theta) as a real Fourier sum."""
-    if ring.kind != "trig":
-        raise RingMismatchError("cos lives in the trig ring")
-    if not any(freq):
-        return TrigCoefficient(ring.nvars, {freq: GR_ONE})
-    half = GaussianRational(Fraction(1, 2))
-    mirror = tuple(-f for f in freq)
-    return TrigCoefficient(ring.nvars, {freq: half, mirror: half})
+    return _trig_function(ring, "c", freq)
 
 
 def trig_sin(ring: Ring, freq: Frequency) -> TrigCoefficient:
     """sin(k . theta) as a real Fourier sum."""
-    if ring.kind != "trig":
-        raise RingMismatchError("sin lives in the trig ring")
-    if not any(freq):
-        return TrigCoefficient(ring.nvars, {})
-    up = GaussianRational(Fraction(0), Fraction(-1, 2))
-    down = GaussianRational(Fraction(0), Fraction(1, 2))
-    mirror = tuple(-f for f in freq)
-    return TrigCoefficient(ring.nvars, {freq: up, mirror: down})
-
-
-def trig_mode(ring: Ring, freq: Frequency, coeff: GaussianRational = GR_ONE) -> TrigCoefficient:
-    """Single complex exponential; internal scratch value (not real)."""
-    return TrigCoefficient(ring.nvars, {freq: coeff}, require_real=False)
+    return _trig_function(ring, "s", freq)
 
 
 # -- named operations ------------------------------------------------------
@@ -485,7 +446,11 @@ def _frac_to_json(q: Fraction) -> dict:
 
 
 def _frac_from_json(obj) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
+    # int() would truncate a JSON float numerator: take integer strings and integers only
+    num, den = obj["num"], obj["den"]
+    if type(num) not in (str, int) or type(den) not in (str, int):
+        raise RingMismatchError(f"num/den {num!r}/{den!r} are not integer strings")
+    return Fraction(int(num), int(den))
 
 
 def coefficient_to_json(f: Coefficient) -> dict:
@@ -495,11 +460,35 @@ def coefficient_to_json(f: Coefficient) -> dict:
             for exp, c in sorted(f.terms.items())
         ]
         return {"ring": "poly", "nvars": f.nvars, "terms": terms}
+    # the format stores c(k) per e^{ik.theta}:
+    # a cos(m) + b sin(m) = (a - ib)/2 e^{im} + (a + ib)/2 e^{-im}
+    re: dict[Frequency, Fraction] = {}
+    im: dict[Frequency, Fraction] = {}
+    for (kind, mode), q in f.terms.items():
+        if not any(mode):
+            re[mode] = q
+            continue
+        mirror = tuple(-x for x in mode)
+        if kind == "c":
+            re[mode] = re[mirror] = q / 2
+        else:
+            im[mode], im[mirror] = -q / 2, q / 2
     terms = [
-        {"freq": list(freq), "re": _frac_to_json(c.re), "im": _frac_to_json(c.im)}
-        for freq, c in sorted(f.terms.items())
+        {
+            "freq": list(freq),
+            "re": _frac_to_json(re.get(freq, Fraction(0))),
+            "im": _frac_to_json(im.get(freq, Fraction(0))),
+        }
+        for freq in sorted(re.keys() | im.keys())
     ]
     return {"ring": "trig", "nvars": f.nvars, "terms": terms}
+
+
+def json_int(value, what: str, error: type[CscxError] = RingMismatchError) -> int:
+    """An integer field read from JSON: a float, a string or a bool is refused."""
+    if type(value) is not int:
+        raise error(f"{what} must be a JSON integer, got {value!r}")
+    return value
 
 
 def _exponent_from_json(exp) -> Exponent:
@@ -509,21 +498,41 @@ def _exponent_from_json(exp) -> Exponent:
     return tuple(exp)
 
 
+def _trig_from_json(count: int, items: list) -> TrigCoefficient:
+    """Read c(k) per e^{ik.theta}, check c(-k) == conj(c(k)), return cos/sin terms."""
+    modes: dict[Frequency, tuple[Fraction, Fraction]] = {}
+    for t in items:
+        freq = t["freq"]
+        if not isinstance(freq, list) or len(freq) != count or any(type(k) is not int for k in freq):
+            raise RingMismatchError(f"trig frequency {freq!r} is not a list of {count} integers")
+        modes[tuple(freq)] = (_frac_from_json(t["re"]), _frac_from_json(t["im"]))
+    terms: dict[TrigTerm, Fraction] = {}
+    for freq, (re, im) in modes.items():
+        mirror = tuple(-k for k in freq)
+        if modes.get(mirror, (0, 0)) != (re, -im):
+            raise RingMismatchError(f"reality constraint violated at frequency {freq}")
+        if canonical_mode(freq) != freq:
+            continue
+        if any(freq):
+            terms[("c", freq)] = 2 * re
+            terms[("s", freq)] = -2 * im
+        else:
+            terms[("c", freq)] = re
+    return TrigCoefficient(count, terms)
+
+
 def coefficient_from_json(obj: dict, nvars: int | None = None) -> Coefficient:
     kind = obj.get("ring")
     count = obj.get("nvars", nvars)
     if count is None:
         raise RingMismatchError("serialized coefficient lacks a variable count")
+    json_int(count, "nvars")
     if kind == "poly":
         terms = {
-            _exponent_from_json(t["exp"]): Fraction(int(t["num"]), int(t["den"]))
+            _exponent_from_json(t["exp"]): _frac_from_json(t)
             for t in obj.get("terms", [])
         }
         return PolyCoefficient(count, terms)
     if kind == "trig":
-        terms = {
-            tuple(t["freq"]): GaussianRational(_frac_from_json(t["re"]), _frac_from_json(t["im"]))
-            for t in obj.get("terms", [])
-        }
-        return TrigCoefficient(count, terms)
+        return _trig_from_json(count, obj.get("terms", []))
     raise RingMismatchError(f"unknown serialized ring {kind!r}")

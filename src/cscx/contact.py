@@ -111,6 +111,11 @@ def contactify(
     base = beta.chart
     if base.t_axis is not None:
         raise CsPotentialError("the potential lives on the base chart")
+    if base.ring.kind != "poly":
+        raise CsPotentialError(
+            "no contact chart over the torus: d(beta) is exact for a Fourier potential, "
+            "so the top power of d(beta) integrates to zero and is never a nonzero constant"
+        )
     if base.dim != 2 * n:
         raise CsPotentialError(f"potential chart has dimension {base.dim}, expected {2 * n}")
     if n < 2:
@@ -118,12 +123,7 @@ def contactify(
     check_cs_potential(beta, n)
 
     chart = contact_chart_over(base)
-    promoted_terms = {}
-    for key, coeff in beta.terms.items():
-        if isinstance(coeff, PolyCoefficient):
-            promoted_terms[key] = coeff.pad(chart.ring.nvars)
-        else:
-            promoted_terms[key] = coeff
+    promoted_terms = {key: coeff.pad(chart.ring.nvars) for key, coeff in beta.terms.items()}
     promoted = DifferentialForm(chart, 1, promoted_terms, validated=True)
     scale = Fraction(xi_scale)
     if scale == 0:
@@ -214,7 +214,7 @@ def levi_form(cc: ContactChart, point: list[Fraction] | None = None) -> Operator
                 continue
             lie = bracket(frame[i], frame[j])
             value = interior_product_vector(cc.alpha, lie)
-            q = _coeff_at(value, point)
+            q = value.evaluate(point)
             if q:
                 entries[(i, j)] = q
                 dense[i][j] = q
@@ -230,12 +230,6 @@ def interior_product_vector(alpha: DifferentialForm, X: PolyVectorField) -> Coef
     """alpha(X) as a scalar function."""
     value = interior_product(X, alpha)
     return value.terms.get((), alpha.chart.zero_coeff())
-
-
-def _coeff_at(coeff: Coefficient, point: list[Fraction]) -> Fraction:
-    if isinstance(coeff, PolyCoefficient):
-        return coeff.evaluate(point)
-    return coeff.constant_part()
 
 
 def d_alpha_on_frame(cc: ContactChart, point: list[Fraction] | None = None) -> OperatorMatrix:
@@ -254,7 +248,7 @@ def d_alpha_on_frame(cc: ContactChart, point: list[Fraction] | None = None) -> O
             value = interior_product(frame[j], inner_i).terms.get((), None)
             if value is None:
                 continue
-            q = _coeff_at(value, point)
+            q = value.evaluate(point)
             if q:
                 entries[(i, j)] = q
     basis = _frame_basis(cc, "H")
@@ -397,8 +391,6 @@ def _integrate_closed_one_form(rhs: DifferentialForm) -> PolyCoefficient:
     nvars = chart.ring.nvars
     total = PolyCoefficient(nvars, {})
     for (axis,), coeff in rhs.terms.items():
-        if not isinstance(coeff, PolyCoefficient):
-            raise CsCompatibilityError("lifting needs polynomial data")
         for exp, q in coeff.terms.items():
             # homotopy formula: the monomial g dx_axis integrates to
             # g * x_axis / (|g| + 1)
@@ -427,8 +419,6 @@ def lift_construction(
     """
     if chart_a.n != chart_b.n:
         raise CsCompatibilityError("charts have different ranks")
-    if chart_a.chart.ring.kind != "poly" or chart_b.chart.ring.kind != "poly":
-        raise CsCompatibilityError("lifting is implemented for polynomial charts")
     n = chart_a.n
     rows = tuple(tuple(Fraction(v) for v in row) for row in matrix)
     if len(rows) != 2 * n or any(len(r) != 2 * n for r in rows):
@@ -479,11 +469,7 @@ def _form_ratio(left: DifferentialForm, right: DifferentialForm) -> Fraction:
 
 def _restrict_to_base(omega: DifferentialForm, base: Chart) -> DifferentialForm:
     """Drop the transversal coordinate from a dt-free, t-independent form."""
-    terms = {}
-    for key, coeff in omega.terms.items():
-        if isinstance(coeff, PolyCoefficient) and coeff.nvars == base.ring.nvars + 1:
-            coeff = coeff.restrict(base.ring.nvars)
-        terms[key] = coeff
+    terms = {key: coeff.restrict(base.ring.nvars) for key, coeff in omega.terms.items()}
     return DifferentialForm(base, omega.degree, terms)
 
 

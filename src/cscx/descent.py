@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import PolyCoefficient
 from .contact import ContactChart, HForm, contactify
 from .errors import (
     ChartMismatchError,
@@ -114,11 +113,7 @@ def promote_form(omega: DifferentialForm, cc: ContactChart) -> DifferentialForm:
     """Pull a base form back along the projection (append the t variable)."""
     if omega.chart != cc.base:
         raise ChartMismatchError("form does not live on the base chart")
-    terms = {}
-    for key, coeff in omega.terms.items():
-        if isinstance(coeff, PolyCoefficient):
-            coeff = coeff.pad(cc.chart.ring.nvars)
-        terms[key] = coeff
+    terms = {key: coeff.pad(cc.chart.ring.nvars) for key, coeff in omega.terms.items()}
     return DifferentialForm(cc.chart, omega.degree, terms, validated=True)
 
 
@@ -133,11 +128,9 @@ def restrict_form(omega: DifferentialForm, cs: CsChart) -> DifferentialForm:
         raise ReebInvarianceError("form has a transversal component")
     terms = {}
     for key, coeff in omega.terms.items():
-        if isinstance(coeff, PolyCoefficient):
-            if any(exp[-1] for exp in coeff.terms):
-                raise ReebInvarianceError("form depends on the transversal coordinate")
-            coeff = coeff.restrict(cs.chart.ring.nvars)
-        terms[key] = coeff
+        if any(exp[-1] for exp in coeff.terms):
+            raise ReebInvarianceError("form depends on the transversal coordinate")
+        terms[key] = coeff.restrict(cs.chart.ring.nvars)
     return DifferentialForm(cs.chart, omega.degree, terms, validated=True)
 
 

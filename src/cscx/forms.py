@@ -32,6 +32,7 @@ from .coefficients import (
     Ring,
     coefficient_from_json,
     coefficient_to_json,
+    json_int,
 )
 from .errors import (
     ChartMismatchError,
@@ -39,6 +40,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidAxisError,
     ReebInvarianceError,
+    RingMismatchError,
     UnsupportedRingOperationError,
 )
 
@@ -49,10 +51,10 @@ MultiIndex = tuple[int, ...]
 class Chart:
     """An ordered coordinate chart with a coefficient ring and weights.
 
-    ``t_axis`` marks the transversal coordinate of a contact chart (always
-    the last axis); cs charts have none.  In the trig ring the transversal
-    coordinate has no ring variable: sections are invariant along it, and
-    its formal derivative is zero.
+    Ring variable i is coordinate axis i.  ``t_axis`` marks the transversal
+    coordinate of a contact chart (always the last axis); cs charts have
+    none.  The Fourier ring lives only on the torus cs chart: T^{2n} has no
+    global contact form, so contact charts carry the poly ring.
     """
 
     coords: tuple[str, ...]
@@ -65,12 +67,9 @@ class Chart:
             raise InvalidAxisError("one weight per coordinate required")
         if self.t_axis is not None and self.t_axis != len(self.coords) - 1:
             raise InvalidAxisError("the transversal coordinate must come last")
-        expected = len(self.coords)
-        if self.t_axis is not None and self.ring.kind == "trig":
-            expected -= 1
-        if self.ring.nvars != expected:
+        if self.ring.nvars != len(self.coords):
             raise InvalidAxisError(
-                f"ring has {self.ring.nvars} variables, chart needs {expected}"
+                f"ring has {self.ring.nvars} variables, chart needs {len(self.coords)}"
             )
 
     @property
@@ -80,20 +79,6 @@ class Chart:
     @property
     def base_axes(self) -> tuple[int, ...]:
         return tuple(a for a in range(self.dim) if a != self.t_axis)
-
-    def axis_var(self, axis: int) -> int | None:
-        """Ring variable carrying the given coordinate axis, if any."""
-        if not 0 <= axis < self.dim:
-            raise InvalidAxisError(f"axis {axis} out of range")
-        if axis == self.t_axis and self.ring.kind == "trig":
-            return None
-        return axis
-
-    def var_weights(self) -> tuple[int, ...]:
-        """Weights of the ring variables, in ring order."""
-        return tuple(
-            self.weights[a] for a in range(self.dim) if self.axis_var(a) is not None
-        )
 
     def zero_coeff(self) -> Coefficient:
         return self.ring.zero()
@@ -105,12 +90,7 @@ class Chart:
         return self.ring.const(value)
 
     def coord_coeff(self, axis: int) -> Coefficient:
-        var = self.axis_var(axis)
-        if var is None:
-            raise UnsupportedRingOperationError(
-                "the transversal coordinate is not a trig ring element"
-            )
-        return self.ring.var(var)
+        return self.ring.var(axis)
 
 
 def affine_cs_chart(n: int) -> Chart:
@@ -130,15 +110,12 @@ def torus_cs_chart(n: int) -> Chart:
 
 
 def contact_chart_over(base: Chart) -> Chart:
-    """Extend a cs chart by the transversal coordinate t (weight 2)."""
+    """Extend a polynomial cs chart by the transversal coordinate t (weight 2)."""
     from .coefficients import poly_ring
 
-    ring = base.ring
-    if ring.kind == "poly":
-        ring = poly_ring(ring.nvars + 1)
     return Chart(
         coords=base.coords + ("t",),
-        ring=ring,
+        ring=poly_ring(base.ring.nvars + 1),
         weights=base.weights + (2,),
         t_axis=len(base.coords),
     )
@@ -369,10 +346,7 @@ def _derivative_over_axes(omega: DifferentialForm, axes: Iterable[int]) -> Diffe
     out: dict[MultiIndex, Coefficient] = {}
     for key, coeff in omega.terms.items():
         for axis in axes:
-            var = chart.axis_var(axis)
-            if var is None:
-                continue
-            df = coeff.partial(var)
+            df = coeff.partial(axis)
             if df.is_zero():
                 continue
             merged = merge_wedge((axis,), key)
@@ -389,12 +363,9 @@ def t_derivative(omega: DifferentialForm, scale: Fraction = Fraction(1)) -> Diff
     chart = omega.chart
     if chart.t_axis is None:
         raise InvalidAxisError("chart has no transversal coordinate")
-    var = chart.axis_var(chart.t_axis)
-    if var is None:
-        return zero_form(chart, omega.degree)
     out = {}
     for key, coeff in omega.terms.items():
-        df = coeff.partial(var).scale(scale)
+        df = coeff.partial(chart.t_axis).scale(scale)
         if not df.is_zero():
             out[key] = df
     return DifferentialForm(chart, omega.degree, out, validated=True)
@@ -453,23 +424,19 @@ def bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:
     chart = X.chart
     out: dict[MultiIndex, Coefficient] = {}
     for (b,), xb in X.terms.items():
-        var = chart.axis_var(b)
         for (a,), ya in Y.terms.items():
-            if var is not None:
-                dya = ya.partial(var)
-                if not dya.is_zero():
-                    key = (a,)
-                    piece = xb * dya
-                    out[key] = out[key] + piece if key in out else piece
+            dya = ya.partial(b)
+            if not dya.is_zero():
+                key = (a,)
+                piece = xb * dya
+                out[key] = out[key] + piece if key in out else piece
     for (b,), yb in Y.terms.items():
-        var = chart.axis_var(b)
         for (a,), xa in X.terms.items():
-            if var is not None:
-                dxa = xa.partial(var)
-                if not dxa.is_zero():
-                    key = (a,)
-                    piece = -(yb * dxa)
-                    out[key] = out[key] + piece if key in out else piece
+            dxa = xa.partial(b)
+            if not dxa.is_zero():
+                key = (a,)
+                piece = -(yb * dxa)
+                out[key] = out[key] + piece if key in out else piece
     return PolyVectorField(chart, 1, out, validated=True)
 
 
@@ -514,11 +481,10 @@ def weight_split(omega: DifferentialForm) -> dict[int, DifferentialForm]:
     """Split a poly-ring form into total-weight homogeneous parts."""
     if omega.chart.ring.kind != "poly":
         raise UnsupportedRingOperationError("weight grading applies to the poly ring")
-    var_weights = omega.chart.var_weights()
     buckets: dict[int, dict[MultiIndex, Coefficient]] = {}
     for key, coeff in omega.terms.items():
         base = weight_of_key(omega.chart, key)
-        for w, part in coeff.weight_split(var_weights).items():
+        for w, part in coeff.weight_split(omega.chart.weights).items():
             buckets.setdefault(base + w, {})[key] = part
     return {
         w: DifferentialForm(omega.chart, omega.degree, terms, validated=True)
@@ -610,9 +576,15 @@ def form_to_json(omega: DifferentialForm) -> dict:
 
 
 def form_from_json(obj: dict, chart: Chart) -> DifferentialForm:
-    degree = int(obj["degree"])
+    degree = json_int(obj["degree"], "form degree", DegreeError)
     terms = {}
     for item in obj.get("terms", []):
-        key = tuple(int(a) for a in item["idx"])
-        terms[key] = coefficient_from_json(item["coef"], nvars=chart.ring.nvars)
+        key = tuple(json_int(a, "form index entry", InvalidAxisError) for a in item["idx"])
+        coeff = coefficient_from_json(item["coef"], nvars=chart.ring.nvars)
+        if (coeff.kind, coeff.nvars) != (chart.ring.kind, chart.ring.nvars):
+            raise RingMismatchError(
+                f"coefficient at {list(key)} is not in the chart's {chart.ring.kind} ring "
+                f"in {chart.ring.nvars} variables"
+            )
+        terms[key] = coeff
     return DifferentialForm(chart, degree, terms)

@@ -2,10 +2,11 @@
 
 Everything in scope is weight-homogeneous (poly ring, with the transversal
 coordinate and any line-bundle twist counting twice) or Fourier-mode
-homogeneous (trig ring, where modes are grouped into real {k, -k} orbits so
-all matrices stay over the rationals).  A ``Truncation`` fixes the list of
-grading blocks; a ``GradedSpace`` enumerates an exact basis of a section
-space per block and converts between forms and coordinate vectors.
+homogeneous (trig ring, one block per real mode orbit {k, -k}, spanned by
+cos and sin of that mode).  A ``Truncation`` fixes the list of grading
+blocks; a ``GradedSpace`` enumerates an exact basis of a section space per
+block and converts between forms and coordinate vectors (a trig term
+``(kind, mode)`` is its own monomial label).
 
 The fiberwise symplectic linear algebra (wedge by the structure two-form,
 insertion of its inverse bivector, primitive subspaces, the primitive
@@ -29,8 +30,6 @@ from .coefficients import (
     PolyCoefficient,
     TrigCoefficient,
     canonical_mode,
-    trig_cos,
-    trig_sin,
 )
 from .errors import (
     ConfigError,
@@ -553,7 +552,7 @@ class GradedSpace:
             if self.chart.ring.kind != "poly":
                 raise UnsupportedRingOperationError("weight blocks need the poly ring")
             target = block[1] - self.degree - self.weight_offset
-            return [("p", e) for e in monomials_of_weight(self.chart.var_weights(), target)]
+            return [("p", e) for e in monomials_of_weight(self.chart.weights, target)]
         mode = block[1]
         if self.chart.ring.kind != "trig":
             raise UnsupportedRingOperationError("mode blocks need the trig ring")
@@ -571,12 +570,9 @@ class GradedSpace:
         return SectionBasis(key=self.key + (truncation.kind,), labels=tuple(labels))
 
     def _mono_coefficient(self, mono: tuple) -> Coefficient:
-        kind = mono[0]
-        if kind == "p":
+        if mono[0] == "p":
             return PolyCoefficient(self.chart.ring.nvars, {mono[1]: Fraction(1)})
-        if kind == "c":
-            return trig_cos(self.chart.ring, mono[1])
-        return trig_sin(self.chart.ring, mono[1])
+        return TrigCoefficient(self.chart.ring.nvars, {mono: Fraction(1)})
 
     def element(self, label: tuple) -> DifferentialForm:
         (_, (j, mono)) = label
@@ -596,38 +592,16 @@ class GradedSpace:
         """Split one coefficient into {block: {mono_label: scalar}} pieces."""
         out: dict[Block, dict[tuple, Fraction]] = {}
         if isinstance(coeff, PolyCoefficient):
-            weights = self.chart.var_weights()
+            weights = self.chart.weights
             for exp, q in coeff.terms.items():
                 w = self.degree + self.weight_offset + sum(
                     e * wt for e, wt in zip(exp, weights)
                 )
                 out.setdefault(("w", w), {})[("p", exp)] = q
         elif isinstance(coeff, TrigCoefficient):
-            for mode, part in coeff.mode_split().items():
-                coeffs: dict[tuple, Fraction] = {}
-                if not any(mode):
-                    c0 = part.terms.get(mode)
-                    if c0 is not None:
-                        if c0.im != 0:
-                            raise InternalConsistencyError("nonreal constant mode")
-                        coeffs[("c", mode)] = c0.re
-                else:
-                    mirror = tuple(-x for x in mode)
-                    c = part.terms.get(mode)
-                    if c is None:
-                        c = part.terms[mirror].conj()
-                    elif part.terms.get(mirror) != c.conj():
-                        raise InternalConsistencyError(
-                            f"section is not real at mode {mode}"
-                        )
-                    a = 2 * c.re
-                    b = -2 * c.im
-                    if a:
-                        coeffs[("c", mode)] = a
-                    if b:
-                        coeffs[("s", mode)] = b
-                if coeffs:
-                    out[("m", mode)] = coeffs
+            # a trig term (kind, mode) is its own monomial label
+            for label, q in coeff.terms.items():
+                out.setdefault(("m", label[1]), {})[label] = q
         else:
             raise UnsupportedRingOperationError("unknown coefficient type")
         return out

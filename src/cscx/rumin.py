@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Callable
 
 from .contact import ContactChart, HForm
@@ -307,10 +308,9 @@ def operator_order(struct: TwoStepStructure, k: int) -> int:
     order = 0
     for length in range(1, _MAX_ORDER + 1):
         nonzero = False
-        words = _coordinate_words(coords, length)
         # words of maximal length are probed on the lowest block only
         pool = probes if length < _MAX_ORDER else probes[: space.fiber_dim]
-        for word in words:
+        for word in combinations_with_replacement(coords, length):
             for e in pool:
                 if not commutator_word(op, list(word), e).is_zero():
                     nonzero = True
@@ -320,20 +320,6 @@ def operator_order(struct: TwoStepStructure, k: int) -> int:
         if nonzero:
             order = length
     return order
-
-
-def _coordinate_words(coords: list, length: int) -> list[tuple]:
-    words: list[tuple] = []
-
-    def rec(prefix: tuple, start: int) -> None:
-        if len(prefix) == length:
-            words.append(prefix)
-            return
-        for i in range(start, len(coords)):
-            rec(prefix + (coords[i],), i)
-
-    rec((), 0)
-    return words
 
 
 # -- transporting classes along a lifted substitution ----------------------------

@@ -6,10 +6,10 @@ import random
 from fractions import Fraction
 
 from cscx.coefficients import (
-    GaussianRational,
     PolyCoefficient,
     Ring,
     TrigCoefficient,
+    coefficient_from_json,
 )
 from cscx.forms import Chart, DifferentialForm
 from cscx.grading import multi_indices
@@ -31,15 +31,35 @@ def random_poly(ring: Ring, r: random.Random, terms: int = 3, max_exp: int = 2) 
     return PolyCoefficient(ring.nvars, out)
 
 
+def trig_from_exponentials(nvars: int, draws) -> TrigCoefficient:
+    """The real sum of c e^{ik.theta} + conj(c) e^{-ik.theta} over draws (k, re c, im c).
+
+    Built through the JSON boundary, which stores the complex coefficients.
+    """
+    out: dict[tuple[int, ...], list[Fraction]] = {}
+    for freq, re, im in draws:
+        mirror = tuple(-f for f in freq)
+        for key, sign in ((freq, 1), (mirror, -1)):
+            acc = out.setdefault(key, [Fraction(0), Fraction(0)])
+            acc[0] += re
+            acc[1] += sign * im
+    terms = [
+        {"freq": list(key), "re": _frac_json(re), "im": _frac_json(im)}
+        for key, (re, im) in out.items()
+    ]
+    return coefficient_from_json({"ring": "trig", "nvars": nvars, "terms": terms})
+
+
+def _frac_json(q: Fraction) -> dict:
+    return {"num": str(q.numerator), "den": str(q.denominator)}
+
+
 def random_trig(ring: Ring, r: random.Random, terms: int = 2, max_freq: int = 2) -> TrigCoefficient:
-    out: dict[tuple[int, ...], GaussianRational] = {}
+    draws = []
     for _ in range(terms):
         freq = tuple(r.randint(-max_freq, max_freq) if r.random() < 0.5 else 0 for _ in range(ring.nvars))
-        coeff = GaussianRational(random_fraction(r), random_fraction(r))
-        mirror = tuple(-f for f in freq)
-        out[freq] = out.get(freq, GaussianRational()) + coeff
-        out[mirror] = out.get(mirror, GaussianRational()) + coeff.conj()
-    return TrigCoefficient(ring.nvars, out)
+        draws.append((freq, random_fraction(r), random_fraction(r)))
+    return trig_from_exponentials(ring.nvars, draws)
 
 
 def random_coefficient(ring: Ring, r: random.Random, terms: int = 3):

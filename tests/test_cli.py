@@ -93,6 +93,7 @@ class TestChartValidate:
         assert result.exit_code == 2
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("invalid chart")
+        return lines[0]
 
     def test_top_level_array_exit_2(self, runner, tmp_path):
         path = tmp_path / "array.json"
@@ -105,6 +106,47 @@ class TestChartValidate:
         path = tmp_path / "zero-den.json"
         path.write_text(json.dumps(payload))
         self._assert_one_line_exit_2(runner, path)
+
+    @pytest.mark.parametrize(
+        "path, value, reason",
+        [
+            (("n",), 2.9, "n must be a JSON integer"),
+            (("n",), "2", "n must be a JSON integer"),
+            (("n",), True, "n must be a JSON integer"),
+            (("beta", "terms", 0, "idx"), [1.0], "index entry must be a JSON integer"),
+            (("beta", "degree"), 1.7, "degree must be a JSON integer"),
+            (("beta", "terms", 0, "coef", "nvars"), 4.0, "nvars must be a JSON integer"),
+            (("beta", "terms", 0, "coef", "terms", 0, "num"), 1.5, "not integer strings"),
+            (("ring",), "banana", "ring must be 'poly' or 'trig'"),
+            (("ring",), "trig", "the torus has no global contact form"),
+            (
+                ("beta", "terms", 0, "coef"),
+                {"ring": "poly", "nvars": 5, "terms": [{"exp": [1, 0, 0, 0, 0], "num": "1", "den": "1"}]},
+                "not in the chart's poly ring",
+            ),
+        ],
+        ids=[
+            "n-float", "n-string", "n-bool", "index-float", "degree-float", "nvars-float",
+            "num-float", "ring-unknown", "ring-trig-contact", "coefficient-ring-mismatch",
+        ],
+    )
+    def test_malformed_field_exit_2(self, runner, tmp_path, path, value, reason):
+        payload = json.loads(json.dumps(GOOD_BETA))
+        target = payload
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        chart_file = tmp_path / "field.json"
+        chart_file.write_text(json.dumps(payload))
+        assert reason in self._assert_one_line_exit_2(runner, chart_file)
+
+    @pytest.mark.parametrize(
+        "model, ring", [("cs", "trig"), ("cs-affine", "trig"), ("torus", "poly")]
+    )
+    def test_model_ring_mismatch_exit_2(self, runner, tmp_path, model, ring):
+        path = tmp_path / "cs.json"
+        path.write_text(json.dumps({"model": model, "n": 2, "ring": ring}))
+        assert "model needs ring" in self._assert_one_line_exit_2(runner, path)
 
     @pytest.mark.parametrize("power", [-1, 0.5], ids=["negative", "fractional"])
     def test_non_polynomial_exponent_exit_2(self, runner, tmp_path, power):
@@ -235,6 +277,23 @@ class TestCliCommands:
     )
     def test_bad_modes_exit_2_with_one_line(self, runner, command, modes):
         result = runner.invoke(main, command + ["--model", "torus", "--n", "2"] + modes)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rs", "build", "--model", "affine", "--max-weight", "1", "--sample-modes", "3"],
+            ["cohomology", "--model", "torus", "--max-weight", "6"],
+            ["les", "--model", "affine", "--max-weight", "1", "--modes", "5",
+             "--sample-modes", "4", "--seed", "9"],
+        ],
+        ids=["rs-build-affine-samples", "cohomology-torus-weight", "les-affine-mode-flags"],
+    )
+    def test_flag_foreign_to_model_exit_2_with_one_line(self, runner, argv):
+        result = runner.invoke(main, argv)
         assert result.exit_code == 2, result.output
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")

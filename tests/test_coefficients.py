@@ -5,9 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cscx.coefficients import (
-    GaussianRational,
     PolyCoefficient,
-    TrigCoefficient,
     coefficient_from_json,
     coefficient_to_json,
     evaluate,
@@ -24,7 +22,7 @@ from cscx.errors import (
     UnsupportedRingOperationError,
 )
 
-from helpers import random_poly, random_trig, rng
+from helpers import random_poly, random_trig, rng, trig_from_exponentials
 
 POLY = poly_ring(4)
 TRIG = trig_ring(4)
@@ -50,13 +48,7 @@ def trigs(draw):
             max_size=3,
         )
     )
-    out: dict = {}
-    for freq, re, im in pairs:
-        c = GaussianRational(re, im)
-        mirror = tuple(-f for f in freq)
-        out[freq] = out.get(freq, GaussianRational()) + c
-        out[mirror] = out.get(mirror, GaussianRational()) + c.conj()
-    return TrigCoefficient(4, out)
+    return trig_from_exponentials(4, pairs)
 
 
 class TestRingAxioms:
@@ -83,12 +75,18 @@ class TestRingAxioms:
         y1 = POLY.var(1)
         assert (x1 * y1).terms == {(1, 1, 0, 0): Fraction(1)}
 
-    def test_inverse_frequencies_cancel(self):
-        from cscx.coefficients import trig_mode
+    @pytest.mark.parametrize("mode", [(1, 0, 0, 0), (1, -2, 0, 1), (0, 0, 2, -1)])
+    def test_cos_squared_plus_sin_squared(self, mode):
+        c, s = trig_cos(TRIG, mode), trig_sin(TRIG, mode)
+        assert c * c + s * s == TRIG.one()
 
-        up = trig_mode(TRIG, (1, 0, 0, 0))
-        down = trig_mode(TRIG, (-1, 0, 0, 0))
-        assert (up * down) == TRIG.one()
+    def test_sin_times_cos(self):
+        # sin a cos b = (sin(a + b) + sin(a - b)) / 2, with sin(-m) = -sin(m)
+        a, b = (1, 0, 0, 0), (1, 1, 0, 0)
+        product = trig_sin(TRIG, a) * trig_cos(TRIG, b)
+        expected = (trig_sin(TRIG, (2, 1, 0, 0)) - trig_sin(TRIG, (0, 1, 0, 0))).scale(Fraction(1, 2))
+        assert product == expected
+        assert trig_sin(TRIG, (0, -1, 0, 0)) == -trig_sin(TRIG, (0, 1, 0, 0))
 
 
 class TestDerivative:
@@ -134,14 +132,6 @@ class TestDerivative:
     def test_mixed_partials_commute_trig(self, f, i, j):
         assert f.partial(i).partial(j) == f.partial(j).partial(i)
 
-    def test_reality_preserved(self):
-        r = rng("reality")
-        for _ in range(100):
-            f = random_trig(TRIG, r)
-            g = random_trig(TRIG, r)
-            assert (f * g).is_real()
-            assert f.partial(r.randrange(4)).is_real()
-
     def test_invalid_axis(self):
         with pytest.raises(InvalidAxisError):
             POLY.one().partial(9)
@@ -179,8 +169,22 @@ class TestMismatch:
             ring_multiply(POLY.one(), poly_ring(3).one())
 
     def test_reality_enforced_at_construction(self):
+        # e^{i x1} alone is not real: its mirror e^{-i x1} is missing
+        one = {"num": "1", "den": "1"}
+        zero = {"num": "0", "den": "1"}
+        payload = {"ring": "trig", "nvars": 4, "terms": [{"freq": [1, 0, 0, 0], "re": one, "im": zero}]}
         with pytest.raises(RingMismatchError):
-            TrigCoefficient(4, {(1, 0, 0, 0): GaussianRational(Fraction(1))})
+            coefficient_from_json(payload)
+
+    @pytest.mark.parametrize(
+        "freq", [[1.0, 0, 0, 0], [1, 0, 0], ["1", 0, 0, 0], [True, 0, 0, 0]],
+        ids=["float", "short", "string", "bool"],
+    )
+    def test_non_integer_frequency_rejected(self, freq):
+        zero = {"num": "0", "den": "1"}
+        payload = {"ring": "trig", "nvars": 4, "terms": [{"freq": freq, "re": zero, "im": zero}]}
+        with pytest.raises(RingMismatchError):
+            coefficient_from_json(payload)
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from cscx.coefficients import trig_cos, trig_sin
 from cscx.contact import (
     contactify,
     d_alpha_on_frame,
@@ -26,6 +27,7 @@ from cscx.forms import (
     exterior_derivative,
     function_form,
     interior_product,
+    torus_cs_chart,
     wedge,
     zero_form,
 )
@@ -171,6 +173,14 @@ class TestContactify:
         for beta in (squared, shifted):
             with pytest.raises(CsPotentialError, match="not a cs potential"):
                 contactify(2, beta)
+
+    def test_torus_base_rejected(self):
+        # a Fourier potential has exact d(beta), so (d beta)^2 integrates to zero
+        base = torus_cs_chart(2)
+        beta = basis_form(base, (1,)).times(trig_sin(base.ring, (1, 0, 0, 0)))
+        beta = beta + basis_form(base, (3,)).times(trig_cos(base.ring, (0, 1, 1, 0)))
+        with pytest.raises(CsPotentialError, match="no contact chart over the torus"):
+            contactify(2, beta)
 
     def test_zero_transversal_scale_rejected(self):
         base, beta = _standard_beta(2)
