@@ -121,12 +121,13 @@ def sparse_rank(entries: Entries, nrows: int, ncols: int) -> int:
         if v:
             rows.setdefault(r, {})[c] = v
     work = {r: _int_normalize(row) for r, row in rows.items() if row}
+    # nonzeros per column over the remaining rows, kept up to date row by row
+    col_count: dict[int, int] = {}
+    for row in work.values():
+        for c in row:
+            col_count[c] = col_count.get(c, 0) + 1
     rank = 0
     while work:
-        col_count: dict[int, int] = {}
-        for row in work.values():
-            for c in row:
-                col_count[c] = col_count.get(c, 0) + 1
         best = None
         for r, row in work.items():
             r_nnz = len(row)
@@ -137,12 +138,16 @@ def sparse_rank(entries: Entries, nrows: int, ncols: int) -> int:
                     best = key
         _, pc, pr = best
         pivot_row = work.pop(pr)
+        for c in pivot_row:
+            col_count[c] -= 1
         pivot = pivot_row[pc]
         rank += 1
         dead = []
         for r, row in work.items():
             if pc not in row:
                 continue
+            for c in row:
+                col_count[c] -= 1
             factor = row.pop(pc)
             # fraction-free update: row := pivot * row - factor * pivot_row
             new_row = {c: v * pivot for c, v in row.items()}
@@ -154,8 +159,11 @@ def sparse_rank(entries: Entries, nrows: int, ncols: int) -> int:
                     new_row[c] = nv
                 elif c in new_row:
                     del new_row[c]
-            work[r] = _content_reduce(new_row)
-            if not work[r]:
+            reduced = _content_reduce(new_row)
+            for c in reduced:
+                col_count[c] += 1
+            work[r] = reduced
+            if not reduced:
                 dead.append(r)
         for r in dead:
             del work[r]

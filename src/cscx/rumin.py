@@ -284,16 +284,52 @@ _MAX_ORDER = 3
 _PROBE_EXTRA_WEIGHT = 1
 
 
+class _WordValues:
+    """Memoized commutator words ``W(j, m, word)`` of one ``operator_order`` call."""
+
+    def __init__(self, struct: TwoStepStructure, k: int):
+        self.struct = struct
+        self.k = k
+        self.space = struct.class_space(k)
+        self.coords = [struct.chart.coord_coeff(a) for a in range(struct.chart.dim)]
+        self._memo: dict[tuple, DifferentialForm] = {}
+
+    def __call__(self, j: int, exp: tuple[int, ...], word: tuple[int, ...]) -> DifferentialForm:
+        key = (j, exp, word)
+        value = self._memo.get(key)
+        if value is None:
+            if not word:
+                value = rumin_apply(self.struct, self.k, self.space.element((None, (j, ("p", exp)))))
+            else:
+                a, rest = word[0], word[1:]
+                shifted = exp[:a] + (exp[a] + 1,) + exp[a + 1 :]
+                value = self(j, shifted, rest) - self(j, exp, rest).times(self.coords[a])
+            self._memo[key] = value
+        return value
+
+
 def operator_order(struct: TwoStepStructure, k: int) -> int:
     """Measured differential order of the degree-k operator on probe sections.
 
     Probes every class-space basis element of the lowest weight blocks
     against all coordinate words up to length ``_MAX_ORDER``; the order is
     the longest word length with a nonvanishing commutator.
+
+    A probe ``m.v_j`` (monomial m, primitive fiber vector v_j) stays a class
+    basis element under multiplication by a coordinate, with label
+    ``(j, x_a.m)``, so the commutator words obey the exact recurrence
+
+        W(j, m, (a,) + w) = W(j, x_a.m, w) - x_a.W(j, m, w),
+        W(j, m, ())       = rumin_apply(struct, k, m.v_j).
+
+    The values are memoized under ``(j, exponent of m, word)`` for this call
+    only, so ``rumin_apply`` runs once per distinct ``(j, m)``.
+    ``commutator_word`` is the definition they must equal.
     """
     if struct.chart.ring.kind != "poly":
         raise DegreeError("the order test multiplies by coordinates (poly ring only)")
-    space = struct.class_space(k)
+    values = _WordValues(struct, k)
+    space = values.space
     degree, offset = struct.class_degree(k)
     base_weight = degree + offset
     blocks = [("w", base_weight + extra) for extra in range(_PROBE_EXTRA_WEIGHT + 1)]
@@ -301,18 +337,16 @@ def operator_order(struct: TwoStepStructure, k: int) -> int:
     for block in blocks:
         for j in range(space.fiber_dim):
             for mono in space._mono_labels(block):
-                probes.append(space.element((block, (j, mono))))
-    coords = [struct.chart.coord_coeff(a) for a in range(struct.chart.dim)]
-    op = lambda form: rumin_apply(struct, k, form)  # noqa: E731
+                probes.append((j, mono[1]))
 
     order = 0
     for length in range(1, _MAX_ORDER + 1):
         nonzero = False
         # words of maximal length are probed on the lowest block only
         pool = probes if length < _MAX_ORDER else probes[: space.fiber_dim]
-        for word in combinations_with_replacement(coords, length):
-            for e in pool:
-                if not commutator_word(op, list(word), e).is_zero():
+        for word in combinations_with_replacement(range(struct.chart.dim), length):
+            for j, exp in pool:
+                if not values(j, exp, word).is_zero():
                     nonzero = True
                     break
             if nonzero:

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -307,3 +312,34 @@ class TestCliCommands:
     def test_modular_flag_is_gone(self, runner, command):
         result = runner.invoke(main, command + ["--modular"])
         assert result.exit_code == 2
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestSizeGuard:
+    """An n whose fiber calculus is out of reach exits 2 at once, before any build."""
+
+    def _run_cli(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        start = time.monotonic()
+        result = subprocess.run(
+            [sys.executable, "-m", "cscx.cli"] + argv,
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        elapsed = time.monotonic() - start
+        assert result.returncode == 2, result.stderr
+        assert elapsed < 2, f"took {elapsed:.1f} s"
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and "C(80, 40)" in lines[0]
+        return lines[0]
+
+    def test_torus_chart_file_n40_exit_2(self, tmp_path):
+        path = tmp_path / "torus40.json"
+        path.write_text(json.dumps({"model": "torus", "n": 40}))
+        assert self._run_cli(["chart", "validate", str(path)]).startswith("invalid chart")
+
+    def test_affine_cohomology_n40_exit_2(self):
+        argv = ["cohomology", "--model", "affine", "--n", "40", "--max-weight", "0"]
+        assert self._run_cli(argv).startswith("error: ")

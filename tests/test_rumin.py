@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cscx import rumin
 from cscx.contact import HForm, lift_construction, standard_contact_chart
 from cscx.errors import DegreeError, NonPrimitiveError
 from cscx.forms import basis_form, function_form, zero_form
@@ -130,6 +131,51 @@ class TestOrders:
         assert not double.is_zero()
         for triple in ([x1, y1, x1], [x1, y1, y1], [y1, y1, y1]):
             assert commutator_word(op, triple, e).is_zero()
+
+
+class TestMemoizedOrders:
+    """operator_order evaluates commutator words from memoized probe values."""
+
+    def _record_words(self, monkeypatch, struct, k):
+        seen = {}
+        evaluate = rumin._WordValues.__call__
+
+        def recording(values, j, exp, word):
+            seen[(j, exp, word)] = evaluate(values, j, exp, word)
+            return seen[(j, exp, word)]
+
+        monkeypatch.setattr(rumin._WordValues, "__call__", recording)
+        operator_order(struct, k)
+        return seen
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_memo_matches_commutator_word(self, monkeypatch, contact2, k):
+        struct = contact_two_step(contact2)
+        seen = self._record_words(monkeypatch, struct, k)
+        assert any(len(word) == 3 for _, _, word in seen)
+        space = struct.class_space(k)
+        coords = [contact2.chart.coord_coeff(a) for a in range(contact2.chart.dim)]
+        op = lambda form: rumin_apply(struct, k, form)  # noqa: E731
+        for (j, exp, word), value in seen.items():
+            e = space.element((None, (j, ("p", exp))))
+            assert value == commutator_word(op, [coords[a] for a in word], e)
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_one_apply_per_probe_label(self, monkeypatch, contact2, k):
+        struct = contact_two_step(contact2)
+        payloads = []
+        apply = rumin.rumin_apply
+
+        def counting(struct_arg, degree, payload):
+            payloads.append(payload)
+            return apply(struct_arg, degree, payload)
+
+        monkeypatch.setattr(rumin, "rumin_apply", counting)
+        operator_order(struct, k)
+        # distinct class basis elements are distinct forms, so a repeated
+        # payload is a repeated (j, monomial) label
+        assert payloads
+        assert len(payloads) == len(set(payloads))
 
 
 class TestNaturality:
