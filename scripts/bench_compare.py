@@ -2,22 +2,24 @@
 """Compare two cscx checkouts on the benchmark, in alternating pairs.
 
     python3 scripts/bench_compare.py --parent ../parent --change . \\
-        --claim contact-verify --seeds 1,2 --pairs 10 --other-pairs 3 \\
-        --seconds 20 --out BENCH_orders.json
+        --claim contact-verify --out BENCH_orders.json
 
 Each run is ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` inside one checkout; the last line of its output is parsed.
+--trace 0`` inside one checkout, with T the ``run_seconds`` of
+BENCHMARK.json; the last line of its output is parsed.  Every workload
+gets ten pairs, the claimed one on seeds 1 and 2 and the others on seed 1.
 Pair i runs the parent first when i is even and the change first when it
-is odd.  The claimed workload gets ``--pairs`` pairs on every seed, every
-other workload ``--other-pairs`` pairs on the first seed, and each side
-gets one traced run of all workloads (``--workload all --trace 1``).
+is odd.  Each side then gets one traced run of all workloads
+(``--workload all --trace 1``).
 
 For every end-to-end metric the output holds both sides' runs, medians
 and quartiles, the change's wins and ties, and its relative change of the
-median against the bound declared in BENCHMARK.json.  On the claimed
-workload ``gain`` applies the rule for claiming a gain: the change wins at
-least nine tenths of the pairs and the medians differ by more than the
-parent's interquartile spread.  Uses the standard library only.
+median against the bound declared in BENCHMARK.json.  ``verdict`` is
+``better`` or ``worse`` when the medians differ by more than the parent's
+interquartile spread and ``unresolved`` otherwise: the runs cannot tell
+such a metric apart from noise.  On the claimed workload ``gain`` applies
+the rule for claiming a gain: the change wins at least nine tenths of the
+pairs and the verdict is ``better``.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+PAIRS = 10
+CLAIM_SEEDS = (1, 2)
 
 
 def run_bench(checkout: Path, args: list[str]) -> dict:
@@ -59,8 +64,6 @@ def cpu_model() -> str:
 
 
 def quartiles(values: list[float]) -> dict:
-    if len(values) == 1:
-        return {"q1": values[0], "median": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
 
@@ -76,6 +79,12 @@ def summarize(pairs: list[dict], spec: dict, claimed: bool) -> dict:
         ties = sum(c == p for p, c in zip(parent, change))
         stats_p, stats_c = quartiles(parent), quartiles(change)
         rel = (stats_c["median"] - stats_p["median"]) / stats_p["median"]
+        spread = stats_p["q3"] - stats_p["q1"]
+        gap = stats_c["median"] - stats_p["median"]
+        if abs(gap) <= spread:
+            verdict = "unresolved"
+        else:
+            verdict = "better" if sign * gap < 0 else "worse"
         row = {
             "unit": metric["unit"],
             "parent": {"runs": parent, **stats_p},
@@ -86,21 +95,19 @@ def summarize(pairs: list[dict], spec: dict, claimed: bool) -> dict:
             "median_rel_change": rel,
             "bound": metric["bound"],
             "within_bound": sign * rel <= metric["bound"],
+            "parent_spread": spread,
+            "verdict": verdict,
         }
         if claimed:
-            spread = stats_p["q3"] - stats_p["q1"]
-            row["gain"] = (
-                wins >= 0.9 * len(pairs)
-                and sign * (stats_p["median"] - stats_c["median"]) > spread
-            )
+            row["gain"] = wins >= 0.9 * len(pairs) and verdict == "better"
         out[name] = row
     return out
 
 
-def pairs_for(parent: Path, change: Path, workload: str, seed: int, seconds: float, count: int) -> list[dict]:
+def pairs_for(parent: Path, change: Path, workload: str, seed: int, seconds: float) -> list[dict]:
     args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     pairs = []
-    for i in range(count):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"first": order[0]}
         for side in order:
@@ -118,31 +125,27 @@ def main() -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--claim", required=True, help="workload whose verdict_s gain is claimed")
-    parser.add_argument("--seeds", default="1,2")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--other-pairs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
     claimed = {}
-    for seed in seeds:
-        pairs = pairs_for(args.parent, args.change, args.claim, seed, args.seconds, args.pairs)
+    for seed in CLAIM_SEEDS:
+        pairs = pairs_for(args.parent, args.change, args.claim, seed, seconds)
         claimed[str(seed)] = {"summary": summarize(pairs, spec, True), "runs": pairs}
     others = {}
     for workload in workloads:
         if workload == args.claim:
             continue
-        pairs = pairs_for(args.parent, args.change, workload, seeds[0], args.seconds, args.other_pairs)
-        others[workload] = {"seed": seeds[0], "summary": summarize(pairs, spec, False), "runs": pairs}
+        pairs = pairs_for(args.parent, args.change, workload, CLAIM_SEEDS[0], seconds)
+        others[workload] = {"seed": CLAIM_SEEDS[0], "summary": summarize(pairs, spec, False), "runs": pairs}
     traced = {}
     for side, checkout in (("parent", args.parent), ("change", args.change)):
-        traced[side] = run_bench(checkout, ["--workload", "all", "--seed", str(seeds[0]),
-                                            "--seconds", str(args.seconds), "--trace", "1"])
+        traced[side] = run_bench(checkout, ["--workload", "all", "--seed", str(CLAIM_SEEDS[0]),
+                                            "--seconds", str(seconds), "--trace", "1"])
         print(f"# traced all, {side}: failed {traced[side]['failed']}", flush=True)
     counts = {}
     for key, value in traced["parent"]["metrics"].items():
@@ -168,6 +171,10 @@ def main() -> int:
         row = block["summary"]["verdict_s"]
         print(f"# claim seed {seed}: wins {row['change_wins']}/{row['pairs']}, "
               f"median {row['parent']['median']:.3f} -> {row['change']['median']:.3f} s, gain {row['gain']}")
+    for workload, block in others.items():
+        for name, row in block["summary"].items():
+            print(f"# {workload} {name}: {row['verdict']}, median {row['median_rel_change']:+.1%}, "
+                  f"wins {row['change_wins']}/{row['pairs']}, within bound {row['within_bound']}")
     return 0
 
 
