@@ -32,8 +32,15 @@ from .cohomology import (
 from .contact import contactify, standard_contact_chart, volume_coefficient
 from .descent import descend_complex, rs_complex, ss_fallback, standard_pair
 from .errors import ConfigError, CscxError
-from .forms import affine_cs_chart, form_from_json
-from .grading import Truncation, mode_shells, sample_orbit_count
+from .forms import affine_cs_chart, check_base_size, form_from_json
+from .grading import (
+    Truncation,
+    check_section_budget,
+    mode_section_dim,
+    mode_shells,
+    sample_orbit_count,
+    weight_section_dim,
+)
 from .lefschetz import standard_cs_chart, summand_dimension_table
 from .rumin import contact_two_step, operator_order, rumin_complex
 
@@ -56,6 +63,7 @@ class RunConfig:
     def validate(self) -> None:
         if self.n < 2:
             raise ConfigError("n must be at least 2")
+        check_base_size(self.n)
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}")
         if self.model == "torus":
@@ -75,10 +83,18 @@ class RunConfig:
                 raise ConfigError("affine truncation needs --max-weight >= 0")
         if self.sample_count < 0:
             raise ConfigError("sample count must be nonnegative")
+        if self.model == "torus":
+            dim = mode_section_dim(self.n, self._norms(), self.sample_count)
+        else:
+            dim = weight_section_dim(self.n, self.max_weight)
+        check_section_budget(dim)
+
+    def _norms(self) -> set[int]:
+        return set(self.mode_norms) or {0}
 
     def truncation(self) -> Truncation:
         if self.model == "torus":
-            modes = list(mode_shells(2 * self.n, set(self.mode_norms) or {0}))
+            modes = list(mode_shells(2 * self.n, self._norms()))
             modes += sample_modes(2 * self.n, self.sample_count, seed=self.seed)
             return mode_truncation(modes)
         return weight_truncation(self.max_weight)

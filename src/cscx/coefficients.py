@@ -4,20 +4,27 @@ Two rings are provided, both with exact arithmetic and no floating point
 anywhere:
 
 * ``PolyCoefficient`` -- multivariate polynomials over the rationals,
-  stored as a sparse map from exponent tuples to ``Fraction``.  The zero
+  stored as a sparse map from exponent tuples to rationals.  The zero
   polynomial is the empty map; zero terms are pruned eagerly so equality
   of canonical forms is exact equality of values.
 
 * ``TrigCoefficient`` -- finite real Fourier sums over ``Z^m``, stored as
   a sparse map from ``("c", m)`` (cos m.theta) and ``("s", m)`` (sin m.theta)
-  to ``Fraction``, one key per mode orbit {m, -m} and function; products
+  to rationals, one key per mode orbit {m, -m} and function; products
   follow the product-to-sum rules.  The JSON format keeps the complex
   coefficients c(k) of e^{ik.theta}; ``coefficient_from_json`` checks the
   reality constraint ``c(-k) == conj(c(k))`` and converts them.
 
-``Rational`` is the standard-library ``fractions.Fraction``: it is already
-always reduced, keeps a positive denominator and has a canonical zero, so
-its invariants match what the rank computations downstream require.
+A rational is a Python ``int`` when it is integral and a
+``fractions.Fraction`` otherwise.  Almost every structure constant on the
+monomial and Fourier bases is a small integer, and ``int`` arithmetic is
+many times cheaper than ``Fraction`` arithmetic; the two compare and hash
+equal and both expose ``numerator``/``denominator``, so equality,
+dictionary keys and serialization do not see the difference.  A
+``Fraction`` is built only where a division makes one.  ``canon`` turns an
+integral one back into an ``int``; both coefficient constructors (and
+``linalg.OperatorMatrix``) apply it to every non-``int`` value they store,
+because a sum such as 1/2 + 1/2 is an integral ``Fraction``.
 """
 
 from __future__ import annotations
@@ -34,11 +41,16 @@ from .errors import (
     UnsupportedRingOperationError,
 )
 
-Rational = Fraction
+Rational = Union[int, Fraction]
 
 Exponent = tuple[int, ...]
 Frequency = tuple[int, ...]
 TrigTerm = tuple[str, Frequency]  # ("c" | "s", canonical mode)
+
+
+def canon(q: Rational) -> Rational:
+    """The ``int`` of an integral rational; a non-integral ``Fraction`` unchanged."""
+    return q.numerator if q.denominator == 1 else q
 
 
 @dataclass(frozen=True)
@@ -60,17 +72,12 @@ class Ring:
         return TrigCoefficient(self.nvars, {})
 
     def one(self) -> "Coefficient":
-        return self.const(Fraction(1))
+        return self.const(1)
 
-    def const(self, value: Fraction | int) -> "Coefficient":
-        q = Fraction(value)
+    def const(self, value: Rational) -> "Coefficient":
         if self.kind == "poly":
-            if q == 0:
-                return PolyCoefficient(self.nvars, {})
-            return PolyCoefficient(self.nvars, {(0,) * self.nvars: q})
-        if q == 0:
-            return TrigCoefficient(self.nvars, {})
-        return TrigCoefficient(self.nvars, {("c", (0,) * self.nvars): q})
+            return PolyCoefficient(self.nvars, {(0,) * self.nvars: value})
+        return TrigCoefficient(self.nvars, {("c", (0,) * self.nvars): value})
 
     def var(self, index: int) -> "PolyCoefficient":
         if self.kind != "poly":
@@ -79,7 +86,7 @@ class Ring:
             raise InvalidAxisError(f"variable index {index} out of range for {self.nvars} variables")
         exp = [0] * self.nvars
         exp[index] = 1
-        return PolyCoefficient(self.nvars, {tuple(exp): Fraction(1)})
+        return PolyCoefficient(self.nvars, {tuple(exp): 1})
 
 
 def poly_ring(nvars: int) -> Ring:
@@ -97,9 +104,9 @@ class PolyCoefficient:
 
     kind = "poly"
 
-    def __init__(self, nvars: int, terms: Mapping[Exponent, Fraction]):
+    def __init__(self, nvars: int, terms: Mapping[Exponent, Rational]):
         self.nvars = nvars
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Rational] = {}
         for exp, coeff in terms.items():
             if coeff == 0:
                 continue
@@ -107,7 +114,7 @@ class PolyCoefficient:
                 raise InvalidAxisError(
                     f"exponent vector of length {len(exp)} in a {nvars}-variable ring"
                 )
-            clean[exp] = Fraction(coeff)
+            clean[exp] = coeff if type(coeff) is int else canon(coeff)
         self.terms = clean
 
     # -- ring structure -------------------------------------------------
@@ -120,14 +127,14 @@ class PolyCoefficient:
         self._check(other)
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + coeff
+            out[exp] = out.get(exp, 0) + coeff
         return PolyCoefficient(self.nvars, out)
 
     def __sub__(self, other: "PolyCoefficient") -> "PolyCoefficient":
         self._check(other)
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) - coeff
+            out[exp] = out.get(exp, 0) - coeff
         return PolyCoefficient(self.nvars, out)
 
     def __neg__(self) -> "PolyCoefficient":
@@ -135,15 +142,14 @@ class PolyCoefficient:
 
     def __mul__(self, other: "PolyCoefficient") -> "PolyCoefficient":
         self._check(other)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Rational] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
+                out[key] = out.get(key, 0) + ca * cb
         return PolyCoefficient(self.nvars, out)
 
-    def scale(self, q: Fraction | int) -> "PolyCoefficient":
-        q = Fraction(q)
+    def scale(self, q: Rational) -> "PolyCoefficient":
         if q == 0:
             return PolyCoefficient(self.nvars, {})
         return PolyCoefficient(self.nvars, {e: c * q for e, c in self.terms.items()})
@@ -175,7 +181,7 @@ class PolyCoefficient:
     def partial(self, var: int) -> "PolyCoefficient":
         if not 0 <= var < self.nvars:
             raise InvalidAxisError(f"variable index {var} out of range")
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Rational] = {}
         for exp, coeff in self.terms.items():
             e = exp[var]
             if e == 0:
@@ -183,21 +189,21 @@ class PolyCoefficient:
             new = list(exp)
             new[var] = e - 1
             key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff * e
+            out[key] = out.get(key, 0) + coeff * e
         return PolyCoefficient(self.nvars, out)
 
-    def evaluate(self, point: Iterable[Fraction]) -> Fraction:
+    def evaluate(self, point: Iterable[Rational]) -> Rational:
         pt = [Fraction(p) for p in point]
         if len(pt) != self.nvars:
             raise InvalidAxisError("point length does not match the variable count")
-        total = Fraction(0)
+        total = 0
         for exp, coeff in self.terms.items():
             value = coeff
             for base, power in zip(pt, exp):
                 if power:
                     value *= base**power
             total += value
-        return total
+        return canon(total)
 
     def substitute(self, images: list["PolyCoefficient"]) -> "PolyCoefficient":
         """Composition: replace variable i by images[i] (all in the target ring)."""
@@ -207,7 +213,7 @@ class PolyCoefficient:
             raise InvalidAxisError("substitution into an empty ring")
         target = images[0].nvars
         result = PolyCoefficient(target, {})
-        one = PolyCoefficient(target, {(0,) * target: Fraction(1)})
+        one = PolyCoefficient(target, {(0,) * target: 1})
         for exp, coeff in self.terms.items():
             term = one.scale(coeff)
             for var, power in enumerate(exp):
@@ -218,7 +224,7 @@ class PolyCoefficient:
 
     def weight_split(self, var_weights: tuple[int, ...]) -> dict[int, "PolyCoefficient"]:
         """Split into weight-homogeneous parts for the given variable weights."""
-        buckets: dict[int, dict[Exponent, Fraction]] = {}
+        buckets: dict[int, dict[Exponent, Rational]] = {}
         for exp, coeff in self.terms.items():
             w = sum(e * wt for e, wt in zip(exp, var_weights))
             buckets.setdefault(w, {})[exp] = coeff
@@ -235,7 +241,7 @@ class PolyCoefficient:
         """Drop trailing variables; every term must be independent of them."""
         if nvars > self.nvars:
             raise InvalidAxisError("restrict target has more variables")
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Rational] = {}
         for exp, coeff in self.terms.items():
             if any(exp[nvars:]):
                 # callers check invariance first; reaching this is a bug
@@ -245,15 +251,15 @@ class PolyCoefficient:
             out[exp[:nvars]] = coeff
         return PolyCoefficient(nvars, out)
 
-    def constant_part(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+    def constant_part(self) -> Rational:
+        return self.terms.get((0,) * self.nvars, 0)
 
     def is_constant(self) -> bool:
         return all(not any(exp) for exp in self.terms)
 
 
 class TrigCoefficient:
-    """Finite real Fourier sum, a sparse map from ``(kind, mode)`` to ``Fraction``.
+    """Finite real Fourier sum, a sparse map from ``(kind, mode)`` to a rational.
 
     ``("c", m)`` is cos(m . theta) and ``("s", m)`` is sin(m . theta), where m
     is the ``canonical_mode`` representative of its orbit {m, -m}.  The
@@ -264,9 +270,9 @@ class TrigCoefficient:
 
     kind = "trig"
 
-    def __init__(self, nvars: int, terms: Mapping[TrigTerm, Fraction]):
+    def __init__(self, nvars: int, terms: Mapping[TrigTerm, Rational]):
         self.nvars = nvars
-        clean: dict[TrigTerm, Fraction] = {}
+        clean: dict[TrigTerm, Rational] = {}
         for term, coeff in terms.items():
             if coeff == 0:
                 continue
@@ -274,7 +280,7 @@ class TrigCoefficient:
                 raise InvalidAxisError(
                     f"frequency vector of length {len(term[1])} in a {nvars}-variable ring"
                 )
-            clean[term] = coeff
+            clean[term] = coeff if type(coeff) is int else canon(coeff)
         self.terms = clean
 
     def _check(self, other: "TrigCoefficient") -> None:
@@ -299,26 +305,28 @@ class TrigCoefficient:
         return TrigCoefficient(self.nvars, {t: -c for t, c in self.terms.items()})
 
     def __mul__(self, other: "TrigCoefficient") -> "TrigCoefficient":
-        """Product to sum: each pair of terms gives the modes a + b and a - b."""
+        """Product to sum: each pair of terms gives the modes a + b and a - b.
+
+        The products are summed undivided and each sum is halved once.
+        """
         self._check(other)
-        out: dict[TrigTerm, Fraction] = {}
+        out: dict[TrigTerm, Rational] = {}
         for (ka, ma), ca in self.terms.items():
             for (kb, mb), cb in other.terms.items():
-                half = ca * cb / 2
+                prod = ca * cb
                 plus = tuple(x + y for x, y in zip(ma, mb))
                 minus = tuple(x - y for x, y in zip(ma, mb))
                 if ka == kb:
                     # cos a cos b, sin a sin b = (cos(a - b) +- cos(a + b)) / 2
-                    _accumulate(out, "c", minus, half)
-                    _accumulate(out, "c", plus, half if ka == "c" else -half)
+                    _accumulate(out, "c", minus, prod)
+                    _accumulate(out, "c", plus, prod if ka == "c" else -prod)
                 else:
                     # sin a cos b, cos a sin b = (sin(a + b) +- sin(a - b)) / 2
-                    _accumulate(out, "s", plus, half)
-                    _accumulate(out, "s", minus, half if ka == "s" else -half)
-        return TrigCoefficient(self.nvars, out)
+                    _accumulate(out, "s", plus, prod)
+                    _accumulate(out, "s", minus, prod if ka == "s" else -prod)
+        return TrigCoefficient(self.nvars, {t: Fraction(v, 2) for t, v in out.items()})
 
-    def scale(self, q: Fraction | int) -> "TrigCoefficient":
-        q = Fraction(q)
+    def scale(self, q: Rational) -> "TrigCoefficient":
         return TrigCoefficient(self.nvars, {t: c * q for t, c in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
@@ -344,7 +352,7 @@ class TrigCoefficient:
         """d/dv cos(m . theta) = -m_v sin(m . theta), d/dv sin(m . theta) = m_v cos(m . theta)."""
         if not 0 <= var < self.nvars:
             raise InvalidAxisError(f"variable index {var} out of range")
-        out: dict[TrigTerm, Fraction] = {}
+        out: dict[TrigTerm, Rational] = {}
         for (kind, mode), c in self.terms.items():
             m = mode[var]
             if m:
@@ -357,8 +365,8 @@ class TrigCoefficient:
     def evaluate(self, point):
         raise UnsupportedRingOperationError("Fourier sums have no exact point evaluation")
 
-    def constant_part(self) -> Fraction:
-        return self.terms.get(("c", (0,) * self.nvars), Fraction(0))
+    def constant_part(self) -> Rational:
+        return self.terms.get(("c", (0,) * self.nvars), 0)
 
     def is_constant(self) -> bool:
         return all(not any(mode) for _, mode in self.terms)
@@ -390,7 +398,7 @@ def _real_term(kind: str, mode: Frequency) -> tuple[TrigTerm, int] | None:
     return None if kind == "s" else ((kind, mode), 1)
 
 
-def _accumulate(out: dict[TrigTerm, Fraction], kind: str, mode: Frequency, q: Fraction) -> None:
+def _accumulate(out: dict[TrigTerm, Rational], kind: str, mode: Frequency, q: Rational) -> None:
     hit = _real_term(kind, mode)
     if hit is not None:
         term, sign = hit
@@ -405,7 +413,7 @@ def _trig_function(ring: Ring, kind: str, freq: Frequency) -> TrigCoefficient:
     if hit is None:
         return TrigCoefficient(ring.nvars, {})
     term, sign = hit
-    return TrigCoefficient(ring.nvars, {term: Fraction(sign)})
+    return TrigCoefficient(ring.nvars, {term: sign})
 
 
 def trig_cos(ring: Ring, freq: Frequency) -> TrigCoefficient:
@@ -433,7 +441,7 @@ def partial_derivative(f: Coefficient, var: int) -> Coefficient:
     return f.partial(var)
 
 
-def evaluate(f: Coefficient, point: Iterable[Fraction]) -> Fraction:
+def evaluate(f: Coefficient, point: Iterable[Rational]) -> Rational:
     """Exact point evaluation (poly ring only)."""
     return f.evaluate(point)
 
@@ -441,11 +449,11 @@ def evaluate(f: Coefficient, point: Iterable[Fraction]) -> Fraction:
 # -- serialization ----------------------------------------------------------
 
 
-def _frac_to_json(q: Fraction) -> dict:
+def _frac_to_json(q: Rational) -> dict:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
-def _frac_from_json(obj) -> Fraction:
+def _frac_from_json(obj) -> Rational:
     # int() would truncate a JSON float numerator: take integer strings and integers only
     num, den = obj["num"], obj["den"]
     if type(num) not in (str, int) or type(den) not in (str, int):
@@ -462,22 +470,22 @@ def coefficient_to_json(f: Coefficient) -> dict:
         return {"ring": "poly", "nvars": f.nvars, "terms": terms}
     # the format stores c(k) per e^{ik.theta}:
     # a cos(m) + b sin(m) = (a - ib)/2 e^{im} + (a + ib)/2 e^{-im}
-    re: dict[Frequency, Fraction] = {}
-    im: dict[Frequency, Fraction] = {}
+    re: dict[Frequency, Rational] = {}
+    im: dict[Frequency, Rational] = {}
     for (kind, mode), q in f.terms.items():
         if not any(mode):
             re[mode] = q
             continue
         mirror = tuple(-x for x in mode)
         if kind == "c":
-            re[mode] = re[mirror] = q / 2
+            re[mode] = re[mirror] = Fraction(q, 2)
         else:
-            im[mode], im[mirror] = -q / 2, q / 2
+            im[mode], im[mirror] = Fraction(-q, 2), Fraction(q, 2)
     terms = [
         {
             "freq": list(freq),
-            "re": _frac_to_json(re.get(freq, Fraction(0))),
-            "im": _frac_to_json(im.get(freq, Fraction(0))),
+            "re": _frac_to_json(re.get(freq, 0)),
+            "im": _frac_to_json(im.get(freq, 0)),
         }
         for freq in sorted(re.keys() | im.keys())
     ]
@@ -500,13 +508,13 @@ def _exponent_from_json(exp) -> Exponent:
 
 def _trig_from_json(count: int, items: list) -> TrigCoefficient:
     """Read c(k) per e^{ik.theta}, check c(-k) == conj(c(k)), return cos/sin terms."""
-    modes: dict[Frequency, tuple[Fraction, Fraction]] = {}
+    modes: dict[Frequency, tuple[Rational, Rational]] = {}
     for t in items:
         freq = t["freq"]
         if not isinstance(freq, list) or len(freq) != count or any(type(k) is not int for k in freq):
             raise RingMismatchError(f"trig frequency {freq!r} is not a list of {count} integers")
         modes[tuple(freq)] = (_frac_from_json(t["re"]), _frac_from_json(t["im"]))
-    terms: dict[TrigTerm, Fraction] = {}
+    terms: dict[TrigTerm, Rational] = {}
     for freq, (re, im) in modes.items():
         mirror = tuple(-k for k in freq)
         if modes.get(mirror, (0, 0)) != (re, -im):

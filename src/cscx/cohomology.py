@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, fields
-from fractions import Fraction
 
+from .coefficients import Rational
 from .descent import (
     nabla_twisted_d,
     rs_complex,
@@ -111,10 +111,10 @@ class CochainQuotient:
         if d_out is not None and not d_out.is_zero():
             kernel = d_out.nullspace()
         else:
-            kernel = [{i: Fraction(1)} for i in range(space_dim)]
+            kernel = [{i: 1} for i in range(space_dim)]
         self._span = Echelon()
         if d_in is not None:
-            image_cols: dict[int, dict[int, Fraction]] = {}
+            image_cols: dict[int, dict[int, Rational]] = {}
             for (r, c), v in d_in.entries.items():
                 image_cols.setdefault(c, {})[r] = v
             for c in sorted(image_cols):
@@ -124,7 +124,7 @@ class CochainQuotient:
         self.reps = [vec for vec in kernel if self._span.add(vec)]
         self.dim = len(self.reps)
 
-    def coords(self, vec: dict[int, Fraction]) -> dict[int, Fraction] | None:
+    def coords(self, vec: dict[int, Rational]) -> dict[int, Rational] | None:
         """Class coordinates of a cocycle over the representatives."""
         coords = self._span.coords(vec)
         if coords is None:
@@ -132,9 +132,9 @@ class CochainQuotient:
         offset = self._image_rank
         return {j - offset: v for j, v in coords.items() if j >= offset}
 
-    def induced_matrix(self, push, target: "CochainQuotient") -> dict[tuple[int, int], Fraction]:
+    def induced_matrix(self, push, target: "CochainQuotient") -> dict[tuple[int, int], Rational]:
         """Matrix of a chain map on cohomology (push maps vectors to vectors)."""
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], Rational] = {}
         for j, rep in enumerate(self.reps):
             image = push(rep)
             coords = target.coords(image)
@@ -178,7 +178,7 @@ def _form_complex(cs: CsChart, truncation: Truncation, twist: int):
 
 
 def _assemble(domain, codomain, domain_basis, codomain_basis, op):
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], Rational] = {}
     for col, label in enumerate(domain_basis.labels):
         image = op(domain.element(label))
         if image.is_zero():
@@ -219,8 +219,8 @@ class _TotalSpace:
             psi = TwistedForm(self.b.element((block, rest)), 1)
         return total_element(self.cs, phi, psi)
 
-    def vector(self, elem, basis: SectionBasis) -> dict[int, Fraction]:
-        coords: dict[tuple, Fraction] = {}
+    def vector(self, elem, basis: SectionBasis) -> dict[int, Rational]:
+        coords: dict[tuple, Rational] = {}
         if not elem.phi.is_zero():
             for (block, rest), v in self.a.coordinates(elem.phi).items():
                 coords[(block, ("a",) + rest)] = v
@@ -236,7 +236,7 @@ def total_complex(cs: CsChart, truncation: Truncation) -> list[OperatorMatrix]:
     bases = [s.basis(truncation) for s in spaces]
     mats = []
     for k in range(2 * cs.n + 1):
-        entries: dict[tuple[int, int], Fraction] = {}
+        entries: dict[tuple[int, int], Rational] = {}
         for col, label in enumerate(bases[k].labels):
             image = total_differential(spaces[k].element(label))
             for row, v in spaces[k + 1].vector(image, bases[k + 1]).items():
@@ -320,14 +320,14 @@ class BlockComplexes:
         self.t_bases = [m.cols for m in total] + [total[-1].rows]
         self.inclusions = [
             OperatorMatrix(t, a, {
-                (t.position[(blk, ("a",) + rest)], col): Fraction(1)
+                (t.position[(blk, ("a",) + rest)], col): 1
                 for col, (blk, rest) in enumerate(a.labels)
             })
             for a, t in zip(self.a_bases, self.t_bases)
         ]
         self.projections = [
             OperatorMatrix(w, t, {
-                (row, t.position[(blk, ("b",) + rest)]): Fraction(1)
+                (row, t.position[(blk, ("b",) + rest)]): 1
                 for row, (blk, rest) in enumerate(w.labels)
             })
             for w, t in zip(self.w_bases, self.t_bases)
@@ -353,7 +353,7 @@ class BlockComplexes:
             # the twisted derivative
             projection_chain_map=all(
                 proj[k + 1].compose(self.total[k]).entries
-                == self.twisted[k].compose(proj[k]).scale(Fraction(-1)).entries
+                == self.twisted[k].compose(proj[k]).scale(-1).entries
                 for k in edges
             ),
             inclusion_then_projection_zero=all(
@@ -480,13 +480,13 @@ class BlockComplexes:
 
 
 def _compose_dicts(left, right, inner_dim) -> dict:
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict[tuple[int, int], Rational] = {}
     by_inner: dict[int, list] = {}
     for (r, c), v in left.items():
         by_inner.setdefault(c, []).append((r, v))
     for (i, c), v in right.items():
         for r, w in by_inner.get(i, ()):  # noqa: B905
-            out[(r, c)] = out.get((r, c), Fraction(0)) + w * v
+            out[(r, c)] = out.get((r, c), 0) + w * v
     return {k: v for k, v in out.items() if v}
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import Coefficient, PolyCoefficient
+from .coefficients import Coefficient, PolyCoefficient, Rational, canon
 from .errors import (
     ChartMismatchError,
     ContactConditionError,
@@ -55,7 +55,7 @@ class ContactChart:
     beta: DifferentialForm  # promoted to the contact chart, dt-free
     alpha: DifferentialForm  # (dt + beta) / xi_scale
     xi: PolyVectorField  # xi_scale * d/dt
-    xi_scale: Fraction = Fraction(1)
+    xi_scale: Rational = 1
 
     @property
     def dim(self) -> int:
@@ -70,7 +70,7 @@ class ContactChart:
 
     def lef_form(self) -> DifferentialForm:
         """dt-free part of d(alpha): the structure two-form of the H-fibers."""
-        return exterior_derivative(self.beta).scale(1 / self.xi_scale)
+        return exterior_derivative(self.beta).scale(canon(Fraction(1, self.xi_scale)))
 
     def fiber(self) -> FiberCalculus:
         return fiber_from_form(self.lef_form(), self.n)
@@ -101,7 +101,7 @@ def check_cs_potential(beta: DifferentialForm, n: int) -> None:
 def contactify(
     n: int,
     beta: DifferentialForm,
-    xi_scale: Fraction | int = 1,
+    xi_scale: Rational = 1,
 ) -> ContactChart:
     """Build the contact chart over a cs potential.
 
@@ -125,11 +125,11 @@ def contactify(
     chart = contact_chart_over(base)
     promoted_terms = {key: coeff.pad(chart.ring.nvars) for key, coeff in beta.terms.items()}
     promoted = DifferentialForm(chart, 1, promoted_terms, validated=True)
-    scale = Fraction(xi_scale)
+    scale = canon(Fraction(xi_scale))
     if scale == 0:
         raise ContactConditionError("transversal field cannot vanish")
     dt = basis_form(chart, (chart.dim - 1,))
-    alpha = (dt + promoted).scale(1 / scale)
+    alpha = (dt + promoted).scale(canon(Fraction(1, scale)))
     xi = coordinate_vector(chart, chart.dim - 1).scale(scale)
     cc = ContactChart(
         n=n, chart=chart, base=base, beta=promoted, alpha=alpha, xi=xi, xi_scale=scale
@@ -163,7 +163,7 @@ def _check_contact_condition(cc: ContactChart) -> None:
         )
 
 
-def standard_contact_chart(n: int, xi_scale: Fraction | int = 1) -> ContactChart:
+def standard_contact_chart(n: int, xi_scale: Rational = 1) -> ContactChart:
     """alpha = dt + sum_i x_i dy_i on R^{2n+1} (up to the xi rescaling)."""
     from .forms import affine_cs_chart
 
@@ -197,17 +197,17 @@ def _frame_basis(cc: ContactChart, label: str) -> SectionBasis:
     )
 
 
-def levi_form(cc: ContactChart, point: list[Fraction] | None = None) -> OperatorMatrix:
+def levi_form(cc: ContactChart, point: list[Rational] | None = None) -> OperatorMatrix:
     """Matrix of the Levi bracket on the H-frame, values in Q trivialized by xi.
 
     Entry (i, j) is alpha([X_i, X_j]) evaluated at the point (default: the
     origin); nondegeneracy is part of the contact condition and is checked.
     """
     frame = h_frame(cc)
-    point = point if point is not None else [Fraction(0)] * cc.chart.ring.nvars
+    point = point if point is not None else [0] * cc.chart.ring.nvars
     size = 2 * cc.n
-    entries: dict[tuple[int, int], Fraction] = {}
-    dense = [[Fraction(0)] * size for _ in range(size)]
+    entries: dict[tuple[int, int], Rational] = {}
+    dense = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(size):
             if i == j:
@@ -232,13 +232,13 @@ def interior_product_vector(alpha: DifferentialForm, X: PolyVectorField) -> Coef
     return value.terms.get((), alpha.chart.zero_coeff())
 
 
-def d_alpha_on_frame(cc: ContactChart, point: list[Fraction] | None = None) -> OperatorMatrix:
+def d_alpha_on_frame(cc: ContactChart, point: list[Rational] | None = None) -> OperatorMatrix:
     """Matrix of d(alpha) on the H-frame; equals minus the Levi matrix."""
     frame = h_frame(cc)
-    point = point if point is not None else [Fraction(0)] * cc.chart.ring.nvars
+    point = point if point is not None else [0] * cc.chart.ring.nvars
     size = 2 * cc.n
     da = cc.d_alpha()
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], Rational] = {}
     for i in range(size):
         # i_{X_i} da is the one-form v -> da(X_i, v)
         inner_i = interior_product(frame[i], da)
@@ -272,7 +272,7 @@ def _fiber_len(cc: ContactChart, k: int, flavor: str) -> int:
     return fib.primitive_dim(k)
 
 
-def partial_map(cc: ContactChart, k: int, point: list[Fraction] | None = None) -> OperatorMatrix:
+def partial_map(cc: ContactChart, k: int, point: list[Rational] | None = None) -> OperatorMatrix:
     """The tensorial fiber map from (k-1)-H-forms twisted by Q* to (k+1)-H-forms.
 
     Realized as wedging with the structure two-form of the H-fibers (the
@@ -320,7 +320,7 @@ class HForm:
             raise ChartMismatchError("H-form mismatch")
         return HForm(self.contact, self.form + other.form, self.q_power)
 
-    def scale(self, q: Fraction | int) -> "HForm":
+    def scale(self, q: Rational) -> "HForm":
         return HForm(self.contact, self.form.scale(q), self.q_power)
 
 
@@ -376,7 +376,7 @@ class LiftedMap:
     src: ContactChart
     dst: ContactChart
     substitution: LinearSubstitution
-    scale: Fraction
+    scale: Rational
     shift: PolyCoefficient
 
     def pullback(self, omega: DifferentialForm) -> DifferentialForm:
@@ -398,7 +398,7 @@ def _integrate_closed_one_form(rhs: DifferentialForm) -> PolyCoefficient:
             new[axis] += 1
             degree = sum(exp)
             total = total + PolyCoefficient(
-                nvars, {tuple(new): q / (degree + 1)}
+                nvars, {tuple(new): Fraction(q, degree + 1)}
             )
     return total
 
@@ -406,7 +406,7 @@ def _integrate_closed_one_form(rhs: DifferentialForm) -> PolyCoefficient:
 def lift_construction(
     chart_a: ContactChart,
     chart_b: ContactChart,
-    matrix: list[list[Fraction]],
+    matrix: list[list[Rational]],
 ) -> LiftedMap:
     """Lift a linear symplectic substitution between the base charts.
 
@@ -420,7 +420,7 @@ def lift_construction(
     if chart_a.n != chart_b.n:
         raise CsCompatibilityError("charts have different ranks")
     n = chart_a.n
-    rows = tuple(tuple(Fraction(v) for v in row) for row in matrix)
+    rows = tuple(tuple(canon(Fraction(v)) for v in row) for row in matrix)
     if len(rows) != 2 * n or any(len(r) != 2 * n for r in rows):
         raise CsCompatibilityError("substitution matrix has the wrong shape")
 
@@ -439,7 +439,7 @@ def lift_construction(
         src=chart_a.chart,
         dst=chart_b.chart,
         matrix=rows,
-        t_scale=scale * chart_a.xi_scale / chart_b.xi_scale,
+        t_scale=canon(Fraction(scale * chart_a.xi_scale, chart_b.xi_scale)),
         shift=shift.scale(chart_a.xi_scale),
     )
     lift = LiftedMap(
@@ -451,7 +451,7 @@ def lift_construction(
     return lift
 
 
-def _form_ratio(left: DifferentialForm, right: DifferentialForm) -> Fraction:
+def _form_ratio(left: DifferentialForm, right: DifferentialForm) -> Rational:
     """The constant c with left = c * right, for constant-coefficient forms."""
     if right.is_zero():
         raise CsCompatibilityError("degenerate comparison form")
@@ -461,7 +461,7 @@ def _form_ratio(left: DifferentialForm, right: DifferentialForm) -> Fraction:
     lcoeff = left.terms.get(key)
     if lcoeff is None or not lcoeff.is_constant():
         raise CsCompatibilityError("substitution is not cs-compatible")
-    c = lcoeff.constant_part() / coeff.constant_part()
+    c = canon(Fraction(lcoeff.constant_part(), coeff.constant_part()))
     if c == 0 or not (left - right.scale(c)).is_zero():
         raise CsCompatibilityError("substitution is not cs-compatible")
     return c

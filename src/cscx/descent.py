@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .coefficients import Rational, canon
 from .contact import ContactChart, HForm, contactify
 from .errors import (
     ChartMismatchError,
@@ -101,7 +102,7 @@ class ChartPair:
             raise CsStructureError("d(beta) does not descend to the structure form")
 
 
-def standard_pair(n: int, xi_scale: Fraction | int = 1) -> ChartPair:
+def standard_pair(n: int, xi_scale: Rational = 1) -> ChartPair:
     cs = standard_cs_chart(n)
     beta = zero_form(cs.chart, 1)
     for i in range(n):
@@ -197,7 +198,7 @@ def iso_down(pair: ChartPair, obj, kind: str):
             raise DegreeError("form does not vanish on the distribution")
         out = restrict_form(inner, cs)
         if kind in ("ell", "ell0"):
-            out = TwistedForm(out.scale(1 / cc.xi_scale), 1)
+            out = TwistedForm(out.scale(canon(Fraction(1, cc.xi_scale))), 1)
     base = out.base if isinstance(out, TwistedForm) else out
     if kind in ("h0", "h0q", "ell0") and not is_primitive(cs.fiber(), base):
         raise NonPrimitiveError("row produced a non-primitive output")
@@ -218,7 +219,7 @@ def _descend_class_up(pair: ChartPair, k: int, payload: DifferentialForm) -> Dif
 def _descend_class_down(pair: ChartPair, k: int, payload: DifferentialForm) -> DifferentialForm:
     out = restrict_form(payload, pair.cs)
     if k > pair.cs.n:
-        return out.scale(1 / pair.contact.xi_scale)
+        return out.scale(canon(Fraction(1, pair.contact.xi_scale)))
     return out
 
 

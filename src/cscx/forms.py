@@ -23,12 +23,12 @@ finite-dimensional subcomplexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .coefficients import (
     Coefficient,
     PolyCoefficient,
+    Rational,
     Ring,
     coefficient_from_json,
     coefficient_to_json,
@@ -87,7 +87,7 @@ class Chart:
     def one_coeff(self) -> Coefficient:
         return self.ring.one()
 
-    def const(self, value: Fraction | int) -> Coefficient:
+    def const(self, value: Rational) -> Coefficient:
         return self.ring.const(value)
 
     def coord_coeff(self, axis: int) -> Coefficient:
@@ -263,7 +263,7 @@ class DifferentialForm(_SparseGraded):
             self.chart, self.degree, {k: -c for k, c in self.terms.items()}, validated=True
         )
 
-    def scale(self, q: Fraction | int) -> "DifferentialForm":
+    def scale(self, q: Rational) -> "DifferentialForm":
         return DifferentialForm(
             self.chart,
             self.degree,
@@ -307,7 +307,7 @@ class PolyVectorField(_SparseGraded):
             out[key] = out[key] + coeff if key in out else coeff
         return PolyVectorField(self.chart, self.degree, out, validated=True)
 
-    def scale(self, q: Fraction | int) -> "PolyVectorField":
+    def scale(self, q: Rational) -> "PolyVectorField":
         return PolyVectorField(
             self.chart,
             self.degree,
@@ -381,7 +381,7 @@ def _derivative_over_axes(omega: DifferentialForm, axes: Iterable[int]) -> Diffe
     return DifferentialForm(chart, omega.degree + 1, out, validated=True)
 
 
-def t_derivative(omega: DifferentialForm, scale: Fraction = Fraction(1)) -> DifferentialForm:
+def t_derivative(omega: DifferentialForm, scale: Rational = 1) -> DifferentialForm:
     """Coefficientwise derivative along the transversal coordinate, scaled."""
     chart = omega.chart
     if chart.t_axis is None:
@@ -531,8 +531,8 @@ class LinearSubstitution:
 
     src: Chart
     dst: Chart
-    matrix: tuple[tuple[Fraction, ...], ...]
-    t_scale: Fraction = Fraction(1)
+    matrix: tuple[tuple[Rational, ...], ...]
+    t_scale: Rational = 1
     shift: PolyCoefficient | None = None
 
     def pullback_coefficient(self, f: Coefficient) -> Coefficient:

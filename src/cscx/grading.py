@@ -28,7 +28,9 @@ from typing import Callable, Iterable, Sequence
 from .coefficients import (
     Coefficient,
     PolyCoefficient,
+    Rational,
     TrigCoefficient,
+    canon,
     canonical_mode,
 )
 from .errors import (
@@ -54,7 +56,7 @@ from .linalg import (
 )
 
 Block = tuple  # ("w", weight) | ("m", mode-tuple)
-FiberVector = dict[int, Fraction]  # over positions in multi_indices(m, k)
+FiberVector = dict[int, Rational]  # over positions in multi_indices(m, k)
 
 
 def multi_indices(m: int, k: int) -> list[MultiIndex]:
@@ -99,9 +101,9 @@ def monomials_of_weight(var_weights: Sequence[int], target: int) -> list[tuple[i
 class FiberMap(dict):
     """Sparse matrix ``{(row, col): value}`` of a fiber map, indexed by column."""
 
-    def __init__(self, entries: dict[tuple[int, int], Fraction]):
-        super().__init__((e, v) for e, v in entries.items() if v)
-        self.columns: dict[int, list[tuple[int, Fraction]]] = {}
+    def __init__(self, entries: dict[tuple[int, int], Rational]):
+        super().__init__((e, canon(v)) for e, v in entries.items() if v)
+        self.columns: dict[int, list[tuple[int, Rational]]] = {}
         for (r, c), v in self.items():
             self.columns.setdefault(c, []).append((r, v))
 
@@ -114,10 +116,10 @@ class FiberCalculus:
     m = 2n base axes.
     """
 
-    def __init__(self, m: int, n: int, omega_terms: dict[tuple[int, int], Fraction]):
+    def __init__(self, m: int, n: int, omega_terms: dict[tuple[int, int], Rational]):
         self.m = m
         self.n = n
-        self.omega = {k: Fraction(v) for k, v in omega_terms.items() if v}
+        self.omega = {k: canon(Fraction(v)) for k, v in omega_terms.items() if v}
         self._indices: dict[int, list[MultiIndex]] = {}
         self._positions: dict[int, dict[MultiIndex, int]] = {}
         self._wedge: dict[int, FiberMap] = {}
@@ -126,8 +128,8 @@ class FiberCalculus:
         self._middle_inverse: FiberMap | None = None
         self._primitive: dict[int, list[FiberVector]] = {}
         self._primitive_span: dict[int, Echelon] = {}
-        self._decomp: dict[int, tuple[list[tuple[int, int]], list[list[Fraction]]]] = {}
-        self._inverse_bivector: dict[tuple[int, int], Fraction] | None = None
+        self._decomp: dict[int, tuple[list[tuple[int, int]], list[list[Rational]]]] = {}
+        self._inverse_bivector: dict[tuple[int, int], Rational] | None = None
 
     # -- bases ---------------------------------------------------------------
 
@@ -146,10 +148,10 @@ class FiberCalculus:
 
     # -- structure maps --------------------------------------------------------
 
-    def inverse_bivector(self) -> dict[tuple[int, int], Fraction]:
+    def inverse_bivector(self) -> dict[tuple[int, int], Rational]:
         """Bivector P with pairing against the two-form equal to n (blockwise 1)."""
         if self._inverse_bivector is None:
-            A = [[Fraction(0)] * self.m for _ in range(self.m)]
+            A = [[0] * self.m for _ in range(self.m)]
             for (a, b), v in self.omega.items():
                 A[a][b] = v
                 A[b][a] = -v
@@ -157,7 +159,7 @@ class FiberCalculus:
                 Ainv = dense_inverse(A)
             except InternalConsistencyError:
                 raise CsStructureError("structure two-form is degenerate") from None
-            P: dict[tuple[int, int], Fraction] = {}
+            P: dict[tuple[int, int], Rational] = {}
             for a in range(self.m):
                 for b in range(a + 1, self.m):
                     v = -Ainv[a][b]
@@ -170,7 +172,7 @@ class FiberCalculus:
         """Matrix of (two-form ^ .) from degree k to degree k + 2."""
         if k not in self._wedge:
             rows = self.indices(k + 2)
-            entries: dict[tuple[int, int], Fraction] = {}
+            entries: dict[tuple[int, int], Rational] = {}
             for col, key in enumerate(self.indices(k)):
                 for (a, b), v in self.omega.items():
                     merged = merge_wedge((a, b), key)
@@ -179,7 +181,7 @@ class FiberCalculus:
                     sign, new_key = merged
                     row = self.position(k + 2, new_key)
                     entry = (row, col)
-                    entries[entry] = entries.get(entry, Fraction(0)) + v * sign
+                    entries[entry] = entries.get(entry, 0) + v * sign
             self._wedge[k] = FiberMap(entries)
         return self._wedge[k]
 
@@ -187,7 +189,7 @@ class FiberCalculus:
         """Matrix of inserting the inverse bivector, degree k to k - 2."""
         if k not in self._insert:
             P = self.inverse_bivector()
-            entries: dict[tuple[int, int], Fraction] = {}
+            entries: dict[tuple[int, int], Rational] = {}
             for col, key in enumerate(self.indices(k)):
                 for (a, b), v in P.items():
                     first = contract_axis(key, a)
@@ -200,7 +202,7 @@ class FiberCalculus:
                     s2, new_key = second
                     row = self.position(k - 2, new_key)
                     entry = (row, col)
-                    entries[entry] = entries.get(entry, Fraction(0)) + v * s1 * s2
+                    entries[entry] = entries.get(entry, 0) + v * s1 * s2
             self._insert[k] = FiberMap(entries)
         return self._insert[k]
 
@@ -208,7 +210,7 @@ class FiberCalculus:
         """Inverse of the bijective wedge from degree n - 1 to degree n + 1."""
         if self._middle_inverse is None:
             size = self.dim(self.n - 1)
-            dense = [[Fraction(0)] * size for _ in range(size)]
+            dense = [[0] * size for _ in range(size)]
             for (r, c), v in self.wedge_map(self.n - 1).items():
                 dense[r][c] = v
             inv = dense_inverse(dense)
@@ -218,13 +220,13 @@ class FiberCalculus:
         return self._middle_inverse
 
     def apply_map(
-        self, entries: dict[tuple[int, int], Fraction], vec: FiberVector
+        self, entries: dict[tuple[int, int], Rational], vec: FiberVector
     ) -> FiberVector:
-        out: dict[int, Fraction] = {}
+        out: dict[int, Rational] = {}
         for (r, c), v in entries.items():
             x = vec.get(c)
             if x:
-                out[r] = out.get(r, Fraction(0)) + v * x
+                out[r] = out.get(r, 0) + v * x
         return {r: v for r, v in out.items() if v}
 
     # -- primitive subspaces -----------------------------------------------------
@@ -236,7 +238,7 @@ class FiberCalculus:
                 self._primitive[k] = []
             elif k <= 1:
                 self._primitive[k] = [
-                    {i: Fraction(1)} for i in range(self.dim(k))
+                    {i: 1} for i in range(self.dim(k))
                 ]
             else:
                 if k <= self.n:
@@ -252,18 +254,18 @@ class FiberCalculus:
     def primitive_dim(self, k: int) -> int:
         return len(self.primitive_basis(k))
 
-    def primitive_coords(self, k: int, vec: FiberVector) -> list[Fraction]:
+    def primitive_coords(self, k: int, vec: FiberVector) -> list[Rational]:
         """Coordinates of a fiber vector in the primitive basis (must lie in it)."""
         if k not in self._primitive_span:
             self._primitive_span[k] = Echelon(self.primitive_basis(k))
         coords = self._primitive_span[k].coords(vec)
         if coords is None:
             raise NonPrimitiveError(f"fiber vector at degree {k} is not primitive")
-        return [coords.get(j, Fraction(0)) for j in range(self.primitive_dim(k))]
+        return [coords.get(j, 0) for j in range(self.primitive_dim(k))]
 
     # -- full primitive decomposition ----------------------------------------------
 
-    def decomposition(self, k: int) -> tuple[list[tuple[int, int]], list[list[Fraction]]]:
+    def decomposition(self, k: int) -> tuple[list[tuple[int, int]], list[list[Rational]]]:
         """Change of basis realizing the primitive decomposition at degree k.
 
         Returns ``(slots, inverse)`` where ``slots`` lists, per component,
@@ -305,12 +307,12 @@ class FiberCalculus:
                     f"decomposition at degree {k} has {len(columns)} columns, expected {size}"
                 )
             dense = [
-                [columns[j].get(i, Fraction(0)) for j in range(size)] for i in range(size)
+                [columns[j].get(i, 0) for j in range(size)] for i in range(size)
             ]
             self._decomp[k] = (slots, dense_inverse(dense))
         return self._decomp[k]
 
-    def decompose(self, k: int, vec: FiberVector) -> list[tuple[int, int, list[Fraction]]]:
+    def decompose(self, k: int, vec: FiberVector) -> list[tuple[int, int, list[Rational]]]:
         """Split a fiber vector into primitive components.
 
         Returns triples (source_degree, twist_step, coords in the primitive
@@ -318,10 +320,7 @@ class FiberCalculus:
         """
         slots, inverse = self.decomposition(k)
         size = self.dim(k)
-        coords = [
-            sum((inverse[i][j] * vec.get(j, Fraction(0)) for j in vec), Fraction(0))
-            for i in range(size)
-        ]
+        coords = [canon(sum(inverse[i][j] * v for j, v in vec.items())) for i in range(size)]
         out = []
         offset = 0
         for src, twist in slots:
@@ -338,11 +337,11 @@ class FiberCalculus:
         """
         if k not in self._pi0:
             _, inverse = self.decomposition(k)
-            entries: dict[tuple[int, int], Fraction] = {}
+            entries: dict[tuple[int, int], Rational] = {}
             for j, vec in enumerate(self.primitive_basis(k)):
                 for col, c in enumerate(inverse[j]):
                     for i, v in vec.items():
-                        entries[(i, col)] = entries.get((i, col), Fraction(0)) + c * v
+                        entries[(i, col)] = entries.get((i, col), 0) + c * v
             self._pi0[k] = FiberMap(entries)
         return self._pi0[k]
 
@@ -383,7 +382,7 @@ def fiber_from_form(omega: DifferentialForm, n: int) -> FiberCalculus:
     """
     if omega.degree != 2:
         raise CsStructureError("structure form must have degree 2")
-    terms: dict[tuple[int, int], Fraction] = {}
+    terms: dict[tuple[int, int], Rational] = {}
     for key, coeff in omega.terms.items():
         if any(a >= 2 * n for a in key):
             raise CsStructureError("structure form must live on the base axes")
@@ -423,8 +422,8 @@ class Truncation:
             if any(w < 0 for w in self.weights):
                 raise UnsupportedRingOperationError("weights must be nonnegative")
         elif self.kind == "modes":
-            canon = tuple(canonical_mode(m) for m in self.modes)
-            object.__setattr__(self, "modes", canon)
+            modes = tuple(canonical_mode(m) for m in self.modes)
+            object.__setattr__(self, "modes", modes)
         else:
             raise UnsupportedRingOperationError(f"unknown truncation kind {self.kind!r}")
 
@@ -486,6 +485,47 @@ def mode_shells(nvars: int, norms: Iterable[int]) -> list[tuple[int, ...]]:
 def sample_orbit_count(nvars: int) -> int:
     """Number of nonzero mode orbits of sup-norm <= 2, the pool of ``sample_modes``."""
     return (5**nvars - 1) // 2
+
+
+# largest total dimension of the form sections a run may truncate to.  It
+# admits affine n=3 w<=8 and n=4 w<=6 (40,081 each) and every reference
+# command; affine n=2 w<=40 has 1,797,441 and torus n=7 at sup-norm 3 about
+# 1.1e16
+_MAX_SECTION_DIM = 50_000
+
+
+def weight_section_dim(n: int, max_weight: int) -> int:
+    """Dimension of all forms on R^{2n} of total weight <= max_weight.
+
+    A k-form of weight w has coefficients of degree w - k, so summing over w
+    gives C(2n, k) times the C(max_weight - k + 2n, 2n) monomials of degree
+    <= max_weight - k.
+    """
+    m = 2 * n
+    return sum(comb(m, k) * comb(max_weight - k + m, m) for k in range(min(m, max_weight) + 1))
+
+
+def mode_section_dim(n: int, norms: Iterable[int], samples: int) -> int:
+    """Dimension of all forms on T^{2n} over the given sup-norm shells and sampled orbits.
+
+    The shell of sup-norm M > 0 holds ((2M+1)^{2n} - (2M-1)^{2n}) / 2 orbits,
+    each spanned by cos and sin; the zero orbit is spanned by cos alone.
+    Sampled orbits may repeat shell orbits, so this is an upper bound.
+    """
+    m = 2 * n
+    norms = set(norms)
+    orbits = samples + sum(((2 * M + 1) ** m - (2 * M - 1) ** m) // 2 for M in norms if M > 0)
+    return 2**m * (2 * orbits + (0 in norms))
+
+
+def check_section_budget(dim: int) -> None:
+    """Refuse a truncation whose form sections exceed ``_MAX_SECTION_DIM``."""
+    if dim > _MAX_SECTION_DIM:
+        shown = f"{dim:,}" if dim < 10**15 else "at least 10^15"
+        raise ConfigError(
+            f"the truncation spans {shown} form sections, over the budget of "
+            f"{_MAX_SECTION_DIM:,}: lower the weight bound or the mode shells"
+        )
 
 
 def sample_modes(nvars: int, count: int, seed: object = 0) -> list[tuple[int, ...]]:
@@ -571,8 +611,8 @@ class GradedSpace:
 
     def _mono_coefficient(self, mono: tuple) -> Coefficient:
         if mono[0] == "p":
-            return PolyCoefficient(self.chart.ring.nvars, {mono[1]: Fraction(1)})
-        return TrigCoefficient(self.chart.ring.nvars, {mono: Fraction(1)})
+            return PolyCoefficient(self.chart.ring.nvars, {mono[1]: 1})
+        return TrigCoefficient(self.chart.ring.nvars, {mono: 1})
 
     def element(self, label: tuple) -> DifferentialForm:
         (_, (j, mono)) = label
@@ -580,7 +620,7 @@ class GradedSpace:
         if self.fiber is not None:
             vec = self.fiber.primitive_basis(self.degree)[j]
         else:
-            vec = {j: Fraction(1)}
+            vec = {j: 1}
         terms = {}
         for pos, q in vec.items():
             terms[self._indices[pos]] = coeff.scale(q)
@@ -588,9 +628,9 @@ class GradedSpace:
 
     # -- form -> coordinates ----------------------------------------------------
 
-    def _coeff_blocks(self, coeff: Coefficient) -> dict[Block, dict[tuple, Fraction]]:
+    def _coeff_blocks(self, coeff: Coefficient) -> dict[Block, dict[tuple, Rational]]:
         """Split one coefficient into {block: {mono_label: scalar}} pieces."""
-        out: dict[Block, dict[tuple, Fraction]] = {}
+        out: dict[Block, dict[tuple, Rational]] = {}
         if isinstance(coeff, PolyCoefficient):
             weights = self.chart.weights
             for exp, q in coeff.terms.items():
@@ -606,7 +646,7 @@ class GradedSpace:
             raise UnsupportedRingOperationError("unknown coefficient type")
         return out
 
-    def coordinates(self, form: DifferentialForm) -> dict[tuple, Fraction]:
+    def coordinates(self, form: DifferentialForm) -> dict[tuple, Rational]:
         """Nonzero coordinates of a form, keyed by basis label ``(block, (j, mono))``."""
         if form.degree != self.degree:
             raise NonPrimitiveError(
@@ -620,8 +660,8 @@ class GradedSpace:
             for block, monos in self._coeff_blocks(coeff).items():
                 for mono, q in monos.items():
                     vec = per_block.setdefault((block, mono), {})
-                    vec[idx] = vec.get(idx, Fraction(0)) + q
-        out: dict[tuple, Fraction] = {}
+                    vec[idx] = vec.get(idx, 0) + q
+        out: dict[tuple, Rational] = {}
         for (block, mono), vec in sorted(per_block.items()):
             vec = {i: v for i, v in vec.items() if v}
             if not vec:
@@ -629,21 +669,21 @@ class GradedSpace:
             if self.fiber is not None:
                 coords = self.fiber.primitive_coords(self.degree, vec)
             else:
-                coords = [vec.get(i, Fraction(0)) for i in range(len(self._indices))]
+                coords = [vec.get(i, 0) for i in range(len(self._indices))]
             for j, q in enumerate(coords):
                 if q:
                     out[(block, (j, mono))] = q
         return out
 
-    def vector(self, form: DifferentialForm, basis: SectionBasis) -> dict[int, Fraction]:
+    def vector(self, form: DifferentialForm, basis: SectionBasis) -> dict[int, Rational]:
         """Coordinates of a form over a basis built by this space."""
         return label_vector(self.coordinates(form), basis)
 
 
-def label_vector(coords: dict[tuple, Fraction], basis: SectionBasis) -> dict[int, Fraction]:
+def label_vector(coords: dict[tuple, Rational], basis: SectionBasis) -> dict[int, Rational]:
     """Label-keyed coordinates as a vector over ``basis``."""
     position = basis.position
-    out: dict[int, Fraction] = {}
+    out: dict[int, Rational] = {}
     for label, q in coords.items():
         pos = position.get(label)
         if pos is None:
@@ -664,7 +704,7 @@ def assemble_operator(
     The operator is applied to every basis section and the image expanded in
     the codomain basis, so block-diagonality is observed, never assumed.
     """
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], Rational] = {}
     for col, label in enumerate(domain_basis.labels):
         image = op(domain.element(label))
         if image.is_zero():

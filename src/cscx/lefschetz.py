@@ -16,8 +16,8 @@ decomposition basis, never by closed-form constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .coefficients import Rational
 from .errors import ChartMismatchError, CsStructureError, DegreeError
 from .forms import (
     Chart,
@@ -124,12 +124,12 @@ class TwistedForm:
         return TwistedForm(self.base + other.base, self.ell_power)
 
     def __sub__(self, other: "TwistedForm") -> "TwistedForm":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def __neg__(self) -> "TwistedForm":
         return TwistedForm(-self.base, self.ell_power)
 
-    def scale(self, q: Fraction | int) -> "TwistedForm":
+    def scale(self, q: Rational) -> "TwistedForm":
         return TwistedForm(self.base.scale(q), self.ell_power)
 
     def __repr__(self) -> str:
@@ -191,7 +191,7 @@ def full_decomposition(cs: CsChart, phi: TwistedForm) -> list[TwistedForm]:
     pieces: dict[tuple[int, int], dict] = {}
     for key, coeff in phi.base.terms.items():
         col = fib.position(k, key)
-        for src, twist, coords in fib.decompose(k, {col: Fraction(1)}):
+        for src, twist, coords in fib.decompose(k, {col: 1}):
             basis = fib.primitive_basis(src)
             for j, q in enumerate(coords):
                 if not q:

@@ -1,5 +1,8 @@
 """Exact sparse linear algebra over the rationals.
 
+Scalars follow the convention of the coefficients module: an ``int`` when
+integral, a ``Fraction`` otherwise.
+
 One elimination engine, ``Echelon``, sits behind every span test, solve,
 nullspace and coordinate read-off: vectors go in one at a time, an
 independent one becomes a new pivot row that records its combination of
@@ -22,15 +25,16 @@ from functools import cached_property
 from math import gcd
 from typing import Mapping, Sequence
 
+from .coefficients import Rational, canon
 from .errors import BasisMismatchError, InternalConsistencyError
 
-Entries = Mapping[tuple[int, int], Fraction]
+Entries = Mapping[tuple[int, int], Rational]
 
 
 # -- dense helpers for small fiber matrices ---------------------------------
 
 
-def dense_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+def dense_rref(rows: list[list[Rational]]) -> tuple[list[list[Rational]], list[int]]:
     """Reduced row echelon form (copy) and pivot column list."""
     mat = [list(map(Fraction, row)) for row in rows]
     nrows = len(mat)
@@ -42,7 +46,7 @@ def dense_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
+        inv = Fraction(1, mat[r][c])
         mat[r] = [v * inv for v in mat[r]]
         for i in range(nrows):
             if i != r and mat[i][c] != 0:
@@ -55,39 +59,39 @@ def dense_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
     return mat, pivots
 
 
-def dense_rank(rows: list[list[Fraction]]) -> int:
+def dense_rank(rows: list[list[Rational]]) -> int:
     return len(dense_rref(rows)[1])
 
 
-def dense_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+def dense_nullspace(rows: list[list[Rational]], ncols: int) -> list[list[Rational]]:
     """Deterministic kernel basis (free columns in increasing order)."""
     rref, pivots = dense_rref(rows) if rows else ([], [])
     pivot_set = set(pivots)
-    basis: list[list[Fraction]] = []
+    basis: list[list[Rational]] = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
+        vec = [0] * ncols
+        vec[free] = 1
         for r, c in enumerate(pivots):
             vec[c] = -rref[r][free]
         basis.append(vec)
     return basis
 
 
-def dense_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+def dense_inverse(rows: list[list[Rational]]) -> list[list[Rational]]:
     n = len(rows)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     rref, pivots = dense_rref(aug)
     if pivots[:n] != list(range(n)):
         raise InternalConsistencyError("matrix is not invertible")
-    return [row[n:] for row in rref[:n]]
+    return [[canon(v) for v in row[n:]] for row in rref[:n]]
 
 
 # -- sparse exact rank -------------------------------------------------------
 
 
-def _int_normalize(row: dict[int, Fraction]) -> dict[int, int]:
+def _int_normalize(row: dict[int, Rational]) -> dict[int, int]:
     if not row:
         return {}
     denom_lcm = 1
@@ -116,7 +120,7 @@ def _content_reduce(row: dict[int, int]) -> dict[int, int]:
 
 def sparse_rank(entries: Entries, nrows: int, ncols: int) -> int:
     """Exact rank by fraction-free elimination with Markowitz pivoting."""
-    rows: dict[int, dict[int, Fraction]] = {}
+    rows: dict[int, dict[int, Rational]] = {}
     for (r, c), v in entries.items():
         if v:
             rows.setdefault(r, {})[c] = v
@@ -175,7 +179,7 @@ def sparse_rank(entries: Entries, nrows: int, ncols: int) -> int:
 rank_modular = sparse_rank
 
 
-# -- the elimination engine (Fraction arithmetic) -----------------------------
+# -- the elimination engine (exact rational arithmetic) -------------------------
 
 
 class Echelon:
@@ -196,19 +200,19 @@ class Echelon:
 
     __slots__ = ("labels", "_pivots", "_rows", "_combos")
 
-    def __init__(self, vectors: Sequence[Mapping[int, Fraction]] = ()):
+    def __init__(self, vectors: Sequence[Mapping[int, Rational]] = ()):
         self.labels: list = []
         self._pivots: list[int] = []
-        self._rows: list[dict[int, Fraction]] = []
+        self._rows: list[dict[int, Rational]] = []
         # row i = sum over j of _combos[i][j] * (j-th kept vector)
-        self._combos: list[dict[int, Fraction]] = []
+        self._combos: list[dict[int, Rational]] = []
         for label, vec in enumerate(vectors):
             self.add(vec, label)
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def add(self, vec: Mapping[int, Fraction], label=None) -> bool:
+    def add(self, vec: Mapping[int, Rational], label=None) -> bool:
         """Keep vec under label (default: its kept index) unless it lies in the span.
 
         Returns True when vec was kept as a new pivot row.
@@ -217,25 +221,25 @@ class Echelon:
         if not residue:
             return False
         pivot = min(residue)
-        inv = 1 / Fraction(residue[pivot])
-        combo = {j: -v * inv for j, v in self._combine(used).items()}
+        inv = canon(Fraction(1, residue[pivot]))
+        combo = {j: canon(-v * inv) for j, v in self._combine(used).items()}
         combo[len(self._rows)] = inv
         self._pivots.append(pivot)
-        self._rows.append({k: v * inv for k, v in residue.items()})
+        self._rows.append({k: canon(v * inv) for k, v in residue.items()})
         self._combos.append(combo)
         self.labels.append(len(self.labels) if label is None else label)
         return True
 
-    def coords(self, vec: Mapping[int, Fraction]) -> dict | None:
+    def coords(self, vec: Mapping[int, Rational]) -> dict | None:
         """Coordinates of vec over the kept vectors by label, or None outside the span."""
         residue, used = self._reduce(vec)
         if residue:
             return None
-        return {self.labels[j]: v for j, v in sorted(self._combine(used).items()) if v}
+        return {self.labels[j]: canon(v) for j, v in sorted(self._combine(used).items()) if v}
 
-    def _reduce(self, vec: Mapping[int, Fraction]):
+    def _reduce(self, vec: Mapping[int, Rational]):
         residue = {k: v for k, v in vec.items() if v}
-        used: list[tuple[int, Fraction]] = []
+        used: list[tuple[int, Rational]] = []
         for i, pivot in enumerate(self._pivots):
             c = residue.get(pivot)
             if c is None:
@@ -249,16 +253,16 @@ class Echelon:
                     del residue[k]
         return residue, used
 
-    def _combine(self, used) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def _combine(self, used) -> dict[int, Rational]:
+        out: dict[int, Rational] = {}
         for i, c in used:
             for j, w in self._combos[i].items():
                 out[j] = out.get(j, 0) + c * w
         return out
 
 
-def _columns(entries: Entries, ncols: int) -> list[dict[int, Fraction]]:
-    cols: list[dict[int, Fraction]] = [{} for _ in range(ncols)]
+def _columns(entries: Entries, ncols: int) -> list[dict[int, Rational]]:
+    cols: list[dict[int, Rational]] = [{} for _ in range(ncols)]
     for (r, c), v in entries.items():
         if v:
             cols[c][r] = v
@@ -276,25 +280,25 @@ def sparse_rref(entries: Entries, nrows: int, ncols: int) -> Echelon:
     return echelon
 
 
-def sparse_nullspace(entries: Entries, nrows: int, ncols: int) -> list[dict[int, Fraction]]:
+def sparse_nullspace(entries: Entries, nrows: int, ncols: int) -> list[dict[int, Rational]]:
     """Deterministic kernel basis, one vector per free column.
 
     Column j is free exactly when it lies in the span of the columns before
     it; its coordinates over them give the kernel vector.
     """
     echelon = Echelon()
-    basis: list[dict[int, Fraction]] = []
+    basis: list[dict[int, Rational]] = []
     for j, col in enumerate(_columns(entries, ncols)):
         if echelon.add(col, j):
             continue
-        vec = {j: Fraction(1)}
+        vec = {j: 1}
         for c, v in echelon.coords(col).items():
             vec[c] = -v
         basis.append(vec)
     return basis
 
 
-def sparse_solve(entries: Entries, nrows: int, ncols: int, rhs: Mapping[int, Fraction]) -> dict[int, Fraction] | None:
+def sparse_solve(entries: Entries, nrows: int, ncols: int, rhs: Mapping[int, Rational]) -> dict[int, Rational] | None:
     """The solution of A x = b supported on the pivot columns, or None if inconsistent."""
     return sparse_rref(entries, nrows, ncols).coords(rhs)
 
@@ -338,7 +342,7 @@ class OperatorMatrix:
     def __init__(self, rows: SectionBasis, cols: SectionBasis, entries: Entries):
         self.rows = rows
         self.cols = cols
-        self.entries = {k: Fraction(v) for k, v in entries.items() if v}
+        self.entries = {k: v if type(v) is int else canon(v) for k, v in entries.items() if v}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -364,18 +368,18 @@ class OperatorMatrix:
             raise BasisMismatchError(
                 f"cannot compose: inner bases differ ({self.cols.key} vs {other.rows.key})"
             )
-        by_col: dict[int, list[tuple[int, Fraction]]] = {}
+        by_col: dict[int, list[tuple[int, Rational]]] = {}
         for (r, c), v in other.entries.items():
             by_col.setdefault(c, []).append((r, v))
-        by_inner: dict[int, list[tuple[int, Fraction]]] = {}
+        by_inner: dict[int, list[tuple[int, Rational]]] = {}
         for (r, c), v in self.entries.items():
             by_inner.setdefault(c, []).append((r, v))
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], Rational] = {}
         for c, inner_list in by_col.items():
             for inner, v in inner_list:
                 for r, w in by_inner.get(inner, ()):  # noqa: B905
                     key = (r, c)
-                    out[key] = out.get(key, Fraction(0)) + w * v
+                    out[key] = out.get(key, 0) + w * v
         return OperatorMatrix(self.rows, other.cols, out)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
@@ -383,27 +387,27 @@ class OperatorMatrix:
             raise BasisMismatchError("cannot add matrices over different bases")
         out = dict(self.entries)
         for k, v in other.entries.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return OperatorMatrix(self.rows, self.cols, out)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
-    def scale(self, q: Fraction) -> "OperatorMatrix":
+    def scale(self, q: Rational) -> "OperatorMatrix":
         return OperatorMatrix(self.rows, self.cols, {k: v * q for k, v in self.entries.items()})
 
-    def apply(self, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def apply(self, vec: Mapping[int, Rational]) -> dict[int, Rational]:
+        out: dict[int, Rational] = {}
         for (r, c), v in self.entries.items():
             x = vec.get(c)
             if x:
-                out[r] = out.get(r, Fraction(0)) + v * x
+                out[r] = out.get(r, 0) + v * x
         return {r: v for r, v in out.items() if v}
 
     def rank(self) -> int:
         return sparse_rank(self.entries, self.rows.dim, self.cols.dim)
 
-    def nullspace(self) -> list[dict[int, Fraction]]:
+    def nullspace(self) -> list[dict[int, Rational]]:
         return sparse_nullspace(self.entries, self.rows.dim, self.cols.dim)
 
     def off_block_entries(self) -> list[tuple[int, int]]:
@@ -429,7 +433,7 @@ class OperatorMatrix:
     @staticmethod
     def identity(basis: SectionBasis) -> "OperatorMatrix":
         return OperatorMatrix(
-            basis, basis, {(i, i): Fraction(1) for i in range(basis.dim)}
+            basis, basis, {(i, i): 1 for i in range(basis.dim)}
         )
 
     @staticmethod

@@ -26,10 +26,10 @@ the quotient with no further sign bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable
 
+from .coefficients import Rational
 from .contact import ContactChart, HForm
 from .errors import (
     DegreeError,
@@ -72,7 +72,7 @@ class TwoStepStructure:
     n: int
     lef: DifferentialForm  # constant structure two-form on the base axes
     beta: DifferentialForm | None = None
-    lie_scale: Fraction = Fraction(0)
+    lie_scale: Rational = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_fiber", fiber_from_form(self.lef, self.n))
@@ -390,9 +390,9 @@ def _embedding_entries(
     basis: SectionBasis,
     ambient: GradedSpace,
     ambient_basis: SectionBasis,
-) -> dict[tuple[int, int], Fraction]:
+) -> dict[tuple[int, int], Rational]:
     """Columns of a class space expressed in ambient full-space coordinates."""
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict[tuple[int, int], Rational] = {}
     for col, label in enumerate(basis.labels):
         for row, v in ambient.vector(space.element(label), ambient_basis).items():
             out[(row, col)] = v
@@ -427,7 +427,7 @@ def generic_zigzag_matrix(
     a_next_basis = a_next.basis(truncation)
     b_slot = struct.full_space(k - 1, offset=2)
     b_slot_basis = b_slot.basis(truncation)
-    e0_entries: dict[tuple[int, int], Fraction] = {}
+    e0_entries: dict[tuple[int, int], Rational] = {}
     if k <= n:
         for col, label in enumerate(b_slot_basis.labels):
             psi = b_slot.element(label)
@@ -452,7 +452,7 @@ def generic_zigzag_matrix(
     if k == n:
         correction_system = sparse_rref(e0_entries, a_next_basis.dim, b_slot_basis.dim)
 
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], Rational] = {}
     for col, label in enumerate(domain_basis.labels):
         e = domain.element(label)
         if k <= n:

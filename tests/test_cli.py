@@ -318,9 +318,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestSizeGuard:
-    """An n whose fiber calculus is out of reach exits 2 at once, before any build."""
+    """An n or a truncation out of reach exits 2 at once, before any build."""
 
-    def _run_cli(self, argv):
+    def _run_cli(self, argv, expected="C(16, 8) = 12870"):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         start = time.monotonic()
         result = subprocess.run(
@@ -332,7 +332,7 @@ class TestSizeGuard:
         assert elapsed < 2, f"took {elapsed:.1f} s"
         assert "Traceback" not in result.stderr
         lines = result.stderr.strip().splitlines()
-        assert len(lines) == 1 and "C(16, 8) = 12870" in lines[0]
+        assert len(lines) == 1 and expected in lines[0]
         return lines[0]
 
     # 10**306 overflows a float; 10**4300 - 1 has as many digits as an int may
@@ -349,3 +349,23 @@ class TestSizeGuard:
     def test_affine_cohomology_exit_2(self, n):
         argv = ["cohomology", "--model", "affine", "--n", str(n), "--max-weight", "0"]
         assert self._run_cli(argv).startswith("error: ")
+
+    def test_torus_cohomology_checks_n_first(self):
+        # the n guard runs before the sample pool (5^{2n} - 1) / 2 is counted,
+        # a power of 5 with 1.4e7 digits here
+        argv = ["cohomology", "--model", "torus", "--n", str(10**7)]
+        assert self._run_cli(argv).startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, estimate",
+        [
+            ("cohomology --model affine --n 2 --max-weight 40", "1,797,441"),
+            ("rs build --model torus --n 7 --modes 3", "at least 10^15"),
+            ("cohomology --model torus --n 7 --sample-modes 100000", "3,276,816,384"),
+            ("les --model affine --n 2 --max-weight %d" % (10**4300 - 1), "at least 10^15"),
+        ],
+        ids=["affine-w40", "torus-n7-shell3", "torus-samples", "4300-digit-weight"],
+    )
+    def test_section_budget_exit_2(self, argv, estimate):
+        line = self._run_cli(argv.split(), expected="over the budget of 50,000")
+        assert line.startswith("error: the truncation spans ") and estimate in line

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from cscx.coefficients import (
     PolyCoefficient,
+    TrigCoefficient,
+    canonical_mode,
     coefficient_from_json,
     coefficient_to_json,
     evaluate,
@@ -87,6 +89,55 @@ class TestRingAxioms:
         expected = (trig_sin(TRIG, (2, 1, 0, 0)) - trig_sin(TRIG, (0, 1, 0, 0))).scale(Fraction(1, 2))
         assert product == expected
         assert trig_sin(TRIG, (0, -1, 0, 0)) == -trig_sin(TRIG, (0, 1, 0, 0))
+
+
+# terms mixing ints and Fractions (integral ones among them)
+mixed_scalars = st.one_of(st.integers(-30, 30), fractions)
+trig_terms = st.tuples(st.sampled_from("cs"), st.tuples(*[st.integers(-2, 2)] * 4)).map(
+    lambda t: (t[0], canonical_mode(t[1]))
+).filter(lambda t: t[0] == "c" or any(t[1]))
+
+
+@st.composite
+def mixed_coefficients(draw, kind):
+    if kind == "poly":
+        return PolyCoefficient(4, draw(st.dictionaries(exponents, mixed_scalars, max_size=4)))
+    return TrigCoefficient(4, draw(st.dictionaries(trig_terms, mixed_scalars, max_size=4)))
+
+
+def _all_fraction(f):
+    """The same coefficient with every term a Fraction, bypassing the constructor."""
+    copy = object.__new__(type(f))
+    copy.nvars = f.nvars
+    copy.terms = {key: Fraction(v) for key, v in f.terms.items()}
+    return copy
+
+
+def _canonical(f) -> bool:
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in f.terms.values())
+
+
+class TestMixedScalars:
+    """int and Fraction terms give the same values as Fraction-only arithmetic."""
+
+    @pytest.mark.parametrize("kind", ["poly", "trig"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_ring_operations(self, kind, data):
+        a = data.draw(mixed_coefficients(kind))
+        b = data.draw(mixed_coefficients(kind))
+        q = data.draw(mixed_scalars)
+        fa, fb = _all_fraction(a), _all_fraction(b)
+        pairs = [
+            (a + b, fa + fb),
+            (a - b, fa - fb),
+            (a * b, fa * fb),
+            (a.scale(q), fa.scale(Fraction(q))),
+        ]
+        pairs += [(a.partial(var), fa.partial(var)) for var in range(4)]
+        for got, reference in pairs:
+            assert got == reference
+            assert _canonical(got) and _canonical(reference)
 
 
 class TestDerivative:

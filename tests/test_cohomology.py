@@ -21,7 +21,13 @@ from cscx.cohomology import (
 )
 from cscx.descent import rs_complex
 from cscx.errors import CscxError, NotAComplexError
-from cscx.grading import sample_modes
+from cscx.grading import (
+    GradedSpace,
+    mode_section_dim,
+    mode_shells,
+    sample_modes,
+    weight_section_dim,
+)
 from cscx.linalg import OperatorMatrix, SectionBasis, dense_rank
 from cscx.rumin import rumin_complex
 
@@ -98,6 +104,43 @@ class TestSampleModes:
         assert len(set(modes)) == 312
         with pytest.raises(CscxError):
             sample_modes(4, 313)
+
+
+class TestSectionBudget:
+    """The closed-form section dimensions against enumerated bases, and what the budget admits."""
+
+    @staticmethod
+    def _enumerated(cs, truncation):
+        return sum(
+            GradedSpace(cs.chart, k).basis(truncation).dim for k in range(2 * cs.n + 1)
+        )
+
+    @pytest.mark.parametrize("max_weight", range(6))
+    def test_weight_closed_form(self, cs_affine2, max_weight):
+        expected = self._enumerated(cs_affine2, weight_truncation(max_weight))
+        assert weight_section_dim(2, max_weight) == expected
+
+    @pytest.mark.parametrize("norms", [{0}, {1}, {0, 1}, {2}, {0, 2}], ids=str)
+    def test_mode_closed_form(self, cs_torus2, norms):
+        truncation = mode_truncation(mode_shells(4, norms))
+        assert mode_section_dim(2, norms, 0) == self._enumerated(cs_torus2, truncation)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            RunConfig("cohomology", "cs-affine", n=3, max_weight=6),
+            RunConfig("cohomology", "cs-affine", n=3, max_weight=8),
+            RunConfig("cohomology", "cs-affine", n=4, max_weight=4),
+            RunConfig("rumin-verify", "contact-affine", n=3, max_weight=4),
+            RunConfig("rs-build", "torus", n=2, mode_norms=(0, 1), sample_count=3),
+            RunConfig("rs-build", "torus", n=3, mode_norms=(0,), sample_count=2),
+            RunConfig("lefschetz-table", "cs-affine", n=3, max_weight=0),
+        ],
+        ids=["affine-n3-w6", "affine-n3-w8", "affine-n4-w4", "rumin-n3-w4",
+             "torus-n2", "torus-n3", "lefschetz-n3"],
+    )
+    def test_budget_admits(self, config):
+        config.validate()
 
 
 class TestQuotient:

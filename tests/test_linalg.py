@@ -110,12 +110,16 @@ class TestKernelAndSolve:
 fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
 
+ints = st.integers(-4, 4)
+mixed = st.one_of(ints, fractions)
+
+
 @st.composite
-def sparse_matrices(draw):
+def sparse_matrices(draw, values=fractions):
     """(entries, nrows, ncols) of a random sparse rational matrix."""
     m = draw(st.integers(1, 6))
     n = draw(st.integers(1, 6))
-    cells = draw(st.dictionaries(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), fractions))
+    cells = draw(st.dictionaries(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), values))
     return {key: v for key, v in cells.items() if v}, m, n
 
 
@@ -193,6 +197,33 @@ class TestEchelonProperties:
         assert quotient.dim == kernel_dim - sparse_rank(d_in, space, src)
         for j, rep in enumerate(quotient.reps):
             assert quotient.coords(rep) == {j: Fraction(1)}
+
+
+def _canonical(values) -> bool:
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in values)
+
+
+class TestMixedScalars:
+    """int-valued and mixed int/Fraction matrices against the dense Fraction reference."""
+
+    @pytest.mark.parametrize("values", [ints, mixed], ids=["int", "mixed"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_rank_nullspace_and_echelon(self, values, data):
+        entries, m, n = data.draw(sparse_matrices(values))
+        dense = _dense(entries, m, n)
+        rank = dense_rank(dense)
+        assert sparse_rank(entries, m, n) == rank
+        echelon = Echelon(_cols(entries, n))
+        assert len(echelon) == rank
+        kernel = sparse_nullspace(entries, m, n)
+        assert [[vec.get(j, 0) for j in range(n)] for vec in kernel] == dense_nullspace(dense, n)
+        for vec in kernel:
+            assert _canonical(vec.values())
+        weights = {j: data.draw(values) for j in range(n)}
+        coords = echelon.coords(_apply(entries, weights))
+        assert coords is not None and _apply(entries, coords) == _apply(entries, weights)
+        assert _canonical(coords.values())
 
 
 def _basis(tag: str, size: int) -> SectionBasis:
