@@ -45,7 +45,7 @@ from .grading import (
     weight_truncation,
 )
 from .lefschetz import CsChart, TwistedForm
-from .linalg import Echelon, OperatorMatrix, sparse_nullspace, sparse_rank
+from .linalg import Echelon, OperatorMatrix, sparse_nullspace, sparse_rank, sparse_rref
 
 __all__ = [
     "OperatorMatrix",
@@ -100,6 +100,18 @@ class CochainQuotient:
     chosen deterministically by leftmost pivoting.  One ``Echelon`` holds
     the image columns followed by the representatives, so class
     coordinates are a single reduction against it.
+
+    Along a complex each differential is eliminated once: the nullspace
+    elimination of ``d_out`` fills ``next_image`` (an empty ``Echelon``),
+    which is the column echelon of d_out and so the image span of the next
+    node; ``_quotients`` passes it there as ``image``, and that quotient takes
+    it over and extends it.  Without ``image`` the span is the
+    ``sparse_rref`` of ``d_in``.
+
+    Precondition: the image lies in the kernel (d_out . d_in = 0, verified
+    once by ``BlockComplexes``).  Then, once the representatives number
+    dim ker - rank d_in, image and representatives span the whole kernel,
+    so the remaining kernel vectors are not tested.
     """
 
     def __init__(
@@ -107,21 +119,28 @@ class CochainQuotient:
         d_in: OperatorMatrix | None,
         d_out: OperatorMatrix | None,
         space_dim: int,
+        image: Echelon | None = None,
+        next_image: Echelon | None = None,
     ):
         if d_out is not None and not d_out.is_zero():
-            kernel = d_out.nullspace()
+            kernel = sparse_nullspace(d_out.entries, *d_out.shape, next_image)
         else:
             kernel = [{i: 1} for i in range(space_dim)]
-        self._span = Echelon()
-        if d_in is not None:
-            image_cols: dict[int, dict[int, Rational]] = {}
-            for (r, c), v in d_in.entries.items():
-                image_cols.setdefault(c, {})[r] = v
-            for c in sorted(image_cols):
-                self._span.add(image_cols[c])
-        self._image_rank = len(self._span)
+        if image is None:
+            image = Echelon() if d_in is None else sparse_rref(d_in.entries, *d_in.shape)
+        # the image columns were labelled by column index; classes are read
+        # off by kept index
+        image.labels = list(range(len(image)))
+        self._span = image
+        self._image_rank = len(image)
+        classes = len(kernel) - self._image_rank
         # representatives: kernel vectors independent modulo the image
-        self.reps = [vec for vec in kernel if self._span.add(vec)]
+        self.reps = []
+        for vec in kernel:
+            if len(self.reps) == classes:
+                break
+            if image.add(vec):
+                self.reps.append(vec)
         self.dim = len(self.reps)
 
     def coords(self, vec: dict[int, Rational]) -> dict[int, Rational] | None:
@@ -145,8 +164,24 @@ class CochainQuotient:
         return out
 
 
-def _in_span(vectors, vec) -> bool:
-    return Echelon(vectors).coords(vec) is not None
+def _quotients(maps: list[OperatorMatrix], bases: list[SectionBasis]) -> list[CochainQuotient]:
+    """The quotient at every node of a complex; ``maps[k]`` sends node k to node k+1.
+
+    The column echelon of ``maps[k]``, built by the nullspace elimination
+    at node k, moves on as the image span of node k+1.
+    """
+    out, image = [], Echelon()
+    for k, basis in enumerate(bases):
+        next_image = Echelon()
+        d_in = maps[k - 1] if k else None
+        d_out = maps[k] if k < len(maps) else None
+        out.append(CochainQuotient(d_in, d_out, basis.dim, image, next_image))
+        image = next_image
+    return out
+
+
+def _in_span(span: Echelon, vec) -> bool:
+    return span.coords(vec) is not None
 
 
 # -- complex builders -------------------------------------------------------------
@@ -368,15 +403,9 @@ class BlockComplexes:
         top = self.top
         a_bases, w_bases, tot = self.a_bases, self.w_bases, self.total
 
-        def quotients(maps, bases):
-            return [
-                CochainQuotient(maps[k - 1] if k else None, maps[k] if k < top else None, bases[k].dim)
-                for k in range(top + 1)
-            ]
-
-        h_a = quotients(self.de_rham, a_bases)
-        h_w = quotients(self.twisted, w_bases)
-        h_t = quotients(tot, self.t_bases)
+        h_a = _quotients(self.de_rham, a_bases)
+        h_w = _quotients(self.twisted, w_bases)
+        h_t = _quotients(tot, self.t_bases)
 
         # induced maps on cohomology
         inc_maps = [
@@ -434,7 +463,7 @@ class BlockComplexes:
         failure = ""
         exact = True
 
-        def _node_failure(name, k, incoming, outgoing, dim, rank_in, rank_out):
+        def _node_failure(name, k, incoming, outgoing, dim, out_dim, rank_in, rank_out):
             nonlocal exact, failure
             if _compose_dicts(outgoing, incoming, dim):
                 exact = False
@@ -449,9 +478,9 @@ class BlockComplexes:
             image_cols = {}
             for (r, c), v in incoming.items():
                 image_cols.setdefault(c, {})[r] = v
-            cols = [image_cols[c] for c in sorted(image_cols)]
-            kernel = sparse_nullspace(outgoing, max(dim, 1), dim)
-            witness = next((vec for vec in kernel if not _in_span(cols, vec)), None)
+            span = Echelon([image_cols[c] for c in sorted(image_cols)])
+            kernel = sparse_nullspace(outgoing, out_dim, dim)
+            witness = next((vec for vec in kernel if not _in_span(span, vec)), None)
             serialized = (
                 {str(i): f"{v.numerator}/{v.denominator}" for i, v in witness.items()}
                 if witness
@@ -463,9 +492,10 @@ class BlockComplexes:
             into_t, out_t = inc_maps[k], proj_maps[k]
             conn = snake_maps[k] if k < top else {}
             prev_conn = snake_maps[k - 1] if k >= 1 else {}
-            _node_failure("H_total", k, into_t, out_t, h_t[k].dim, rank_inc[k], rank_proj[k])
-            _node_failure("H_twisted", k, out_t, conn, h_w[k].dim, rank_proj[k], rank_conn[k])
-            _node_failure("H_deRham", k, prev_conn, into_t, h_a[k].dim, rank_conn[k - 1], rank_inc[k])
+            conn_dim = h_a[k + 1].dim if k < top else 0
+            _node_failure("H_total", k, into_t, out_t, h_t[k].dim, h_w[k].dim, rank_inc[k], rank_proj[k])
+            _node_failure("H_twisted", k, out_t, conn, h_w[k].dim, conn_dim, rank_proj[k], rank_conn[k])
+            _node_failure("H_deRham", k, prev_conn, into_t, h_a[k].dim, h_t[k].dim, rank_conn[k - 1], rank_inc[k])
 
         return LesBlockResult(
             block=self.block,

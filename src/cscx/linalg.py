@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -193,16 +194,23 @@ class Echelon:
     and a coordinate read-off in one -- is a single reduction.
 
     Rows are never back-substituted: row i holds no pivot of an earlier
-    row, so one pass in row order clears every pivot from a residue.
+    row, so subtracting row i creates entries only at pivots of later
+    rows.  A reduction therefore visits only the rows its residue reaches
+    (Gilbert--Peierls): a min-heap, seeded with the rows whose pivots the
+    vector holds, gains a row whenever an update creates an entry at that
+    row's pivot, and pops rows in increasing order -- exactly the rows, the
+    order and the multipliers of a full pass over every pivot.
     Coordinates over the kept (independent) vectors are unique, so they do
     not depend on the pivot choice.
     """
 
-    __slots__ = ("labels", "_pivots", "_rows", "_combos")
+    __slots__ = ("labels", "_pivots", "_row_of", "_rows", "_combos")
 
     def __init__(self, vectors: Sequence[Mapping[int, Rational]] = ()):
         self.labels: list = []
         self._pivots: list[int] = []
+        # pivot column -> index of its row
+        self._row_of: dict[int, int] = {}
         self._rows: list[dict[int, Rational]] = []
         # row i = sum over j of _combos[i][j] * (j-th kept vector)
         self._combos: list[dict[int, Rational]] = []
@@ -220,14 +228,7 @@ class Echelon:
         residue, used = self._reduce(vec)
         if not residue:
             return False
-        pivot = min(residue)
-        inv = canon(Fraction(1, residue[pivot]))
-        combo = {j: canon(-v * inv) for j, v in self._combine(used).items()}
-        combo[len(self._rows)] = inv
-        self._pivots.append(pivot)
-        self._rows.append({k: canon(v * inv) for k, v in residue.items()})
-        self._combos.append(combo)
-        self.labels.append(len(self.labels) if label is None else label)
+        self._keep(residue, used, label)
         return True
 
     def coords(self, vec: Mapping[int, Rational]) -> dict | None:
@@ -235,18 +236,45 @@ class Echelon:
         residue, used = self._reduce(vec)
         if residue:
             return None
+        return self._coords(used)
+
+    def _keep(self, residue: dict[int, Rational], used, label) -> None:
+        """Append a nonzero residue as a new pivot row."""
+        pivot = min(residue)
+        inv = canon(Fraction(1, residue[pivot]))
+        combo = {j: canon(-v * inv) for j, v in self._combine(used).items()}
+        combo[len(self._rows)] = inv
+        self._row_of[pivot] = len(self._rows)
+        self._pivots.append(pivot)
+        self._rows.append({k: canon(v * inv) for k, v in residue.items()})
+        self._combos.append(combo)
+        self.labels.append(len(self.labels) if label is None else label)
+
+    def _coords(self, used) -> dict:
         return {self.labels[j]: canon(v) for j, v in sorted(self._combine(used).items()) if v}
 
     def _reduce(self, vec: Mapping[int, Rational]):
         residue = {k: v for k, v in vec.items() if v}
         used: list[tuple[int, Rational]] = []
-        for i, pivot in enumerate(self._pivots):
-            c = residue.get(pivot)
+        pivots, rows, row_of = self._pivots, self._rows, self._row_of
+        heap = [row_of[k] for k in residue if k in row_of]
+        heapify(heap)
+        while heap:
+            i = heappop(heap)
+            c = residue.get(pivots[i])
             if c is None:
+                # cancelled by an earlier row, or a second push of row i
                 continue
             used.append((i, c))
-            for k, v in self._rows[i].items():
-                new = residue.get(k, 0) - c * v
+            for k, v in rows[i].items():
+                old = residue.get(k)
+                if old is None:
+                    residue[k] = -c * v
+                    j = row_of.get(k)
+                    if j is not None:
+                        heappush(heap, j)
+                    continue
+                new = old - c * v
                 if new:
                     residue[k] = new
                 else:
@@ -280,19 +308,26 @@ def sparse_rref(entries: Entries, nrows: int, ncols: int) -> Echelon:
     return echelon
 
 
-def sparse_nullspace(entries: Entries, nrows: int, ncols: int) -> list[dict[int, Rational]]:
+def sparse_nullspace(
+    entries: Entries, nrows: int, ncols: int, echelon: Echelon | None = None
+) -> list[dict[int, Rational]]:
     """Deterministic kernel basis, one vector per free column.
 
     Column j is free exactly when it lies in the span of the columns before
-    it; its coordinates over them give the kernel vector.
+    it; its coordinates over them give the kernel vector.  Each column is
+    reduced once.  Pass an empty ``echelon`` to keep the column echelon the
+    elimination builds (the ``sparse_rref`` of the matrix).
     """
-    echelon = Echelon()
+    if echelon is None:
+        echelon = Echelon()
     basis: list[dict[int, Rational]] = []
     for j, col in enumerate(_columns(entries, ncols)):
-        if echelon.add(col, j):
+        residue, used = echelon._reduce(col)
+        if residue:
+            echelon._keep(residue, used, j)
             continue
         vec = {j: 1}
-        for c, v in echelon.coords(col).items():
+        for c, v in echelon._coords(used).items():
             vec[c] = -v
         basis.append(vec)
     return basis
@@ -406,9 +441,6 @@ class OperatorMatrix:
 
     def rank(self) -> int:
         return sparse_rank(self.entries, self.rows.dim, self.cols.dim)
-
-    def nullspace(self) -> list[dict[int, Rational]]:
-        return sparse_nullspace(self.entries, self.rows.dim, self.cols.dim)
 
     def off_block_entries(self) -> list[tuple[int, int]]:
         """Positions whose row and column lie in different grading blocks."""

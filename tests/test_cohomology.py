@@ -1,12 +1,16 @@
+import ast
+import json
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
-from cscx.cli import RunConfig, run_suite
+from cscx.cli import RunConfig, main, run_suite
 from cscx.cohomology import (
     BlockComplexes,
     CochainQuotient,
     Truncation,
+    _quotients,
     _TotalSpace,
     cohomology_dims,
     de_rham_complex,
@@ -28,7 +32,7 @@ from cscx.grading import (
     sample_modes,
     weight_section_dim,
 )
-from cscx.linalg import OperatorMatrix, SectionBasis, dense_rank
+from cscx.linalg import Echelon, OperatorMatrix, SectionBasis, dense_rank, sparse_nullspace, sparse_rref
 from cscx.rumin import rumin_complex
 
 
@@ -235,6 +239,179 @@ class TestLes:
         assert report.snake_equals_wedge
         assert list(report.connecting_ranks) == [0, 1, 4, 1, 0]
         assert list(report.total_dims) == [1, 4, 5, 5, 4, 1]
+
+
+def _image_columns(d):
+    cols = {}
+    for (r, c), v in (d.entries if d is not None else {}).items():
+        cols.setdefault(c, {})[r] = v
+    return [cols[c] for c in sorted(cols)]
+
+
+def _fresh_image(d):
+    """The image span built column by column, labelled by kept index."""
+    span = Echelon()
+    for col in _image_columns(d):
+        span.add(col)
+    return span
+
+
+def _fresh_quotient(d_in, d_out, dim):
+    """Representatives and class coordinates from a fresh image echelon,
+    testing every kernel vector."""
+    if d_out is not None and not d_out.is_zero():
+        kernel = sparse_nullspace(d_out.entries, *d_out.shape)
+    else:
+        kernel = [{i: 1} for i in range(dim)]
+    span = _fresh_image(d_in)
+    image_rank = len(span)
+    reps = [vec for vec in kernel if span.add(vec)]
+
+    def coords(vec):
+        found = span.coords(vec)
+        if found is None:
+            return None
+        return {j - image_rank: v for j, v in found.items() if j >= image_rank}
+
+    return reps, coords
+
+
+_HANDOFF_BLOCKS = [("affine", ("w", w)) for w in range(5)] + [("torus", ("m", (0, 0, 0, 0)))]
+
+
+class TestEchelonHandOff:
+    """Quotients that inherit the nullspace echelon of the previous node and
+    stop once their classes are complete give the quotients built afresh."""
+
+    @pytest.mark.parametrize("model, block", _HANDOFF_BLOCKS, ids=[str(b) for _, b in _HANDOFF_BLOCKS])
+    def test_quotients_match_fresh_build(self, cs_affine2, cs_torus2, model, block):
+        blocks = BlockComplexes(cs_affine2 if model == "affine" else cs_torus2, block)
+        complexes = [
+            (blocks.de_rham, blocks.a_bases),
+            (blocks.twisted, blocks.w_bases),
+            (blocks.total, blocks.t_bases),
+        ]
+        for maps, bases in complexes:
+            quotients = _quotients(maps, bases)
+            assert len(quotients) == len(bases) == len(maps) + 1
+            for k, quotient in enumerate(quotients):
+                d_in = maps[k - 1] if k else None
+                d_out = maps[k] if k < len(maps) else None
+                reps, coords = _fresh_quotient(d_in, d_out, bases[k].dim)
+                assert quotient.reps == reps
+                assert quotient.dim == len(reps)
+                for vec in reps + _image_columns(d_in):
+                    assert quotient.coords(vec) == coords(vec)
+                if d_in is not None:
+                    # the inherited span starts with the column echelon of d_in
+                    reference = sparse_rref(d_in.entries, *d_in.shape)
+                    rank = len(reference)
+                    assert quotient._span._pivots[:rank] == reference._pivots
+                    assert quotient._span._rows[:rank] == reference._rows
+
+    @pytest.mark.parametrize("model, block", _HANDOFF_BLOCKS, ids=[str(b) for _, b in _HANDOFF_BLOCKS])
+    def test_nullspace_echelon_is_the_column_echelon(self, cs_affine2, cs_torus2, model, block):
+        blocks = BlockComplexes(cs_affine2 if model == "affine" else cs_torus2, block)
+        for d in blocks.de_rham + blocks.twisted + blocks.total:
+            echelon = Echelon()
+            sparse_nullspace(d.entries, *d.shape, echelon)
+            reference = sparse_rref(d.entries, *d.shape)
+            assert echelon._pivots == reference._pivots
+            assert echelon._rows == reference._rows
+            assert echelon.labels == reference.labels
+            echelon.labels = list(range(len(echelon)))
+            fresh = _fresh_image(d)
+            for col in _image_columns(d):
+                assert echelon.coords(col) == fresh.coords(col)
+
+
+_ZERO_MODE = ("m", (0, 0, 0, 0))
+
+
+def _sequence_map(push):
+    """``(kind, node)`` when push applies the inclusion or projection at a node, else None."""
+    matrix = getattr(push, "__self__", None)
+    if not isinstance(matrix, OperatorMatrix):
+        return None
+    if matrix.rows.key[0] == "total":
+        return ("inclusion", matrix.rows.key[2])
+    if matrix.cols.key[0] == "total":
+        return ("projection", matrix.cols.key[2])
+    return None
+
+
+def _corrupt(monkeypatch, which, change):
+    """Pass the induced map named ``which`` through ``change``; record the
+    induced inclusions and projections as the sequence check sees them."""
+    original = CochainQuotient.induced_matrix
+    seen = {}
+
+    def patched(self, push, target):
+        out = original(self, push, target)
+        name = _sequence_map(push)
+        if name == which:
+            out = change(out)
+        if name is not None:
+            seen[name] = out
+        return out
+
+    monkeypatch.setattr(CochainQuotient, "induced_matrix", patched)
+    return seen
+
+
+def _dense_matrix(entries, nrows, ncols):
+    return [[entries.get((r, c), Fraction(0)) for c in range(ncols)] for r in range(nrows)]
+
+
+def _drop_column_0(out):
+    return {key: v for key, v in out.items() if key[1] != 0}
+
+
+class TestLesWitness:
+    """Corrupted induced maps on the torus constant mode fail the exactness
+    check, with a witness class where the ranks disagree."""
+
+    @pytest.mark.parametrize(
+        "which, change",
+        [(("inclusion", 1), lambda out: {}), (("projection", 3), _drop_column_0)],
+        ids=["inclusion-1-zero", "projection-3-drops-column-0"],
+    )
+    def test_witness_is_a_kernel_class_outside_the_image(self, cs_torus2, monkeypatch, which, change):
+        block = BlockComplexes(cs_torus2, _ZERO_MODE)
+        seen = _corrupt(monkeypatch, which, change)
+        result = block.les()
+        k = which[1]
+        assert not result.exact
+        prefix = f"node H_total[{k}]: im != ker; counterexample class "
+        assert result.failure.startswith(prefix)
+        a_dim, t_dim, w_dim = result.de_rham_dims[k], result.total_dims[k], result.twisted_dims[k]
+        witness = [Fraction(0)] * t_dim
+        for i, v in ast.literal_eval(result.failure[len(prefix):]).items():
+            witness[int(i)] = Fraction(v)
+        assert any(witness)
+        # in the kernel of the outgoing map
+        out_rows = _dense_matrix(seen[("projection", k)], w_dim, t_dim)
+        assert dense_rank([[sum(a * b for a, b in zip(row, witness))] for row in out_rows]) == 0
+        # outside the image of the incoming one
+        in_cols = [list(col) for col in zip(*_dense_matrix(seen[("inclusion", k)], t_dim, a_dim))]
+        assert dense_rank(in_cols + [witness]) == dense_rank(in_cols) + 1
+
+    def test_inclusion_hitting_a_projected_class_breaks_the_composite(self, cs_torus2, monkeypatch):
+        # the projection is injective on total classes at node 3, so sending
+        # a de Rham class onto total class 0 survives the composite
+        block = BlockComplexes(cs_torus2, _ZERO_MODE)
+        _corrupt(monkeypatch, ("inclusion", 3), lambda out: {(0, 0): 1})
+        result = block.les()
+        assert not result.exact
+        assert result.failure == "node H_total[3]: composite not zero"
+
+    def test_les_command_exits_1_with_the_witness(self, monkeypatch):
+        _corrupt(monkeypatch, ("inclusion", 1), lambda out: {})
+        result = CliRunner().invoke(main, ["les", "--model", "torus", "--n", "2"])
+        assert result.exit_code == 1, result.output
+        les = json.loads(result.output)["result"]["les"]
+        assert not les["exact"]
+        assert les["failure"].startswith("node H_total[1]: im != ker; counterexample class {")
 
 
 class TestReports:

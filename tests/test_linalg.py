@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cscx.cohomology import CochainQuotient
+from cscx.coefficients import canon
 from cscx.errors import BasisMismatchError
 from cscx.linalg import (
     Echelon,
@@ -15,6 +16,7 @@ from cscx.linalg import (
     dense_rref,
     sparse_nullspace,
     sparse_rank,
+    sparse_rref,
     sparse_solve,
 )
 
@@ -115,10 +117,10 @@ mixed = st.one_of(ints, fractions)
 
 
 @st.composite
-def sparse_matrices(draw, values=fractions):
+def sparse_matrices(draw, values=fractions, max_dim=6):
     """(entries, nrows, ncols) of a random sparse rational matrix."""
-    m = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_dim))
     cells = draw(st.dictionaries(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), values))
     return {key: v for key, v in cells.items() if v}, m, n
 
@@ -224,6 +226,94 @@ class TestMixedScalars:
         coords = echelon.coords(_apply(entries, weights))
         assert coords is not None and _apply(entries, coords) == _apply(entries, weights)
         assert _canonical(coords.values())
+
+
+def _all_pivots_reduce(echelon, vec):
+    """Reference reduction: one pass over every pivot row in row order."""
+    residue = {k: v for k, v in vec.items() if v}
+    used = []
+    for i, pivot in enumerate(echelon._pivots):
+        c = residue.get(pivot)
+        if c is None:
+            continue
+        used.append((i, c))
+        for k, v in echelon._rows[i].items():
+            new = residue.get(k, 0) - c * v
+            if new:
+                residue[k] = new
+            else:
+                del residue[k]
+    return residue, used
+
+
+def _reference_coords(echelon, vec):
+    residue, used = _all_pivots_reduce(echelon, vec)
+    if residue:
+        return None
+    combined = {}
+    for i, c in used:
+        for j, w in echelon._combos[i].items():
+            combined[j] = combined.get(j, 0) + c * w
+    return {echelon.labels[j]: canon(v) for j, v in sorted(combined.items()) if v}
+
+
+def _reference_nullspace(entries, n):
+    """The kernel basis read as ``add`` followed by ``coords`` on each dependent column."""
+    echelon = Echelon()
+    basis = []
+    for j, col in enumerate(_cols(entries, n)):
+        if echelon.add(col, j):
+            continue
+        vec = {j: 1}
+        for c, v in echelon.coords(col).items():
+            vec[c] = -v
+        basis.append(vec)
+    return basis, echelon
+
+
+def _state(echelon):
+    return echelon.labels, echelon._pivots, echelon._rows, echelon._combos
+
+
+class TestReachOnlyReduction:
+    """The heap reduction visits the rows, in the order and with the
+    multipliers, of the all-pivots walk it replaced."""
+
+    @pytest.mark.parametrize("values", [fractions, ints, mixed], ids=["fractions", "int", "mixed"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_all_pivots_walk(self, values, data):
+        entries, m, n = data.draw(sparse_matrices(values, max_dim=10))
+        echelon = Echelon()
+        probes = []
+        for j, col in enumerate(_cols(entries, n)):
+            # every column is reduced against the rows before it, as it is added
+            probes.append(col)
+            residue, used = echelon._reduce(col)
+            reference = _all_pivots_reduce(echelon, col)
+            assert (list(residue.items()), used) == (list(reference[0].items()), reference[1])
+            echelon.add(col, j)
+        weights = {j: data.draw(values) for j in range(n)}
+        probes.append(_apply(entries, weights))
+        probes.append({i: v for i, v in data.draw(st.dictionaries(st.integers(0, m - 1), values)).items() if v})
+        for vec in probes:
+            residue, used = echelon._reduce(vec)
+            ref_residue, ref_used = _all_pivots_reduce(echelon, vec)
+            assert list(residue.items()) == list(ref_residue.items())
+            assert used == ref_used
+            assert echelon.coords(vec) == _reference_coords(echelon, vec)
+
+    @pytest.mark.parametrize("values", [fractions, ints, mixed], ids=["fractions", "int", "mixed"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_nullspace_reduces_each_column_once(self, values, data):
+        entries, m, n = data.draw(sparse_matrices(values, max_dim=10))
+        reference, reference_echelon = _reference_nullspace(entries, n)
+        echelon = Echelon()
+        kernel = sparse_nullspace(entries, m, n, echelon)
+        assert [list(vec.items()) for vec in kernel] == [list(vec.items()) for vec in reference]
+        assert _state(echelon) == _state(reference_echelon)
+        assert _state(echelon) == _state(sparse_rref(entries, m, n))
 
 
 def _basis(tag: str, size: int) -> SectionBasis:
