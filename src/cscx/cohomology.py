@@ -45,7 +45,7 @@ from .grading import (
     weight_truncation,
 )
 from .lefschetz import CsChart, TwistedForm
-from .linalg import Echelon, OperatorMatrix, sparse_nullspace, sparse_rank, sparse_rref
+from .linalg import Echelon, OperatorMatrix, sparse_nullspace, sparse_rank
 
 __all__ = [
     "OperatorMatrix",
@@ -94,19 +94,19 @@ def cohomology_dims(complex_maps: list[OperatorMatrix]) -> list[int]:
 class CochainQuotient:
     """Cohomology at one node, with explicit representative vectors.
 
-    Built from the incoming and outgoing differentials of the node (an
-    absent or zero outgoing map has the whole space as kernel); the
-    representatives extend a basis of the image to a basis of the kernel,
-    chosen deterministically by leftmost pivoting.  One ``Echelon`` holds
-    the image columns followed by the representatives, so class
-    coordinates are a single reduction against it.
+    Built from the column echelon of the incoming differential d_in
+    (``image``, its ``sparse_rref``; an empty ``Echelon`` when there is
+    none) and the outgoing differential (an absent or zero outgoing map has
+    the whole space as kernel); the representatives extend a basis of the
+    image to a basis of the kernel, chosen deterministically by leftmost
+    pivoting.  The quotient takes ``image`` over and extends it, so one
+    ``Echelon`` holds the image columns followed by the representatives and
+    class coordinates are a single reduction against it.
 
     Along a complex each differential is eliminated once: the nullspace
     elimination of ``d_out`` fills ``next_image`` (an empty ``Echelon``),
     which is the column echelon of d_out and so the image span of the next
-    node; ``_quotients`` passes it there as ``image``, and that quotient takes
-    it over and extends it.  Without ``image`` the span is the
-    ``sparse_rref`` of ``d_in``.
+    node; ``_quotients`` passes it there as ``image``.
 
     Precondition: the image lies in the kernel (d_out . d_in = 0, verified
     once by ``BlockComplexes``).  Then, once the representatives number
@@ -116,18 +116,15 @@ class CochainQuotient:
 
     def __init__(
         self,
-        d_in: OperatorMatrix | None,
+        image: Echelon,
         d_out: OperatorMatrix | None,
         space_dim: int,
-        image: Echelon | None = None,
         next_image: Echelon | None = None,
     ):
         if d_out is not None and not d_out.is_zero():
             kernel = sparse_nullspace(d_out.entries, *d_out.shape, next_image)
         else:
             kernel = [{i: 1} for i in range(space_dim)]
-        if image is None:
-            image = Echelon() if d_in is None else sparse_rref(d_in.entries, *d_in.shape)
         # the image columns were labelled by column index; classes are read
         # off by kept index
         image.labels = list(range(len(image)))
@@ -173,9 +170,8 @@ def _quotients(maps: list[OperatorMatrix], bases: list[SectionBasis]) -> list[Co
     out, image = [], Echelon()
     for k, basis in enumerate(bases):
         next_image = Echelon()
-        d_in = maps[k - 1] if k else None
         d_out = maps[k] if k < len(maps) else None
-        out.append(CochainQuotient(d_in, d_out, basis.dim, image, next_image))
+        out.append(CochainQuotient(image, d_out, basis.dim, next_image))
         image = next_image
     return out
 
@@ -463,7 +459,7 @@ class BlockComplexes:
         failure = ""
         exact = True
 
-        def _node_failure(name, k, incoming, outgoing, dim, out_dim, rank_in, rank_out):
+        def _node_failure(name, k, incoming, outgoing, dim, rank_in, rank_out):
             nonlocal exact, failure
             if _compose_dicts(outgoing, incoming, dim):
                 exact = False
@@ -479,7 +475,7 @@ class BlockComplexes:
             for (r, c), v in incoming.items():
                 image_cols.setdefault(c, {})[r] = v
             span = Echelon([image_cols[c] for c in sorted(image_cols)])
-            kernel = sparse_nullspace(outgoing, out_dim, dim)
+            kernel = sparse_nullspace(outgoing, max(dim, 1), dim)
             witness = next((vec for vec in kernel if not _in_span(span, vec)), None)
             serialized = (
                 {str(i): f"{v.numerator}/{v.denominator}" for i, v in witness.items()}
@@ -492,10 +488,9 @@ class BlockComplexes:
             into_t, out_t = inc_maps[k], proj_maps[k]
             conn = snake_maps[k] if k < top else {}
             prev_conn = snake_maps[k - 1] if k >= 1 else {}
-            conn_dim = h_a[k + 1].dim if k < top else 0
-            _node_failure("H_total", k, into_t, out_t, h_t[k].dim, h_w[k].dim, rank_inc[k], rank_proj[k])
-            _node_failure("H_twisted", k, out_t, conn, h_w[k].dim, conn_dim, rank_proj[k], rank_conn[k])
-            _node_failure("H_deRham", k, prev_conn, into_t, h_a[k].dim, h_t[k].dim, rank_conn[k - 1], rank_inc[k])
+            _node_failure("H_total", k, into_t, out_t, h_t[k].dim, rank_inc[k], rank_proj[k])
+            _node_failure("H_twisted", k, out_t, conn, h_w[k].dim, rank_proj[k], rank_conn[k])
+            _node_failure("H_deRham", k, prev_conn, into_t, h_a[k].dim, rank_conn[k - 1], rank_inc[k])
 
         return LesBlockResult(
             block=self.block,

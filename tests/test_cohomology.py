@@ -152,9 +152,9 @@ class TestQuotient:
         # complex 0 -> Q^2 -d-> Q^2 -> 0 with d = [[0,0],[1,0]]
         a, b = _basis("a", 2), _basis("b", 2)
         d = OperatorMatrix(b, a, {(1, 0): Fraction(1)})
-        h_a = CochainQuotient(None, d, 2)
+        h_a = CochainQuotient(Echelon(), d, 2)
         assert h_a.dim == 1  # kernel is span(e1)
-        h_b = CochainQuotient(d, None, 2)
+        h_b = CochainQuotient(sparse_rref(d.entries, *d.shape), None, 2)
         assert h_b.dim == 1  # e1 modulo image span(e1)... representative e0
         coords = h_b.coords({0: Fraction(3)})
         assert coords == {0: Fraction(3)}

@@ -193,8 +193,8 @@ class TestEchelonProperties:
                     if weight and v:
                         d_out[(r, i)] = d_out.get((r, i), Fraction(0)) + weight * v
         d_out = {key: v for key, v in d_out.items() if v}
-        a, b, c = _basis("a", src), _basis("b", space), _basis("c", tgt)
-        quotient = CochainQuotient(OperatorMatrix(b, a, d_in), OperatorMatrix(c, b, d_out), space)
+        b, c = _basis("b", space), _basis("c", tgt)
+        quotient = CochainQuotient(sparse_rref(d_in, space, src), OperatorMatrix(c, b, d_out), space)
         kernel_dim = space - sparse_rank(d_out, tgt, space)
         assert quotient.dim == kernel_dim - sparse_rank(d_in, space, src)
         for j, rep in enumerate(quotient.reps):
