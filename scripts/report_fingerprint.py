@@ -10,7 +10,9 @@ answers on these commands exactly when their outputs are identical:
     python scripts/report_fingerprint.py --root ../parent-checkout > before.txt
     diff before.txt after.txt
 
-Uses the standard library only.
+A command that prints no JSON report is listed as ``no-report(exit N)`` and
+makes the script exit 1, so two checkouts that fail the same way never diff
+as identical.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -67,9 +69,12 @@ def main() -> int:
         help="checkout whose src/ runs the commands (default: this one)",
     )
     args = parser.parse_args()
+    missing = 0
     for command in COMMANDS:
-        print(f"{fingerprint(args.root.resolve(), command)}  {command}", flush=True)
-    return 0
+        digest = fingerprint(args.root.resolve(), command)
+        missing += digest.startswith("no-report")
+        print(f"{digest}  {command}", flush=True)
+    return 1 if missing else 0
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from .cohomology import (
 )
 from .contact import contactify, standard_contact_chart, volume_coefficient
 from .descent import descend_complex, rs_complex, ss_fallback, standard_pair
-from .errors import ConfigError, CscxError
+from .errors import ConfigError, CscxError, InternalConsistencyError, NotAComplexError
 from .forms import affine_cs_chart, check_base_size, form_from_json
 from .grading import (
     Truncation,
@@ -207,8 +207,6 @@ def _pipeline_cohomology(config: RunConfig):
     cs = _cs_chart(config)
     report = rs_cohomology(cs, config.truncation())
     body = report.to_json()
-    # volatile fields live only under meta so reruns diff cleanly
-    body.pop("timing_seconds", None)
     passed = bool(report.les["exact"]) and bool(report.les["snake_equals_wedge"])
     if config.model == "torus":
         passed = passed and report.checks.get("sampled_modes_vanish", True)
@@ -259,13 +257,17 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _run(build) -> tuple[RunConfig, int, dict]:
-    """Build the configuration and run it; bad input exits 2 with one line."""
+    """Build the configuration and run it; an error exits with one line.
+
+    A check that fails by raising (a nonzero d.d, a broken identity the
+    theory guarantees) exits 1; any other toolkit error is bad input, exit 2.
+    """
     try:
         config = build()
         code, report = run_suite(config)
     except CscxError as exc:
         click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        sys.exit(1 if isinstance(exc, (NotAComplexError, InternalConsistencyError)) else 2)
     return config, code, report
 
 

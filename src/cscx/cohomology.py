@@ -23,7 +23,6 @@ minus two and flags disagreement instead of silently reporting.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, fields
 
 from .coefficients import Rational
@@ -593,7 +592,6 @@ class CohomologyReport:
     dims: dict
     les: dict
     checks: dict
-    timing_seconds: float
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -601,7 +599,6 @@ class CohomologyReport:
 
 def rs_cohomology(cs: CsChart, truncation: Truncation) -> CohomologyReport:
     """Cohomology dimensions of the intrinsic complex plus the full cross-check."""
-    start = time.monotonic()
     top = 2 * cs.n + 1
 
     # one pass over the blocks: the rs dims and the LES of each block
@@ -652,5 +649,4 @@ def rs_cohomology(cs: CsChart, truncation: Truncation) -> CohomologyReport:
         dims={"rs": rs_dims, "deRham": de_rham_dims, "twisted": twisted_dims, "total": total_dims},
         les=les.to_json(),
         checks=checks,
-        timing_seconds=round(time.monotonic() - start, 3),
     )

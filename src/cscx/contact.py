@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .coefficients import Coefficient, PolyCoefficient, Rational, canon
 from .errors import (
-    ChartMismatchError,
     ContactConditionError,
     CsCompatibilityError,
     CsPotentialError,
@@ -311,17 +310,6 @@ class HForm:
     @property
     def degree(self) -> int:
         return self.form.degree
-
-    def is_zero(self) -> bool:
-        return self.form.is_zero()
-
-    def __add__(self, other: "HForm") -> "HForm":
-        if other.q_power != self.q_power or other.contact is not self.contact:
-            raise ChartMismatchError("H-form mismatch")
-        return HForm(self.contact, self.form + other.form, self.q_power)
-
-    def scale(self, q: Rational) -> "HForm":
-        return HForm(self.contact, self.form.scale(q), self.q_power)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ pairing section of the transversal field, which makes the composites
 independent of rescaling that field.
 
 Three routes to the intrinsic complex on the quotient are implemented and
-must agree matrix-for-matrix:
+must agree matrix-for-matrix.  The first two build their matrices through
+the one class-operator builder ``rumin.class_operator_matrix`` and differ
+only in the op they pass it:
 
 * ``descend_rumin`` conjugates the contact-chart operators by the descent
   identifications;
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .coefficients import Rational, canon
 from .contact import ContactChart, HForm, contactify
@@ -58,7 +61,7 @@ from .forms import (
     wedge,
     zero_form,
 )
-from .grading import Truncation, assemble_operator, is_primitive
+from .grading import Truncation, is_primitive
 from .lefschetz import (
     CsChart,
     TwistedForm,
@@ -68,6 +71,7 @@ from .lefschetz import (
 from .linalg import OperatorMatrix
 from .rumin import (
     TwoStepStructure,
+    class_operator_matrix,
     contact_two_step,
     generic_zigzag_matrix,
     rumin_apply,
@@ -226,16 +230,13 @@ def _descend_class_down(pair: ChartPair, k: int, payload: DifferentialForm) -> D
 def descend_rumin(pair: ChartPair, k: int, truncation: Truncation) -> OperatorMatrix:
     """Matrix of the descended degree-k operator over the quotient class bases."""
     up = contact_two_step(pair.contact)
-    down = cs_two_step(pair.cs)
-    domain = down.class_space(k)
-    codomain = down.class_space(k + 1)
 
     def op(payload: DifferentialForm) -> DifferentialForm:
         lifted = _descend_class_up(pair, k, payload)
         image = rumin_apply(up, k, lifted)
         return _descend_class_down(pair, k + 1, image)
 
-    return assemble_operator(domain, codomain, op, domain.basis(truncation), codomain.basis(truncation))
+    return class_operator_matrix(cs_two_step(pair.cs), k, truncation, op)
 
 
 def descend_complex(pair: ChartPair, truncation: Truncation) -> list[OperatorMatrix]:
@@ -269,16 +270,7 @@ def rs_apply(cs: CsChart, i: int, payload: DifferentialForm) -> DifferentialForm
 
 def rs_operator(cs: CsChart, i: int, truncation: Truncation) -> OperatorMatrix:
     """Matrix of the intrinsic degree-i operator over the class bases."""
-    struct = cs_two_step(cs)
-    domain = struct.class_space(i)
-    codomain = struct.class_space(i + 1)
-    return assemble_operator(
-        domain,
-        codomain,
-        lambda form: rs_apply(cs, i, form),
-        domain.basis(truncation),
-        codomain.basis(truncation),
-    )
+    return class_operator_matrix(cs_two_step(cs), i, truncation, partial(rs_apply, cs, i))
 
 
 def rs_complex(cs: CsChart, truncation: Truncation) -> list[OperatorMatrix]:

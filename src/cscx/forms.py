@@ -277,9 +277,6 @@ class DifferentialForm(_SparseGraded):
             self.chart, self.degree, {k: f * c for k, c in self.terms.items()}, validated=True
         )
 
-    def wedge(self, other: "DifferentialForm") -> "DifferentialForm":
-        return wedge(self, other)
-
     def d(self) -> "DifferentialForm":
         return exterior_derivative(self)
 

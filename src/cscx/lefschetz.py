@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coefficients import Rational
 from .errors import ChartMismatchError, CsStructureError, DegreeError
 from .forms import (
     Chart,
@@ -123,14 +122,8 @@ class TwistedForm:
             raise DegreeError("cannot add sections of different twist powers")
         return TwistedForm(self.base + other.base, self.ell_power)
 
-    def __sub__(self, other: "TwistedForm") -> "TwistedForm":
-        return self + other.scale(-1)
-
     def __neg__(self) -> "TwistedForm":
         return TwistedForm(-self.base, self.ell_power)
-
-    def scale(self, q: Rational) -> "TwistedForm":
-        return TwistedForm(self.base.scale(q), self.ell_power)
 
     def __repr__(self) -> str:
         return f"TwistedForm(ell^{self.ell_power}, {self.base!r})"

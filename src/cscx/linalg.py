@@ -361,13 +361,6 @@ class SectionBasis:
         """Label -> index, built once per basis."""
         return {label: i for i, label in enumerate(self.labels)}
 
-    def blocks(self) -> list[tuple]:
-        seen: list[tuple] = []
-        for block, _ in self.labels:
-            if block not in seen:
-                seen.append(block)
-        return seen
-
 
 class OperatorMatrix:
     """Sparse rational matrix between two section bases."""
@@ -394,9 +387,6 @@ class OperatorMatrix:
             and other.entries == self.entries
         )
 
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self.compose(other)
-
     def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """self . other, requiring matching intermediate bases."""
         if self.cols.labels != other.rows.labels:
@@ -416,17 +406,6 @@ class OperatorMatrix:
                     key = (r, c)
                     out[key] = out.get(key, 0) + w * v
         return OperatorMatrix(self.rows, other.cols, out)
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.rows.labels != other.rows.labels or self.cols.labels != other.cols.labels:
-            raise BasisMismatchError("cannot add matrices over different bases")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) + v
-        return OperatorMatrix(self.rows, self.cols, out)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self + other.scale(-1)
 
     def scale(self, q: Rational) -> "OperatorMatrix":
         return OperatorMatrix(self.rows, self.cols, {k: v * q for k, v in self.entries.items()})
@@ -467,7 +446,3 @@ class OperatorMatrix:
         return OperatorMatrix(
             basis, basis, {(i, i): 1 for i in range(basis.dim)}
         )
-
-    @staticmethod
-    def zero(rows: SectionBasis, cols: SectionBasis) -> "OperatorMatrix":
-        return OperatorMatrix(rows, cols, {})

@@ -26,6 +26,7 @@ the quotient with no further sign bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 from typing import Callable
 
@@ -48,7 +49,6 @@ from .grading import (
     FiberCalculus,
     FiberMap,
     GradedSpace,
-    SectionBasis,
     Truncation,
     assemble_operator,
     fiber_apply,
@@ -209,9 +209,6 @@ class RuminClass:
             raise DegreeError("wrong twist for this degree")
         _assert_primitive(self.contact.fiber(), self.section.form)
 
-    def is_zero(self) -> bool:
-        return self.section.is_zero()
-
 
 def rumin_operator(cc: ContactChart, k: int, sigma: RuminClass) -> RuminClass:
     """Apply the degree-k operator of the complex to a class."""
@@ -223,37 +220,38 @@ def rumin_operator(cc: ContactChart, k: int, sigma: RuminClass) -> RuminClass:
     return RuminClass(cc, k + 1, HForm(cc, out, q_power))
 
 
-def assemble_rumin_matrix(
-    cc: ContactChart, k: int, truncation: Truncation
+def class_operator_matrix(
+    struct: TwoStepStructure,
+    k: int,
+    truncation: Truncation,
+    op: Callable[[DifferentialForm], DifferentialForm],
 ) -> OperatorMatrix:
-    """Matrix of the degree-k operator over the weight- or mode-graded bases."""
-    struct = contact_two_step(cc)
-    return assemble_two_step_matrix(struct, k, truncation)
+    """Matrix of ``op`` from the degree-k to the degree-(k+1) class space.
 
-
-def assemble_two_step_matrix(
-    struct: TwoStepStructure, k: int, truncation: Truncation
-) -> OperatorMatrix:
+    The one builder of class-space operators: the contact-chart complex,
+    the intrinsic quotient operators and the descended ones differ only in
+    the ``op`` they pass.
+    """
     domain = struct.class_space(k)
     codomain = struct.class_space(k + 1)
     return assemble_operator(
-        domain,
-        codomain,
-        lambda form: rumin_apply(struct, k, form),
-        domain.basis(truncation),
-        codomain.basis(truncation),
+        domain, codomain, op, domain.basis(truncation), codomain.basis(truncation)
     )
 
 
-def complex_matrices(struct: TwoStepStructure, truncation: Truncation) -> list[OperatorMatrix]:
-    """All operators D_0, ..., D_2n of the truncated complex."""
-    return [
-        assemble_two_step_matrix(struct, k, truncation) for k in range(2 * struct.n + 1)
-    ]
+def assemble_rumin_matrix(cc: ContactChart, k: int, truncation: Truncation) -> OperatorMatrix:
+    """Matrix of the degree-k operator over the weight- or mode-graded bases."""
+    struct = contact_two_step(cc)
+    return class_operator_matrix(struct, k, truncation, partial(rumin_apply, struct, k))
 
 
 def rumin_complex(cc: ContactChart, truncation: Truncation) -> list[OperatorMatrix]:
-    return complex_matrices(contact_two_step(cc), truncation)
+    """All operators D_0, ..., D_2n of the truncated complex."""
+    struct = contact_two_step(cc)
+    return [
+        class_operator_matrix(struct, k, truncation, partial(rumin_apply, struct, k))
+        for k in range(2 * struct.n + 1)
+    ]
 
 
 # -- operator order by iterated commutators ------------------------------------
@@ -385,20 +383,6 @@ PairDifferential = Callable[
 ]
 
 
-def _embedding_entries(
-    space: GradedSpace,
-    basis: SectionBasis,
-    ambient: GradedSpace,
-    ambient_basis: SectionBasis,
-) -> dict[tuple[int, int], Rational]:
-    """Columns of a class space expressed in ambient full-space coordinates."""
-    out: dict[tuple[int, int], Rational] = {}
-    for col, label in enumerate(basis.labels):
-        for row, v in ambient.vector(space.element(label), ambient_basis).items():
-            out[(row, col)] = v
-    return out
-
-
 def generic_zigzag_matrix(
     struct: TwoStepStructure,
     k: int,
@@ -410,9 +394,10 @@ def generic_zigzag_matrix(
     Works directly on (phi, psi) pairs through the supplied pair
     differential (default: the structure's own block form of d).  Class
     projections and the middle-degree correction are solved against
-    assembled graded bases, each system eliminated once; only the class
-    bases themselves are shared with the closed-form path, so the two
-    routes produce directly comparable matrices.
+    assembled graded bases, each system eliminated once.  Only the class
+    bases and ``assemble_operator``, the loop that reads an op off basis
+    sections, are shared with the closed-form path, so the two routes
+    produce directly comparable matrices.
     """
     n = struct.n
     diff = pair_differential or struct.pair_differential
@@ -427,19 +412,18 @@ def generic_zigzag_matrix(
     a_next_basis = a_next.basis(truncation)
     b_slot = struct.full_space(k - 1, offset=2)
     b_slot_basis = b_slot.basis(truncation)
-    e0_entries: dict[tuple[int, int], Rational] = {}
     if k <= n:
-        for col, label in enumerate(b_slot_basis.labels):
-            psi = b_slot.element(label)
-            a_part, _ = diff(zero_form(struct.chart, k), psi)
-            for row, v in a_next.vector(a_part, a_next_basis).items():
-                e0_entries[(row, col)] = v
+        def e0(psi: DifferentialForm) -> DifferentialForm:
+            return diff(zero_form(struct.chart, k), psi)[0]
+
+        e0_entries = assemble_operator(b_slot, a_next, e0, b_slot_basis, a_next_basis).entries
 
     if k < n:
         # augmented system [class embedding | graded image] for the projection
-        emb = _embedding_entries(codomain, codomain_basis, a_next, a_next_basis)
+        augmented = assemble_operator(
+            codomain, a_next, lambda form: form, codomain_basis, a_next_basis
+        ).entries
         p_dim = codomain_basis.dim
-        augmented = dict(emb)
         for (r, c), v in e0_entries.items():
             augmented[(r, c + p_dim)] = v
         projection = sparse_rref(augmented, a_next_basis.dim, p_dim + b_slot_basis.dim)
@@ -447,7 +431,9 @@ def generic_zigzag_matrix(
         # class extraction above the middle: solve against the embedding alone
         b_next = struct.full_space(k, offset=2)
         b_next_basis = b_next.basis(truncation)
-        emb_b = _embedding_entries(codomain, codomain_basis, b_next, b_next_basis)
+        emb_b = assemble_operator(
+            codomain, b_next, lambda form: form, codomain_basis, b_next_basis
+        ).entries
         extraction = sparse_rref(emb_b, b_next_basis.dim, codomain_basis.dim)
     if k == n:
         correction_system = sparse_rref(e0_entries, a_next_basis.dim, b_slot_basis.dim)

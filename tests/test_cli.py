@@ -9,7 +9,10 @@ import pytest
 from click.testing import CliRunner
 
 from cscx.cli import RunConfig, main, run_suite
-from cscx.errors import ConfigError
+from cscx.descent import rs_complex, ss_fallback
+from cscx.errors import ConfigError, InternalConsistencyError
+from cscx.linalg import OperatorMatrix
+from cscx.rumin import rumin_complex
 
 
 @pytest.fixture
@@ -314,6 +317,94 @@ class TestCliCommands:
         assert result.exit_code == 2
 
 
+def _bump(matrix: OperatorMatrix, row: int, col: int) -> OperatorMatrix:
+    """A copy of ``matrix`` with 1 added to one entry."""
+    entries = dict(matrix.entries)
+    entries[(row, col)] = entries.get((row, col), 0) + 1
+    return OperatorMatrix(matrix.rows, matrix.cols, entries)
+
+
+class TestFailedChecks:
+    """Exit 1 carries a witness, and the witness is checked independently."""
+
+    def test_nonzero_d_squared_exits_1_with_one_line(self, runner, monkeypatch):
+        compose = OperatorMatrix.compose
+
+        def broken(self, other):
+            out = compose(self, other)
+            if out.rows.dim and out.cols.dim:
+                return _bump(out, 0, 0)
+            return out
+
+        monkeypatch.setattr(OperatorMatrix, "compose", broken)
+        result = runner.invoke(main, ["les", "--model", "affine", "--n", "2", "--max-weight", "2"])
+        assert result.exit_code == 1, result.output
+        assert result.stdout == ""
+        assert result.stderr == "error: de-rham complex fails at position 0\n"
+
+    def test_internal_consistency_error_exits_1_with_one_line(self, runner, monkeypatch):
+        def broken(cc, truncation):
+            raise InternalConsistencyError("middle correction failed to cancel")
+
+        monkeypatch.setattr("cscx.cli.rumin_complex", broken)
+        result = runner.invoke(main, ["rumin", "verify", "--n", "2", "--max-weight", "2"])
+        assert result.exit_code == 1, result.output
+        assert result.stdout == ""
+        assert result.stderr == "error: middle correction failed to cancel\n"
+
+    def test_crosscheck_witness_names_the_disagreeing_pair(self, runner, monkeypatch):
+        doctored = []
+
+        def fallback(cs, truncation):
+            mats = ss_fallback(cs, truncation)
+            (row, col), _ = sorted(mats[1].entries.items())[0]
+            mats[1] = _bump(mats[1], row, col)
+            doctored.append((cs, truncation, mats))
+            return mats
+
+        monkeypatch.setattr("cscx.cli.ss_fallback", fallback)
+        result = runner.invoke(main, ["rs", "crosscheck", "--max-weight", "3"])
+        assert result.exit_code == 1, result.output
+        body = json.loads(result.stdout)["result"]
+        assert body["first_failure"] == {"pair": "intrinsic-vs-fallback", "degree": 1}
+        assert all(body["descended_equals_intrinsic"])
+        # the witness is real: degree 0 agrees and degree 1 does not
+        (cs, truncation, mats), = doctored
+        intrinsic = rs_complex(cs, truncation)
+        assert intrinsic[0].entries == mats[0].entries
+        assert intrinsic[1].entries != mats[1].entries
+
+    def test_rumin_verify_witness_is_a_nonzero_composite_entry(self, runner, monkeypatch):
+        corrupted = []
+
+        def complex_with_bad_entry(cc, truncation):
+            mats = rumin_complex(cc, truncation)
+            # D1 reads row r of D0; an entry added there in a column of r's
+            # block makes D1.D0 nonzero but keeps every matrix block-diagonal
+            (_, r), _ = sorted(mats[1].entries.items())[0]
+            block = mats[0].rows.labels[r][0]
+            col = next(c for c, label in enumerate(mats[0].cols.labels) if label[0] == block)
+            mats[0] = _bump(mats[0], r, col)
+            corrupted.append(mats)
+            return mats
+
+        monkeypatch.setattr("cscx.cli.rumin_complex", complex_with_bad_entry)
+        result = runner.invoke(main, ["rumin", "verify", "--n", "2", "--max-weight", "3"])
+        assert result.exit_code == 1, result.output
+        body = json.loads(result.stdout)["result"]
+        assert not body["composites_zero"]
+        # only the composite flag trips
+        assert body["block_diagonal"]
+        assert body["orders"] == body["orders_expected"]
+        failure = body["first_failure"]
+        (mats,) = corrupted
+        k = failure["degree"]
+        row, col, value = failure["entry"]
+        composite = mats[k + 1].compose(mats[k])
+        assert composite.entries.get((row, col), 0) != 0
+        assert str(composite.entries[(row, col)]) == value
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -369,3 +460,19 @@ class TestSizeGuard:
     def test_section_budget_exit_2(self, argv, estimate):
         line = self._run_cli(argv.split(), expected="over the budget of 50,000")
         assert line.startswith("error: the truncation spans ") and estimate in line
+
+
+class TestReportFingerprint:
+    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "report_fingerprint.py"
+
+    def test_missing_reports_exit_1(self, tmp_path):
+        # an empty cscx package shadows any installed copy, so no command runs
+        (tmp_path / "src" / "cscx").mkdir(parents=True)
+        (tmp_path / "src" / "cscx" / "__init__.py").write_text("")
+        result = subprocess.run(
+            [sys.executable, str(self.SCRIPT), "--root", str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 1, result.stderr
+        lines = result.stdout.strip().splitlines()
+        assert lines and all(line.startswith("no-report(exit 1)  ") for line in lines)
