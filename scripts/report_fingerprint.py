@@ -38,6 +38,8 @@ COMMANDS = (
     "rs build --model torus --n 3 --modes 0 --sample-modes 2",
     "rs build --model affine --max-weight 5",
     "lefschetz table --n 3",
+    "lefschetz table --n 5",
+    "cohomology --model affine --n 4 --max-weight 4",
 )
 
 

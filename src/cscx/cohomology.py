@@ -121,7 +121,7 @@ class CochainQuotient:
         next_image: Echelon | None = None,
     ):
         if d_out is not None and not d_out.is_zero():
-            kernel = sparse_nullspace(d_out.entries, *d_out.shape, next_image)
+            kernel = sparse_nullspace(d_out.entries, d_out.cols.dim, next_image)
         else:
             kernel = [{i: 1} for i in range(space_dim)]
         # the image columns were labelled by column index; classes are read
@@ -445,11 +445,9 @@ class BlockComplexes:
 
         # each map of the sequence is ranked once
         nodes = range(top + 1)
-        rank_inc = [sparse_rank(inc_maps[k], h_t[k].dim, h_a[k].dim) for k in nodes]
-        rank_proj = [sparse_rank(proj_maps[k], h_w[k].dim, h_t[k].dim) for k in nodes]
-        connecting_ranks = tuple(
-            sparse_rank(snake_maps[k], h_a[k + 1].dim, h_w[k].dim) for k in range(top)
-        )
+        rank_inc = [sparse_rank(inc_maps[k]) for k in nodes]
+        rank_proj = [sparse_rank(proj_maps[k]) for k in nodes]
+        connecting_ranks = tuple(sparse_rank(snake_maps[k]) for k in range(top))
         # no connecting map leaves the top node or enters node 0
         rank_conn = connecting_ranks + (0,)
 
@@ -474,7 +472,7 @@ class BlockComplexes:
             for (r, c), v in incoming.items():
                 image_cols.setdefault(c, {})[r] = v
             span = Echelon([image_cols[c] for c in sorted(image_cols)])
-            kernel = sparse_nullspace(outgoing, max(dim, 1), dim)
+            kernel = sparse_nullspace(outgoing, dim)
             witness = next((vec for vec in kernel if not _in_span(span, vec)), None)
             serialized = (
                 {str(i): f"{v.numerator}/{v.denominator}" for i, v in witness.items()}

@@ -41,7 +41,7 @@ from .forms import (
     zero_form,
 )
 from .grading import FiberCalculus, fiber_from_form, multi_indices
-from .linalg import OperatorMatrix, SectionBasis
+from .linalg import OperatorMatrix, SectionBasis, sparse_rank
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,6 @@ def levi_form(cc: ContactChart, point: list[Rational] | None = None) -> Operator
     point = point if point is not None else [0] * cc.chart.ring.nvars
     size = 2 * cc.n
     entries: dict[tuple[int, int], Rational] = {}
-    dense = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(size):
             if i == j:
@@ -216,10 +215,7 @@ def levi_form(cc: ContactChart, point: list[Rational] | None = None) -> Operator
             q = value.evaluate(point)
             if q:
                 entries[(i, j)] = q
-                dense[i][j] = q
-    from .linalg import dense_rank
-
-    if dense_rank(dense) != size:
+    if sparse_rank(entries) != size:
         raise ContactConditionError("degenerate Levi form")
     basis = _frame_basis(cc, "H")
     return OperatorMatrix(basis, basis, entries)

@@ -14,8 +14,12 @@ projection, the middle-degree inverse and the full primitive
 decomposition) lives in ``FiberCalculus``.  ``fiber_from_form`` keeps one
 shared instance per ``(n, signature)`` of the constant structure form, so
 the contact and cs sides resolve the same object; each fiber map is built
-once on it as a sparse ``FiberMap`` and applied to forms by
-``fiber_apply``.  Sign conventions are those of the forms module.
+once on it as a sparse ``FiberMap``, applied to fiber vectors by
+``FiberMap.apply`` and to forms by ``fiber_apply``.  Every fiber solve is
+an ``Echelon``: the decomposition at a degree is one echelon of the
+embedded primitive bases, and each component map (the primitive projection
+is the first) reads the unit vectors' coordinates off it.  Sign
+conventions are those of the forms module.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from .linalg import (
     Echelon,
     OperatorMatrix,
     SectionBasis,
-    dense_inverse,
     sparse_nullspace,
 )
 
@@ -107,6 +110,29 @@ class FiberMap(dict):
         for (r, c), v in self.items():
             self.columns.setdefault(c, []).append((r, v))
 
+    def apply(self, vec: FiberVector) -> FiberVector:
+        out: dict[int, Rational] = {}
+        for c, x in vec.items():
+            for r, v in self.columns.get(c, ()):
+                out[r] = out.get(r, 0) + v * x
+        return {r: v for r, v in out.items() if v}
+
+
+def _inverse(columns: Sequence[FiberVector]) -> FiberMap:
+    """Inverse of the square matrix with these columns.
+
+    Column r of the inverse holds the coordinates of the r-th unit vector
+    over the columns, read off their echelon.
+    """
+    echelon = Echelon(columns)
+    if len(echelon) != len(columns):
+        raise InternalConsistencyError("matrix is not invertible")
+    entries: dict[tuple[int, int], Rational] = {}
+    for r in range(len(columns)):
+        for j, v in echelon.coords({r: 1}).items():
+            entries[(j, r)] = v
+    return FiberMap(entries)
+
 
 class FiberCalculus:
     """Pointwise symplectic linear algebra for one constant structure two-form.
@@ -124,11 +150,11 @@ class FiberCalculus:
         self._positions: dict[int, dict[MultiIndex, int]] = {}
         self._wedge: dict[int, FiberMap] = {}
         self._insert: dict[int, FiberMap] = {}
-        self._pi0: dict[int, FiberMap] = {}
         self._middle_inverse: FiberMap | None = None
         self._primitive: dict[int, list[FiberVector]] = {}
         self._primitive_span: dict[int, Echelon] = {}
-        self._decomp: dict[int, tuple[list[tuple[int, int]], list[list[Rational]]]] = {}
+        self._decomp: dict[int, tuple[list[tuple[int, int]], Echelon]] = {}
+        self._components: dict[int, list[tuple[int, int, FiberMap]]] = {}
         self._inverse_bivector: dict[tuple[int, int], Rational] | None = None
 
     # -- bases ---------------------------------------------------------------
@@ -151,27 +177,26 @@ class FiberCalculus:
     def inverse_bivector(self) -> dict[tuple[int, int], Rational]:
         """Bivector P with pairing against the two-form equal to n (blockwise 1)."""
         if self._inverse_bivector is None:
-            A = [[0] * self.m for _ in range(self.m)]
+            columns: list[FiberVector] = [{} for _ in range(self.m)]
             for (a, b), v in self.omega.items():
-                A[a][b] = v
-                A[b][a] = -v
+                columns[b][a] = v
+                columns[a][b] = -v
             try:
-                Ainv = dense_inverse(A)
+                inverse = _inverse(columns)
             except InternalConsistencyError:
                 raise CsStructureError("structure two-form is degenerate") from None
             P: dict[tuple[int, int], Rational] = {}
             for a in range(self.m):
                 for b in range(a + 1, self.m):
-                    v = -Ainv[a][b]
+                    v = inverse.get((a, b))
                     if v:
-                        P[(a, b)] = v
+                        P[(a, b)] = -v
             self._inverse_bivector = P
         return self._inverse_bivector
 
     def wedge_map(self, k: int) -> FiberMap:
         """Matrix of (two-form ^ .) from degree k to degree k + 2."""
         if k not in self._wedge:
-            rows = self.indices(k + 2)
             entries: dict[tuple[int, int], Rational] = {}
             for col, key in enumerate(self.indices(k)):
                 for (a, b), v in self.omega.items():
@@ -209,25 +234,11 @@ class FiberCalculus:
     def middle_inverse(self) -> FiberMap:
         """Inverse of the bijective wedge from degree n - 1 to degree n + 1."""
         if self._middle_inverse is None:
-            size = self.dim(self.n - 1)
-            dense = [[0] * size for _ in range(size)]
-            for (r, c), v in self.wedge_map(self.n - 1).items():
-                dense[r][c] = v
-            inv = dense_inverse(dense)
-            self._middle_inverse = FiberMap(
-                {(r, c): inv[r][c] for r in range(size) for c in range(size)}
+            columns = self.wedge_map(self.n - 1).columns
+            self._middle_inverse = _inverse(
+                [dict(columns.get(c, ())) for c in range(self.dim(self.n - 1))]
             )
         return self._middle_inverse
-
-    def apply_map(
-        self, entries: dict[tuple[int, int], Rational], vec: FiberVector
-    ) -> FiberVector:
-        out: dict[int, Rational] = {}
-        for (r, c), v in entries.items():
-            x = vec.get(c)
-            if x:
-                out[r] = out.get(r, 0) + v * x
-        return {r: v for r, v in out.items() if v}
 
     # -- primitive subspaces -----------------------------------------------------
 
@@ -241,13 +252,8 @@ class FiberCalculus:
                     {i: 1} for i in range(self.dim(k))
                 ]
             else:
-                if k <= self.n:
-                    entries = self.insertion_map(k)
-                    nrows = self.dim(k - 2)
-                else:
-                    entries = self.wedge_map(k)
-                    nrows = self.dim(k + 2)
-                kernel = sparse_nullspace(entries, nrows, self.dim(k))
+                entries = self.insertion_map(k) if k <= self.n else self.wedge_map(k)
+                kernel = sparse_nullspace(entries, self.dim(k))
                 self._primitive[k] = [dict(sorted(vec.items())) for vec in kernel]
         return self._primitive[k]
 
@@ -265,89 +271,75 @@ class FiberCalculus:
 
     # -- full primitive decomposition ----------------------------------------------
 
-    def decomposition(self, k: int) -> tuple[list[tuple[int, int]], list[list[Rational]]]:
-        """Change of basis realizing the primitive decomposition at degree k.
+    def decomposition(self, k: int) -> tuple[list[tuple[int, int]], Echelon]:
+        """The primitive decomposition at degree k, certified as a direct sum.
 
-        Returns ``(slots, inverse)`` where ``slots`` lists, per component,
+        Returns ``(slots, echelon)`` where ``slots`` lists, per component,
         the primitive degree and the twist step (+1 per wedge embedding for
-        k <= n, -1 per insertion embedding for k > n), and ``inverse`` maps
-        a fiber vector to coordinates over the concatenated embedded
-        primitive bases.
+        k <= n, -1 per insertion embedding for k > n), and ``echelon`` holds
+        the concatenated embedded primitive bases, labelled by position.
         """
         if k not in self._decomp:
-            columns: list[FiberVector] = []
+            up = k <= self.n
+            step = -2 if up else 2
+            embed = self.wedge_map if up else self.insertion_map
+            echelon = Echelon()
             slots: list[tuple[int, int]] = []
-            if k <= self.n:
-                i = 0
-                while k - 2 * i >= 0:
-                    src = k - 2 * i
-                    for vec in self.primitive_basis(src):
-                        embedded = vec
-                        for step in range(i):
-                            embedded = self.apply_map(self.wedge_map(src + 2 * step), embedded)
-                        columns.append(embedded)
-                    slots.append((src, i))
-                    i += 1
-            else:
-                j = 0
-                while k + 2 * j <= self.m:
-                    src = k + 2 * j
-                    for vec in self.primitive_basis(src):
-                        embedded = vec
-                        for step in range(j):
-                            embedded = self.apply_map(
-                                self.insertion_map(src - 2 * step), embedded
-                            )
-                        columns.append(embedded)
-                    slots.append((src, -j))
-                    j += 1
-            size = self.dim(k)
-            if len(columns) != size:
+            columns = 0
+            i = 0
+            while 0 <= k + step * i <= self.m:
+                src = k + step * i
+                for embedded in self.primitive_basis(src):
+                    for s in range(i):
+                        embedded = embed(src - step * s).apply(embedded)
+                    echelon.add(embedded)
+                    columns += 1
+                slots.append((src, i if up else -i))
+                i += 1
+            if not len(echelon) == columns == self.dim(k):
                 raise InternalConsistencyError(
-                    f"decomposition at degree {k} has {len(columns)} columns, expected {size}"
+                    f"decomposition at degree {k} has {len(echelon)} independent of "
+                    f"{columns} columns, expected {self.dim(k)}"
                 )
-            dense = [
-                [columns[j].get(i, 0) for j in range(size)] for i in range(size)
-            ]
-            self._decomp[k] = (slots, dense_inverse(dense))
+            self._decomp[k] = (slots, echelon)
         return self._decomp[k]
 
-    def decompose(self, k: int, vec: FiberVector) -> list[tuple[int, int, list[Rational]]]:
-        """Split a fiber vector into primitive components.
+    def components(self, k: int) -> list[tuple[int, int, FiberMap]]:
+        """The projections onto the primitive components at degree k.
 
-        Returns triples (source_degree, twist_step, coords in the primitive
-        basis of the source degree).
+        One triple (source_degree, twist_step, map) per slot of the
+        decomposition; the map sends a degree-k fiber vector to its
+        component, re-embedded through the primitive basis of the source
+        degree.  Column j is read off the coordinates of the j-th unit
+        vector over the decomposition echelon.
         """
-        slots, inverse = self.decomposition(k)
-        size = self.dim(k)
-        coords = [canon(sum(inverse[i][j] * v for j, v in vec.items())) for i in range(size)]
-        out = []
-        offset = 0
-        for src, twist in slots:
-            p = self.primitive_dim(src)
-            out.append((src, twist, coords[offset : offset + p]))
-            offset += p
-        return out
+        if k not in self._components:
+            slots, echelon = self.decomposition(k)
+            coords = [echelon.coords({col: 1}) for col in range(self.dim(k))]
+            out = []
+            offset = 0
+            for src, twist in slots:
+                basis = self.primitive_basis(src)
+                entries: dict[tuple[int, int], Rational] = {}
+                for col, coord in enumerate(coords):
+                    for j, vec in enumerate(basis):
+                        q = coord.get(offset + j)
+                        if not q:
+                            continue
+                        for row, v in vec.items():
+                            entries[(row, col)] = entries.get((row, col), 0) + q * v
+                out.append((src, twist, FiberMap(entries)))
+                offset += len(basis)
+            self._components[k] = out
+        return self._components[k]
 
     def pi0_map(self, k: int) -> FiberMap:
-        """Matrix of the primitive projection at degree k.
-
-        Column j is the first decomposition component of the j-th unit
-        vector, re-embedded through the primitive basis.
-        """
-        if k not in self._pi0:
-            _, inverse = self.decomposition(k)
-            entries: dict[tuple[int, int], Rational] = {}
-            for j, vec in enumerate(self.primitive_basis(k)):
-                for col, c in enumerate(inverse[j]):
-                    for i, v in vec.items():
-                        entries[(i, col)] = entries.get((i, col), 0) + c * v
-            self._pi0[k] = FiberMap(entries)
-        return self._pi0[k]
+        """Matrix of the primitive projection at degree k: the first component."""
+        return self.components(k)[0][2]
 
     def pi0(self, k: int, vec: FiberVector) -> FiberVector:
         """Primitive component of a fiber vector at degree k."""
-        return self.apply_map(self.pi0_map(k), vec)
+        return self.pi0_map(k).apply(vec)
 
 
 def fiber_apply(

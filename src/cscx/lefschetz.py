@@ -178,29 +178,11 @@ def full_decomposition(cs: CsChart, phi: TwistedForm) -> list[TwistedForm]:
     j; reassembly inserts the inverse bivector back.
     """
     _require_cs(cs, phi)
-    k = phi.degree
     fib = cs.fiber()
-    slots, _ = fib.decomposition(k)
-    pieces: dict[tuple[int, int], dict] = {}
-    for key, coeff in phi.base.terms.items():
-        col = fib.position(k, key)
-        for src, twist, coords in fib.decompose(k, {col: 1}):
-            basis = fib.primitive_basis(src)
-            for j, q in enumerate(coords):
-                if not q:
-                    continue
-                for pos, v in basis[j].items():
-                    out_key = fib.indices(src)[pos]
-                    slot = (src, twist)
-                    bucket = pieces.setdefault(slot, {})
-                    piece = coeff.scale(q * v)
-                    bucket[out_key] = bucket[out_key] + piece if out_key in bucket else piece
-    out: list[TwistedForm] = []
-    for src, twist in slots:
-        terms = pieces.get((src, twist), {})
-        form = DifferentialForm(cs.chart, src, terms, validated=True)
-        out.append(TwistedForm(form, phi.ell_power + twist))
-    return out
+    return [
+        TwistedForm(fiber_apply(fib, component, phi.base, src), phi.ell_power + twist)
+        for src, twist, component in fib.components(phi.degree)
+    ]
 
 
 def reassemble_decomposition(cs: CsChart, components: list[TwistedForm], degree: int) -> TwistedForm:

@@ -4,7 +4,7 @@ Scalars follow the convention of the coefficients module: an ``int`` when
 integral, a ``Fraction`` otherwise.
 
 One elimination engine, ``Echelon``, sits behind every span test, solve,
-nullspace and coordinate read-off: vectors go in one at a time, an
+nullspace, inverse and coordinate read-off: vectors go in one at a time, an
 independent one becomes a new pivot row that records its combination of
 the kept vectors, and a dependent one is read off in a single reduction.
 Vectors enter in a fixed order (columns left to right), so pivot columns,
@@ -13,8 +13,8 @@ kernel bases and cohomology representatives are reproducible.
 Rank is computed separately, as an independent oracle, by fraction-free
 elimination on integer-normalized rows (two-row cross-multiplication
 updates followed by a content division) with Markowitz-style pivot
-selection to limit fill-in.  The dense helpers serve the small fiber
-matrices and the tests' reference.
+selection to limit fill-in.  The dense helpers are reference
+implementations for the tests only; no product code calls them.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from .coefficients import Rational, canon
-from .errors import BasisMismatchError, InternalConsistencyError
+from .errors import BasisMismatchError
 
 Entries = Mapping[tuple[int, int], Rational]
 
 
-# -- dense helpers for small fiber matrices ---------------------------------
+# -- dense reference helpers (tests only) ------------------------------------
 
 
 def dense_rref(rows: list[list[Rational]]) -> tuple[list[list[Rational]], list[int]]:
@@ -80,15 +80,6 @@ def dense_nullspace(rows: list[list[Rational]], ncols: int) -> list[list[Rationa
     return basis
 
 
-def dense_inverse(rows: list[list[Rational]]) -> list[list[Rational]]:
-    n = len(rows)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    rref, pivots = dense_rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise InternalConsistencyError("matrix is not invertible")
-    return [[canon(v) for v in row[n:]] for row in rref[:n]]
-
-
 # -- sparse exact rank -------------------------------------------------------
 
 
@@ -119,7 +110,7 @@ def _content_reduce(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def sparse_rank(entries: Entries, nrows: int, ncols: int) -> int:
+def sparse_rank(entries: Entries) -> int:
     """Exact rank by fraction-free elimination with Markowitz pivoting."""
     rows: dict[int, dict[int, Rational]] = {}
     for (r, c), v in entries.items():
@@ -297,7 +288,7 @@ def _columns(entries: Entries, ncols: int) -> list[dict[int, Rational]]:
     return cols
 
 
-def sparse_rref(entries: Entries, nrows: int, ncols: int) -> Echelon:
+def sparse_rref(entries: Entries, ncols: int) -> Echelon:
     """Column echelon of a matrix: columns added left to right, labelled by index.
 
     The kept labels are the pivot columns of the reduced row echelon form.
@@ -309,7 +300,7 @@ def sparse_rref(entries: Entries, nrows: int, ncols: int) -> Echelon:
 
 
 def sparse_nullspace(
-    entries: Entries, nrows: int, ncols: int, echelon: Echelon | None = None
+    entries: Entries, ncols: int, echelon: Echelon | None = None
 ) -> list[dict[int, Rational]]:
     """Deterministic kernel basis, one vector per free column.
 
@@ -333,9 +324,9 @@ def sparse_nullspace(
     return basis
 
 
-def sparse_solve(entries: Entries, nrows: int, ncols: int, rhs: Mapping[int, Rational]) -> dict[int, Rational] | None:
+def sparse_solve(entries: Entries, ncols: int, rhs: Mapping[int, Rational]) -> dict[int, Rational] | None:
     """The solution of A x = b supported on the pivot columns, or None if inconsistent."""
-    return sparse_rref(entries, nrows, ncols).coords(rhs)
+    return sparse_rref(entries, ncols).coords(rhs)
 
 
 # -- operator matrices --------------------------------------------------------
@@ -419,7 +410,7 @@ class OperatorMatrix:
         return {r: v for r, v in out.items() if v}
 
     def rank(self) -> int:
-        return sparse_rank(self.entries, self.rows.dim, self.cols.dim)
+        return sparse_rank(self.entries)
 
     def off_block_entries(self) -> list[tuple[int, int]]:
         """Positions whose row and column lie in different grading blocks."""

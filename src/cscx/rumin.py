@@ -406,13 +406,14 @@ def generic_zigzag_matrix(
     domain_basis = domain.basis(truncation)
     codomain_basis = codomain.basis(truncation)
 
-    # graded differential out of the filtered slot at this degree:
-    # payloads of degree k-1 (twist weight 2) map into full (k+1)-forms
-    a_next = struct.full_space(k + 1)
-    a_next_basis = a_next.basis(truncation)
-    b_slot = struct.full_space(k - 1, offset=2)
-    b_slot_basis = b_slot.basis(truncation)
     if k <= n:
+        # graded differential out of the filtered slot at this degree:
+        # payloads of degree k-1 (twist weight 2) map into full (k+1)-forms
+        a_next = struct.full_space(k + 1)
+        a_next_basis = a_next.basis(truncation)
+        b_slot = struct.full_space(k - 1, offset=2)
+        b_slot_basis = b_slot.basis(truncation)
+
         def e0(psi: DifferentialForm) -> DifferentialForm:
             return diff(zero_form(struct.chart, k), psi)[0]
 
@@ -426,7 +427,7 @@ def generic_zigzag_matrix(
         p_dim = codomain_basis.dim
         for (r, c), v in e0_entries.items():
             augmented[(r, c + p_dim)] = v
-        projection = sparse_rref(augmented, a_next_basis.dim, p_dim + b_slot_basis.dim)
+        projection = sparse_rref(augmented, p_dim + b_slot_basis.dim)
     else:
         # class extraction above the middle: solve against the embedding alone
         b_next = struct.full_space(k, offset=2)
@@ -434,9 +435,9 @@ def generic_zigzag_matrix(
         emb_b = assemble_operator(
             codomain, b_next, lambda form: form, codomain_basis, b_next_basis
         ).entries
-        extraction = sparse_rref(emb_b, b_next_basis.dim, codomain_basis.dim)
+        extraction = sparse_rref(emb_b, codomain_basis.dim)
     if k == n:
-        correction_system = sparse_rref(e0_entries, a_next_basis.dim, b_slot_basis.dim)
+        correction_system = sparse_rref(e0_entries, b_slot_basis.dim)
 
     entries: dict[tuple[int, int], Rational] = {}
     for col, label in enumerate(domain_basis.labels):

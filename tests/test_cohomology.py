@@ -154,7 +154,7 @@ class TestQuotient:
         d = OperatorMatrix(b, a, {(1, 0): Fraction(1)})
         h_a = CochainQuotient(Echelon(), d, 2)
         assert h_a.dim == 1  # kernel is span(e1)
-        h_b = CochainQuotient(sparse_rref(d.entries, *d.shape), None, 2)
+        h_b = CochainQuotient(sparse_rref(d.entries, d.cols.dim), None, 2)
         assert h_b.dim == 1  # e1 modulo image span(e1)... representative e0
         coords = h_b.coords({0: Fraction(3)})
         assert coords == {0: Fraction(3)}
@@ -260,7 +260,7 @@ def _fresh_quotient(d_in, d_out, dim):
     """Representatives and class coordinates from a fresh image echelon,
     testing every kernel vector."""
     if d_out is not None and not d_out.is_zero():
-        kernel = sparse_nullspace(d_out.entries, *d_out.shape)
+        kernel = sparse_nullspace(d_out.entries, d_out.cols.dim)
     else:
         kernel = [{i: 1} for i in range(dim)]
     span = _fresh_image(d_in)
@@ -304,7 +304,7 @@ class TestEchelonHandOff:
                     assert quotient.coords(vec) == coords(vec)
                 if d_in is not None:
                     # the inherited span starts with the column echelon of d_in
-                    reference = sparse_rref(d_in.entries, *d_in.shape)
+                    reference = sparse_rref(d_in.entries, d_in.cols.dim)
                     rank = len(reference)
                     assert quotient._span._pivots[:rank] == reference._pivots
                     assert quotient._span._rows[:rank] == reference._rows
@@ -314,8 +314,8 @@ class TestEchelonHandOff:
         blocks = BlockComplexes(cs_affine2 if model == "affine" else cs_torus2, block)
         for d in blocks.de_rham + blocks.twisted + blocks.total:
             echelon = Echelon()
-            sparse_nullspace(d.entries, *d.shape, echelon)
-            reference = sparse_rref(d.entries, *d.shape)
+            sparse_nullspace(d.entries, d.cols.dim, echelon)
+            reference = sparse_rref(d.entries, d.cols.dim)
             assert echelon._pivots == reference._pivots
             assert echelon._rows == reference._rows
             assert echelon.labels == reference.labels

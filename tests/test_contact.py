@@ -119,7 +119,7 @@ class TestCohomologyBundles:
         fib = contact2.fiber()
         vec = {fib.position(2, key): coeff.constant_part() for key, coeff in target.terms.items()}
         # insertion of the inverse bivector annihilates it
-        assert not fib.apply_map(fib.insertion_map(2), vec)
+        assert not fib.insertion_map(2).apply(vec)
         # and it lies in the primitive span
         fib.primitive_coords(2, vec)
 

@@ -154,28 +154,18 @@ class TestFullDecomposition:
     def test_projectors_form_a_direct_sum(self, cs):
         fib = cs.fiber()
         for k in range(0, 2 * cs.n + 1):
-            slots, _ = fib.decomposition(k)
             size = fib.dim(k)
             projectors = []
-            for want in range(len(slots)):
+            for src, twist, component in fib.components(k):
                 cols = {}
                 for j in range(size):
-                    parts = fib.decompose(k, {j: Fraction(1)})
-                    src, twist, coords = parts[want]
                     # embed the component back
-                    vec: dict[int, Fraction] = {}
-                    basis = fib.primitive_basis(src)
-                    for idx, q in enumerate(coords):
-                        if not q:
-                            continue
-                        for pos, v in basis[idx].items():
-                            vec[pos] = vec.get(pos, Fraction(0)) + q * v
-                    steps = abs(twist)
-                    for step in range(steps):
+                    vec = component.apply({j: Fraction(1)})
+                    for step in range(abs(twist)):
                         if twist > 0:
-                            vec = fib.apply_map(fib.wedge_map(src + 2 * step), vec)
-                        elif twist < 0:
-                            vec = fib.apply_map(fib.insertion_map(src - 2 * step), vec)
+                            vec = fib.wedge_map(src + 2 * step).apply(vec)
+                        else:
+                            vec = fib.insertion_map(src - 2 * step).apply(vec)
                     for pos, v in vec.items():
                         if v:
                             cols[(pos, j)] = v
@@ -215,10 +205,10 @@ class TestCommutatorScalar:
             scalar = None
             for j in range(size):
                 vec = {j: Fraction(1)}
-                up = fib.apply_map(fib.wedge_map(k), vec)
-                down_up = fib.apply_map(fib.insertion_map(k + 2), up) if up else {}
-                down = fib.apply_map(fib.insertion_map(k), vec) if k >= 2 else {}
-                up_down = fib.apply_map(fib.wedge_map(k - 2), down) if down else {}
+                up = fib.wedge_map(k).apply(vec)
+                down_up = fib.insertion_map(k + 2).apply(up) if up else {}
+                down = fib.insertion_map(k).apply(vec) if k >= 2 else {}
+                up_down = fib.wedge_map(k - 2).apply(down) if down else {}
                 commutator = dict(down_up)
                 for pos, v in up_down.items():
                     commutator[pos] = commutator.get(pos, Fraction(0)) - v
@@ -245,6 +235,17 @@ class TestContactSideMatch:
         for k in range(0, 5):
             assert contact_fib.primitive_dim(k) == cs_fib.primitive_dim(k)
             assert contact_fib.primitive_basis(k) == cs_fib.primitive_basis(k)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_summand_table_matches_binomial_formula(self, n):
+        for row in summand_dimension_table(n)["table"]:
+            k = row["k"]
+            dims = [s["dim"] for s in row["summands"]]
+            assert row["total_dim"] == comb(2 * n, k) == sum(dims)
+            assert row["primitive_dim"] == binomial_primitive_dim(n, k)
+            assert dims == [
+                binomial_primitive_dim(n, s["primitive_degree"]) for s in row["summands"]
+            ]
 
     def test_summand_table(self):
         table = summand_dimension_table(2)

@@ -53,10 +53,10 @@ class TestRank:
         for trial in range(300):
             m, n = r.randint(1, 10), r.randint(1, 10)
             entries, dense = _random_entries(r, m, n, structured=trial % 2 == 0)
-            assert sparse_rank(entries, m, n) == dense_rank(dense)
+            assert sparse_rank(entries) == dense_rank(dense)
 
     def test_zero_matrix(self):
-        assert sparse_rank({}, 5, 7) == 0
+        assert sparse_rank({}) == 0
 
 
 class TestKernelAndSolve:
@@ -65,8 +65,8 @@ class TestKernelAndSolve:
         for trial in range(100):
             m, n = r.randint(1, 8), r.randint(1, 8)
             entries, dense = _random_entries(r, m, n, structured=trial % 3 == 0)
-            kernel = sparse_nullspace(entries, m, n)
-            assert len(kernel) == n - sparse_rank(entries, m, n)
+            kernel = sparse_nullspace(entries, n)
+            assert len(kernel) == n - sparse_rank(entries)
             for vec in kernel:
                 out = {}
                 for (i, j), v in entries.items():
@@ -85,7 +85,7 @@ class TestKernelAndSolve:
                 if j in x and x[j]:
                     rhs[i] = rhs.get(i, Fraction(0)) + v * x[j]
             rhs = {i: v for i, v in rhs.items() if v}
-            sol = sparse_solve(entries, m, n, rhs)
+            sol = sparse_solve(entries, n, rhs)
             assert sol is not None
             check = {}
             for (i, j), v in entries.items():
@@ -95,14 +95,14 @@ class TestKernelAndSolve:
 
     def test_inconsistent_system(self):
         entries = {(0, 0): Fraction(1), (1, 0): Fraction(1)}
-        assert sparse_solve(entries, 2, 1, {0: Fraction(1), 1: Fraction(2)}) is None
+        assert sparse_solve(entries, 1, {0: Fraction(1), 1: Fraction(2)}) is None
 
     def test_dense_nullspace_matches_sparse(self):
         r = rng("dense-null")
         for _ in range(50):
             m, n = r.randint(1, 6), r.randint(1, 6)
             entries, dense = _random_entries(r, m, n, structured=False)
-            sparse = sparse_nullspace(entries, m, n)
+            sparse = sparse_nullspace(entries, n)
             as_dense = [
                 [vec.get(j, Fraction(0)) for j in range(n)] for vec in sparse
             ]
@@ -171,7 +171,7 @@ class TestEchelonProperties:
     def test_solve_is_supported_on_pivot_columns(self, matrix, weights):
         entries, m, n = matrix
         rhs = _apply(entries, dict(enumerate(weights[:n])))
-        solution = sparse_solve(entries, m, n, rhs)
+        solution = sparse_solve(entries, n, rhs)
         assert solution is not None
         assert _apply(entries, solution) == rhs
         _, pivots = dense_rref(_dense(entries, m, n))
@@ -194,9 +194,9 @@ class TestEchelonProperties:
                         d_out[(r, i)] = d_out.get((r, i), Fraction(0)) + weight * v
         d_out = {key: v for key, v in d_out.items() if v}
         b, c = _basis("b", space), _basis("c", tgt)
-        quotient = CochainQuotient(sparse_rref(d_in, space, src), OperatorMatrix(c, b, d_out), space)
-        kernel_dim = space - sparse_rank(d_out, tgt, space)
-        assert quotient.dim == kernel_dim - sparse_rank(d_in, space, src)
+        quotient = CochainQuotient(sparse_rref(d_in, src), OperatorMatrix(c, b, d_out), space)
+        kernel_dim = space - sparse_rank(d_out)
+        assert quotient.dim == kernel_dim - sparse_rank(d_in)
         for j, rep in enumerate(quotient.reps):
             assert quotient.coords(rep) == {j: Fraction(1)}
 
@@ -215,10 +215,10 @@ class TestMixedScalars:
         entries, m, n = data.draw(sparse_matrices(values))
         dense = _dense(entries, m, n)
         rank = dense_rank(dense)
-        assert sparse_rank(entries, m, n) == rank
+        assert sparse_rank(entries) == rank
         echelon = Echelon(_cols(entries, n))
         assert len(echelon) == rank
-        kernel = sparse_nullspace(entries, m, n)
+        kernel = sparse_nullspace(entries, n)
         assert [[vec.get(j, 0) for j in range(n)] for vec in kernel] == dense_nullspace(dense, n)
         for vec in kernel:
             assert _canonical(vec.values())
@@ -310,10 +310,10 @@ class TestReachOnlyReduction:
         entries, m, n = data.draw(sparse_matrices(values, max_dim=10))
         reference, reference_echelon = _reference_nullspace(entries, n)
         echelon = Echelon()
-        kernel = sparse_nullspace(entries, m, n, echelon)
+        kernel = sparse_nullspace(entries, n, echelon)
         assert [list(vec.items()) for vec in kernel] == [list(vec.items()) for vec in reference]
         assert _state(echelon) == _state(reference_echelon)
-        assert _state(echelon) == _state(sparse_rref(entries, m, n))
+        assert _state(echelon) == _state(sparse_rref(entries, n))
 
 
 def _basis(tag: str, size: int) -> SectionBasis:
