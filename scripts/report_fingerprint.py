@@ -40,6 +40,8 @@ COMMANDS = (
     "lefschetz table --n 3",
     "lefschetz table --n 5",
     "cohomology --model affine --n 4 --max-weight 4",
+    "rs crosscheck --n 3 --max-weight 5",
+    "les --model affine --n 3 --max-weight 4",
 )
 
 

@@ -63,7 +63,6 @@ from .rumin import (
 )
 from .descent import (
     ChartPair,
-    TotalElement,
     descend_rumin,
     iso_down,
     iso_up,

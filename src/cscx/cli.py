@@ -36,12 +36,14 @@ from .forms import affine_cs_chart, check_base_size, form_from_json
 from .grading import (
     Truncation,
     check_section_budget,
+    contact_section_dim,
     mode_section_dim,
     mode_shells,
     sample_orbit_count,
     weight_section_dim,
 )
 from .lefschetz import standard_cs_chart, summand_dimension_table
+from .linalg import first_nonzero_composite
 from .rumin import contact_two_step, operator_order, rumin_complex
 
 MODELS = ("contact-affine", "cs-affine", "torus")
@@ -87,6 +89,11 @@ class RunConfig:
             dim = mode_section_dim(self.n, self._norms(), self.sample_count)
         else:
             dim = weight_section_dim(self.n, self.max_weight)
+            if self.model == "contact-affine":
+                # the t-free sections bound the contact count below, so a
+                # bound refused there is refused before the t powers are summed
+                check_section_budget(dim)
+                dim = contact_section_dim(self.n, self.max_weight)
         check_section_budget(dim)
 
     def _norms(self) -> set[int]:
@@ -139,15 +146,13 @@ def _pipeline_rumin_verify(config: RunConfig):
     cc = standard_contact_chart(config.n)
     truncation = weight_truncation(config.max_weight)
     mats = rumin_complex(cc, truncation)
-    composites_zero = True
+    failure = first_nonzero_composite(mats)
+    composites_zero = failure is None
     first_failure = None
-    for k in range(len(mats) - 1):
-        comp = mats[k + 1].compose(mats[k])
-        if not comp.is_zero():
-            composites_zero = False
-            entry = sorted(comp.entries.items())[0]
-            first_failure = {"degree": k, "entry": [entry[0][0], entry[0][1], str(entry[1])]}
-            break
+    if failure is not None:
+        k, composite = failure
+        (row, col), value = min(composite.entries.items())
+        first_failure = {"degree": k, "entry": [row, col, str(value)]}
     struct = contact_two_step(cc)
     orders = [operator_order(struct, k) for k in range(2 * config.n + 1)]
     expected = [2 if k == config.n else 1 for k in range(2 * config.n + 1)]
@@ -256,14 +261,26 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _run(build) -> tuple[RunConfig, int, dict]:
+def _check_output_path(path: str | None) -> None:
+    """Refuse an output path whose directory does not exist, before any run."""
+    if path is None:
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"cannot write {path}: directory {directory} does not exist")
+
+
+def _run(build, extra_out: str | None = None) -> tuple[RunConfig, int, dict]:
     """Build the configuration and run it; an error exits with one line.
 
-    A check that fails by raising (a nonzero d.d, a broken identity the
+    Output paths (the report's and ``extra_out``) are checked first.  A
+    check that fails by raising (a nonzero d.d, a broken identity the
     theory guarantees) exits 1; any other toolkit error is bad input, exit 2.
     """
     try:
         config = build()
+        _check_output_path(config.out)
+        _check_output_path(extra_out)
         code, report = run_suite(config)
     except CscxError as exc:
         click.echo(f"error: {exc}", err=True)
@@ -401,7 +418,7 @@ def lefschetz() -> None:
 def lefschetz_table(n: int, fmt: str, out: str | None) -> None:
     """Dimension table of all primitive summands for every exterior power."""
     _, code, report = _run(
-        lambda: RunConfig(pipeline="lefschetz-table", model="cs-affine", n=n, max_weight=0)
+        lambda: RunConfig(pipeline="lefschetz-table", model="cs-affine", n=n, max_weight=0, out=out)
     )
     if fmt == "csv":
         lines = ["k,total_dim,primitive_dim,summands"]
@@ -493,7 +510,8 @@ def cohomology_cmd(model, n, max_weight, modes, sample_modes, seed, csv_path, ou
     config, code, report = _run(
         lambda: _truncated_config(
             "cohomology", model, n, max_weight, modes, sample_modes, out, seed
-        )
+        ),
+        extra_out=csv_path,
     )
     if csv_path:
         dims = report["result"]["dims"]

@@ -13,6 +13,10 @@ computed at the cochain level and verified node by node.  Since every map
 is block-diagonal (an image leaving its block fails assembly), a
 truncation-wide identity is the conjunction of the per-block ones.
 
+A total cochain is the pair (phi, psi) of ``descent.total_differential``;
+both splice maps are read off the total space's slot layout, and every
+complex is checked to square to zero by ``first_nonzero_composite``.
+
 On the torus, operators have constant coefficients and preserve modes; the
 reported cohomology is the constant-mode block, and every sampled nonzero
 mode is verified to contribute nothing (an exact rank computation per
@@ -26,14 +30,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 
 from .coefficients import Rational
-from .descent import (
-    nabla_twisted_d,
-    rs_complex,
-    total_differential,
-    total_element,
-)
+from .descent import nabla_twisted_d, rs_complex, total_differential
 from .errors import InternalConsistencyError, NotAComplexError
-from .forms import wedge, zero_form
+from .forms import DifferentialForm, wedge, zero_form
 from .grading import (
     GradedSpace,
     SectionBasis,
@@ -44,7 +43,7 @@ from .grading import (
     weight_truncation,
 )
 from .lefschetz import CsChart, TwistedForm
-from .linalg import Echelon, OperatorMatrix, sparse_nullspace, sparse_rank
+from .linalg import Echelon, OperatorMatrix, first_nonzero_composite, sparse_nullspace, sparse_rank
 
 __all__ = [
     "OperatorMatrix",
@@ -75,9 +74,9 @@ def cohomology_dims(complex_maps: list[OperatorMatrix]) -> list[int]:
     """
     if not complex_maps:
         return []
-    for i in range(len(complex_maps) - 1):
-        if not complex_maps[i + 1].compose(complex_maps[i]).is_zero():
-            raise NotAComplexError(i)
+    failure = first_nonzero_composite(complex_maps)
+    if failure is not None:
+        raise NotAComplexError(failure[0])
     ranks = [m.rank() for m in complex_maps]
     dims = []
     for i in range(len(complex_maps) + 1):
@@ -221,9 +220,10 @@ def _assemble(domain, codomain, domain_basis, codomain_basis, op):
 class _TotalSpace:
     """Degree-k piece of the sum complex: a k-form slot plus a twisted slot.
 
-    Basis labels are the slot labels tagged ``"a"`` (form slot, first) or
-    ``"b"`` (twisted slot); coordinates are read against whatever basis is
-    passed, so the space keeps no state between calls.
+    Elements are the pairs ``(phi, psi)`` of ``descent.total_differential``:
+    a k-form and the base form of the twisted (k-1)-form, None at degree 0.
+    Coordinates are read against whatever basis is passed, so the space
+    keeps no state between calls.
     """
 
     def __init__(self, cs: CsChart, k: int):
@@ -234,28 +234,27 @@ class _TotalSpace:
         self.key = ("total", cs.chart.coords, k)
 
     def basis(self, truncation: Truncation) -> SectionBasis:
+        """The one slot layout: the form slot's labels tagged ``"a"`` come
+        first, the twisted slot's tagged ``"b"`` start at offset ``a.dim``."""
         labels = [(block, ("a",) + rest) for (block, rest) in self.a.basis(truncation).labels]
         labels += [(block, ("b",) + rest) for (block, rest) in self.b.basis(truncation).labels]
         return SectionBasis(key=self.key + (truncation.kind,), labels=tuple(labels))
 
-    def element(self, label):
+    def element(self, label) -> tuple[DifferentialForm, DifferentialForm | None]:
         block, payload = label
-        tag, rest = payload[0], payload[1:]
-        if tag == "a":
-            phi = self.a.element((block, rest))
-            psi = None
-        else:
-            phi = zero_form(self.cs.chart, self.k)
-            psi = TwistedForm(self.b.element((block, rest)), 1)
-        return total_element(self.cs, phi, psi)
+        slot_label = (block, payload[1:])
+        if payload[0] == "a":
+            return self.a.element(slot_label), None
+        return zero_form(self.cs.chart, self.k), self.b.element(slot_label)
 
-    def vector(self, elem, basis: SectionBasis) -> dict[int, Rational]:
+    def vector(self, pair, basis: SectionBasis) -> dict[int, Rational]:
+        phi, psi = pair
         coords: dict[tuple, Rational] = {}
-        if not elem.phi.is_zero():
-            for (block, rest), v in self.a.coordinates(elem.phi).items():
+        if not phi.is_zero():
+            for (block, rest), v in self.a.coordinates(phi).items():
                 coords[(block, ("a",) + rest)] = v
-        if elem.psi is not None and not elem.psi.is_zero():
-            for (block, rest), v in self.b.coordinates(elem.psi.base).items():
+        if psi is not None and not psi.is_zero():
+            for (block, rest), v in self.b.coordinates(psi).items():
                 coords[(block, ("b",) + rest)] = v
         return label_vector(coords, basis)
 
@@ -268,7 +267,7 @@ def total_complex(cs: CsChart, truncation: Truncation) -> list[OperatorMatrix]:
     for k in range(2 * cs.n + 1):
         entries: dict[tuple[int, int], Rational] = {}
         for col, label in enumerate(bases[k].labels):
-            image = total_differential(spaces[k].element(label))
+            image = total_differential(cs, *spaces[k].element(label))
             for row, v in spaces[k + 1].vector(image, bases[k + 1]).items():
                 entries[(row, col)] = v
         mats.append(OperatorMatrix(bases[k + 1], bases[k], entries))
@@ -305,18 +304,6 @@ class SpliceReport:
         )
 
 
-@dataclass(frozen=True)
-class LesBlockResult:
-    block: tuple
-    de_rham_dims: tuple[int, ...]
-    twisted_dims: tuple[int, ...]
-    total_dims: tuple[int, ...]
-    connecting_ranks: tuple[int, ...]
-    exact: bool
-    snake_equals_wedge: bool
-    failure: str = ""
-
-
 class BlockComplexes:
     """The de Rham, twisted and total complexes of one grading block, built once.
 
@@ -339,28 +326,23 @@ class BlockComplexes:
         self.twisted_forms, twisted = _form_complex(cs, truncation, twist=1)
         total = total_complex(cs, truncation)
         for name, mats in (("de-rham", de_rham), ("twisted", twisted), ("total", total)):
-            for i in range(len(mats) - 1):
-                if not mats[i + 1].compose(mats[i]).is_zero():
-                    raise NotAComplexError(i, f"{name} complex fails at position {i}")
+            failure = first_nonzero_composite(mats)
+            if failure is not None:
+                raise NotAComplexError(failure[0], f"{name} complex fails at position {failure[0]}")
         self.de_rham = de_rham + [OperatorMatrix(_EMPTY, de_rham[-1].rows, {})]
         self.twisted = [OperatorMatrix(twisted[0].cols, _EMPTY, {})] + twisted
         self.total = total
         self.a_bases = [m.cols for m in self.de_rham] + [_EMPTY]
         self.w_bases = [m.cols for m in self.twisted] + [twisted[-1].rows]
         self.t_bases = [m.cols for m in total] + [total[-1].rows]
+        # the slot offsets of _TotalSpace.basis
         self.inclusions = [
-            OperatorMatrix(t, a, {
-                (t.position[(blk, ("a",) + rest)], col): 1
-                for col, (blk, rest) in enumerate(a.labels)
-            })
+            OperatorMatrix(t, a, {(i, i): 1 for i in range(a.dim)})
             for a, t in zip(self.a_bases, self.t_bases)
         ]
         self.projections = [
-            OperatorMatrix(w, t, {
-                (row, t.position[(blk, ("b",) + rest)]): 1
-                for row, (blk, rest) in enumerate(w.labels)
-            })
-            for w, t in zip(self.w_bases, self.t_bases)
+            OperatorMatrix(w, t, {(i, a.dim + i): 1 for i in range(w.dim)})
+            for a, w, t in zip(self.a_bases, self.w_bases, self.t_bases)
         ]
 
     def splice(self) -> SpliceReport:
@@ -393,7 +375,7 @@ class BlockComplexes:
             dims_additive=all(a[k].dim + w[k].dim == t[k].dim for k in nodes),
         )
 
-    def les(self) -> LesBlockResult:
+    def les(self) -> LesReport:
         """Cohomology of the three complexes and the long exact sequence."""
         top = self.top
         a_bases, w_bases, tot = self.a_bases, self.w_bases, self.total
@@ -489,7 +471,7 @@ class BlockComplexes:
             _node_failure("H_twisted", k, out_t, conn, h_w[k].dim, rank_proj[k], rank_conn[k])
             _node_failure("H_deRham", k, prev_conn, into_t, h_a[k].dim, rank_conn[k - 1], rank_inc[k])
 
-        return LesBlockResult(
+        return LesReport(
             block=self.block,
             de_rham_dims=tuple(h.dim for h in h_a),
             twisted_dims=tuple(h.dim for h in h_w),
@@ -517,17 +499,19 @@ def _compose_dicts(left, right, inner_dim) -> dict:
 
 @dataclass(frozen=True)
 class LesReport:
+    """The long exact sequence of one grading ``block``, or summed over a truncation (None)."""
+
     exact: bool
     snake_equals_wedge: bool
     de_rham_dims: tuple[int, ...]
     twisted_dims: tuple[int, ...]
     total_dims: tuple[int, ...]
     connecting_ranks: tuple[int, ...]
-    blocks: tuple[LesBlockResult, ...]
     failure: str = ""
+    block: tuple | None = None
 
     @staticmethod
-    def combine(n: int, results: list[LesBlockResult]) -> "LesReport":
+    def combine(n: int, results: list[LesReport]) -> LesReport:
         """Sum the per-block dimensions and ranks; exact when every block is."""
         top = 2 * n + 1
 
@@ -541,7 +525,6 @@ class LesReport:
             twisted_dims=summed("twisted_dims", top + 1),
             total_dims=summed("total_dims", top + 1),
             connecting_ranks=summed("connecting_ranks", top),
-            blocks=tuple(results),
             failure=next((r.failure for r in results if r.failure), ""),
         )
 

@@ -20,8 +20,11 @@ only in the op they pass it:
   second-order middle operator via the bijective wedge, minus the twisted
   derivative above the middle;
 * ``ss_fallback`` runs the generic representative-correction procedure on
-  the total complex (pairs (phi, psi) with differential
-  (phi, psi) |-> (d phi + omega ^ psi, -d psi)), treating it as a black box.
+  the total complex, treating ``total_differential`` as a black box.  Its
+  cochains are the zig-zag's pairs (phi, psi): a k-form and the base form
+  of a twisted (k-1)-form (None at degree 0), with differential
+  (phi, psi) |-> (d phi + omega ^ psi, -d psi); ``cohomology`` assembles
+  the total complex from the same pairs.
 
 Since the first two routes share one operator, "descended equals
 intrinsic" checks the descent identifications: promoting and restricting
@@ -43,7 +46,7 @@ from fractions import Fraction
 from functools import partial
 
 from .coefficients import Rational, canon
-from .contact import ContactChart, HForm, contactify
+from .contact import ContactChart, HForm, standard_contact_chart
 from .errors import (
     ChartMismatchError,
     CsStructureError,
@@ -54,7 +57,6 @@ from .errors import (
 )
 from .forms import (
     DifferentialForm,
-    basis_form,
     exterior_derivative,
     interior_product,
     lie_derivative,
@@ -107,11 +109,7 @@ class ChartPair:
 
 
 def standard_pair(n: int, xi_scale: Rational = 1) -> ChartPair:
-    cs = standard_cs_chart(n)
-    beta = zero_form(cs.chart, 1)
-    for i in range(n):
-        beta = beta + basis_form(cs.chart, (2 * i + 1,)).times(cs.chart.coord_coeff(2 * i))
-    return ChartPair(contact=contactify(n, beta, xi_scale=xi_scale), cs=cs)
+    return ChartPair(standard_contact_chart(n, xi_scale), standard_cs_chart(n))
 
 
 def promote_form(omega: DifferentialForm, cc: ContactChart) -> DifferentialForm:
@@ -280,46 +278,26 @@ def rs_complex(cs: CsChart, truncation: Truncation) -> list[OperatorMatrix]:
 # -- the total complex ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TotalElement:
-    """Element of the sum complex: a k-form plus a twisted (k-1)-form."""
+def total_differential(
+    cs: CsChart, phi: DifferentialForm, psi: DifferentialForm | None
+) -> tuple[DifferentialForm, DifferentialForm]:
+    """(phi, psi) |-> (d phi + Omega ^ psi, -d^nabla psi) on degree-k pairs.
 
-    cs: CsChart
-    degree: int
-    phi: DifferentialForm
-    psi: TwistedForm | None
-
-    def __post_init__(self) -> None:
-        if self.phi.degree != self.degree:
-            raise DegreeError("untwisted slot has the wrong degree")
-        if self.degree == 0:
-            if self.psi is not None and not self.psi.is_zero():
-                raise DegreeError("degree zero has an empty twisted slot")
-        elif self.psi is not None:
-            if self.psi.ell_power != 1 or self.psi.degree != self.degree - 1:
-                raise DegreeError("twisted slot must have degree k-1 and power one")
-
-    def is_zero(self) -> bool:
-        return self.phi.is_zero() and (self.psi is None or self.psi.is_zero())
-
-
-def total_element(cs: CsChart, phi: DifferentialForm, psi: TwistedForm | None) -> TotalElement:
-    return TotalElement(cs=cs, degree=phi.degree, phi=phi, psi=psi)
-
-
-def total_differential(e: TotalElement) -> TotalElement:
-    """(phi, psi) |-> (d phi + Omega ^ psi, -d^nabla psi)."""
-    cs = e.cs
-    phi_out = exterior_derivative(e.phi)
-    if e.psi is not None and not e.psi.is_zero():
-        wedged = lefschetz_L(cs, e.psi)
-        if wedged.ell_power != 0:
-            raise InternalConsistencyError("untwisting bookkeeping failed")
-        phi_out = phi_out + wedged.base
-        psi_out = -nabla_twisted_d(cs, e.psi)
-    else:
-        psi_out = TwistedForm(zero_form(cs.chart, e.degree), 1)
-    return TotalElement(cs=cs, degree=e.degree + 1, phi=phi_out, psi=psi_out)
+    A degree-k total cochain is a k-form ``phi`` and the base form ``psi``
+    of a twisted (k-1)-form of power one; ``psi`` is None at degree 0,
+    where the twisted slot is empty.  The image is a degree-(k+1) pair.
+    """
+    k = phi.degree
+    if psi is not None and psi.degree != k - 1:
+        raise DegreeError("twisted slot must have degree k-1 (and is empty at degree 0)")
+    phi_out = exterior_derivative(phi)
+    if psi is None or psi.is_zero():
+        return phi_out, zero_form(cs.chart, k)
+    twisted = TwistedForm(psi, 1)
+    wedged = lefschetz_L(cs, twisted)
+    if wedged.ell_power != 0:
+        raise InternalConsistencyError("untwisting bookkeeping failed")
+    return phi_out + wedged.base, -nabla_twisted_d(cs, twisted).base
 
 
 def ss_fallback(cs: CsChart, truncation: Truncation) -> list[OperatorMatrix]:
@@ -329,14 +307,7 @@ def ss_fallback(cs: CsChart, truncation: Truncation) -> list[OperatorMatrix]:
     representative-correction procedure; the central cross-check is that
     this reproduces ``rs_operator`` matrix for matrix.
     """
-    struct = cs_two_step(cs)
-
-    def pair_diff(phi: DifferentialForm, psi: DifferentialForm | None):
-        twisted = None if psi is None else TwistedForm(psi, 1)
-        out = total_differential(total_element(cs, phi, twisted))
-        psi_out = out.psi.base if out.psi is not None else zero_form(cs.chart, out.degree - 1)
-        return out.phi, psi_out
-
+    struct, pair_diff = cs_two_step(cs), partial(total_differential, cs)
     return [
         generic_zigzag_matrix(struct, k, truncation, pair_differential=pair_diff)
         for k in range(2 * cs.n + 1)

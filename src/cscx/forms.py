@@ -217,6 +217,23 @@ class _SparseGraded:
         if other.chart != self.chart:
             raise ChartMismatchError("operands live on different charts")
 
+    def __add__(self, other):
+        self._check(other)
+        if other.degree != self.degree:
+            raise DegreeError(f"cannot add {self._plural} of different degrees")
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            out[key] = out[key] + coeff if key in out else coeff
+        return type(self)(self.chart, self.degree, out, validated=True)
+
+    def scale(self, q: Rational):
+        return type(self)(
+            self.chart,
+            self.degree,
+            {k: c.scale(q) for k, c in self.terms.items()},
+            validated=True,
+        )
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -246,14 +263,7 @@ class _SparseGraded:
 class DifferentialForm(_SparseGraded):
     """Degree-k form: sparse map from ordered multi-indices to coefficients."""
 
-    def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
-        self._check(other)
-        if other.degree != self.degree:
-            raise DegreeError("cannot add forms of different degrees")
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out[key] + coeff if key in out else coeff
-        return DifferentialForm(self.chart, self.degree, out, validated=True)
+    _plural = "forms"
 
     def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
         return self + (-other)
@@ -261,14 +271,6 @@ class DifferentialForm(_SparseGraded):
     def __neg__(self) -> "DifferentialForm":
         return DifferentialForm(
             self.chart, self.degree, {k: -c for k, c in self.terms.items()}, validated=True
-        )
-
-    def scale(self, q: Rational) -> "DifferentialForm":
-        return DifferentialForm(
-            self.chart,
-            self.degree,
-            {k: c.scale(q) for k, c in self.terms.items()},
-            validated=True,
         )
 
     def times(self, f: Coefficient) -> "DifferentialForm":
@@ -290,27 +292,12 @@ class DifferentialForm(_SparseGraded):
 class PolyVectorField(_SparseGraded):
     """Degree 1 or 2 polyvector field with the same key discipline as forms."""
 
+    _plural = "polyvectors"
+
     def __init__(self, chart, degree, terms, validated=False):
         if degree not in (1, 2):
             raise DegreeError("polyvector fields here have degree 1 or 2")
         super().__init__(chart, degree, terms, validated)
-
-    def __add__(self, other: "PolyVectorField") -> "PolyVectorField":
-        self._check(other)
-        if other.degree != self.degree:
-            raise DegreeError("cannot add polyvectors of different degrees")
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out[key] + coeff if key in out else coeff
-        return PolyVectorField(self.chart, self.degree, out, validated=True)
-
-    def scale(self, q: Rational) -> "PolyVectorField":
-        return PolyVectorField(
-            self.chart,
-            self.degree,
-            {k: c.scale(q) for k, c in self.terms.items()},
-            validated=True,
-        )
 
 
 def zero_form(chart: Chart, degree: int) -> DifferentialForm:

@@ -480,9 +480,9 @@ def sample_orbit_count(nvars: int) -> int:
 
 
 # largest total dimension of the form sections a run may truncate to.  It
-# admits affine n=3 w<=8 and n=4 w<=6 (40,081 each) and every reference
-# command; affine n=2 w<=40 has 1,797,441 and torus n=7 at sup-norm 3 about
-# 1.1e16
+# admits affine n=3 w<=8 and n=4 w<=6 (40,081 each), contact n=2 w<=12
+# (30,303) and every reference command; affine n=2 w<=40 has 1,797,441 and
+# torus n=7 at sup-norm 3 about 1.1e16
 _MAX_SECTION_DIM = 50_000
 
 
@@ -495,6 +495,20 @@ def weight_section_dim(n: int, max_weight: int) -> int:
     """
     m = 2 * n
     return sum(comb(m, k) * comb(max_weight - k + m, m) for k in range(min(m, max_weight) + 1))
+
+
+def contact_section_dim(n: int, max_weight: int) -> int:
+    """Dimension of all forms on the contact chart R^{2n+1} of total weight <= max_weight.
+
+    As ``weight_section_dim``, with coefficients also in t of weight two: a
+    k-form carrying t^j has C(max_weight - k - 2j + 2n, 2n) base monomials.
+    """
+    m = 2 * n
+    return sum(
+        comb(m, k) * comb(max_weight - k - 2 * j + m, m)
+        for k in range(min(m, max_weight) + 1)
+        for j in range((max_weight - k) // 2 + 1)
+    )
 
 
 def mode_section_dim(n: int, norms: Iterable[int], samples: int) -> int:

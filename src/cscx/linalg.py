@@ -437,3 +437,16 @@ class OperatorMatrix:
         return OperatorMatrix(
             basis, basis, {(i, i): 1 for i in range(basis.dim)}
         )
+
+
+def first_nonzero_composite(maps: list[OperatorMatrix]) -> tuple[int, OperatorMatrix] | None:
+    """The first k with maps[k+1] . maps[k] nonzero, and that composite.
+
+    None when the maps form a complex; composites after a failing one are
+    not formed.
+    """
+    for k in range(len(maps) - 1):
+        composite = maps[k + 1].compose(maps[k])
+        if not composite.is_zero():
+            return k, composite
+    return None

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from cscx.cli import RunConfig, main, run_suite
-from cscx.descent import rs_complex, ss_fallback
+from cscx.descent import descend_complex, rs_complex, ss_fallback
 from cscx.errors import ConfigError, InternalConsistencyError
 from cscx.linalg import OperatorMatrix
 from cscx.rumin import rumin_complex
@@ -259,6 +259,43 @@ class TestCliCommands:
         assert lines[0] == "k,total_dim,primitive_dim,summands"
         assert lines[1].startswith("0,1,1,")
 
+    def test_cohomology_csv_rows_are_the_report_dims(self, runner, tmp_path):
+        table = tmp_path / "dims.csv"
+        result = runner.invoke(
+            main,
+            ["cohomology", "--model", "torus", "--n", "2", "--sample-modes", "0",
+             "--csv", str(table)],
+        )
+        assert result.exit_code == 0, result.output
+        dims = json.loads(result.stdout)["result"]["dims"]
+        header, *rows = [line.split(",") for line in table.read_text().splitlines()]
+        assert header == ["degree"] + sorted(dims)
+        assert [int(row[0]) for row in rows] == list(range(len(rows)))
+        for j, key in enumerate(header[1:], start=1):
+            assert [int(row[j]) for row in rows if row[j] != ""] == dims[key]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rumin", "verify", "--n", "2", "--max-weight", "2", "--out"],
+            ["cohomology", "--model", "affine", "--max-weight", "2", "--csv"],
+            ["lefschetz", "table", "--format", "csv", "--out"],
+        ],
+        ids=["rumin-verify-out", "cohomology-csv", "lefschetz-table-out"],
+    )
+    def test_output_in_missing_directory_exits_2_before_the_run(
+        self, runner, monkeypatch, tmp_path, argv
+    ):
+        def no_run(config):
+            raise AssertionError("the run started before the output path was checked")
+
+        monkeypatch.setattr("cscx.cli.run_suite", no_run)
+        result = runner.invoke(main, argv + [str(tmp_path / "missing" / "x")])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: cannot write ")
+        assert len(result.stderr.strip().splitlines()) == 1
+
     def test_rs_build_writes_operators(self, runner, tmp_path):
         out = tmp_path / "ops.json"
         result = runner.invoke(
@@ -374,6 +411,28 @@ class TestFailedChecks:
         assert intrinsic[0].entries == mats[0].entries
         assert intrinsic[1].entries != mats[1].entries
 
+    def test_crosscheck_witness_names_a_descended_degree_that_differs(self, runner, monkeypatch):
+        doctored = []
+
+        def descended(pair, truncation):
+            mats = descend_complex(pair, truncation)
+            (row, col), _ = sorted(mats[1].entries.items())[0]
+            mats[1] = _bump(mats[1], row, col)
+            doctored.append((pair.cs, truncation, mats))
+            return mats
+
+        monkeypatch.setattr("cscx.cli.descend_complex", descended)
+        result = runner.invoke(main, ["rs", "crosscheck", "--max-weight", "3"])
+        assert result.exit_code == 1, result.output
+        body = json.loads(result.stdout)["result"]
+        assert body["first_failure"] == {"pair": "descended-vs-intrinsic", "degree": 1}
+        assert all(body["intrinsic_equals_fallback"])
+        # the witness is real: degree 0 agrees and degree 1 does not
+        (cs, truncation, mats), = doctored
+        intrinsic = rs_complex(cs, truncation)
+        assert intrinsic[0].entries == mats[0].entries
+        assert intrinsic[1].entries != mats[1].entries
+
     def test_rumin_verify_witness_is_a_nonzero_composite_entry(self, runner, monkeypatch):
         corrupted = []
 
@@ -454,8 +513,13 @@ class TestSizeGuard:
             ("rs build --model torus --n 7 --modes 3", "at least 10^15"),
             ("cohomology --model torus --n 7 --sample-modes 100000", "3,276,816,384"),
             ("les --model affine --n 2 --max-weight %d" % (10**4300 - 1), "at least 10^15"),
+            # the contact chart's t powers push these over; the base count admits them
+            ("rumin verify --n 2 --max-weight 14", "60,264"),
+            ("rumin verify --n 3 --max-weight 8", "50,445"),
+            ("rumin verify --n 2 --max-weight %d" % (10**4300 - 1), "at least 10^15"),
         ],
-        ids=["affine-w40", "torus-n7-shell3", "torus-samples", "4300-digit-weight"],
+        ids=["affine-w40", "torus-n7-shell3", "torus-samples", "4300-digit-weight",
+             "contact-n2-w14", "contact-n3-w8", "contact-4300-digit-weight"],
     )
     def test_section_budget_exit_2(self, argv, estimate):
         line = self._run_cli(argv.split(), expected="over the budget of 50,000")

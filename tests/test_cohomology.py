@@ -27,6 +27,7 @@ from cscx.descent import rs_complex
 from cscx.errors import CscxError, NotAComplexError
 from cscx.grading import (
     GradedSpace,
+    contact_section_dim,
     mode_section_dim,
     mode_shells,
     sample_modes,
@@ -124,6 +125,12 @@ class TestSectionBudget:
         expected = self._enumerated(cs_affine2, weight_truncation(max_weight))
         assert weight_section_dim(2, max_weight) == expected
 
+    @pytest.mark.parametrize("max_weight", range(6))
+    def test_contact_closed_form(self, contact2, max_weight):
+        # the contact chart's t coordinate has weight two
+        expected = self._enumerated(contact2, weight_truncation(max_weight))
+        assert contact_section_dim(2, max_weight) == expected
+
     @pytest.mark.parametrize("norms", [{0}, {1}, {0, 1}, {2}, {0, 2}], ids=str)
     def test_mode_closed_form(self, cs_torus2, norms):
         truncation = mode_truncation(mode_shells(4, norms))
@@ -136,11 +143,12 @@ class TestSectionBudget:
             RunConfig("cohomology", "cs-affine", n=3, max_weight=8),
             RunConfig("cohomology", "cs-affine", n=4, max_weight=4),
             RunConfig("rumin-verify", "contact-affine", n=3, max_weight=4),
+            RunConfig("rumin-verify", "contact-affine", n=2, max_weight=12),
             RunConfig("rs-build", "torus", n=2, mode_norms=(0, 1), sample_count=3),
             RunConfig("rs-build", "torus", n=3, mode_norms=(0,), sample_count=2),
             RunConfig("lefschetz-table", "cs-affine", n=3, max_weight=0),
         ],
-        ids=["affine-n3-w6", "affine-n3-w8", "affine-n4-w4", "rumin-n3-w4",
+        ids=["affine-n3-w6", "affine-n3-w8", "affine-n4-w4", "rumin-n3-w4", "rumin-n2-w12",
              "torus-n2", "torus-n3", "lefschetz-n3"],
     )
     def test_budget_admits(self, config):

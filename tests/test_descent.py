@@ -17,9 +17,8 @@ from cscx.descent import (
     ss_fallback,
     standard_pair,
     total_differential,
-    total_element,
 )
-from cscx.errors import NonPrimitiveError, ReebInvarianceError
+from cscx.errors import DegreeError, NonPrimitiveError, ReebInvarianceError
 from cscx.forms import (
     basis_form,
     exterior_derivative,
@@ -130,25 +129,32 @@ class TestTwistedDerivative:
 class TestTotalDifferential:
     def test_function_slot(self, cs_affine2):
         f = function_form(cs_affine2.chart, cs_affine2.chart.coord_coeff(0))
-        out = total_differential(total_element(cs_affine2, f, None))
-        assert out.phi == basis_form(cs_affine2.chart, (0,))
-        assert out.psi.is_zero()
+        phi, psi = total_differential(cs_affine2, f, None)
+        assert phi == basis_form(cs_affine2.chart, (0,))
+        assert psi.is_zero()
 
     def test_twisted_unit_slot(self, cs_affine2):
-        one = TwistedForm(function_form(cs_affine2.chart, cs_affine2.chart.one_coeff()), 1)
-        start = total_element(cs_affine2, zero_form(cs_affine2.chart, 1), one)
-        out = total_differential(start)
-        assert out.phi == cs_affine2.omega
-        assert out.psi.is_zero()
+        one = function_form(cs_affine2.chart, cs_affine2.chart.one_coeff())
+        phi, psi = total_differential(cs_affine2, zero_form(cs_affine2.chart, 1), one)
+        assert phi == cs_affine2.omega
+        assert psi.is_zero()
+
+    def test_twisted_slot_has_degree_k_minus_1(self, cs_affine2):
+        chart = cs_affine2.chart
+        with pytest.raises(DegreeError):
+            total_differential(cs_affine2, zero_form(chart, 2), zero_form(chart, 2))
+        # degree 0 has no twisted slot, not even a zero one
+        with pytest.raises(DegreeError):
+            total_differential(cs_affine2, zero_form(chart, 0), zero_form(chart, 0))
 
     def test_square_zero(self, cs_affine2):
         r = rng("total-dd")
         for _ in range(50):
             k = r.randint(1, 4)
             phi = random_form(cs_affine2.chart, k, r)
-            psi = TwistedForm(random_form(cs_affine2.chart, k - 1, r), 1)
-            out = total_differential(total_differential(total_element(cs_affine2, phi, psi)))
-            assert out.is_zero()
+            psi = random_form(cs_affine2.chart, k - 1, r)
+            out = total_differential(cs_affine2, *total_differential(cs_affine2, phi, psi))
+            assert out[0].is_zero() and out[1].is_zero()
 
 
 class TestIntrinsicOperators:
@@ -253,7 +259,6 @@ class TestGradedPage:
         r = rng("e0")
         for _ in range(30):
             k = r.randint(1, 3)
-            psi = TwistedForm(random_form(cs_affine2.chart, k - 1, r), 1)
-            start = total_element(cs_affine2, zero_form(cs_affine2.chart, k), psi)
-            out = total_differential(start)
-            assert out.phi == wedge(cs_affine2.omega, psi.base)
+            psi = random_form(cs_affine2.chart, k - 1, r)
+            phi, _ = total_differential(cs_affine2, zero_form(cs_affine2.chart, k), psi)
+            assert phi == wedge(cs_affine2.omega, psi)
