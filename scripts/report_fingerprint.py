@@ -42,6 +42,7 @@ COMMANDS = (
     "cohomology --model affine --n 4 --max-weight 4",
     "rs crosscheck --n 3 --max-weight 5",
     "les --model affine --n 3 --max-weight 4",
+    "rumin verify --n 2 --max-weight 10",
 )
 
 

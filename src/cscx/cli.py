@@ -241,8 +241,12 @@ _PIPELINES = {
 }
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+def _report_text(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to ``out`` (when given) and echo it to stdout."""
     if out:
         _atomic_write(out, text + "\n")
     click.echo(text)
@@ -290,7 +294,7 @@ def _run(build, extra_out: str | None = None) -> tuple[RunConfig, int, dict]:
 
 def _finish(build) -> None:
     config, code, report = _run(build)
-    _emit(report, config.out)
+    _emit(_report_text(report), config.out)
     sys.exit(code)
 
 
@@ -431,11 +435,9 @@ def lefschetz_table(n: int, fmt: str, out: str | None) -> None:
                 f"{row['k']},{row['total_dim']},{row['primitive_dim']},{summands}"
             )
         text = "\n".join(lines)
-        if out:
-            _atomic_write(out, text + "\n")
-        click.echo(text)
-        sys.exit(code)
-    _emit(report, out)
+    else:
+        text = _report_text(report)
+    _emit(text, out)
     sys.exit(code)
 
 
@@ -523,7 +525,7 @@ def cohomology_cmd(model, n, max_weight, modes, sample_modes, seed, csv_path, ou
                 row.append(str(dims[key][k]) if k < len(dims[key]) else "")
             lines.append(",".join(row))
         _atomic_write(csv_path, "\n".join(lines) + "\n")
-    _emit(report, config.out)
+    _emit(_report_text(report), config.out)
     sys.exit(code)
 
 

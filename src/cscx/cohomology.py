@@ -440,7 +440,7 @@ class BlockComplexes:
 
         def _node_failure(name, k, incoming, outgoing, dim, rank_in, rank_out):
             nonlocal exact, failure
-            if _compose_dicts(outgoing, incoming, dim):
+            if _compose_dicts(outgoing, incoming):
                 exact = False
                 if not failure:
                     failure = f"node {name}[{k}]: composite not zero"
@@ -483,7 +483,7 @@ class BlockComplexes:
         )
 
 
-def _compose_dicts(left, right, inner_dim) -> dict:
+def _compose_dicts(left, right) -> dict:
     out: dict[tuple[int, int], Rational] = {}
     by_inner: dict[int, list] = {}
     for (r, c), v in left.items():

@@ -13,8 +13,10 @@ kernel bases and cohomology representatives are reproducible.
 Rank is computed separately, as an independent oracle, by fraction-free
 elimination on integer-normalized rows (two-row cross-multiplication
 updates followed by a content division) with Markowitz-style pivot
-selection to limit fill-in.  The dense helpers are reference
-implementations for the tests only; no product code calls them.
+selection to limit fill-in.  The Markowitz keys sit in a min-heap that is
+re-keyed as rows and columns change, so a pivot costs no scan of the
+matrix.  The dense helpers are reference implementations for the tests
+only; no product code calls them.
 """
 
 from __future__ import annotations
@@ -110,40 +112,45 @@ def _content_reduce(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def sparse_rank(entries: Entries) -> int:
-    """Exact rank by fraction-free elimination with Markowitz pivoting."""
-    rows: dict[int, dict[int, Rational]] = {}
+def _markowitz_pivots(entries: Entries):
+    """Eliminate ``entries`` fraction-free, yielding each ``(col, row)`` pivot in turn.
+
+    The pivot is the entry of least Markowitz key ``(score, col, row)`` with
+    ``score = (row length - 1) * (column count - 1)`` over the remaining
+    rows.  The keys sit in a min-heap with lazy invalidation, so no pivot
+    needs a scan of the matrix (Duff, Erisman & Reid, *Direct Methods for
+    Sparse Matrices*, 1986): a column -> rows index gives the rows a pivot
+    updates, a fresh key is pushed for every entry whose row length or
+    column count changed, and a popped key is dropped when its row or entry
+    is gone or its score is stale.  The pivots are those of a full scan.
+    """
+    work: dict[int, dict[int, Rational]] = {}
     for (r, c), v in entries.items():
         if v:
-            rows.setdefault(r, {})[c] = v
-    work = {r: _int_normalize(row) for r, row in rows.items() if row}
-    # nonzeros per column over the remaining rows, kept up to date row by row
-    col_count: dict[int, int] = {}
-    for row in work.values():
+            work.setdefault(r, {})[c] = v
+    # lists, not sets: a small set costs several times the memory of a list
+    col_rows: dict[int, list[int]] = {}
+    for r, row in work.items():
+        # normalized in place, so the rational rows are not kept alongside
+        work[r] = _int_normalize(row)
         for c in row:
-            col_count[c] = col_count.get(c, 0) + 1
-    rank = 0
+            col_rows.setdefault(c, []).append(r)
+    heap = [((len(row) - 1) * (len(col_rows[c]) - 1), c, r) for r, row in work.items() for c in row]
+    heapify(heap)
     while work:
-        best = None
-        for r, row in work.items():
-            r_nnz = len(row)
-            for c in row:
-                score = (r_nnz - 1) * (col_count[c] - 1)
-                key = (score, c, r)
-                if best is None or key < best:
-                    best = key
-        _, pc, pr = best
+        score, pc, pr = heappop(heap)
+        row = work.get(pr)
+        if row is None or pc not in row or score != (len(row) - 1) * (len(col_rows[pc]) - 1):
+            continue
+        yield pc, pr
         pivot_row = work.pop(pr)
         for c in pivot_row:
-            col_count[c] -= 1
+            col_rows[c].remove(pr)
         pivot = pivot_row[pc]
-        rank += 1
-        dead = []
-        for r, row in work.items():
-            if pc not in row:
-                continue
-            for c in row:
-                col_count[c] -= 1
+        # every row holding the pivot column loses it, so that column empties
+        updated = col_rows.pop(pc)
+        for r in updated:
+            row = work[r]
             factor = row.pop(pc)
             # fraction-free update: row := pivot * row - factor * pivot_row
             new_row = {c: v * pivot for c, v in row.items()}
@@ -156,14 +163,38 @@ def sparse_rank(entries: Entries) -> int:
                 elif c in new_row:
                     del new_row[c]
             reduced = _content_reduce(new_row)
-            for c in reduced:
-                col_count[c] += 1
-            work[r] = reduced
-            if not reduced:
-                dead.append(r)
-        for r in dead:
-            del work[r]
-    return rank
+            # a row gains or loses entries only in the pivot row's columns
+            for c in pivot_row:
+                if c in row and c not in reduced:
+                    col_rows[c].remove(r)
+                elif c in reduced and c not in row:
+                    col_rows[c].append(r)
+            if reduced:
+                work[r] = reduced
+            else:
+                del work[r]
+        # re-key: the pivot row's columns changed count, the updated rows length
+        for c in pivot_row:
+            rows_c = col_rows.get(c)
+            if rows_c:
+                c_score = len(rows_c) - 1
+                for r in rows_c:
+                    heappush(heap, ((len(work[r]) - 1) * c_score, c, r))
+        for r in updated:
+            row = work.get(r)
+            if row is not None:
+                r_score = len(row) - 1
+                for c in row:
+                    if c not in pivot_row:
+                        heappush(heap, (r_score * (len(col_rows[c]) - 1), c, r))
+
+
+def sparse_rank(entries: Entries) -> int:
+    """Exact rank by fraction-free elimination with Markowitz pivoting.
+
+    The rank is the number of pivots ``_markowitz_pivots`` finds.
+    """
+    return sum(1 for _ in _markowitz_pivots(entries))
 
 
 # kept only because the TARGETS list of perfbench/tracer.py still wraps this

@@ -252,12 +252,19 @@ class TestCliCommands:
         assert payload["result"]["les"]["exact"]
         assert payload["result"]["splice"]["exact_at_each_degree"]
 
-    def test_lefschetz_table_csv(self, runner):
+    def test_lefschetz_table_csv(self, runner, tmp_path):
         result = runner.invoke(main, ["lefschetz", "table", "--n", "2", "--format", "csv"])
         assert result.exit_code == 0
         lines = result.output.strip().splitlines()
         assert lines[0] == "k,total_dim,primitive_dim,summands"
         assert lines[1].startswith("0,1,1,")
+        table = tmp_path / "table.csv"
+        written = runner.invoke(
+            main, ["lefschetz", "table", "--n", "2", "--format", "csv", "--out", str(table)]
+        )
+        assert written.exit_code == 0
+        assert written.stdout == result.stdout
+        assert table.read_text() == result.stdout.rstrip("\n") + "\n"
 
     def test_cohomology_csv_rows_are_the_report_dims(self, runner, tmp_path):
         table = tmp_path / "dims.csv"

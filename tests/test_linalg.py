@@ -6,11 +6,16 @@ from hypothesis import strategies as st
 
 from cscx.cohomology import CochainQuotient
 from cscx.coefficients import canon
+from cscx.contact import standard_contact_chart
 from cscx.errors import BasisMismatchError
+from cscx.grading import weight_truncation
 from cscx.linalg import (
     Echelon,
     OperatorMatrix,
     SectionBasis,
+    _content_reduce,
+    _int_normalize,
+    _markowitz_pivots,
     dense_nullspace,
     dense_rank,
     dense_rref,
@@ -19,6 +24,7 @@ from cscx.linalg import (
     sparse_rref,
     sparse_solve,
 )
+from cscx.rumin import rumin_complex
 
 from helpers import rng
 
@@ -314,6 +320,95 @@ class TestReachOnlyReduction:
         assert [list(vec.items()) for vec in kernel] == [list(vec.items()) for vec in reference]
         assert _state(echelon) == _state(reference_echelon)
         assert _state(echelon) == _state(sparse_rref(entries, n))
+
+
+def _full_scan_pivots(entries):
+    """Reference pivot search: rescan every remaining entry for each pivot."""
+    work = {}
+    for (r, c), v in entries.items():
+        if v:
+            work.setdefault(r, {})[c] = v
+    work = {r: _int_normalize(row) for r, row in work.items()}
+    col_count = {}
+    for row in work.values():
+        for c in row:
+            col_count[c] = col_count.get(c, 0) + 1
+    pivots = []
+    while work:
+        best = None
+        for r, row in work.items():
+            for c in row:
+                key = ((len(row) - 1) * (col_count[c] - 1), c, r)
+                if best is None or key < best:
+                    best = key
+        _, pc, pr = best
+        pivots.append((pc, pr))
+        pivot_row = work.pop(pr)
+        for c in pivot_row:
+            col_count[c] -= 1
+        pivot = pivot_row[pc]
+        for r, row in list(work.items()):
+            if pc not in row:
+                continue
+            for c in row:
+                col_count[c] -= 1
+            factor = row.pop(pc)
+            new_row = {c: v * pivot for c, v in row.items()}
+            for c, v in pivot_row.items():
+                if c == pc:
+                    continue
+                nv = new_row.get(c, 0) - factor * v
+                if nv:
+                    new_row[c] = nv
+                elif c in new_row:
+                    del new_row[c]
+            reduced = _content_reduce(new_row)
+            for c in reduced:
+                col_count[c] += 1
+            if reduced:
+                work[r] = reduced
+            else:
+                del work[r]
+    return pivots
+
+
+@pytest.fixture(scope="module")
+def rumin_matrices():
+    return rumin_complex(standard_contact_chart(2), weight_truncation(6))
+
+
+class TestMarkowitzSearch:
+    """The heap-kept Markowitz keys choose the pivots of the full scan they replaced."""
+
+    @staticmethod
+    def _check(entries, m, n):
+        pivots = list(_markowitz_pivots(entries))
+        assert pivots == _full_scan_pivots(entries)
+        assert sparse_rank(entries) == len(pivots) == dense_rank(_dense(entries, m, n))
+
+    @pytest.mark.parametrize("values", [ints, fractions, mixed], ids=["int", "fractions", "mixed"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_scan(self, values, data):
+        entries, m, n = data.draw(sparse_matrices(values, max_dim=12))
+        self._check(entries, m, n)
+
+    @pytest.mark.parametrize("fill", [2, 4, 8])
+    def test_large_sparse(self, fill):
+        r = rng("markowitz", fill)
+        for _ in range(3):
+            entries = {}
+            for _ in range(fill * 40):
+                entries[(r.randrange(40), r.randrange(40))] = r.choice((r.randint(-3, 3), Fraction(r.randint(-4, 4), 3)))
+            self._check(entries, 40, 40)
+
+    def test_rumin_complex(self, rumin_matrices):
+        assert [len(m.entries) for m in rumin_matrices] == [836, 1272, 522, 66, 4]
+        for matrix in rumin_matrices:
+            pivots = list(_markowitz_pivots(matrix.entries))
+            assert pivots == _full_scan_pivots(matrix.entries)
+            # the echelon engine stands in for the dense reference at this size
+            assert sparse_rank(matrix.entries) == len(pivots) == len(sparse_rref(matrix.entries, matrix.shape[1]))
 
 
 def _basis(tag: str, size: int) -> SectionBasis:
