@@ -43,6 +43,8 @@ COMMANDS = (
     "rs crosscheck --n 3 --max-weight 5",
     "les --model affine --n 3 --max-weight 4",
     "rumin verify --n 2 --max-weight 10",
+    "claims --n 2",
+    "claims --n 3",
 )
 
 

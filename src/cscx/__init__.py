@@ -14,10 +14,7 @@ from .coefficients import (
     Rational,
     Ring,
     TrigCoefficient,
-    evaluate,
-    partial_derivative,
     poly_ring,
-    ring_multiply,
     trig_ring,
 )
 from .forms import (
@@ -30,7 +27,6 @@ from .forms import (
     function_form,
     interior_product,
     lie_derivative,
-    split_off_dt,
     torus_cs_chart,
     wedge,
     zero_form,
@@ -55,11 +51,8 @@ from .lefschetz import (
     standard_cs_chart,
 )
 from .rumin import (
-    RuminClass,
-    assemble_rumin_matrix,
     operator_order,
     rumin_complex,
-    rumin_operator,
 )
 from .descent import (
     ChartPair,

@@ -222,14 +222,6 @@ class PolyCoefficient:
             result = result + term
         return result
 
-    def weight_split(self, var_weights: tuple[int, ...]) -> dict[int, "PolyCoefficient"]:
-        """Split into weight-homogeneous parts for the given variable weights."""
-        buckets: dict[int, dict[Exponent, Rational]] = {}
-        for exp, coeff in self.terms.items():
-            w = sum(e * wt for e, wt in zip(exp, var_weights))
-            buckets.setdefault(w, {})[exp] = coeff
-        return {w: PolyCoefficient(self.nvars, t) for w, t in buckets.items()}
-
     def pad(self, nvars: int) -> "PolyCoefficient":
         """Embed into a ring with extra trailing variables."""
         if nvars < self.nvars:
@@ -362,9 +354,6 @@ class TrigCoefficient:
                     out[("c", mode)] = m * c
         return TrigCoefficient(self.nvars, out)
 
-    def evaluate(self, point):
-        raise UnsupportedRingOperationError("Fourier sums have no exact point evaluation")
-
     def constant_part(self) -> Rational:
         return self.terms.get(("c", (0,) * self.nvars), 0)
 
@@ -406,46 +395,6 @@ def _accumulate(out: dict[TrigTerm, Rational], kind: str, mode: Frequency, q: Ra
         out[term] = out[term] + q if term in out else q
 
 
-def _trig_function(ring: Ring, kind: str, freq: Frequency) -> TrigCoefficient:
-    if ring.kind != "trig":
-        raise RingMismatchError("cos and sin live in the trig ring")
-    hit = _real_term(kind, tuple(freq))
-    if hit is None:
-        return TrigCoefficient(ring.nvars, {})
-    term, sign = hit
-    return TrigCoefficient(ring.nvars, {term: sign})
-
-
-def trig_cos(ring: Ring, freq: Frequency) -> TrigCoefficient:
-    """cos(k . theta) as a real Fourier sum."""
-    return _trig_function(ring, "c", freq)
-
-
-def trig_sin(ring: Ring, freq: Frequency) -> TrigCoefficient:
-    """sin(k . theta) as a real Fourier sum."""
-    return _trig_function(ring, "s", freq)
-
-
-# -- named operations ------------------------------------------------------
-
-
-def ring_multiply(a: Coefficient, b: Coefficient) -> Coefficient:
-    """Exact product of two coefficients from the same ring."""
-    if type(a) is not type(b):
-        raise RingMismatchError("cannot multiply across rings")
-    return a * b
-
-
-def partial_derivative(f: Coefficient, var: int) -> Coefficient:
-    """Exact formal partial derivative along the given ring variable."""
-    return f.partial(var)
-
-
-def evaluate(f: Coefficient, point: Iterable[Rational]) -> Rational:
-    """Exact point evaluation (poly ring only)."""
-    return f.evaluate(point)
-
-
 # -- serialization ----------------------------------------------------------
 
 
@@ -464,8 +413,7 @@ def _frac_from_json(obj) -> Rational:
 def coefficient_to_json(f: Coefficient) -> dict:
     if isinstance(f, PolyCoefficient):
         terms = [
-            {"exp": list(exp), "num": str(c.numerator), "den": str(c.denominator)}
-            for exp, c in sorted(f.terms.items())
+            {"exp": list(exp), **_frac_to_json(c)} for exp, c in sorted(f.terms.items())
         ]
         return {"ring": "poly", "nvars": f.nvars, "terms": terms}
     # the format stores c(k) per e^{ik.theta}:

@@ -54,8 +54,6 @@ __all__ = [
     "sample_modes",
     "cohomology_dims",
     "CochainQuotient",
-    "de_rham_complex",
-    "twisted_complex",
     "total_complex",
     "short_exact_splice",
     "les_check",
@@ -179,16 +177,6 @@ def _in_span(span: Echelon, vec) -> bool:
 
 
 # -- complex builders -------------------------------------------------------------
-
-
-def de_rham_complex(cs: CsChart, truncation: Truncation) -> list[OperatorMatrix]:
-    """The truncated de Rham complex of the chart."""
-    return _form_complex(cs, truncation, twist=0)[1]
-
-
-def twisted_complex(cs: CsChart, truncation: Truncation) -> list[OperatorMatrix]:
-    """The twisted de Rham complex (flat derivative on the twisted factor)."""
-    return _form_complex(cs, truncation, twist=1)[1]
 
 
 def _form_complex(cs: CsChart, truncation: Truncation, twist: int):

@@ -37,11 +37,13 @@ from .forms import (
     exterior_derivative,
     horizontal_derivative,
     interior_product,
+    promote_form,
+    restrict_form,
     wedge,
     zero_form,
 )
-from .grading import FiberCalculus, fiber_from_form, multi_indices
-from .linalg import OperatorMatrix, SectionBasis, sparse_rank
+from .grading import FiberCalculus, fiber_from_form
+from .linalg import OperatorMatrix, SectionBasis
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,7 @@ def contactify(
     check_cs_potential(beta, n)
 
     chart = contact_chart_over(base)
-    promoted_terms = {key: coeff.pad(chart.ring.nvars) for key, coeff in beta.terms.items()}
-    promoted = DifferentialForm(chart, 1, promoted_terms, validated=True)
+    promoted = promote_form(beta, chart)
     scale = canon(Fraction(xi_scale))
     if scale == 0:
         raise ContactConditionError("transversal field cannot vanish")
@@ -188,86 +189,51 @@ def h_frame(cc: ContactChart) -> list[PolyVectorField]:
     return frame
 
 
-def _frame_basis(cc: ContactChart, label: str) -> SectionBasis:
-    # labels carry a dummy block tag so SectionBasis helpers stay usable
-    return SectionBasis(
-        key=("h-frame", cc.chart.coords, label),
-        labels=tuple(((label,), (axis,)) for axis in range(2 * cc.n)),
+def _frame_matrix(cc: ContactChart, pairing) -> OperatorMatrix:
+    """Matrix of the function pairing(X_i, X_j) at the origin, over the H-frame."""
+    frame = h_frame(cc)
+    origin = [0] * cc.chart.ring.nvars
+    entries = {
+        (i, j): pairing(X, Y).coefficient(()).evaluate(origin)
+        for i, X in enumerate(frame)
+        for j, Y in enumerate(frame)
+        if i != j
+    }
+    # the labels carry a dummy block tag so SectionBasis helpers stay usable
+    basis = SectionBasis(
+        key=("h-frame", cc.chart.coords, "H"),
+        labels=tuple((("H",), (axis,)) for axis in range(2 * cc.n)),
     )
+    return OperatorMatrix(basis, basis, entries)
 
 
-def levi_form(cc: ContactChart, point: list[Rational] | None = None) -> OperatorMatrix:
+def levi_form(cc: ContactChart) -> OperatorMatrix:
     """Matrix of the Levi bracket on the H-frame, values in Q trivialized by xi.
 
-    Entry (i, j) is alpha([X_i, X_j]) evaluated at the point (default: the
-    origin); nondegeneracy is part of the contact condition and is checked.
+    Entry (i, j) is alpha([X_i, X_j]) at the origin.  Its nondegeneracy is a
+    verdict of ``cscx claims``.
     """
-    frame = h_frame(cc)
-    point = point if point is not None else [0] * cc.chart.ring.nvars
-    size = 2 * cc.n
-    entries: dict[tuple[int, int], Rational] = {}
-    for i in range(size):
-        for j in range(size):
-            if i == j:
-                continue
-            lie = bracket(frame[i], frame[j])
-            value = interior_product_vector(cc.alpha, lie)
-            q = value.evaluate(point)
-            if q:
-                entries[(i, j)] = q
-    if sparse_rank(entries) != size:
-        raise ContactConditionError("degenerate Levi form")
-    basis = _frame_basis(cc, "H")
-    return OperatorMatrix(basis, basis, entries)
+    return _frame_matrix(cc, lambda X, Y: interior_product(bracket(X, Y), cc.alpha))
 
 
-def interior_product_vector(alpha: DifferentialForm, X: PolyVectorField) -> Coefficient:
-    """alpha(X) as a scalar function."""
-    value = interior_product(X, alpha)
-    return value.terms.get((), alpha.chart.zero_coeff())
-
-
-def d_alpha_on_frame(cc: ContactChart, point: list[Rational] | None = None) -> OperatorMatrix:
+def d_alpha_on_frame(cc: ContactChart) -> OperatorMatrix:
     """Matrix of d(alpha) on the H-frame; equals minus the Levi matrix."""
-    frame = h_frame(cc)
-    point = point if point is not None else [0] * cc.chart.ring.nvars
-    size = 2 * cc.n
     da = cc.d_alpha()
-    entries: dict[tuple[int, int], Rational] = {}
-    for i in range(size):
-        # i_{X_i} da is the one-form v -> da(X_i, v)
-        inner_i = interior_product(frame[i], da)
-        for j in range(size):
-            if i == j:
-                continue
-            value = interior_product(frame[j], inner_i).terms.get((), None)
-            if value is None:
-                continue
-            q = value.evaluate(point)
-            if q:
-                entries[(i, j)] = q
-    basis = _frame_basis(cc, "H")
-    return OperatorMatrix(basis, basis, entries)
+    # i_Y i_X d(alpha) = d(alpha)(X, Y)
+    return _frame_matrix(cc, lambda X, Y: interior_product(Y, interior_product(X, da)))
 
 
 # -- the tensorial map and the cohomology bundles -------------------------------
 
 
-def _fiber_basis(cc: ContactChart, k: int, q_power: int, flavor: str) -> SectionBasis:
+def _fiber_basis(cc: ContactChart, k: int, q_power: int) -> SectionBasis:
     return SectionBasis(
-        key=("h-fiber", cc.chart.coords, k, q_power, flavor),
-        labels=tuple((("fiber",), (i,)) for i in range(_fiber_len(cc, k, flavor))),
+        key=("h-fiber", cc.chart.coords, k, q_power),
+        labels=tuple((("fiber",), (i,)) for i in range(cc.fiber().dim(k))),
     )
 
 
-def _fiber_len(cc: ContactChart, k: int, flavor: str) -> int:
-    fib = cc.fiber()
-    if flavor == "full":
-        return fib.dim(k)
-    return fib.primitive_dim(k)
-
-
-def partial_map(cc: ContactChart, k: int, point: list[Rational] | None = None) -> OperatorMatrix:
+def partial_map(cc: ContactChart, k: int) -> OperatorMatrix:
     """The tensorial fiber map from (k-1)-H-forms twisted by Q* to (k+1)-H-forms.
 
     Realized as wedging with the structure two-form of the H-fibers (the
@@ -276,13 +242,9 @@ def partial_map(cc: ContactChart, k: int, point: list[Rational] | None = None) -
     """
     if not 1 <= k <= 2 * cc.n:
         raise DegreeError("the tensorial map is defined for 1 <= k <= 2n")
-    fib = cc.fiber()
-    entries = {
-        (r, c): v for (r, c), v in fib.wedge_map(k - 1).items()
-    }
-    rows = _fiber_basis(cc, k + 1, 0, "full")
-    cols = _fiber_basis(cc, k - 1, -1, "full")
-    return OperatorMatrix(rows, cols, entries)
+    rows = _fiber_basis(cc, k + 1, 0)
+    cols = _fiber_basis(cc, k - 1, -1)
+    return OperatorMatrix(rows, cols, cc.fiber().wedge_map(k - 1))
 
 
 @dataclass(frozen=True)
@@ -302,10 +264,6 @@ class HForm:
             raise DegreeError("q_power must be 0 or -1")
         if self.form.uses_axis(self.contact.t_axis):
             raise DegreeError("H-forms are free of the transversal differential")
-
-    @property
-    def degree(self) -> int:
-        return self.form.degree
 
 
 @dataclass(frozen=True)
@@ -409,14 +367,12 @@ def lift_construction(
         raise CsCompatibilityError("substitution matrix has the wrong shape")
 
     base_sub = LinearSubstitution(src=chart_a.base, dst=chart_b.base, matrix=rows)
-    dbeta_a = exterior_derivative(_restrict_to_base(chart_a.beta, chart_a.base))
-    dbeta_b = exterior_derivative(_restrict_to_base(chart_b.beta, chart_b.base))
-    pulled = base_sub.pullback(dbeta_a)
-    scale = _form_ratio(pulled, dbeta_b)
-
-    beta_a_base = _restrict_to_base(chart_a.beta, chart_a.base)
-    beta_b_base = _restrict_to_base(chart_b.beta, chart_b.base)
-    rhs = beta_b_base.scale(scale) - base_sub.pullback(beta_a_base)
+    beta_a = restrict_form(chart_a.beta, chart_a.base)
+    beta_b = restrict_form(chart_b.beta, chart_b.base)
+    scale = _form_ratio(
+        base_sub.pullback(exterior_derivative(beta_a)), exterior_derivative(beta_b)
+    )
+    rhs = beta_b.scale(scale) - base_sub.pullback(beta_a)
     shift = _integrate_closed_one_form(rhs)
 
     full_sub = LinearSubstitution(
@@ -449,28 +405,3 @@ def _form_ratio(left: DifferentialForm, right: DifferentialForm) -> Rational:
     if c == 0 or not (left - right.scale(c)).is_zero():
         raise CsCompatibilityError("substitution is not cs-compatible")
     return c
-
-
-def _restrict_to_base(omega: DifferentialForm, base: Chart) -> DifferentialForm:
-    """Drop the transversal coordinate from a dt-free, t-independent form."""
-    terms = {key: coeff.restrict(base.ring.nvars) for key, coeff in omega.terms.items()}
-    return DifferentialForm(base, omega.degree, terms)
-
-
-def exact_sequence_dims(n: int) -> list[tuple[int, int, int]]:
-    """Per degree k: (dim full k-forms, dim dt-free part, dim twisted part).
-
-    The exact sequence of bundles over the chart splits the full exterior
-    power as C(2n+1, k) = C(2n, k) + C(2n, k-1); the constructed bases
-    realize both summands explicitly.
-    """
-    from math import comb
-
-    out = []
-    for k in range(1, 2 * n + 1):
-        full = len(multi_indices(2 * n + 1, k))
-        h_part = len(multi_indices(2 * n, k))
-        q_part = len(multi_indices(2 * n, k - 1))
-        assert full == comb(2 * n + 1, k)
-        out.append((full, h_part, q_part))
-    return out

@@ -60,6 +60,8 @@ from .forms import (
     exterior_derivative,
     interior_product,
     lie_derivative,
+    promote_form,
+    restrict_form,
     wedge,
     zero_form,
 )
@@ -104,7 +106,7 @@ class ChartPair:
         if self.contact.base != self.cs.chart:
             raise ChartMismatchError("contact chart is not built over this cs chart")
         dbeta = exterior_derivative(self.contact.beta)
-        if restrict_form(dbeta, self.cs) != self.cs.omega:
+        if restrict_form(dbeta, self.cs.chart) != self.cs.omega:
             raise CsStructureError("d(beta) does not descend to the structure form")
 
 
@@ -112,35 +114,10 @@ def standard_pair(n: int, xi_scale: Rational = 1) -> ChartPair:
     return ChartPair(standard_contact_chart(n, xi_scale), standard_cs_chart(n))
 
 
-def promote_form(omega: DifferentialForm, cc: ContactChart) -> DifferentialForm:
-    """Pull a base form back along the projection (append the t variable)."""
-    if omega.chart != cc.base:
-        raise ChartMismatchError("form does not live on the base chart")
-    terms = {key: coeff.pad(cc.chart.ring.nvars) for key, coeff in omega.terms.items()}
-    return DifferentialForm(cc.chart, omega.degree, terms, validated=True)
-
-
-def restrict_form(omega: DifferentialForm, cs: CsChart) -> DifferentialForm:
-    """Push an invariant, dt-free form down to the base chart."""
-    chart = omega.chart
-    if chart.t_axis is None:
-        if chart != cs.chart:
-            raise ChartMismatchError("form does not match the cs chart")
-        return omega
-    if omega.uses_axis(chart.t_axis):
-        raise ReebInvarianceError("form has a transversal component")
-    terms = {}
-    for key, coeff in omega.terms.items():
-        if any(exp[-1] for exp in coeff.terms):
-            raise ReebInvarianceError("form depends on the transversal coordinate")
-        terms[key] = coeff.restrict(cs.chart.ring.nvars)
-    return DifferentialForm(cs.chart, omega.degree, terms, validated=True)
-
-
 # -- the descent isomorphisms ----------------------------------------------------
 
 
-_ROWS = ("h", "h0", "hq", "h0q", "ell", "ell0")
+ROWS = ("h", "h0", "hq", "h0q", "ell", "ell0")
 
 
 def iso_up(pair: ChartPair, obj, kind: str):
@@ -153,7 +130,7 @@ def iso_up(pair: ChartPair, obj, kind: str):
     unchanged when that field is rescaled.
     """
     cc, cs = pair.contact, pair.cs
-    if kind not in _ROWS:
+    if kind not in ROWS:
         raise DegreeError(f"unknown isomorphism row {kind!r}")
     if kind in ("ell", "ell0"):
         if not isinstance(obj, TwistedForm) or obj.ell_power != 1:
@@ -165,7 +142,7 @@ def iso_up(pair: ChartPair, obj, kind: str):
         payload = obj
     if kind in ("h0", "h0q", "ell0") and not is_primitive(cs.fiber(), payload):
         raise NonPrimitiveError("row requires a primitive input")
-    lifted = promote_form(payload, cc)
+    lifted = promote_form(payload, cc.chart)
     if kind in ("h", "h0"):
         _check_invariant(cc, lifted)
         return HForm(cc, lifted, 0)
@@ -182,14 +159,14 @@ def _check_invariant(cc: ContactChart, omega: DifferentialForm) -> None:
 def iso_down(pair: ChartPair, obj, kind: str):
     """Two-sided inverse of iso_up (exact round trip, invariance checked)."""
     cc, cs = pair.contact, pair.cs
-    if kind not in _ROWS:
+    if kind not in ROWS:
         raise DegreeError(f"unknown isomorphism row {kind!r}")
     if kind in ("h", "h0"):
         if not isinstance(obj, HForm) or obj.q_power != 0:
             raise DegreeError("rows h/h0 invert H-restriction classes")
         if not lie_derivative(cc.xi, obj.form).is_zero():
             raise ReebInvarianceError("class is not invariant")
-        out = restrict_form(obj.form, cs)
+        out = restrict_form(obj.form, cs.chart)
     else:
         if not isinstance(obj, DifferentialForm):
             raise DegreeError("rows hq/h0q/ell/ell0 invert honest forms")
@@ -198,7 +175,7 @@ def iso_down(pair: ChartPair, obj, kind: str):
         inner = interior_product(cc.xi, obj)
         if obj != wedge(cc.alpha, inner):
             raise DegreeError("form does not vanish on the distribution")
-        out = restrict_form(inner, cs)
+        out = restrict_form(inner, cs.chart)
         if kind in ("ell", "ell0"):
             out = TwistedForm(out.scale(canon(Fraction(1, cc.xi_scale))), 1)
     base = out.base if isinstance(out, TwistedForm) else out
@@ -212,14 +189,14 @@ def iso_down(pair: ChartPair, obj, kind: str):
 
 def _descend_class_up(pair: ChartPair, k: int, payload: DifferentialForm) -> DifferentialForm:
     """Quotient class payload -> contact class payload (twisted rows scale)."""
-    lifted = promote_form(payload, pair.contact)
+    lifted = promote_form(payload, pair.contact.chart)
     if k > pair.cs.n:
         return lifted.scale(pair.contact.xi_scale)
     return lifted
 
 
 def _descend_class_down(pair: ChartPair, k: int, payload: DifferentialForm) -> DifferentialForm:
-    out = restrict_form(payload, pair.cs)
+    out = restrict_form(payload, pair.cs.chart)
     if k > pair.cs.n:
         return out.scale(canon(Fraction(1, pair.contact.xi_scale)))
     return out

@@ -21,7 +21,7 @@ class InvalidAxisError(CscxError):
 
 
 class UnsupportedRingOperationError(CscxError):
-    """Operation not defined on this ring (e.g. point evaluation of a Fourier sum)."""
+    """Operation not defined on this ring (e.g. a coordinate monomial in the Fourier ring)."""
 
 
 class ChartMismatchError(CscxError):

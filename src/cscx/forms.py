@@ -31,14 +31,12 @@ from .coefficients import (
     Rational,
     Ring,
     coefficient_from_json,
-    coefficient_to_json,
     json_int,
 )
 from .errors import (
     ChartMismatchError,
     ConfigError,
     DegreeError,
-    InternalConsistencyError,
     InvalidAxisError,
     ReebInvarianceError,
     RingMismatchError,
@@ -447,56 +445,32 @@ def bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:
     return PolyVectorField(chart, 1, out, validated=True)
 
 
-def split_off_dt(
-    omega: DifferentialForm, alpha: DifferentialForm, xi: PolyVectorField
-) -> tuple[DifferentialForm, DifferentialForm]:
-    """Split an invariant form as omega = phi1 + alpha ^ phi2 with i_xi phi_j = 0.
-
-    Requires L_xi omega = 0 and alpha(xi) = 1; phi2 = i_xi omega and phi1 is
-    the remainder, both free of the transversal differential, so they are
-    exactly the pullback data of the quotient projection.  Reassembly via
-    ``reassemble_dt`` is the exact inverse.
-    """
-    lie = lie_derivative(xi, omega)
-    if not lie.is_zero():
-        key, coeff = next(iter(sorted(lie.terms.items())))
-        raise ReebInvarianceError(
-            f"form is not invariant along the transversal field: term {key} -> {coeff!r}"
-        )
-    phi2 = interior_product(xi, omega) if omega.degree >= 1 else zero_form(omega.chart, 0)
-    if omega.degree >= 1:
-        phi1 = omega - wedge(alpha, phi2)
-        if not interior_product(xi, phi1).is_zero():
-            raise InternalConsistencyError("splitting left a transversal component")
-    else:
-        phi1 = omega
-    return phi1, phi2
+# -- the projection of a contact chart onto its base -------------------------
 
 
-def reassemble_dt(
-    phi1: DifferentialForm, phi2: DifferentialForm, alpha: DifferentialForm
-) -> DifferentialForm:
-    """Inverse of split_off_dt: phi1 + alpha ^ phi2."""
-    return phi1 + wedge(alpha, phi2)
+def promote_form(omega: DifferentialForm, chart: Chart) -> DifferentialForm:
+    """Pull a base form back along the projection of the contact ``chart`` (append t)."""
+    if omega.chart.ring.kind != "poly" or chart != contact_chart_over(omega.chart):
+        raise ChartMismatchError("form does not live on the base of this contact chart")
+    terms = {key: coeff.pad(chart.ring.nvars) for key, coeff in omega.terms.items()}
+    return DifferentialForm(chart, omega.degree, terms, validated=True)
 
 
-def weight_of_key(chart: Chart, key: MultiIndex) -> int:
-    return sum(chart.weights[a] for a in key)
-
-
-def weight_split(omega: DifferentialForm) -> dict[int, DifferentialForm]:
-    """Split a poly-ring form into total-weight homogeneous parts."""
-    if omega.chart.ring.kind != "poly":
-        raise UnsupportedRingOperationError("weight grading applies to the poly ring")
-    buckets: dict[int, dict[MultiIndex, Coefficient]] = {}
+def restrict_form(omega: DifferentialForm, base: Chart) -> DifferentialForm:
+    """Push an invariant, dt-free form down to the ``base`` chart."""
+    chart = omega.chart
+    if chart.t_axis is None:
+        if chart != base:
+            raise ChartMismatchError("form does not match the base chart")
+        return omega
+    if omega.uses_axis(chart.t_axis):
+        raise ReebInvarianceError("form has a transversal component")
+    terms = {}
     for key, coeff in omega.terms.items():
-        base = weight_of_key(omega.chart, key)
-        for w, part in coeff.weight_split(omega.chart.weights).items():
-            buckets.setdefault(base + w, {})[key] = part
-    return {
-        w: DifferentialForm(omega.chart, omega.degree, terms, validated=True)
-        for w, terms in sorted(buckets.items())
-    }
+        if any(exp[-1] for exp in coeff.terms):
+            raise ReebInvarianceError("form depends on the transversal coordinate")
+        terms[key] = coeff.restrict(base.ring.nvars)
+    return DifferentialForm(base, omega.degree, terms, validated=True)
 
 
 # -- substitutions -----------------------------------------------------------
@@ -570,16 +544,6 @@ class LinearSubstitution:
 
 
 # -- serialization ------------------------------------------------------------
-
-
-def form_to_json(omega: DifferentialForm) -> dict:
-    return {
-        "degree": omega.degree,
-        "terms": [
-            {"idx": list(key), "coef": coefficient_to_json(coeff)}
-            for key, coeff in sorted(omega.terms.items())
-        ],
-    }
 
 
 def form_from_json(obj: dict, chart: Chart) -> DifferentialForm:

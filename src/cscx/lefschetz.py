@@ -111,6 +111,9 @@ class TwistedForm:
         return other.ell_power == self.ell_power and other.base == self.base
 
     def __hash__(self):
+        # zero forms of one degree are equal whatever their twist
+        if self.base.is_zero():
+            return hash(self.base)
         return hash((self.ell_power, self.base))
 
     def __add__(self, other: "TwistedForm") -> "TwistedForm":

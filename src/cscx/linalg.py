@@ -15,8 +15,8 @@ elimination on integer-normalized rows (two-row cross-multiplication
 updates followed by a content division) with Markowitz-style pivot
 selection to limit fill-in.  The Markowitz keys sit in a min-heap that is
 re-keyed as rows and columns change, so a pivot costs no scan of the
-matrix.  The dense helpers are reference implementations for the tests
-only; no product code calls them.
+matrix.  The dense reference implementations the tests compare against
+live with the tests.
 """
 
 from __future__ import annotations
@@ -32,54 +32,6 @@ from .coefficients import Rational, canon
 from .errors import BasisMismatchError
 
 Entries = Mapping[tuple[int, int], Rational]
-
-
-# -- dense reference helpers (tests only) ------------------------------------
-
-
-def dense_rref(rows: list[list[Rational]]) -> tuple[list[list[Rational]], list[int]]:
-    """Reduced row echelon form (copy) and pivot column list."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = Fraction(1, mat[r][c])
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivots
-
-
-def dense_rank(rows: list[list[Rational]]) -> int:
-    return len(dense_rref(rows)[1])
-
-
-def dense_nullspace(rows: list[list[Rational]], ncols: int) -> list[list[Rational]]:
-    """Deterministic kernel basis (free columns in increasing order)."""
-    rref, pivots = dense_rref(rows) if rows else ([], [])
-    pivot_set = set(pivots)
-    basis: list[list[Rational]] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = -rref[r][free]
-        basis.append(vec)
-    return basis
 
 
 # -- sparse exact rank -------------------------------------------------------
@@ -462,12 +414,6 @@ class OperatorMatrix:
                 for (r, c), v in sorted(self.entries.items())
             ],
         }
-
-    @staticmethod
-    def identity(basis: SectionBasis) -> "OperatorMatrix":
-        return OperatorMatrix(
-            basis, basis, {(i, i): 1 for i in range(basis.dim)}
-        )
 
 
 def first_nonzero_composite(maps: list[OperatorMatrix]) -> tuple[int, OperatorMatrix] | None:

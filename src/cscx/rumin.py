@@ -31,7 +31,7 @@ from itertools import combinations_with_replacement
 from typing import Callable
 
 from .coefficients import Rational
-from .contact import ContactChart, HForm
+from .contact import ContactChart
 from .errors import (
     DegreeError,
     InternalConsistencyError,
@@ -186,40 +186,6 @@ def _assert_primitive(fib: FiberCalculus, payload: DifferentialForm) -> None:
         raise NonPrimitiveError("class payload is not primitive")
 
 
-# -- public wrappers on contact charts ----------------------------------------
-
-
-@dataclass(frozen=True)
-class RuminClass:
-    """A degree-k class of the complex: a primitive, correctly twisted section."""
-
-    contact: ContactChart
-    degree: int
-    section: HForm
-
-    def __post_init__(self) -> None:
-        n = self.contact.n
-        expected_form_degree = self.degree if self.degree <= n else self.degree - 1
-        expected_twist = 0 if self.degree <= n else -1
-        if self.section.degree != expected_form_degree:
-            raise DegreeError(
-                f"degree-{self.degree} classes carry forms of degree {expected_form_degree}"
-            )
-        if self.section.q_power != expected_twist:
-            raise DegreeError("wrong twist for this degree")
-        _assert_primitive(self.contact.fiber(), self.section.form)
-
-
-def rumin_operator(cc: ContactChart, k: int, sigma: RuminClass) -> RuminClass:
-    """Apply the degree-k operator of the complex to a class."""
-    if sigma.degree != k or sigma.contact is not cc:
-        raise DegreeError("class does not match the requested degree or chart")
-    struct = contact_two_step(cc)
-    out = rumin_apply(struct, k, sigma.section.form)
-    q_power = 0 if k + 1 <= cc.n else -1
-    return RuminClass(cc, k + 1, HForm(cc, out, q_power))
-
-
 def class_operator_matrix(
     struct: TwoStepStructure,
     k: int,
@@ -239,12 +205,6 @@ def class_operator_matrix(
     )
 
 
-def assemble_rumin_matrix(cc: ContactChart, k: int, truncation: Truncation) -> OperatorMatrix:
-    """Matrix of the degree-k operator over the weight- or mode-graded bases."""
-    struct = contact_two_step(cc)
-    return class_operator_matrix(struct, k, truncation, partial(rumin_apply, struct, k))
-
-
 def rumin_complex(cc: ContactChart, truncation: Truncation) -> list[OperatorMatrix]:
     """All operators D_0, ..., D_2n of the truncated complex."""
     struct = contact_two_step(cc)
@@ -255,25 +215,6 @@ def rumin_complex(cc: ContactChart, truncation: Truncation) -> list[OperatorMatr
 
 
 # -- operator order by iterated commutators ------------------------------------
-
-
-def commutator_word(
-    op: Callable[[DifferentialForm], DifferentialForm],
-    coords: list,
-    payload: DifferentialForm,
-) -> DifferentialForm:
-    """Iterated commutator of op with multiplications by coordinate functions.
-
-    ``coords`` is a list of scalar coefficients; an empty list applies op
-    itself.  The operator has order <= r exactly when every word of length
-    r + 1 vanishes identically.
-    """
-    if not coords:
-        return op(payload)
-    head, rest = coords[0], coords[1:]
-    left = commutator_word(op, rest, payload.times(head))
-    right = commutator_word(op, rest, payload).times(head)
-    return left - right
 
 
 # operator_order probes coordinate words of up to _MAX_ORDER letters on the
@@ -321,8 +262,8 @@ def operator_order(struct: TwoStepStructure, k: int) -> int:
         W(j, m, ())       = rumin_apply(struct, k, m.v_j).
 
     The values are memoized under ``(j, exponent of m, word)`` for this call
-    only, so ``rumin_apply`` runs once per distinct ``(j, m)``.
-    ``commutator_word`` is the definition they must equal.
+    only, so ``rumin_apply`` runs once per distinct ``(j, m)``.  The words
+    are the iterated commutators [[op, x_a], ...] applied to m.v_j.
     """
     if struct.chart.ring.kind != "poly":
         raise DegreeError("the order test multiplies by coordinates (poly ring only)")

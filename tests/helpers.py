@@ -1,15 +1,24 @@
-"""Deterministic random generators shared by the test modules."""
+"""Deterministic random generators and reference implementations shared by the tests.
+
+The references are the dense linear algebra the sparse engine is compared
+against, the iterated commutator that defines operator orders, cos/sin
+built through the JSON boundary, the form serializer and the plain and
+twisted de Rham complexes.
+"""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
+from cscx.cohomology import _form_complex
 from cscx.coefficients import (
     PolyCoefficient,
+    Rational,
     Ring,
     TrigCoefficient,
     coefficient_from_json,
+    coefficient_to_json,
 )
 from cscx.forms import Chart, DifferentialForm
 from cscx.grading import multi_indices
@@ -97,3 +106,97 @@ def random_base_form(chart: Chart, degree: int, r: random.Random, terms: int = 3
             continue
         out[key] = out[key] + coeff if key in out else coeff
     return DifferentialForm(chart, degree, out)
+
+
+def trig_cos(ring: Ring, freq) -> TrigCoefficient:
+    """cos(k . theta) = (e^{ik.theta} + e^{-ik.theta}) / 2."""
+    return trig_from_exponentials(ring.nvars, [(tuple(freq), Fraction(1, 2), Fraction(0))])
+
+
+def trig_sin(ring: Ring, freq) -> TrigCoefficient:
+    """sin(k . theta) = (e^{ik.theta} - e^{-ik.theta}) / 2i."""
+    return trig_from_exponentials(ring.nvars, [(tuple(freq), Fraction(0), Fraction(-1, 2))])
+
+
+def form_to_json(omega: DifferentialForm) -> dict:
+    """The serialized form that ``cscx.forms.form_from_json`` reads."""
+    return {
+        "degree": omega.degree,
+        "terms": [
+            {"idx": list(key), "coef": coefficient_to_json(coeff)}
+            for key, coeff in sorted(omega.terms.items())
+        ],
+    }
+
+
+def de_rham_complex(cs, truncation):
+    """The truncated de Rham complex of a cs chart."""
+    return _form_complex(cs, truncation, twist=0)[1]
+
+
+def twisted_complex(cs, truncation):
+    """The twisted de Rham complex (flat derivative on the twisted factor)."""
+    return _form_complex(cs, truncation, twist=1)[1]
+
+
+def commutator_word(op, coords: list, payload: DifferentialForm) -> DifferentialForm:
+    """Iterated commutator of op with multiplications by coordinate functions.
+
+    ``coords`` is a list of scalar coefficients; an empty list applies op
+    itself.  The operator has order <= r exactly when every word of length
+    r + 1 vanishes identically.
+    """
+    if not coords:
+        return op(payload)
+    head, rest = coords[0], coords[1:]
+    left = commutator_word(op, rest, payload.times(head))
+    right = commutator_word(op, rest, payload).times(head)
+    return left - right
+
+
+# -- dense linear algebra references ---------------------------------------------
+
+
+def dense_rref(rows: list[list[Rational]]) -> tuple[list[list[Rational]], list[int]]:
+    """Reduced row echelon form (copy) and pivot column list."""
+    mat = [list(map(Fraction, row)) for row in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = Fraction(1, mat[r][c])
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c] != 0:
+                factor = mat[i][c]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat, pivots
+
+
+def dense_rank(rows: list[list[Rational]]) -> int:
+    return len(dense_rref(rows)[1])
+
+
+def dense_nullspace(rows: list[list[Rational]], ncols: int) -> list[list[Rational]]:
+    """Deterministic kernel basis (free columns in increasing order)."""
+    rref, pivots = dense_rref(rows) if rows else ([], [])
+    pivot_set = set(pivots)
+    basis: list[list[Rational]] = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = -rref[r][free]
+        basis.append(vec)
+    return basis

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,9 +9,13 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from cscx import contact, descent
+from cscx.claims import MAX_WEIGHT
 from cscx.cli import RunConfig, main, run_suite
 from cscx.descent import descend_complex, rs_complex, ss_fallback
 from cscx.errors import ConfigError, InternalConsistencyError
+from cscx.grading import GradedSpace, weight_truncation
+from cscx.lefschetz import TwistedForm
 from cscx.linalg import OperatorMatrix
 from cscx.rumin import rumin_complex
 
@@ -531,6 +536,82 @@ class TestSizeGuard:
     def test_section_budget_exit_2(self, argv, estimate):
         line = self._run_cli(argv.split(), expected="over the budget of 50,000")
         assert line.startswith("error: the truncation spans ") and estimate in line
+
+
+class TestClaims:
+    """``cscx claims``: one verdict per paper claim under the exit-code contract."""
+
+    NAMES = [
+        "lefschetz_thresholds",
+        "lefschetz_decomposition",
+        "descent_isomorphisms",
+        "lifting",
+        "contact_structure",
+        "generic_route_upstairs",
+    ]
+
+    def _failing(self, result):
+        claims = json.loads(result.stdout)["result"]["claims"]
+        return {c["name"]: c["witness"] for c in claims if not c["passed"]}
+
+    def test_every_claim_passes_with_no_witness(self, runner, tmp_path):
+        out = tmp_path / "claims.json"
+        result = runner.invoke(main, ["claims", "--n", "2", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.stdout)
+        assert report["passed"] and report["config"]["max_weight"] == MAX_WEIGHT
+        claims = report["result"]["claims"]
+        assert [c["name"] for c in claims] == self.NAMES
+        assert all(c["passed"] and c["witness"] is None for c in claims)
+        assert json.loads(out.read_text()) == report
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_rank_out_of_range_exits_2_with_one_line(self, runner, n):
+        result = runner.invoke(main, ["claims", "--n", str(n)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_broken_descent_inverse_fails_only_its_claim(self, runner, monkeypatch):
+        iso_down = descent.iso_down
+
+        def doubled(pair, obj, kind):
+            out = iso_down(pair, obj, kind)
+            if isinstance(out, TwistedForm):
+                return TwistedForm(out.base.scale(2), out.ell_power)
+            return out.scale(2)
+
+        monkeypatch.setattr(descent, "iso_down", doubled)
+        result = runner.invoke(main, ["claims", "--n", "2"])
+        assert result.exit_code == 1, result.output
+        failing = self._failing(result)
+        assert list(failing) == ["descent_isomorphisms"]
+        # the first row, on its first section: the constant function 1
+        pair = descent.standard_pair(2)
+        label = GradedSpace(pair.cs.chart, 0).basis(weight_truncation(MAX_WEIGHT)).labels[0]
+        assert failing["descent_isomorphisms"] == {
+            "check": "round_trip", "row": "h", "degree": 0, "label": json.loads(json.dumps(label)),
+        }
+        section = GradedSpace(pair.cs.chart, 0).element(label)
+        up = descent.iso_up(pair, section, "h")
+        assert iso_down(pair, up, "h") == section != doubled(pair, up, "h")
+
+    def test_wrong_lift_scale_fails_only_lifting(self, runner, monkeypatch):
+        lift_construction = contact.lift_construction
+
+        def rescaled(chart_a, chart_b, matrix):
+            lift = lift_construction(chart_a, chart_b, matrix)
+            return dataclasses.replace(lift, scale=3 * lift.scale)
+
+        monkeypatch.setattr(contact, "lift_construction", rescaled)
+        result = runner.invoke(main, ["claims", "--n", "2"])
+        assert result.exit_code == 1, result.output
+        failing = self._failing(result)
+        assert list(failing) == ["lifting"]
+        assert failing["lifting"] == {
+            "substitution": "scaling", "check": "scale", "scale": "6", "expected": 2,
+        }
 
 
 class TestReportFingerprint:

@@ -13,14 +13,12 @@ from cscx.cohomology import (
     _quotients,
     _TotalSpace,
     cohomology_dims,
-    de_rham_complex,
     les_and_splice,
     les_check,
     mode_truncation,
     rs_cohomology,
     short_exact_splice,
     total_complex,
-    twisted_complex,
     weight_truncation,
 )
 from cscx.descent import rs_complex
@@ -33,8 +31,10 @@ from cscx.grading import (
     sample_modes,
     weight_section_dim,
 )
-from cscx.linalg import Echelon, OperatorMatrix, SectionBasis, dense_rank, sparse_nullspace, sparse_rref
+from cscx.linalg import Echelon, OperatorMatrix, SectionBasis, sparse_nullspace, sparse_rref
 from cscx.rumin import rumin_complex
+
+from helpers import de_rham_complex, dense_rank, twisted_complex
 
 
 def _basis(tag, size):

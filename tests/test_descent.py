@@ -45,7 +45,7 @@ class TestIsomorphisms:
         dx1 = basis_form(cs.chart, (0,))
         up = iso_up(pair2, dx1, "h")
         assert isinstance(up, HForm)
-        assert up.form == promote_form(dx1, cc)
+        assert up.form == promote_form(dx1, cc.chart)
         one = function_form(cs.chart, cs.chart.one_coeff())
         assert iso_up(pair2, one, "hq") == cc.alpha
 

@@ -10,19 +10,17 @@ from cscx.forms import (
     coordinate_vector,
     exterior_derivative,
     form_from_json,
-    form_to_json,
     function_form,
     interior_product,
     lie_derivative,
-    reassemble_dt,
-    split_off_dt,
     torus_cs_chart,
     wedge,
-    weight_split,
     zero_form,
 )
+from cscx.descent import iso_down
+from cscx.grading import GradedSpace
 
-from helpers import random_base_form, random_form, rng
+from helpers import form_to_json, random_base_form, random_form, rng
 
 AFFINE = affine_cs_chart(2)
 TORUS = torus_cs_chart(2)
@@ -169,22 +167,33 @@ class TestLieDerivative:
 
 
 class TestSplitOffDt:
+    """omega = phi1 + alpha ^ phi2 with phi2 = i_xi omega and both free of dt.
+
+    This is the split the honest descent rows invert (``iso_down`` reads
+    i_xi omega and checks omega = alpha ^ i_xi omega).
+    """
+
+    @staticmethod
+    def _split(omega, cc):
+        phi2 = interior_product(cc.xi, omega) if omega.degree else zero_form(cc.chart, 0)
+        return omega - wedge(cc.alpha, phi2), phi2
+
     def test_worked_example(self, contact2):
         ch = contact2.chart
         omega = wedge(basis_form(ch, (4,)), basis_form(ch, (0,)))
-        phi1, phi2 = split_off_dt(omega, contact2.alpha, contact2.xi)
+        phi1, phi2 = self._split(omega, contact2)
         assert phi2 == basis_form(ch, (0,))
         x1, x2 = ch.coord_coeff(0), ch.coord_coeff(2)
         assert phi1 == basis_form(ch, (0, 1)).times(x1) + basis_form(ch, (0, 3)).times(x2)
-        assert reassemble_dt(phi1, phi2, contact2.alpha) == omega
+        assert phi1 + wedge(contact2.alpha, phi2) == omega
 
     def test_base_form_untouched(self, contact2):
         omega = basis_form(contact2.chart, (0, 1))
-        phi1, phi2 = split_off_dt(omega, contact2.alpha, contact2.xi)
+        phi1, phi2 = self._split(omega, contact2)
         assert phi1 == omega and phi2.is_zero()
 
     def test_alpha_splits_to_unit(self, contact2):
-        phi1, phi2 = split_off_dt(contact2.alpha, contact2.alpha, contact2.xi)
+        phi1, phi2 = self._split(contact2.alpha, contact2)
         assert phi1.is_zero()
         assert phi2 == function_form(contact2.chart, contact2.chart.one_coeff())
 
@@ -194,17 +203,17 @@ class TestSplitOffDt:
             k = r.randint(1, 4)
             phi1 = random_base_form(contact2.chart, k, r)
             phi2 = random_base_form(contact2.chart, k - 1, r)
-            omega = reassemble_dt(phi1, phi2, contact2.alpha)
-            got1, got2 = split_off_dt(omega, contact2.alpha, contact2.xi)
+            omega = phi1 + wedge(contact2.alpha, phi2)
+            got1, got2 = self._split(omega, contact2)
             assert interior_product(contact2.xi, got1).is_zero()
             assert got2 == phi2
-            assert reassemble_dt(got1, got2, contact2.alpha) == omega
+            assert got1 + wedge(contact2.alpha, got2) == omega
 
-    def test_rejects_non_invariant(self, contact2):
-        ch = contact2.chart
+    def test_rejects_non_invariant(self, pair2):
+        ch = pair2.contact.chart
         t = ch.coord_coeff(4)
         with pytest.raises(ReebInvarianceError):
-            split_off_dt(basis_form(ch, (0,)).times(t), contact2.alpha, contact2.xi)
+            iso_down(pair2, wedge(pair2.contact.alpha, basis_form(ch, (0,)).times(t)), "hq")
 
     def test_projection_commutes_with_lie(self, contact2):
         # H-restriction projection psi -> psi - alpha ^ i_xi psi commutes
@@ -222,19 +231,19 @@ class TestSplitOffDt:
 
 
 class TestWeightGrading:
-    def test_weight_split_reassembles(self, contact2):
+    def test_weight_split_reassembles(self):
+        # a form's coordinates split it into weight blocks that sum back to it
         r = rng("weights")
         for _ in range(30):
-            omega = random_form(contact2.chart, r.randint(0, 3), r)
-            parts = weight_split(omega)
-            total = zero_form(contact2.chart, omega.degree)
-            for part in parts.values():
-                total = total + part
+            omega = random_form(AFFINE, r.randint(0, 3), r)
+            space = GradedSpace(AFFINE, omega.degree)
+            total = zero_form(AFFINE, omega.degree)
+            for label, q in space.coordinates(omega).items():
+                element = space.element(label)
+                (kind, weight), (_, (_, exp)) = label
+                assert kind == "w" and weight == omega.degree + sum(exp)
+                total = total + element.scale(q)
             assert total == omega
-
-    def test_alpha_is_weight_two(self, contact2):
-        parts = weight_split(contact2.alpha)
-        assert list(parts) == [2]
 
 
 class TestSerialization:

@@ -4,9 +4,10 @@ from math import comb
 import pytest
 
 from cscx.errors import DegreeError
-from cscx.forms import basis_form, function_form
+from cscx.forms import basis_form, function_form, zero_form
 from cscx.grading import binomial_primitive_dim
 from cscx.lefschetz import (
+    TwistedForm,
     full_decomposition,
     lefschetz_L,
     lefschetz_Lambda,
@@ -17,7 +18,7 @@ from cscx.lefschetz import (
     untwisted,
 )
 
-from helpers import random_form, rng
+from helpers import dense_rank, random_form, rng
 
 
 CS2 = standard_cs_chart(2)
@@ -45,8 +46,6 @@ class TestWedgeAndInsertion:
         fib = CS2.fiber()
         entries = fib.wedge_map(1)
         assert len(fib.indices(1)) == len(fib.indices(3)) == 4
-        from cscx.linalg import dense_rank
-
         assert dense_rank(_dense(entries, 4, 4)) == 4
 
     def test_insertion_of_structure_form(self):
@@ -67,8 +66,6 @@ class TestWedgeAndInsertion:
 
     @pytest.mark.parametrize("cs", [CS2, CS3], ids=["n2", "n3"])
     def test_threshold_ranks(self, cs):
-        from cscx.linalg import dense_rank
-
         n = cs.n
         fib = cs.fiber()
         for k in range(0, 2 * n + 1):
@@ -95,6 +92,21 @@ class TestWedgeAndInsertion:
             expected = comb(2 * cs.n, k) - (comb(2 * cs.n, k - 2) if k >= 2 else 0)
             assert fib.primitive_dim(k) == expected
             assert binomial_primitive_dim(cs.n, k) == expected
+
+
+class TestTwistedFormHash:
+    def test_equal_zero_forms_hash_equal(self):
+        # zero sections of one degree are equal whatever their twist
+        for degree in (0, 2):
+            zeros = [TwistedForm(zero_form(CS2.chart, degree), ell) for ell in (0, 1, -1)]
+            assert all(z == zeros[0] for z in zeros)
+            assert len(set(zeros)) == 1
+
+    def test_twist_separates_nonzero_forms(self):
+        phi = basis_form(CS2.chart, (0, 1))
+        a, b = TwistedForm(phi, 0), TwistedForm(phi, 1)
+        assert a != b
+        assert len({a, b, TwistedForm(phi, 0)}) == 2
 
 
 class TestPrimitiveProjection:

@@ -16,9 +16,6 @@ from cscx.linalg import (
     _content_reduce,
     _int_normalize,
     _markowitz_pivots,
-    dense_nullspace,
-    dense_rank,
-    dense_rref,
     sparse_nullspace,
     sparse_rank,
     sparse_rref,
@@ -26,7 +23,7 @@ from cscx.linalg import (
 )
 from cscx.rumin import rumin_complex
 
-from helpers import rng
+from helpers import dense_nullspace, dense_rank, dense_rref, rng
 
 
 def _random_entries(r, m, n, structured):
@@ -431,6 +428,6 @@ class TestOperatorMatrix:
 
     def test_identity_and_apply(self):
         basis = _basis("x", 3)
-        ident = OperatorMatrix.identity(basis)
+        ident = OperatorMatrix(basis, basis, {(i, i): 1 for i in range(basis.dim)})
         vec = {0: Fraction(2), 2: Fraction(-1)}
         assert ident.apply(vec) == vec

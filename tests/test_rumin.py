@@ -3,24 +3,19 @@ from fractions import Fraction
 import pytest
 
 from cscx import rumin
-from cscx.contact import HForm, lift_construction, standard_contact_chart
-from cscx.errors import DegreeError, NonPrimitiveError
+from cscx.contact import lift_construction, standard_contact_chart
 from cscx.forms import basis_form, function_form, zero_form
 from cscx.grading import weight_truncation
 from cscx.rumin import (
-    RuminClass,
-    assemble_rumin_matrix,
     class_transport,
-    commutator_word,
     contact_two_step,
     generic_zigzag_matrix,
     operator_order,
     rumin_apply,
     rumin_complex,
-    rumin_operator,
 )
 
-from helpers import rng
+from helpers import commutator_word, rng
 
 
 class TestOperator:
@@ -48,19 +43,6 @@ class TestOperator:
         struct = contact_two_step(contact2)
         phi = (basis_form(ch, (0, 1)) - basis_form(ch, (2, 3))).times(ch.coord_coeff(0))
         assert rumin_apply(struct, 2, phi).is_zero()
-
-    def test_wrapper_validates_degree_and_primitivity(self, contact2):
-        sigma = RuminClass(
-            contact2, 2, HForm(contact2, basis_form(contact2.chart, (0, 2)), 0)
-        )
-        out = rumin_operator(contact2, 2, sigma)
-        assert out.degree == 3 and out.section.q_power == -1
-        with pytest.raises(DegreeError):
-            rumin_operator(contact2, 1, sigma)
-        with pytest.raises(NonPrimitiveError):
-            RuminClass(
-                contact2, 2, HForm(contact2, contact2.lef_form(), 0)
-            )
 
     def test_lift_independence(self, contact2):
         # perturbing the representative by a graded-exact piece and re-solving
@@ -90,13 +72,12 @@ class TestOperator:
 
 class TestMatrices:
     def test_weight_zero_block_of_d0_vanishes(self, contact2):
-        matrix = assemble_rumin_matrix(contact2, 0, weight_truncation(0))
+        matrix = rumin_complex(contact2, weight_truncation(0))[0]
         assert matrix.is_zero()
         assert matrix.cols.dim == 1  # the constants
 
     def test_block_diagonality(self, contact2):
-        for k in range(3):
-            matrix = assemble_rumin_matrix(contact2, k, weight_truncation(4))
+        for matrix in rumin_complex(contact2, weight_truncation(4)):
             assert not matrix.off_block_entries()
 
     def test_composites_vanish_w4(self, contact2):
@@ -107,8 +88,7 @@ class TestMatrices:
     def test_generic_route_matches_formulas_upstairs(self, contact2):
         struct = contact_two_step(contact2)
         truncation = weight_truncation(4)
-        for k in range(5):
-            formula = assemble_rumin_matrix(contact2, k, truncation)
+        for k, formula in enumerate(rumin_complex(contact2, truncation)):
             generic = generic_zigzag_matrix(struct, k, truncation)
             assert formula.entries == generic.entries, f"paths differ at k={k}"
 

@@ -15,9 +15,7 @@ from cscx.coefficients import (
     coefficient_from_json,
     coefficient_to_json,
     poly_ring,
-    trig_cos,
     trig_ring,
-    trig_sin,
 )
 from cscx.cohomology import BlockComplexes, mode_truncation, weight_truncation
 from cscx.contact import contactify, lift_construction, standard_contact_chart
@@ -26,6 +24,7 @@ from cscx.forms import DifferentialForm, _SparseGraded, exterior_derivative, fun
 from cscx.linalg import OperatorMatrix
 from cscx.rumin import rumin_complex
 
+from helpers import trig_cos, trig_sin
 from test_contact import _standard_beta
 
 
