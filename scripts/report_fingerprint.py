@@ -37,6 +37,7 @@ COMMANDS = (
     "rs build --model torus --n 2 --modes 0,1 --sample-modes 3",
     "rs build --model torus --n 3 --modes 0 --sample-modes 2",
     "rs build --model affine --max-weight 5",
+    "rs build --model affine --n 3 --max-weight 6",
     "lefschetz table --n 3",
     "lefschetz table --n 5",
     "cohomology --model affine --n 4 --max-weight 4",

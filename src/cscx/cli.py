@@ -44,7 +44,7 @@ from .grading import (
 )
 from .lefschetz import standard_cs_chart, summand_dimension_table
 from .linalg import first_nonzero_composite
-from .rumin import contact_two_step, operator_order, rumin_complex
+from .rumin import class_operator_order, contact_two_step, operator_order, rumin_complex
 
 MODELS = ("contact-affine", "cs-affine", "torus")
 
@@ -155,7 +155,7 @@ def _pipeline_rumin_verify(config: RunConfig):
         first_failure = {"degree": k, "entry": [row, col, str(value)]}
     struct = contact_two_step(cc)
     orders = [operator_order(struct, k) for k in range(2 * config.n + 1)]
-    expected = [2 if k == config.n else 1 for k in range(2 * config.n + 1)]
+    expected = [class_operator_order(config.n, k) for k in range(2 * config.n + 1)]
     body = {
         "ranks": [m.rank() for m in mats],
         "shapes": [list(m.shape) for m in mats],

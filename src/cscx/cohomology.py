@@ -38,7 +38,9 @@ from .grading import (
     SectionBasis,
     Truncation,
     label_vector,
+    leibniz_table,
     mode_truncation,
+    operator_entries,
     sample_modes,
     weight_truncation,
 )
@@ -179,6 +181,14 @@ def _in_span(span: Echelon, vec) -> bool:
 # -- complex builders -------------------------------------------------------------
 
 
+# differential orders of the form-level operators: d and the twisted d (the
+# plain d of the base factor) differentiate once, and the total differential
+# adds to them only the tensorial omega ^ psi
+_DE_RHAM_ORDER = 1
+_TWISTED_ORDER = 1
+_TOTAL_ORDER = 1
+
+
 def _form_complex(cs: CsChart, truncation: Truncation, twist: int):
     """Spaces and differentials of the plain (twist 0) or twisted (twist 1) complex."""
     spaces = [
@@ -187,21 +197,19 @@ def _form_complex(cs: CsChart, truncation: Truncation, twist: int):
     ]
     bases = [s.basis(truncation) for s in spaces]
     op = (lambda f: nabla_twisted_d(cs, TwistedForm(f, 1)).base) if twist else (lambda f: f.d())
+    name, order = ("twisted", _TWISTED_ORDER) if twist else ("de-rham", _DE_RHAM_ORDER)
     mats = [
-        _assemble(spaces[k], spaces[k + 1], bases[k], bases[k + 1], op)
+        _assemble(
+            spaces[k], spaces[k + 1], bases[k], bases[k + 1], op,
+            leibniz_table(cs, (name, k), spaces[k], spaces[k + 1], op, order),
+        )
         for k in range(2 * cs.n)
     ]
     return spaces, mats
 
 
-def _assemble(domain, codomain, domain_basis, codomain_basis, op):
-    entries: dict[tuple[int, int], Rational] = {}
-    for col, label in enumerate(domain_basis.labels):
-        image = op(domain.element(label))
-        if image.is_zero():
-            continue
-        for row, v in codomain.vector(image, codomain_basis).items():
-            entries[(row, col)] = v
+def _assemble(domain, codomain, domain_basis, codomain_basis, op, table=None):
+    entries = operator_entries(domain, codomain, op, domain_basis, codomain_basis, table)
     return OperatorMatrix(codomain_basis, domain_basis, entries)
 
 
@@ -216,6 +224,7 @@ class _TotalSpace:
 
     def __init__(self, cs: CsChart, k: int):
         self.cs = cs
+        self.chart = cs.chart
         self.k = k
         self.a = GradedSpace(cs.chart, k, tag="total-a")
         self.b = GradedSpace(cs.chart, k - 1, weight_offset=2, tag="total-b")
@@ -228,6 +237,12 @@ class _TotalSpace:
         labels += [(block, ("b",) + rest) for (block, rest) in self.b.basis(truncation).labels]
         return SectionBasis(key=self.key + (truncation.kind,), labels=tuple(labels))
 
+    def fiber_keys(self) -> list[tuple]:
+        """The slot-tagged fiber parts of the basis labels, as in ``basis``."""
+        return [("a",) + key for key in self.a.fiber_keys()] + [
+            ("b",) + key for key in self.b.fiber_keys()
+        ]
+
     def element(self, label) -> tuple[DifferentialForm, DifferentialForm | None]:
         block, payload = label
         slot_label = (block, payload[1:])
@@ -235,7 +250,8 @@ class _TotalSpace:
             return self.a.element(slot_label), None
         return zero_form(self.cs.chart, self.k), self.b.element(slot_label)
 
-    def vector(self, pair, basis: SectionBasis) -> dict[int, Rational]:
+    def coordinates(self, pair) -> dict[tuple, Rational]:
+        """Nonzero coordinates of a pair, keyed by slot-tagged basis label."""
         phi, psi = pair
         coords: dict[tuple, Rational] = {}
         if not phi.is_zero():
@@ -244,20 +260,21 @@ class _TotalSpace:
         if psi is not None and not psi.is_zero():
             for (block, rest), v in self.b.coordinates(psi).items():
                 coords[(block, ("b",) + rest)] = v
-        return label_vector(coords, basis)
+        return coords
+
+    def vector(self, pair, basis: SectionBasis) -> dict[int, Rational]:
+        return label_vector(self.coordinates(pair), basis)
 
 
 def total_complex(cs: CsChart, truncation: Truncation) -> list[OperatorMatrix]:
     """The sum complex with differential (phi, psi) -> (d phi + omega ^ psi, -d psi)."""
     spaces = [_TotalSpace(cs, k) for k in range(2 * cs.n + 2)]
     bases = [s.basis(truncation) for s in spaces]
+    op = lambda pair: total_differential(cs, *pair)  # noqa: E731
     mats = []
     for k in range(2 * cs.n + 1):
-        entries: dict[tuple[int, int], Rational] = {}
-        for col, label in enumerate(bases[k].labels):
-            image = total_differential(cs, *spaces[k].element(label))
-            for row, v in spaces[k + 1].vector(image, bases[k + 1]).items():
-                entries[(row, col)] = v
+        table = leibniz_table(cs, ("total", k), spaces[k], spaces[k + 1], op, _TOTAL_ORDER)
+        entries = operator_entries(spaces[k], spaces[k + 1], op, bases[k], bases[k + 1], table)
         mats.append(OperatorMatrix(bases[k + 1], bases[k], entries))
     return mats
 

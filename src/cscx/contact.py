@@ -42,7 +42,7 @@ from .forms import (
     wedge,
     zero_form,
 )
-from .grading import FiberCalculus, fiber_from_form
+from .lefschetz import FiberCalculus, fiber_from_form
 from .linalg import OperatorMatrix, SectionBasis
 
 

@@ -10,15 +10,17 @@ independent of rescaling that field.
 Three routes to the intrinsic complex on the quotient are implemented and
 must agree matrix-for-matrix.  The first two build their matrices through
 the one class-operator builder ``rumin.class_operator_matrix`` and differ
-only in the op they pass it:
+in the op they pass it and in how it is assembled:
 
 * ``descend_rumin`` conjugates the contact-chart operators by the descent
-  identifications;
+  identifications, applied to every basis section;
 * ``rs_operator`` applies the same three-regime operator as the contact
   side (``rumin_apply``) to the quotient structure, which has no potential
   and no Lie term: primitive projection of d below the middle, the
   second-order middle operator via the bijective wedge, minus the twisted
-  derivative above the middle;
+  derivative above the middle.  Its matrices are read off the operator's
+  Leibniz table, so "descended equals intrinsic" also checks that
+  expansion against the per-column assembly;
 * ``ss_fallback`` runs the generic representative-correction procedure on
   the total complex, treating ``total_differential`` as a black box.  Its
   cochains are the zig-zag's pairs (phi, psi): a k-form and the base form
@@ -65,10 +67,11 @@ from .forms import (
     wedge,
     zero_form,
 )
-from .grading import Truncation, is_primitive
+from .grading import Truncation
 from .lefschetz import (
     CsChart,
     TwistedForm,
+    is_primitive,
     lefschetz_L,
     standard_cs_chart,
 )
@@ -76,6 +79,7 @@ from .linalg import OperatorMatrix
 from .rumin import (
     TwoStepStructure,
     class_operator_matrix,
+    class_operator_order,
     contact_two_step,
     generic_zigzag_matrix,
     rumin_apply,
@@ -245,7 +249,9 @@ def rs_apply(cs: CsChart, i: int, payload: DifferentialForm) -> DifferentialForm
 
 def rs_operator(cs: CsChart, i: int, truncation: Truncation) -> OperatorMatrix:
     """Matrix of the intrinsic degree-i operator over the class bases."""
-    return class_operator_matrix(cs_two_step(cs), i, truncation, partial(rs_apply, cs, i))
+    return class_operator_matrix(
+        cs_two_step(cs), i, truncation, partial(rs_apply, cs, i), class_operator_order(cs.n, i)
+    )
 
 
 def rs_complex(cs: CsChart, truncation: Truncation) -> list[OperatorMatrix]:

@@ -23,6 +23,7 @@ finite-dimensional subcomplexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from .coefficients import (
@@ -150,6 +151,11 @@ def _base_names(n: int) -> tuple[str, ...]:
 
 
 # -- index combinatorics (single source of sign truth) ----------------------
+
+
+def multi_indices(m: int, k: int) -> list[MultiIndex]:
+    """All strictly increasing k-tuples from range(m), lexicographic."""
+    return list(combinations(range(m), k)) if k >= 0 else []
 
 
 def merge_wedge(left: MultiIndex, right: MultiIndex) -> tuple[int, MultiIndex] | None:

@@ -25,7 +25,7 @@ the quotient with no further sign bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations_with_replacement
 from typing import Callable
@@ -45,16 +45,8 @@ from .forms import (
     wedge,
     zero_form,
 )
-from .grading import (
-    FiberCalculus,
-    FiberMap,
-    GradedSpace,
-    Truncation,
-    assemble_operator,
-    fiber_apply,
-    fiber_from_form,
-    is_primitive,
-)
+from .grading import GradedSpace, Truncation, WordValues, assemble_operator, leibniz_table
+from .lefschetz import FiberCalculus, FiberMap, fiber_apply, fiber_from_form, is_primitive
 from .linalg import OperatorMatrix, sparse_rref
 
 
@@ -65,7 +57,8 @@ class TwoStepStructure:
     The contact side has ``beta`` and a nonzero ``lie_scale``; the cs side
     of the quotient has neither (its pair differential is the total
     differential of the twisted sum complex).  The shared fiber calculus of
-    ``lef`` is resolved once, at construction.
+    ``lef`` is resolved once, at construction; ``tables`` keeps the Leibniz
+    table of each class operator, built on first use.
     """
 
     chart: Chart
@@ -73,6 +66,7 @@ class TwoStepStructure:
     lef: DifferentialForm  # constant structure two-form on the base axes
     beta: DifferentialForm | None = None
     lie_scale: Rational = 0
+    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_fiber", fiber_from_form(self.lef, self.n))
@@ -186,22 +180,37 @@ def _assert_primitive(fib: FiberCalculus, payload: DifferentialForm) -> None:
         raise NonPrimitiveError("class payload is not primitive")
 
 
+def class_operator_order(n: int, k: int) -> int:
+    """Differential order of the degree-k operator: 2 at the middle degree, 1 elsewhere.
+
+    Below the middle the operator is the primitive projection of dH, above
+    it -dH: one derivative between constant fiber maps.  At the middle it is
+    dH after the constant middle inverse after dH, plus the Lie term: two
+    derivatives (criterion 8; ``operator_order`` measures it).
+    """
+    return 2 if k == n else 1
+
+
 def class_operator_matrix(
     struct: TwoStepStructure,
     k: int,
     truncation: Truncation,
     op: Callable[[DifferentialForm], DifferentialForm],
+    order: int | None = None,
 ) -> OperatorMatrix:
     """Matrix of ``op`` from the degree-k to the degree-(k+1) class space.
 
     The one builder of class-space operators: the contact-chart complex,
     the intrinsic quotient operators and the descended ones differ only in
-    the ``op`` they pass.
+    the ``op`` they pass.  Given the operator's ``order``, a poly-ring
+    matrix is read off the Leibniz table kept on ``struct``; without it,
+    column by column.
     """
     domain = struct.class_space(k)
     codomain = struct.class_space(k + 1)
+    table = None if order is None else leibniz_table(struct, k, domain, codomain, op, order)
     return assemble_operator(
-        domain, codomain, op, domain.basis(truncation), codomain.basis(truncation)
+        domain, codomain, op, domain.basis(truncation), codomain.basis(truncation), table
     )
 
 
@@ -209,8 +218,10 @@ def rumin_complex(cc: ContactChart, truncation: Truncation) -> list[OperatorMatr
     """All operators D_0, ..., D_2n of the truncated complex."""
     struct = contact_two_step(cc)
     return [
-        class_operator_matrix(struct, k, truncation, partial(rumin_apply, struct, k))
-        for k in range(2 * struct.n + 1)
+        class_operator_matrix(
+            struct, k, truncation, partial(rumin_apply, struct, k), class_operator_order(cc.n, k)
+        )
+        for k in range(2 * cc.n + 1)
     ]
 
 
@@ -223,30 +234,6 @@ _MAX_ORDER = 3
 _PROBE_EXTRA_WEIGHT = 1
 
 
-class _WordValues:
-    """Memoized commutator words ``W(j, m, word)`` of one ``operator_order`` call."""
-
-    def __init__(self, struct: TwoStepStructure, k: int):
-        self.struct = struct
-        self.k = k
-        self.space = struct.class_space(k)
-        self.coords = [struct.chart.coord_coeff(a) for a in range(struct.chart.dim)]
-        self._memo: dict[tuple, DifferentialForm] = {}
-
-    def __call__(self, j: int, exp: tuple[int, ...], word: tuple[int, ...]) -> DifferentialForm:
-        key = (j, exp, word)
-        value = self._memo.get(key)
-        if value is None:
-            if not word:
-                value = rumin_apply(self.struct, self.k, self.space.element((None, (j, ("p", exp)))))
-            else:
-                a, rest = word[0], word[1:]
-                shifted = exp[:a] + (exp[a] + 1,) + exp[a + 1 :]
-                value = self(j, shifted, rest) - self(j, exp, rest).times(self.coords[a])
-            self._memo[key] = value
-        return value
-
-
 def operator_order(struct: TwoStepStructure, k: int) -> int:
     """Measured differential order of the degree-k operator on probe sections.
 
@@ -256,27 +243,23 @@ def operator_order(struct: TwoStepStructure, k: int) -> int:
 
     A probe ``m.v_j`` (monomial m, primitive fiber vector v_j) stays a class
     basis element under multiplication by a coordinate, with label
-    ``(j, x_a.m)``, so the commutator words obey the exact recurrence
-
-        W(j, m, (a,) + w) = W(j, x_a.m, w) - x_a.W(j, m, w),
-        W(j, m, ())       = rumin_apply(struct, k, m.v_j).
-
-    The values are memoized under ``(j, exponent of m, word)`` for this call
-    only, so ``rumin_apply`` runs once per distinct ``(j, m)``.  The words
-    are the iterated commutators [[op, x_a], ...] applied to m.v_j.
+    ``(j, x_a.m)``, so the commutator words are the ``WordValues`` of the
+    operator, the recurrence its Leibniz tables use: one ``rumin_apply`` per
+    distinct ``(j, m)``, memoized for this call only, and a word is zero
+    when its coordinates are.
     """
     if struct.chart.ring.kind != "poly":
         raise DegreeError("the order test multiplies by coordinates (poly ring only)")
-    values = _WordValues(struct, k)
-    space = values.space
+    space = struct.class_space(k)
+    values = WordValues(space, struct.class_space(k + 1), partial(rumin_apply, struct, k))
     degree, offset = struct.class_degree(k)
     base_weight = degree + offset
     blocks = [("w", base_weight + extra) for extra in range(_PROBE_EXTRA_WEIGHT + 1)]
     probes = []
     for block in blocks:
-        for j in range(space.fiber_dim):
+        for key in space.fiber_keys():
             for mono in space._mono_labels(block):
-                probes.append((j, mono[1]))
+                probes.append((key, mono[1]))
 
     order = 0
     for length in range(1, _MAX_ORDER + 1):
@@ -284,8 +267,8 @@ def operator_order(struct: TwoStepStructure, k: int) -> int:
         # words of maximal length are probed on the lowest block only
         pool = probes if length < _MAX_ORDER else probes[: space.fiber_dim]
         for word in combinations_with_replacement(range(struct.chart.dim), length):
-            for j, exp in pool:
-                if not values(j, exp, word).is_zero():
+            for key, exp in pool:
+                if values(key, exp, word):
                     nonzero = True
                     break
             if nonzero:

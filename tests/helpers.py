@@ -20,8 +20,7 @@ from cscx.coefficients import (
     coefficient_from_json,
     coefficient_to_json,
 )
-from cscx.forms import Chart, DifferentialForm
-from cscx.grading import multi_indices
+from cscx.forms import Chart, DifferentialForm, multi_indices
 
 
 def rng(*seed) -> random.Random:

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from cscx import contact, descent
-from cscx.claims import MAX_WEIGHT
+from cscx.claims import MAX_N, MAX_WEIGHT
 from cscx.cli import RunConfig, main, run_suite
 from cscx.descent import descend_complex, rs_complex, ss_fallback
 from cscx.errors import ConfigError, InternalConsistencyError
@@ -596,6 +596,33 @@ class TestClaims:
         section = GradedSpace(pair.cs.chart, 0).element(label)
         up = descent.iso_up(pair, section, "h")
         assert iso_down(pair, up, "h") == section != doubled(pair, up, "h")
+
+    def test_rank_above_max_n_exits_2_with_one_line(self, runner):
+        result = runner.invoke(main, ["claims", "--n", str(MAX_N + 1)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: claims --n {MAX_N + 1} is too large")
+        assert f"n <= {MAX_N}" in lines[0]
+
+    def test_broken_invariance_names_the_row_and_label(self, runner, monkeypatch):
+        promote = descent.promote_form
+
+        def times_t(payload, chart):
+            # a lift carrying a factor t is not invariant along the transversal field
+            return promote(payload, chart).times(chart.coord_coeff(chart.t_axis))
+
+        monkeypatch.setattr(descent, "promote_form", times_t)
+        result = runner.invoke(main, ["claims", "--n", "2"])
+        assert result.exit_code == 1, result.output
+        failing = self._failing(result)
+        assert list(failing) == ["descent_isomorphisms"]
+        # the first row, on its first section: the constant function 1
+        pair = descent.standard_pair(2)
+        label = GradedSpace(pair.cs.chart, 0).basis(weight_truncation(MAX_WEIGHT)).labels[0]
+        assert failing["descent_isomorphisms"] == {
+            "check": "invariant", "row": "h", "degree": 0, "label": json.loads(json.dumps(label)),
+        }
 
     def test_wrong_lift_scale_fails_only_lifting(self, runner, monkeypatch):
         lift_construction = contact.lift_construction

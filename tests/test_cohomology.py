@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+from cscx import cohomology
 from cscx.cli import RunConfig, main, run_suite
 from cscx.cohomology import (
     BlockComplexes,
@@ -206,19 +207,17 @@ class TestSplice:
 class TestOneBuildPerBlock:
     def test_les_pipeline_assembles_each_total_complex_once(self, cs_affine2, monkeypatch):
         calls = []
-        element = _TotalSpace.element
+        build = cohomology.total_complex
 
-        def counted(self, label):
-            calls.append(label)
-            return element(self, label)
+        def counted(cs, truncation):
+            calls.append(truncation.blocks())
+            return build(cs, truncation)
 
-        monkeypatch.setattr(_TotalSpace, "element", counted)
+        monkeypatch.setattr(cohomology, "total_complex", counted)
         code, _ = run_suite(RunConfig(pipeline="les", model="cs-affine", n=2, max_weight=3))
         assert code == 0
-        truncation = weight_truncation(3)
-        degrees = range(2 * cs_affine2.n + 1)
-        domain_dims = [_TotalSpace(cs_affine2, k).basis(truncation).dim for k in degrees]
-        assert len(calls) == sum(domain_dims)
+        # one total complex per weight block, each over that block alone
+        assert calls == [[block] for block in weight_truncation(3).blocks()]
 
     def test_total_space_vector_reads_the_basis_it_is_given(self, cs_affine2):
         big = _TotalSpace(cs_affine2, 2).basis(weight_truncation(4))

@@ -9,8 +9,7 @@ from cscx.contact import standard_contact_chart
 from cscx.descent import cs_two_step, rs_apply
 from cscx.errors import CsStructureError, InternalConsistencyError, NonPrimitiveError
 from cscx.forms import affine_cs_chart, basis_form
-from cscx.grading import fiber_from_form, is_primitive
-from cscx.lefschetz import standard_cs_chart
+from cscx.lefschetz import fiber_from_form, is_primitive, standard_cs_chart
 from cscx.rumin import contact_two_step
 
 from helpers import dense_rank, trig_cos, trig_sin

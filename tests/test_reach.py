@@ -14,6 +14,7 @@ short ``ALLOWED`` list below, each entry with its reason.
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ import pytest
 from click.testing import CliRunner
 
 import cscx
-from cscx import grading
+from cscx import lefschetz
 from cscx.cli import main
 
 from test_bench_targets import _targets
@@ -110,7 +111,19 @@ def _definitions() -> dict[tuple[str, int], tuple[str, str]]:
 
 
 def _traced_targets() -> set[tuple[str, str]]:
-    return {(module.rpartition(".")[2], attr) for _, module, attr, _ in _targets()}
+    """(defining module, qualified name) of what each traced name resolves to.
+
+    A target named through a module that imports it (``cscx.grading``
+    names the fiber layer defined in ``cscx.lefschetz``) exempts the
+    function where it is defined, which is what the tracer wraps.
+    """
+    out = set()
+    for _, module, attr, _ in _targets():
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        out.add((obj.__module__.rpartition(".")[2], obj.__qualname__))
+    return out
 
 
 def _is_dunder(qualname: str) -> bool:
@@ -132,8 +145,8 @@ def reach(tmp_path_factory):
 
     # the fiber calculus is shared across calls: start cold, so that the code
     # building it runs here whatever ran earlier in the process
-    shared = dict(grading._SHARED_FIBERS)
-    grading._SHARED_FIBERS.clear()
+    shared = dict(lefschetz._SHARED_FIBERS)
+    lefschetz._SHARED_FIBERS.clear()
     runner = CliRunner()
     codes = []
     try:
@@ -146,8 +159,8 @@ def reach(tmp_path_factory):
                 sys.setprofile(None)
             codes.append(result.exit_code)
     finally:
-        grading._SHARED_FIBERS.clear()
-        grading._SHARED_FIBERS.update(shared)
+        lefschetz._SHARED_FIBERS.clear()
+        lefschetz._SHARED_FIBERS.update(shared)
     return codes, entered
 
 

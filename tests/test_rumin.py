@@ -5,7 +5,7 @@ import pytest
 from cscx import rumin
 from cscx.contact import lift_construction, standard_contact_chart
 from cscx.forms import basis_form, function_form, zero_form
-from cscx.grading import weight_truncation
+from cscx.grading import WordValues, weight_truncation
 from cscx.rumin import (
     class_transport,
     contact_two_step,
@@ -118,13 +118,13 @@ class TestMemoizedOrders:
 
     def _record_words(self, monkeypatch, struct, k):
         seen = {}
-        evaluate = rumin._WordValues.__call__
+        evaluate = WordValues.__call__
 
-        def recording(values, j, exp, word):
-            seen[(j, exp, word)] = evaluate(values, j, exp, word)
-            return seen[(j, exp, word)]
+        def recording(values, key, exp, word):
+            seen[(key, exp, word)] = evaluate(values, key, exp, word)
+            return seen[(key, exp, word)]
 
-        monkeypatch.setattr(rumin._WordValues, "__call__", recording)
+        monkeypatch.setattr(WordValues, "__call__", recording)
         operator_order(struct, k)
         return seen
 
@@ -133,12 +133,18 @@ class TestMemoizedOrders:
         struct = contact_two_step(contact2)
         seen = self._record_words(monkeypatch, struct, k)
         assert any(len(word) == 3 for _, _, word in seen)
-        space = struct.class_space(k)
+        space, codomain = struct.class_space(k), struct.class_space(k + 1)
         coords = [contact2.chart.coord_coeff(a) for a in range(contact2.chart.dim)]
         op = lambda form: rumin_apply(struct, k, form)  # noqa: E731
-        for (j, exp, word), value in seen.items():
-            e = space.element((None, (j, ("p", exp))))
-            assert value == commutator_word(op, [coords[a] for a in word], e)
+        for (key, exp, word), value in seen.items():
+            e = space.element((None, key + (("p", exp),)))
+            form = commutator_word(op, [coords[a] for a in word], e)
+            # the memo holds the word's coordinates as (block weight, fiber key, exponent)
+            expected = {
+                (block[1], rest[:-1], rest[-1][1]): q
+                for (block, rest), q in codomain.coordinates(form).items()
+            }
+            assert value == expected
 
     @pytest.mark.parametrize("k", range(5))
     def test_one_apply_per_probe_label(self, monkeypatch, contact2, k):
