@@ -60,7 +60,6 @@ from .descent import (
     iso_down,
     iso_up,
     nabla_twisted_d,
-    rs_operator,
     ss_fallback,
     standard_pair,
     total_differential,

@@ -53,7 +53,6 @@ from .lefschetz import (
 from .linalg import OperatorMatrix, sparse_rank
 from .rumin import (
     class_transport,
-    contact_two_step,
     generic_zigzag_matrix,
     rumin_apply,
     rumin_complex,
@@ -106,7 +105,7 @@ def _first_difference(a: OperatorMatrix, b: OperatorMatrix) -> list[int] | None:
 
 
 def _lefschetz_thresholds(cs: CsChart):
-    n, fib = cs.n, cs.fiber()
+    n, fib = cs.n, cs.fiber
     expected = []  # (map, degree, measured, expected)
     for k in range(2 * n + 1):
         rank = sparse_rank(fib.wedge_map(k))
@@ -141,7 +140,7 @@ def _lefschetz_decomposition(cs: CsChart):
 def _descent_isomorphisms(pair: descent.ChartPair, truncation: Truncation):
     cs = pair.cs
     spaces = [
-        (GradedSpace(cs.chart, k), GradedSpace(cs.chart, k, fiber=cs.fiber()))
+        (GradedSpace(cs.chart, k), GradedSpace(cs.chart, k, fiber=cs.fiber))
         for k in range(2 * cs.n + 1)
     ]
     for row in descent.ROWS:
@@ -185,14 +184,14 @@ def _substitutions(cc: contact.ContactChart):
 
 
 def _lifting(cc: contact.ContactChart):
-    dst_struct = contact_two_step(cc)
+    dst_struct = cc.two_step
     for name, src, matrix, scale in _substitutions(cc):
         lift = contact.lift_construction(src, cc, matrix)
         if lift.scale != scale:
             yield {"substitution": name, "check": "scale", "scale": str(lift.scale), "expected": scale}
         if lift.pullback(src.alpha) != cc.alpha.scale(lift.scale):
             yield {"substitution": name, "check": "pullback"}
-        src_struct = contact_two_step(src)
+        src_struct = src.two_step
         for k in range(2 * cc.n + 1):
             space = src_struct.class_space(k)
             degree, offset = src_struct.class_degree(k)
@@ -228,11 +227,9 @@ def _contact_structure(cc: contact.ContactChart):
 
 
 def _generic_route_upstairs(cc: contact.ContactChart, truncation: Truncation):
-    struct = contact_two_step(cc)
     for k, formula in enumerate(rumin_complex(cc, truncation)):
-        generic = generic_zigzag_matrix(
-            struct, k, truncation, pair_differential=struct.pair_differential
-        )
+        # the zig-zag's default pair differential is the structure's block form of d
+        generic = generic_zigzag_matrix(cc.two_step, k, truncation)
         entry = _first_difference(generic, formula)
         if entry is not None:
             yield {"degree": k, "entry": entry}

@@ -14,8 +14,9 @@ both rings; the graded truncations need constant structure forms anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .coefficients import Coefficient, PolyCoefficient, Rational, canon
 from .errors import (
@@ -48,7 +49,13 @@ from .linalg import OperatorMatrix, SectionBasis
 
 @dataclass(frozen=True)
 class ContactChart:
-    """Contactification of a cs chart: coordinates (x1, y1, ..., xn, yn, t)."""
+    """Contactification of a cs chart: coordinates (x1, y1, ..., xn, yn, t).
+
+    The chart owns what is derived from it, each built on first use: the
+    ``fiber`` calculus of its structure form, its ``two_step`` block
+    structure and ``tables``, the Leibniz table of each operator on the
+    chart under ``(operator name, k)``.
+    """
 
     n: int
     chart: Chart
@@ -57,6 +64,7 @@ class ContactChart:
     alpha: DifferentialForm  # (dt + beta) / xi_scale
     xi: PolyVectorField  # xi_scale * d/dt
     xi_scale: Rational = 1
+    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -73,8 +81,24 @@ class ContactChart:
         """dt-free part of d(alpha): the structure two-form of the H-fibers."""
         return exterior_derivative(self.beta).scale(canon(Fraction(1, self.xi_scale)))
 
+    @cached_property
     def fiber(self) -> FiberCalculus:
         return fiber_from_form(self.lef_form(), self.n)
+
+    @cached_property
+    def two_step(self):
+        """The contact-side block structure, with the potential and the Lie term."""
+        # the structure is defined above the charts, in rumin
+        from .rumin import TwoStepStructure
+
+        return TwoStepStructure(
+            chart=self.chart,
+            n=self.n,
+            lef=self.lef_form(),
+            fiber=self.fiber,
+            beta=self.beta,
+            lie_scale=self.xi_scale,
+        )
 
 
 def _nonvanishing(coeff: Coefficient) -> bool:
@@ -229,7 +253,7 @@ def d_alpha_on_frame(cc: ContactChart) -> OperatorMatrix:
 def _fiber_basis(cc: ContactChart, k: int, q_power: int) -> SectionBasis:
     return SectionBasis(
         key=("h-fiber", cc.chart.coords, k, q_power),
-        labels=tuple((("fiber",), (i,)) for i in range(cc.fiber().dim(k))),
+        labels=tuple((("fiber",), (i,)) for i in range(cc.fiber.dim(k))),
     )
 
 
@@ -244,7 +268,7 @@ def partial_map(cc: ContactChart, k: int) -> OperatorMatrix:
         raise DegreeError("the tensorial map is defined for 1 <= k <= 2n")
     rows = _fiber_basis(cc, k + 1, 0)
     cols = _fiber_basis(cc, k - 1, -1)
-    return OperatorMatrix(rows, cols, cc.fiber().wedge_map(k - 1))
+    return OperatorMatrix(rows, cols, cc.fiber.wedge_map(k - 1))
 
 
 @dataclass(frozen=True)
@@ -287,7 +311,7 @@ def h_cohomology_basis(cc: ContactChart, k: int) -> HBasis:
     """
     if not 0 <= k <= 2 * cc.n + 1:
         raise DegreeError("degree out of range")
-    fib = cc.fiber()
+    fib = cc.fiber
     if k <= cc.n:
         degree, q_power = k, 0
     else:

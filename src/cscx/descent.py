@@ -8,13 +8,14 @@ pairing section of the transversal field, which makes the composites
 independent of rescaling that field.
 
 Three routes to the intrinsic complex on the quotient are implemented and
-must agree matrix-for-matrix.  The first two build their matrices through
-the one class-operator builder ``rumin.class_operator_matrix`` and differ
-in the op they pass it and in how it is assembled:
+must agree matrix-for-matrix.  The first two build their complexes through
+the one operator builder ``grading.operator_complex`` over the quotient's
+class spaces and differ in the op they pass it and in how it is assembled:
 
-* ``descend_rumin`` conjugates the contact-chart operators by the descent
-  identifications, applied to every basis section;
-* ``rs_operator`` applies the same three-regime operator as the contact
+* ``descend_complex`` conjugates the contact-chart operators by the
+  descent identifications (``descend_rumin``), applied to every basis
+  section;
+* ``rs_complex`` applies the same three-regime operator as the contact
   side (``rumin_apply``) to the quotient structure, which has no potential
   and no Lie term: primitive projection of d below the middle, the
   second-order middle operator via the bijective wedge, minus the twisted
@@ -67,7 +68,7 @@ from .forms import (
     wedge,
     zero_form,
 )
-from .grading import Truncation
+from .grading import Truncation, operator_complex
 from .lefschetz import (
     CsChart,
     TwistedForm,
@@ -76,25 +77,7 @@ from .lefschetz import (
     standard_cs_chart,
 )
 from .linalg import OperatorMatrix
-from .rumin import (
-    TwoStepStructure,
-    class_operator_matrix,
-    class_operator_order,
-    contact_two_step,
-    generic_zigzag_matrix,
-    rumin_apply,
-)
-
-
-def cs_two_step(cs: CsChart) -> TwoStepStructure:
-    """The quotient-side block structure: no potential, no transversal flow.
-
-    Built once per chart and kept on it, so all operator columns share it.
-    """
-    if "_two_step" not in vars(cs):
-        struct = TwoStepStructure(chart=cs.chart, n=cs.n, lef=cs.omega)
-        object.__setattr__(cs, "_two_step", struct)
-    return cs._two_step
+from .rumin import class_operator_order, generic_zigzag_matrix, rumin_apply
 
 
 @dataclass(frozen=True)
@@ -144,7 +127,7 @@ def iso_up(pair: ChartPair, obj, kind: str):
         if not isinstance(obj, DifferentialForm):
             raise DegreeError("untwisted rows take plain forms")
         payload = obj
-    if kind in ("h0", "h0q", "ell0") and not is_primitive(cs.fiber(), payload):
+    if kind in ("h0", "h0q", "ell0") and not is_primitive(cs.fiber, payload):
         raise NonPrimitiveError("row requires a primitive input")
     lifted = promote_form(payload, cc.chart)
     if kind in ("h", "h0"):
@@ -183,7 +166,7 @@ def iso_down(pair: ChartPair, obj, kind: str):
         if kind in ("ell", "ell0"):
             out = TwistedForm(out.scale(canon(Fraction(1, cc.xi_scale))), 1)
     base = out.base if isinstance(out, TwistedForm) else out
-    if kind in ("h0", "h0q", "ell0") and not is_primitive(cs.fiber(), base):
+    if kind in ("h0", "h0q", "ell0") and not is_primitive(cs.fiber, base):
         raise NonPrimitiveError("row produced a non-primitive output")
     return out
 
@@ -191,35 +174,34 @@ def iso_down(pair: ChartPair, obj, kind: str):
 # -- descending the contact-chart operators ---------------------------------------
 
 
-def _descend_class_up(pair: ChartPair, k: int, payload: DifferentialForm) -> DifferentialForm:
-    """Quotient class payload -> contact class payload (twisted rows scale)."""
+def descend_rumin(pair: ChartPair, k: int, payload: DifferentialForm) -> DifferentialForm:
+    """The descended degree-k operator on a quotient class payload.
+
+    The payload is lifted to the contact chart, the contact-side operator
+    is applied there and its image is restricted back down; twisted
+    classes (degree above n) are scaled by the transversal field's factor
+    on the way up and by its inverse on the way down.
+    """
+    n, scale = pair.cs.n, pair.contact.xi_scale
     lifted = promote_form(payload, pair.contact.chart)
-    if k > pair.cs.n:
-        return lifted.scale(pair.contact.xi_scale)
-    return lifted
-
-
-def _descend_class_down(pair: ChartPair, k: int, payload: DifferentialForm) -> DifferentialForm:
-    out = restrict_form(payload, pair.cs.chart)
-    if k > pair.cs.n:
-        return out.scale(canon(Fraction(1, pair.contact.xi_scale)))
-    return out
-
-
-def descend_rumin(pair: ChartPair, k: int, truncation: Truncation) -> OperatorMatrix:
-    """Matrix of the descended degree-k operator over the quotient class bases."""
-    up = contact_two_step(pair.contact)
-
-    def op(payload: DifferentialForm) -> DifferentialForm:
-        lifted = _descend_class_up(pair, k, payload)
-        image = rumin_apply(up, k, lifted)
-        return _descend_class_down(pair, k + 1, image)
-
-    return class_operator_matrix(cs_two_step(pair.cs), k, truncation, op)
+    if k > n:
+        lifted = lifted.scale(scale)
+    image = restrict_form(rumin_apply(pair.contact.two_step, k, lifted), pair.cs.chart)
+    if k + 1 > n:
+        image = image.scale(canon(Fraction(1, scale)))
+    return image
 
 
 def descend_complex(pair: ChartPair, truncation: Truncation) -> list[OperatorMatrix]:
-    return [descend_rumin(pair, k, truncation) for k in range(2 * pair.cs.n + 1)]
+    """The descended operators over the quotient class bases, column by column."""
+    return operator_complex(
+        pair.cs,
+        "descended",
+        pair.cs.two_step.class_spaces(),
+        partial(descend_rumin, pair),
+        None,
+        truncation,
+    )
 
 
 # -- the intrinsic operators on the quotient ---------------------------------------
@@ -244,18 +226,19 @@ def rs_apply(cs: CsChart, i: int, payload: DifferentialForm) -> DifferentialForm
     below the middle, -d of the solution of omega ^ psi = d(payload) at the
     middle, and -d(payload) of a primitive payload above the middle.
     """
-    return rumin_apply(cs_two_step(cs), i, payload)
-
-
-def rs_operator(cs: CsChart, i: int, truncation: Truncation) -> OperatorMatrix:
-    """Matrix of the intrinsic degree-i operator over the class bases."""
-    return class_operator_matrix(
-        cs_two_step(cs), i, truncation, partial(rs_apply, cs, i), class_operator_order(cs.n, i)
-    )
+    return rumin_apply(cs.two_step, i, payload)
 
 
 def rs_complex(cs: CsChart, truncation: Truncation) -> list[OperatorMatrix]:
-    return [rs_operator(cs, i, truncation) for i in range(2 * cs.n + 1)]
+    """The intrinsic operators over the class bases, read off their Leibniz tables."""
+    return operator_complex(
+        cs,
+        "rs",
+        cs.two_step.class_spaces(),
+        partial(rs_apply, cs),
+        partial(class_operator_order, cs.n),
+        truncation,
+    )
 
 
 # -- the total complex ----------------------------------------------------------------
@@ -288,9 +271,9 @@ def ss_fallback(cs: CsChart, truncation: Truncation) -> list[OperatorMatrix]:
 
     Uses the total differential as a black box inside the generic
     representative-correction procedure; the central cross-check is that
-    this reproduces ``rs_operator`` matrix for matrix.
+    this reproduces ``rs_complex`` matrix for matrix.
     """
-    struct, pair_diff = cs_two_step(cs), partial(total_differential, cs)
+    struct, pair_diff = cs.two_step, partial(total_differential, cs)
     return [
         generic_zigzag_matrix(struct, k, truncation, pair_differential=pair_diff)
         for k in range(2 * cs.n + 1)

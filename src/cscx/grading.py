@@ -8,17 +8,20 @@ blocks; a ``GradedSpace`` enumerates an exact basis of a section space per
 block and converts between forms and coordinate vectors (a trig term
 ``(kind, mode)`` is its own monomial label).
 
-Primitive sections read their fiber coordinates through the shared
-``lefschetz.FiberCalculus``.  A polynomial operator of known differential
-order is assembled from its values on a few probe sections: its
-``LeibnizTable`` holds the iterated commutators with the coordinates
-applied to each constant fiber basis section, and every column is a sum of
-shifted table values (Grothendieck, EGA IV 16.8).
+Primitive sections read their fiber coordinates through their chart's
+``lefschetz.FiberCalculus``.  ``operator_complex`` is the one builder of
+operator complexes: it builds each node's basis once and assembles the
+operator from every node to the next.  A polynomial operator of known
+differential order is assembled from its values on a few probe sections:
+its ``LeibnizTable`` holds the iterated commutators with the coordinates
+applied to each constant fiber basis section, kept on the chart, and
+every column is a sum of shifted table values (Grothendieck, EGA IV 16.8).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 from math import comb
 from operator import add, mul
@@ -486,19 +489,19 @@ class LeibnizTable:
             self.rows[key] = tuple(row)
 
 
-def leibniz_table(owner, name, domain, codomain, op, order: int) -> LeibnizTable | None:
-    """The Leibniz table of operator ``name``, kept in ``owner.tables``; None off the poly ring.
+def leibniz_table(owner, key, domain, codomain, op, order: int) -> LeibnizTable | None:
+    """The Leibniz table kept in ``owner.tables`` under ``key``; None off the poly ring.
 
-    ``owner`` is the chart or two-step structure the operator belongs to.
-    The table is built on first use, serves every later block and column,
-    and goes away with its owner.  Trig blocks are small and keep
-    per-column assembly.
+    ``owner`` is the chart the operator belongs to, and ``key`` is
+    ``(operator name, k)``.  The table is built on first use, serves every
+    later block and column, and goes away with its owner.  Trig blocks are
+    small and keep per-column assembly.
     """
     if domain.chart.ring.kind != "poly":
         return None
-    table = owner.tables.get(name)
+    table = owner.tables.get(key)
     if table is None:
-        table = owner.tables[name] = LeibnizTable(domain, codomain, op, order)
+        table = owner.tables[key] = LeibnizTable(domain, codomain, op, order)
     return table
 
 
@@ -591,6 +594,32 @@ def assemble_operator(
         domain_basis,
         operator_entries(domain, codomain, op, domain_basis, codomain_basis, table),
     )
+
+
+def operator_complex(
+    owner,
+    name: str,
+    spaces: Sequence,
+    op: Callable[[int, DifferentialForm], DifferentialForm],
+    order: Callable[[int], int] | None,
+    truncation: Truncation,
+) -> list[OperatorMatrix]:
+    """Matrices of ``op(k, .)`` from ``spaces[k]`` to ``spaces[k + 1]``, one basis per node.
+
+    With ``order`` (the differential order ``order(k)`` of each operator),
+    a poly-ring matrix is read off the Leibniz table kept on the chart
+    ``owner`` under ``(name, k)``; without it, every column applies the
+    operator directly.
+    """
+    bases = [space.basis(truncation) for space in spaces]
+    mats = []
+    for k in range(len(spaces) - 1):
+        op_k = partial(op, k)
+        table = None
+        if order is not None:
+            table = leibniz_table(owner, (name, k), spaces[k], spaces[k + 1], op_k, order(k))
+        mats.append(assemble_operator(spaces[k], spaces[k + 1], op_k, bases[k], bases[k + 1], table))
+    return mats
 
 
 def binomial_primitive_dim(n: int, k: int) -> int:

@@ -15,11 +15,11 @@ decomposition basis, never by closed-form constants.
 That pointwise linear algebra (wedge by the structure two-form, insertion
 of its inverse bivector, primitive subspaces, the primitive projection,
 the middle-degree inverse and the full primitive decomposition) lives in
-``FiberCalculus``.  ``fiber_from_form`` keeps one shared instance per
-``(n, signature)`` of the constant structure form, so the contact and cs
-sides resolve the same object; each fiber map is built once on it as a
-sparse ``FiberMap``, applied to fiber vectors by ``FiberMap.apply`` and to
-forms by ``fiber_apply``.  Every fiber solve is an ``Echelon``: the
+``FiberCalculus``.  Each chart owns one, built by ``fiber_from_form`` from
+its constant structure form, so the contact and cs sides of a pair
+resolve their fibers independently; each fiber map is built once on it as
+a sparse ``FiberMap``, applied to fiber vectors by ``FiberMap.apply`` and
+to forms by ``fiber_apply``.  Every fiber solve is an ``Echelon``: the
 decomposition at a degree is one echelon of the embedded primitive bases,
 and each component map (the primitive projection is the first) reads the
 unit vectors' coordinates off it.  Sign conventions are those of the
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .coefficients import Rational, canon
@@ -320,16 +321,11 @@ def is_primitive(fib: FiberCalculus, form: DifferentialForm) -> bool:
     return fiber_apply(fib, fib.pi0_map(form.degree), form, form.degree) == form
 
 
-_SHARED_FIBERS: dict[tuple, FiberCalculus] = {}
-
-
 def fiber_from_form(omega: DifferentialForm, n: int) -> FiberCalculus:
-    """The shared fiber calculus of a constant-coefficient structure two-form.
+    """A new fiber calculus of a constant-coefficient structure two-form.
 
     The weight grading this toolkit relies on forces the structure form to
-    have constant coefficients; anything else is rejected here.  Forms with
-    the same ``(n, signature)`` -- the signature being the sorted constant
-    terms -- share one ``FiberCalculus``, built on the first request.
+    have constant coefficients; anything else is rejected here.
     """
     if omega.degree != 2:
         raise CsStructureError("structure form must have degree 2")
@@ -342,10 +338,7 @@ def fiber_from_form(omega: DifferentialForm, n: int) -> FiberCalculus:
                 "structure form must have constant coefficients for graded truncation"
             )
         terms[key] = coeff.constant_part()
-    key = (n, tuple(sorted(terms.items())))
-    if key not in _SHARED_FIBERS:
-        _SHARED_FIBERS[key] = FiberCalculus(2 * n, n, terms)
-    return _SHARED_FIBERS[key]
+    return FiberCalculus(2 * n, n, terms)
 
 
 @dataclass(frozen=True)
@@ -354,8 +347,11 @@ class CsChart:
 
     ``omega`` is the chosen closed nonvanishing section of the structure
     line; on the affine model it is exact (omega = d beta for the paired
-    contact chart), on the torus it is not.  ``tables`` keeps the Leibniz
-    table of each form-level operator on the chart, built on first use.
+    contact chart), on the torus it is not.  The chart owns what is derived
+    from it: its ``fiber`` calculus (built at construction, so an
+    unsuitable structure form fails here), its ``two_step`` block structure
+    and ``tables``, the Leibniz table of each operator on the chart under
+    ``(operator name, k)``, built on first use.
     """
 
     n: int
@@ -377,18 +373,27 @@ class CsChart:
             top = wedge(top, self.omega)
         if top.is_zero():
             raise CsStructureError("structure form is degenerate")
-        object.__setattr__(self, "_fiber", fiber_from_form(self.omega, self.n))
+        self.fiber  # built now, so that a non-constant structure form fails here
 
     @property
     def dim(self) -> int:
         return 2 * self.n
 
+    @cached_property
     def fiber(self) -> FiberCalculus:
-        return self._fiber
+        return fiber_from_form(self.omega, self.n)
+
+    @cached_property
+    def two_step(self):
+        """The quotient-side block structure: no potential, no transversal flow."""
+        # the structure is defined above the charts, in rumin
+        from .rumin import TwoStepStructure
+
+        return TwoStepStructure(chart=self.chart, n=self.n, lef=self.omega, fiber=self.fiber)
 
     def inverse_bivector_field(self) -> PolyVectorField:
         terms = {
-            key: self.chart.const(v) for key, v in self.fiber().inverse_bivector().items()
+            key: self.chart.const(v) for key, v in self.fiber.inverse_bivector().items()
         }
         return PolyVectorField(self.chart, 2, terms)
 
@@ -485,7 +490,7 @@ def primitive_projection(cs: CsChart, phi: TwistedForm) -> TwistedForm:
     k = phi.degree
     if phi.is_zero() or k <= 1:
         return phi
-    fib = cs.fiber()
+    fib = cs.fiber
     projected = fiber_apply(fib, fib.pi0_map(k), phi.base, k)
     return TwistedForm(projected, phi.ell_power)
 
@@ -499,7 +504,7 @@ def full_decomposition(cs: CsChart, phi: TwistedForm) -> list[TwistedForm]:
     j; reassembly inserts the inverse bivector back.
     """
     _require_cs(cs, phi)
-    fib = cs.fiber()
+    fib = cs.fiber
     return [
         TwistedForm(fiber_apply(fib, component, phi.base, src), phi.ell_power + twist)
         for src, twist, component in fib.components(phi.degree)
@@ -528,7 +533,7 @@ def reassemble_decomposition(cs: CsChart, components: list[TwistedForm], degree:
 def summand_dimension_table(n: int) -> dict:
     """Dimensions of every primitive summand of every exterior power."""
     cs = standard_cs_chart(n)
-    fib = cs.fiber()
+    fib = cs.fiber
     table = []
     for k in range(0, 2 * n + 1):
         slots, _ = fib.decomposition(k)

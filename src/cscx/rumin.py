@@ -45,8 +45,8 @@ from .forms import (
     wedge,
     zero_form,
 )
-from .grading import GradedSpace, Truncation, WordValues, assemble_operator, leibniz_table
-from .lefschetz import FiberCalculus, FiberMap, fiber_apply, fiber_from_form, is_primitive
+from .grading import GradedSpace, Truncation, WordValues, assemble_operator, operator_complex
+from .lefschetz import FiberCalculus, FiberMap, fiber_apply, is_primitive
 from .linalg import OperatorMatrix, sparse_rref
 
 
@@ -56,23 +56,17 @@ class TwoStepStructure:
 
     The contact side has ``beta`` and a nonzero ``lie_scale``; the cs side
     of the quotient has neither (its pair differential is the total
-    differential of the twisted sum complex).  The shared fiber calculus of
-    ``lef`` is resolved once, at construction; ``tables`` keeps the Leibniz
-    table of each class operator, built on first use.
+    differential of the twisted sum complex).  Each chart builds its one
+    structure (``CsChart.two_step``, ``ContactChart.two_step``) and hands it
+    the chart's own ``fiber``, the fiber calculus of ``lef``.
     """
 
     chart: Chart
     n: int
     lef: DifferentialForm  # constant structure two-form on the base axes
+    fiber: FiberCalculus = field(repr=False, compare=False)
     beta: DifferentialForm | None = None
     lie_scale: Rational = 0
-    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_fiber", fiber_from_form(self.lef, self.n))
-
-    def fiber(self) -> FiberCalculus:
-        return self._fiber
 
     def dH(self, omega: DifferentialForm) -> DifferentialForm:
         """Horizontal derivative: d in base directions, twisted by the potential."""
@@ -119,8 +113,12 @@ class TwoStepStructure:
             raise DegreeError(f"class degree {k} out of range")
         degree, offset = self.class_degree(k)
         return GradedSpace(
-            self.chart, degree, weight_offset=offset, fiber=self.fiber(), tag="class"
+            self.chart, degree, weight_offset=offset, fiber=self.fiber, tag="class"
         )
+
+    def class_spaces(self) -> list[GradedSpace]:
+        """The class spaces of degrees 0, ..., 2n+1, the nodes of the complex."""
+        return [self.class_space(k) for k in range(2 * self.n + 2)]
 
     def full_space(self, degree: int, offset: int = 0) -> GradedSpace:
         return GradedSpace(self.chart, degree, weight_offset=offset, tag="full")
@@ -129,16 +127,6 @@ class TwoStepStructure:
 def _middle_inverse(fib: FiberCalculus) -> FiberMap:
     """Inverse of the bijective fiber map L at degree n-1 -> n+1 (cached on the fiber)."""
     return fib.middle_inverse()
-
-
-def contact_two_step(cc: ContactChart) -> TwoStepStructure:
-    return TwoStepStructure(
-        chart=cc.chart,
-        n=cc.n,
-        lef=cc.lef_form(),
-        beta=cc.beta,
-        lie_scale=cc.xi_scale,
-    )
 
 
 # -- the operator -------------------------------------------------------------
@@ -156,7 +144,7 @@ def rumin_apply(struct: TwoStepStructure, k: int, payload: DifferentialForm) -> 
     (no potential, no Lie term) these are the intrinsic formulas.
     """
     n = struct.n
-    fib = struct.fiber()
+    fib = struct.fiber
     if k < n:
         image = struct.dH(payload)
         return fiber_apply(fib, fib.pi0_map(k + 1), image, k + 1)
@@ -191,38 +179,17 @@ def class_operator_order(n: int, k: int) -> int:
     return 2 if k == n else 1
 
 
-def class_operator_matrix(
-    struct: TwoStepStructure,
-    k: int,
-    truncation: Truncation,
-    op: Callable[[DifferentialForm], DifferentialForm],
-    order: int | None = None,
-) -> OperatorMatrix:
-    """Matrix of ``op`` from the degree-k to the degree-(k+1) class space.
-
-    The one builder of class-space operators: the contact-chart complex,
-    the intrinsic quotient operators and the descended ones differ only in
-    the ``op`` they pass.  Given the operator's ``order``, a poly-ring
-    matrix is read off the Leibniz table kept on ``struct``; without it,
-    column by column.
-    """
-    domain = struct.class_space(k)
-    codomain = struct.class_space(k + 1)
-    table = None if order is None else leibniz_table(struct, k, domain, codomain, op, order)
-    return assemble_operator(
-        domain, codomain, op, domain.basis(truncation), codomain.basis(truncation), table
-    )
-
-
 def rumin_complex(cc: ContactChart, truncation: Truncation) -> list[OperatorMatrix]:
     """All operators D_0, ..., D_2n of the truncated complex."""
-    struct = contact_two_step(cc)
-    return [
-        class_operator_matrix(
-            struct, k, truncation, partial(rumin_apply, struct, k), class_operator_order(cc.n, k)
-        )
-        for k in range(2 * cc.n + 1)
-    ]
+    struct = cc.two_step
+    return operator_complex(
+        cc,
+        "rumin",
+        struct.class_spaces(),
+        partial(rumin_apply, struct),
+        partial(class_operator_order, cc.n),
+        truncation,
+    )
 
 
 # -- operator order by iterated commutators ------------------------------------
@@ -294,7 +261,7 @@ def class_transport(lift, k: int, payload: DifferentialForm) -> DifferentialForm
     pulled = lift.pullback(payload)
     if k > src.n:
         pulled = pulled.scale(lift.scale)
-    _assert_primitive(dst.fiber(), pulled)
+    _assert_primitive(dst.fiber, pulled)
     return pulled
 
 

@@ -22,7 +22,7 @@ from cscx.contact import standard_contact_chart
 from cscx.descent import descend_complex, rs_complex, ss_fallback, standard_pair
 from cscx.grading import sample_modes
 from cscx.lefschetz import standard_cs_chart
-from cscx.rumin import contact_two_step, operator_order, rumin_complex
+from cscx.rumin import operator_order, rumin_complex
 
 from helpers import de_rham_complex, dense_rank
 
@@ -109,7 +109,7 @@ def test_criterion_6_torus_cohomology():
     zero_mode = mode_truncation([(0, 0, 0, 0)])
     de_rham_dims = cohomology_dims(de_rham_complex(cs, zero_mode))
     assert de_rham_dims == [1, 4, 6, 4, 1]
-    fib = cs.fiber()
+    fib = cs.fiber
     wedge_ranks = []
     for j in range(0, 4):
         rows = [[Fraction(0)] * fib.dim(j) for _ in range(fib.dim(j + 2))]
@@ -153,7 +153,7 @@ def test_criterion_7_long_exact_sequence():
 def test_criterion_8_operator_orders():
     """Every operator has order one except the middle one, which has order two."""
     for n in (2, 3):
-        struct = contact_two_step(standard_contact_chart(n))
+        struct = standard_contact_chart(n).two_step
         orders = [operator_order(struct, k) for k in range(2 * n + 1)]
         expected = [2 if k == n else 1 for k in range(2 * n + 1)]
         assert orders == expected, f"n={n}: measured orders {orders}"

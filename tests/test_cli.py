@@ -475,6 +475,47 @@ class TestFailedChecks:
         assert composite.entries.get((row, col), 0) != 0
         assert str(composite.entries[(row, col)]) == value
 
+    def test_cohomology_fails_when_total_disagrees_with_rs(self, runner, monkeypatch):
+        def broken_rs(cs, truncation):
+            mats = rs_complex(cs, truncation)
+            if truncation.blocks() == [("m", (0, 0, 0, 0))]:
+                # D_0 vanishes on the constant mode; a unit entry drops H^0
+                mats[0] = _bump(mats[0], 0, 0)
+            return mats
+
+        monkeypatch.setattr("cscx.cohomology.rs_complex", broken_rs)
+        argv = ["cohomology", "--model", "torus", "--n", "2", "--modes", "0", "--sample-modes", "1"]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1, result.output
+        report = json.loads(result.stdout)
+        assert report["passed"] is False
+        body = report["result"]
+        assert body["dims"]["rs"] == [0, 3, 5, 5, 4, 1]
+        assert body["dims"]["total"] == [1, 4, 5, 5, 4, 1]
+        assert body["les"]["exact"] and body["les"]["snake_equals_wedge"]
+        failed = [name for name, v in body["checks"].items() if v is False]
+        assert failed == ["total_matches_rs"]
+
+    @pytest.mark.parametrize("max_weight", [0, 1])
+    def test_cohomology_below_the_stable_range_is_unstable(self, runner, max_weight):
+        # H^1 = 1 appears at weight 2, so bounds 0 and 1 have not stabilized
+        argv = ["cohomology", "--model", "affine", "--n", "2", "--max-weight", str(max_weight)]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1, result.output
+        body = json.loads(result.stdout)["result"]
+        assert body["dims"]["rs"] == [1, 0, 0, 0, 0, 0]
+        assert body["checks"]["weight_stable"] is False
+        assert body["checks"]["stability_compared_bounds"] == [max_weight - 2, max_weight]
+
+    def test_cohomology_in_the_stable_range_passes(self, runner):
+        argv = ["cohomology", "--model", "affine", "--n", "2", "--max-weight", "4"]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        body = json.loads(result.stdout)["result"]
+        assert body["dims"]["rs"] == [1, 1, 0, 0, 0, 0]
+        assert body["checks"]["weight_stable"] is True
+        assert body["checks"]["stability_compared_bounds"] == [2, 4]
+
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -114,7 +114,7 @@ class TestCohomologyBundles:
     def test_disjoint_pair_is_primitive(self, contact2):
         basis = h_cohomology_basis(contact2, 2)
         target = basis_form(contact2.chart, (0, 2))  # dx1 ^ dx2
-        fib = contact2.fiber()
+        fib = contact2.fiber
         vec = {fib.position(2, key): coeff.constant_part() for key, coeff in target.terms.items()}
         # insertion of the inverse bivector annihilates it
         assert not fib.insertion_map(2).apply(vec)
@@ -130,7 +130,7 @@ class TestCohomologyBundles:
     @pytest.mark.parametrize("n", [2, 3])
     def test_exact_sequence_ranks(self, n):
         # k-forms split into H-forms of degree k and Q*-twisted ones of degree k-1
-        fib = standard_contact_chart(n).fiber()
+        fib = standard_contact_chart(n).fiber
         for k in range(1, 2 * n + 1):
             assert comb(2 * n + 1, k) == fib.dim(k) + fib.dim(k - 1)
 

@@ -4,16 +4,13 @@ import pytest
 
 from cscx.contact import HForm
 from cscx.descent import (
-    cs_two_step,
     descend_complex,
-    descend_rumin,
     iso_down,
     iso_up,
     nabla_twisted_d,
     promote_form,
     rs_apply,
     rs_complex,
-    rs_operator,
     ss_fallback,
     standard_pair,
     total_differential,
@@ -173,8 +170,8 @@ class TestIntrinsicOperators:
         assert rs_apply(cs_affine2, 2, phi).is_zero()
 
     def test_descended_degree_zero_is_d(self, pair2):
-        matrix = descend_rumin(pair2, 0, weight_truncation(4))
-        struct = cs_two_step(pair2.cs)
+        matrix = descend_complex(pair2, weight_truncation(4))[0]
+        struct = pair2.cs.two_step
         from cscx.grading import assemble_operator
 
         domain = struct.class_space(0)
@@ -195,8 +192,8 @@ class TestIntrinsicOperators:
 
     def test_rs_operator_matrix_matches_apply(self, cs_affine2):
         truncation = weight_truncation(3)
-        struct = cs_two_step(cs_affine2)
-        matrix = rs_operator(cs_affine2, 1, truncation)
+        struct = cs_affine2.two_step
+        matrix = rs_complex(cs_affine2, truncation)[1]
         space = struct.class_space(1)
         basis = space.basis(truncation)
         target = struct.class_space(2)
@@ -239,7 +236,7 @@ class TestTripleOracle:
 
 class TestGradedPage:
     def test_page_dimensions_carry_multiplicities(self, cs_affine2):
-        struct = cs_two_step(cs_affine2)
+        struct = cs_affine2.two_step
         fiber_dims = [1, 4, 5, 5, 4, 1]
         truncation = weight_truncation(4)
         for k in range(6):

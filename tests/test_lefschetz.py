@@ -43,7 +43,7 @@ class TestWedgeAndInsertion:
         assert got.is_zero()
 
     def test_middle_wedge_bijective(self):
-        fib = CS2.fiber()
+        fib = CS2.fiber
         entries = fib.wedge_map(1)
         assert len(fib.indices(1)) == len(fib.indices(3)) == 4
         assert dense_rank(_dense(entries, 4, 4)) == 4
@@ -67,7 +67,7 @@ class TestWedgeAndInsertion:
     @pytest.mark.parametrize("cs", [CS2, CS3], ids=["n2", "n3"])
     def test_threshold_ranks(self, cs):
         n = cs.n
-        fib = cs.fiber()
+        fib = cs.fiber
         for k in range(0, 2 * n + 1):
             wedge_rank = dense_rank(
                 _dense(fib.wedge_map(k), fib.dim(k + 2), fib.dim(k))
@@ -87,7 +87,7 @@ class TestWedgeAndInsertion:
 
     @pytest.mark.parametrize("cs", [CS2, CS3], ids=["n2", "n3"])
     def test_primitive_dimension_formula(self, cs):
-        fib = cs.fiber()
+        fib = cs.fiber
         for k in range(0, cs.n + 1):
             expected = comb(2 * cs.n, k) - (comb(2 * cs.n, k - 2) if k >= 2 else 0)
             assert fib.primitive_dim(k) == expected
@@ -146,7 +146,7 @@ class TestFullDecomposition:
         assert all(p.is_zero() for p in parts[1:])
 
     def test_dimension_bookkeeping_n3_k3(self):
-        fib = CS3.fiber()
+        fib = CS3.fiber
         assert fib.dim(3) == 20
         assert fib.primitive_dim(3) == 14
         assert fib.primitive_dim(1) == 6
@@ -164,7 +164,7 @@ class TestFullDecomposition:
 
     @pytest.mark.parametrize("cs", [CS2, CS3], ids=["n2", "n3"])
     def test_projectors_form_a_direct_sum(self, cs):
-        fib = cs.fiber()
+        fib = cs.fiber
         for k in range(0, 2 * cs.n + 1):
             size = fib.dim(k)
             projectors = []
@@ -210,7 +210,7 @@ class TestCommutatorScalar:
     def test_bracket_acts_as_scalar(self, cs):
         # [wedge, insertion] is a scalar on each exterior power; the value is
         # recorded as an emergent constant, not asserted a priori
-        fib = cs.fiber()
+        fib = cs.fiber
         observed = []
         for k in range(0, 2 * cs.n + 1):
             size = fib.dim(k)
@@ -242,8 +242,8 @@ class TestContactSideMatch:
         # the H-fiber operators produce the same dimension table as the
         # quotient-side operators: realized as a basis-matching check
         cs = standard_cs_chart(2)
-        contact_fib = contact2.fiber()
-        cs_fib = cs.fiber()
+        contact_fib = contact2.fiber
+        cs_fib = cs.fiber
         for k in range(0, 5):
             assert contact_fib.primitive_dim(k) == cs_fib.primitive_dim(k)
             assert contact_fib.primitive_basis(k) == cs_fib.primitive_basis(k)

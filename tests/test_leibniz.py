@@ -2,7 +2,7 @@
 
 On the poly ring ``rs_complex``, ``rumin_complex``, ``_form_complex`` and
 ``total_complex`` assemble each operator from its values on probe sections
-(``grading.LeibnizTable``).  The reference applies the same operator to
+(``grading.LeibnizTable``), kept on the chart under ``(operator name, k)``.  The reference applies the same operator to
 every basis section (``assemble_operator`` without a table).  The matrices
 must agree entry for entry, on the full truncation and on every single
 block.
@@ -17,10 +17,10 @@ from cscx import cohomology
 from cscx.cli import main
 from cscx.cohomology import _TotalSpace, _form_complex, total_complex
 from cscx.contact import standard_contact_chart
-from cscx.descent import cs_two_step, nabla_twisted_d, rs_apply, rs_complex, total_differential
+from cscx.descent import nabla_twisted_d, rs_apply, rs_complex, total_differential
 from cscx.grading import GradedSpace, Truncation, assemble_operator, weight_truncation
 from cscx.lefschetz import TwistedForm, standard_cs_chart
-from cscx.rumin import contact_two_step, rumin_apply, rumin_complex
+from cscx.rumin import rumin_apply, rumin_complex
 
 
 def _per_column(spaces, op_of, truncation):
@@ -37,10 +37,10 @@ def _per_column(spaces, op_of, truncation):
 
 
 def _rs(cs, truncation):
-    struct = cs_two_step(cs)
+    struct = cs.two_step
     spaces = [struct.class_space(k) for k in range(2 * cs.n + 2)]
     reference = _per_column(spaces, lambda k: partial(rs_apply, cs, k), truncation)
-    return rs_complex(cs, truncation), reference, struct
+    return rs_complex(cs, truncation), reference
 
 
 def _forms(twist):
@@ -54,7 +54,7 @@ def _forms(twist):
         else:
             op = lambda form: form.d()  # noqa: E731
         reference = _per_column(spaces, lambda k: op, truncation)
-        return _form_complex(cs, truncation, twist)[1], reference, cs
+        return _form_complex(cs, truncation, twist)[1], reference
 
     return build
 
@@ -62,15 +62,14 @@ def _forms(twist):
 def _total(cs, truncation):
     spaces = [_TotalSpace(cs, k) for k in range(2 * cs.n + 2)]
     op = lambda pair: total_differential(cs, *pair)  # noqa: E731
-    return total_complex(cs, truncation), _per_column(spaces, lambda k: op, truncation), cs
+    return total_complex(cs, truncation), _per_column(spaces, lambda k: op, truncation)
 
 
 def _rumin(cc, truncation):
-    struct = contact_two_step(cc)
+    struct = cc.two_step
     spaces = [struct.class_space(k) for k in range(2 * cc.n + 2)]
     reference = _per_column(spaces, lambda k: partial(rumin_apply, struct, k), truncation)
-    # rumin_complex builds its own structure, so its tables are not the ones read here
-    return rumin_complex(cc, truncation), reference, None
+    return rumin_complex(cc, truncation), reference
 
 
 CASES = [
@@ -93,29 +92,29 @@ def test_expansion_equals_per_column_assembly(model, n, max_weight, name, build)
     chart = standard_contact_chart(n) if model == "contact" else standard_cs_chart(n)
     full = weight_truncation(max_weight)
     for truncation in [full] + [Truncation.single(block) for block in full.blocks()]:
-        expanded, reference, owner = build(chart, truncation)
+        expanded, reference = build(chart, truncation)
         assert len(expanded) == len(reference) == 2 * n + (name not in ("de-rham", "twisted"))
         for k, (a, b) in enumerate(zip(expanded, reference)):
             assert a.rows.labels == b.rows.labels and a.cols.labels == b.cols.labels
             assert a.entries == b.entries, f"{name} degree {k} on {truncation.describe()}"
-    if owner is not None:
-        # the expansion ran: the operators' tables are kept on their owner
-        assert owner.tables
+    # the expansion ran: the operators' tables are kept on their chart
+    assert sorted(k for key, k in chart.tables if key == name) == list(range(len(expanded)))
 
 
 def test_tables_are_kept_on_the_owner_and_reused():
     cs = standard_cs_chart(2)
     rs_complex(cs, weight_truncation(3))
-    tables = dict(cs_two_step(cs).tables)
-    assert sorted(tables) == list(range(5))
+    tables = dict(cs.tables)
+    assert sorted(tables) == [("rs", k) for k in range(5)]
     rs_complex(cs, Truncation.single(("w", 5)))
-    assert all(cs_two_step(cs).tables[k] is table for k, table in tables.items())
+    assert cs.tables == tables
+    assert all(cs.tables[key] is table for key, table in tables.items())
 
 
 def test_torus_keeps_per_column_assembly():
     cs = standard_cs_chart(2, "torus")
     rs_complex(cs, Truncation.single(("m", (0, 0, 0, 0))))
-    assert not cs_two_step(cs).tables
+    assert not cs.tables
 
 
 def test_wrong_order_is_caught_by_the_column_check(monkeypatch):

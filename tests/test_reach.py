@@ -23,7 +23,6 @@ import pytest
 from click.testing import CliRunner
 
 import cscx
-from cscx import lefschetz
 from cscx.cli import main
 
 from test_bench_targets import _targets
@@ -143,24 +142,16 @@ def reach(tmp_path_factory):
         if event == "call":
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-    # the fiber calculus is shared across calls: start cold, so that the code
-    # building it runs here whatever ran earlier in the process
-    shared = dict(lefschetz._SHARED_FIBERS)
-    lefschetz._SHARED_FIBERS.clear()
     runner = CliRunner()
     codes = []
-    try:
-        for command, _ in INVOCATIONS:
-            argv = command.format(dir=scratch).split()
-            sys.setprofile(profile)
-            try:
-                result = runner.invoke(main, argv)
-            finally:
-                sys.setprofile(None)
-            codes.append(result.exit_code)
-    finally:
-        lefschetz._SHARED_FIBERS.clear()
-        lefschetz._SHARED_FIBERS.update(shared)
+    for command, _ in INVOCATIONS:
+        argv = command.format(dir=scratch).split()
+        sys.setprofile(profile)
+        try:
+            result = runner.invoke(main, argv)
+        finally:
+            sys.setprofile(None)
+        codes.append(result.exit_code)
     return codes, entered
 
 

@@ -8,7 +8,6 @@ from cscx.forms import basis_form, function_form, zero_form
 from cscx.grading import WordValues, weight_truncation
 from cscx.rumin import (
     class_transport,
-    contact_two_step,
     generic_zigzag_matrix,
     operator_order,
     rumin_apply,
@@ -21,7 +20,7 @@ from helpers import commutator_word, rng
 class TestOperator:
     def test_degree_zero_is_horizontal_differential(self, contact2):
         ch = chart = contact2.chart
-        struct = contact_two_step(contact2)
+        struct = contact2.two_step
         f = function_form(ch, ch.coord_coeff(0))
         assert rumin_apply(struct, 0, f) == basis_form(ch, (0,))
         # t-dependent input picks up the potential term
@@ -32,7 +31,7 @@ class TestOperator:
 
     def test_middle_operator_second_derivative_value(self, contact2):
         ch = contact2.chart
-        struct = contact_two_step(contact2)
+        struct = contact2.two_step
         y1 = ch.coord_coeff(1)
         phi = basis_form(ch, (0, 2)).times(y1 * y1)
         got = rumin_apply(struct, 2, phi)
@@ -40,7 +39,7 @@ class TestOperator:
 
     def test_middle_operator_kills_closed_solution(self, contact2):
         ch = contact2.chart
-        struct = contact_two_step(contact2)
+        struct = contact2.two_step
         phi = (basis_form(ch, (0, 1)) - basis_form(ch, (2, 3))).times(ch.coord_coeff(0))
         assert rumin_apply(struct, 2, phi).is_zero()
 
@@ -48,9 +47,9 @@ class TestOperator:
         # perturbing the representative by a graded-exact piece and re-solving
         # the correction leaves the output class unchanged
         ch = contact2.chart
-        struct = contact_two_step(contact2)
+        struct = contact2.two_step
         r = rng("lift-indep")
-        fib = struct.fiber()
+        fib = struct.fiber
         for k in (1, 2):
             space = struct.class_space(k)
             basis = space.basis(weight_truncation(k + 2))
@@ -86,7 +85,7 @@ class TestMatrices:
             assert mats[k + 1].compose(mats[k]).is_zero()
 
     def test_generic_route_matches_formulas_upstairs(self, contact2):
-        struct = contact_two_step(contact2)
+        struct = contact2.two_step
         truncation = weight_truncation(4)
         for k, formula in enumerate(rumin_complex(contact2, truncation)):
             generic = generic_zigzag_matrix(struct, k, truncation)
@@ -95,7 +94,7 @@ class TestMatrices:
 
 class TestOrders:
     def test_orders_n2(self, contact2):
-        struct = contact_two_step(contact2)
+        struct = contact2.two_step
         orders = [operator_order(struct, k) for k in range(5)]
         assert orders == [1, 1, 2, 1, 1]
 
@@ -103,7 +102,7 @@ class TestOrders:
         # one commutator with a coordinate is not tensorial at the middle
         # degree, the double commutator is (and triple words vanish)
         ch = contact2.chart
-        struct = contact_two_step(contact2)
+        struct = contact2.two_step
         op = lambda form: rumin_apply(struct, 2, form)  # noqa: E731
         e = basis_form(ch, (0, 2))
         x1, y1 = ch.coord_coeff(0), ch.coord_coeff(1)
@@ -130,7 +129,7 @@ class TestMemoizedOrders:
 
     @pytest.mark.parametrize("k", range(5))
     def test_memo_matches_commutator_word(self, monkeypatch, contact2, k):
-        struct = contact_two_step(contact2)
+        struct = contact2.two_step
         seen = self._record_words(monkeypatch, struct, k)
         assert any(len(word) == 3 for _, _, word in seen)
         space, codomain = struct.class_space(k), struct.class_space(k + 1)
@@ -148,7 +147,7 @@ class TestMemoizedOrders:
 
     @pytest.mark.parametrize("k", range(5))
     def test_one_apply_per_probe_label(self, monkeypatch, contact2, k):
-        struct = contact_two_step(contact2)
+        struct = contact2.two_step
         payloads = []
         apply = rumin.rumin_apply
 
@@ -166,8 +165,8 @@ class TestMemoizedOrders:
 
 class TestNaturality:
     def _check(self, lift, n, weight_extra=2):
-        src = contact_two_step(lift.src)
-        dst = contact_two_step(lift.dst)
+        src = lift.src.two_step
+        dst = lift.dst.two_step
         for k in range(2 * n + 1):
             space = src.class_space(k)
             degree, offset = src.class_degree(k)
