@@ -74,6 +74,11 @@ class RunConfig:
             # a shell of negative sup-norm is empty: alone it would truncate to nothing
             if any(norm < 0 for norm in self.mode_norms):
                 raise ConfigError("mode norms must be >= 0 (a negative shell is empty)")
+            # the reported dims are those of the constant-mode block
+            if self.pipeline == "cohomology" and 0 not in self._norms():
+                raise ConfigError(
+                    "torus cohomology is read off the constant mode: --modes must include 0"
+                )
             available = sample_orbit_count(2 * self.n)
             if self.sample_count > available:
                 raise ConfigError(

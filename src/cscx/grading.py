@@ -11,11 +11,16 @@ block and converts between forms and coordinate vectors (a trig term
 Primitive sections read their fiber coordinates through their chart's
 ``lefschetz.FiberCalculus``.  ``operator_complex`` is the one builder of
 operator complexes: it builds each node's basis once and assembles the
-operator from every node to the next.  A polynomial operator of known
-differential order is assembled from its values on a few probe sections:
-its ``LeibnizTable`` holds the iterated commutators with the coordinates
-applied to each constant fiber basis section, kept on the chart, and
-every column is a sum of shifted table values (Grothendieck, EGA IV 16.8).
+operator from every node to the next.  An operator of known differential
+order is assembled from its values on a few probe sections, kept in a
+table on the chart.  On the poly ring its ``LeibnizTable`` holds the
+iterated commutators with the coordinates applied to each constant fiber
+basis section, and every column is a sum of shifted table values
+(Grothendieck, EGA IV 16.8).  On the trig ring a constant-coefficient
+operator multiplies the mode m by its symbol, a polynomial in m of degree
+at most the order: its ``symbols.ModeTable`` holds the symbol's Newton
+differences at the probe modes c >= 0, |c| <= order, and every column
+evaluates the symbol at its mode by Newton's forward-difference formula.
 """
 
 from __future__ import annotations
@@ -450,6 +455,23 @@ class WordValues:
         return value
 
 
+def _leibniz_term(exp: tuple[int, ...], word: tuple[int, ...]):
+    """``(C(a, b), a - b)`` at x^a for the multi-index b of a sorted word.
+
+    None unless b <= a, that is, unless x^b divides x^a.  Each letter
+    raises one b_i, and C(a_i, b_i + 1) = C(a_i, b_i) (a_i - b_i) / (b_i + 1).
+    """
+    shift = list(exp)
+    coeff = 1
+    for axis in word:
+        s = shift[axis]
+        if not s:
+            return None
+        coeff = coeff * s // (exp[axis] - s + 1)
+        shift[axis] = s - 1
+    return coeff, tuple(shift)
+
+
 class LeibnizTable:
     """The values coords((ad^b op) v) of one operator of differential order r.
 
@@ -488,57 +510,72 @@ class LeibnizTable:
                     row += (word, w - drop, fiber_key, e, q)
             self.rows[key] = tuple(row)
 
+    def columns(self, labels, position: dict):
+        """The column ``{row: value}`` of each domain basis label, in order.
 
-def leibniz_table(owner, key, domain, codomain, op, order: int) -> LeibnizTable | None:
-    """The Leibniz table kept in ``owner.tables`` under ``key``; None off the poly ring.
+        The column of x^a v is the Leibniz expansion of an operator of order r,
+
+            op(x^a v) = sum over b <= a, |b| <= r of C(a, b) x^(a-b) (ad^b op)(v),
+
+        a sum of shifted table values.  Each target block is recomputed from
+        the shifted exponent and the chart weights, and rows are found by
+        ``position``, the codomain basis, so block-diagonality is observed,
+        never assumed.
+        """
+        for _, rest in labels:
+            exp = rest[-1][1]
+            weight = sum(map(mul, exp, self.weights))
+            column: dict[int, Rational] = {}
+            items = iter(self.rows[rest[:-1]])
+            # the items of one word are consecutive
+            last_word = term = None
+            for word, base, fiber_key, e, q in zip(items, items, items, items, items):
+                if word != last_word:
+                    last_word, term = word, _leibniz_term(exp, word)
+                if term is None:
+                    continue
+                coeff, shift = term
+                # x^(a-b) raises the item's weight by weight(a) - weight(b)
+                label = (("w", base + weight), fiber_key + (("p", tuple(map(add, e, shift))),))
+                row = position.get(label)
+                if row is None:
+                    raise NonPrimitiveError(f"component {label} lies outside the truncation")
+                column[row] = column.get(row, 0) + coeff * q
+            yield {row: v for row, v in column.items() if v}
+
+
+def leibniz_table(owner, key, domain, codomain, op, order: int):
+    """The table of an operator of order ``order``, kept in ``owner.tables`` under ``key``.
 
     ``owner`` is the chart the operator belongs to, and ``key`` is
-    ``(operator name, k)``.  The table is built on first use, serves every
-    later block and column, and goes away with its owner.  Trig blocks are
-    small and keep per-column assembly.
+    ``(operator name, k)``.  On the poly ring it is a ``LeibnizTable``, on
+    the trig ring a ``symbols.ModeTable``.  The table is built on first
+    use, serves every later block and column, and goes away with its owner.
     """
-    if domain.chart.ring.kind != "poly":
-        return None
     table = owner.tables.get(key)
     if table is None:
-        table = owner.tables[key] = LeibnizTable(domain, codomain, op, order)
+        if domain.chart.ring.kind == "poly":
+            table = LeibnizTable(domain, codomain, op, order)
+        else:
+            from .symbols import ModeTable
+
+            table = ModeTable(domain, codomain, op, order)
+        owner.tables[key] = table
     return table
-
-
-def _leibniz_term(exp: tuple[int, ...], word: tuple[int, ...]):
-    """``(C(a, b), a - b)`` at x^a for the multi-index b of a sorted word.
-
-    None unless b <= a, that is, unless x^b divides x^a.  Each letter
-    raises one b_i, and C(a_i, b_i + 1) = C(a_i, b_i) (a_i - b_i) / (b_i + 1).
-    """
-    shift = list(exp)
-    coeff = 1
-    for axis in word:
-        s = shift[axis]
-        if not s:
-            return None
-        coeff = coeff * s // (exp[axis] - s + 1)
-        shift[axis] = s - 1
-    return coeff, tuple(shift)
 
 
 def operator_entries(
     domain, codomain, op, domain_basis: SectionBasis, codomain_basis: SectionBasis,
-    table: LeibnizTable | None = None,
+    table=None,
 ) -> dict[tuple[int, int], Rational]:
     """Entries of an operator's matrix over prebuilt bases.
 
     Without a table every column applies ``op`` to its basis section and
-    reads the image back.  With one, the column of x^a v is the Leibniz
-    expansion of an operator of order r,
-
-        op(x^a v) = sum over b <= a, |b| <= r of C(a, b) x^(a-b) (ad^b op)(v),
-
-    a sum of shifted table values.  Each target block is recomputed from
-    the shifted exponent and the chart weights, and rows are found by the
-    codomain basis, so block-diagonality is observed, never assumed.  The
-    last column of every domain block is also applied directly, and a
-    disagreement (an order set too low, say) raises.
+    reads the image back.  With one, the columns are expanded from the
+    table (``LeibnizTable.columns`` or ``symbols.ModeTable.columns``), and
+    rows are found by the codomain basis.  The last column of every domain
+    block is also applied directly, and a disagreement (an order set too
+    low, say) raises.
     """
     entries: dict[tuple[int, int], Rational] = {}
     if table is None:
@@ -546,34 +583,15 @@ def operator_entries(
             for row, v in _direct_column(domain, codomain, op, label, codomain_basis).items():
                 entries[(row, col)] = v
         return entries
-    position = codomain_basis.position
-    checked = set({block: col for col, (block, _) in enumerate(domain_basis.labels)}.values())
-    for col, (block, rest) in enumerate(domain_basis.labels):
-        exp = rest[-1][1]
-        weight = sum(map(mul, exp, table.weights))
-        column: dict[int, Rational] = {}
-        items = iter(table.rows[rest[:-1]])
-        # the items of one word are consecutive
-        last_word = term = None
-        for word, base, fiber_key, e, q in zip(items, items, items, items, items):
-            if word != last_word:
-                last_word, term = word, _leibniz_term(exp, word)
-            if term is None:
-                continue
-            coeff, shift = term
-            # x^(a-b) raises the item's weight by weight(a) - weight(b)
-            label = (("w", base + weight), fiber_key + (("p", tuple(map(add, e, shift))),))
-            row = position.get(label)
-            if row is None:
-                raise NonPrimitiveError(f"component {label} lies outside the truncation")
-            column[row] = column.get(row, 0) + coeff * q
-        column = {row: v for row, v in column.items() if v}
+    labels = domain_basis.labels
+    checked = set({block: col for col, (block, _) in enumerate(labels)}.values())
+    for col, column in enumerate(table.columns(labels, codomain_basis.position)):
         if col in checked:
-            direct = _direct_column(domain, codomain, op, domain_basis.labels[col], codomain_basis)
+            direct = _direct_column(domain, codomain, op, labels[col], codomain_basis)
             if column != direct:
                 raise InternalConsistencyError(
-                    f"expanded column {col} of block {block} disagrees with the operator "
-                    f"applied directly (is its order {table.order} too low?)"
+                    f"expanded column {col} of block {labels[col][0]} disagrees with the "
+                    f"operator applied directly (is its order {table.order} too low?)"
                 )
         for row, v in column.items():
             entries[(row, col)] = v
@@ -586,7 +604,7 @@ def assemble_operator(
     op: Callable[[DifferentialForm], DifferentialForm],
     domain_basis: SectionBasis,
     codomain_basis: SectionBasis,
-    table: LeibnizTable | None = None,
+    table=None,
 ) -> OperatorMatrix:
     """Matrix of a form-level operator over prebuilt bases (see ``operator_entries``)."""
     return OperatorMatrix(
@@ -607,7 +625,7 @@ def operator_complex(
     """Matrices of ``op(k, .)`` from ``spaces[k]`` to ``spaces[k + 1]``, one basis per node.
 
     With ``order`` (the differential order ``order(k)`` of each operator),
-    a poly-ring matrix is read off the Leibniz table kept on the chart
+    each matrix is read off the table ``leibniz_table`` keeps on the chart
     ``owner`` under ``(name, k)``; without it, every column applies the
     operator directly.
     """

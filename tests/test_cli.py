@@ -356,6 +356,26 @@ class TestCliCommands:
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("modes", ["1", "2,1"])
+    def test_torus_cohomology_without_the_constant_mode_exit_2(self, runner, modes):
+        # the reported dims are the constant-mode block's: without it they
+        # read all zero, a false cohomology of T^4
+        result = runner.invoke(main, ["cohomology", "--model", "torus", "--n", "2", "--modes", modes])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "constant mode" in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", [["les"], ["rs", "build"]], ids=["les", "rs-build"])
+    def test_other_torus_pipelines_take_truncations_without_the_constant_mode(
+        self, runner, command
+    ):
+        result = runner.invoke(main, command + ["--model", "torus", "--n", "2", "--modes", "1"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.stdout)
+        assert report["passed"] and report["config"]["mode_norms"] == [1]
+
     @pytest.mark.parametrize(
         "command",
         [["rumin", "verify"], ["cohomology", "--model", "affine", "--max-weight", "2"]],

@@ -1,14 +1,16 @@
-"""Operators read off their Leibniz tables equal the per-column assembly.
+"""Operators read off their tables equal the per-column assembly.
 
-On the poly ring ``rs_complex``, ``rumin_complex``, ``_form_complex`` and
-``total_complex`` assemble each operator from its values on probe sections
-(``grading.LeibnizTable``), kept on the chart under ``(operator name, k)``.  The reference applies the same operator to
-every basis section (``assemble_operator`` without a table).  The matrices
-must agree entry for entry, on the full truncation and on every single
-block.
+``rs_complex``, ``rumin_complex``, ``_form_complex`` and ``total_complex``
+assemble each operator from its values on probe sections, kept on the
+chart under ``(operator name, k)``: a ``grading.LeibnizTable`` on the poly
+ring, a ``symbols.ModeTable`` on the trig ring.  The reference applies the
+same operator to every basis section (``assemble_operator`` without a
+table).  The matrices must agree entry for entry, on the full truncation
+and on every single block.
 """
 
 from functools import partial
+from math import comb, factorial
 
 import pytest
 from click.testing import CliRunner
@@ -18,9 +20,20 @@ from cscx.cli import main
 from cscx.cohomology import _TotalSpace, _form_complex, total_complex
 from cscx.contact import standard_contact_chart
 from cscx.descent import nabla_twisted_d, rs_apply, rs_complex, total_differential
-from cscx.grading import GradedSpace, Truncation, assemble_operator, weight_truncation
+from cscx.coefficients import TrigCoefficient
+from cscx.errors import InternalConsistencyError
+from cscx.grading import (
+    GradedSpace,
+    Truncation,
+    assemble_operator,
+    leibniz_table,
+    mode_shells,
+    mode_truncation,
+    weight_truncation,
+)
 from cscx.lefschetz import TwistedForm, standard_cs_chart
 from cscx.rumin import rumin_apply, rumin_complex
+from cscx.symbols import ModeTable, generalized_binomial, probe_modes
 
 
 def _per_column(spaces, op_of, truncation):
@@ -36,15 +49,17 @@ def _per_column(spaces, op_of, truncation):
     ]
 
 
-def _rs(cs, truncation):
-    struct = cs.two_step
-    spaces = [struct.class_space(k) for k in range(2 * cs.n + 2)]
-    reference = _per_column(spaces, lambda k: partial(rs_apply, cs, k), truncation)
-    return rs_complex(cs, truncation), reference
+# each builder gives the expanded complex as a function of the truncation,
+# plus the spaces and per-degree operators of the per-column reference
+
+
+def _rs(cs):
+    spaces = cs.two_step.class_spaces()
+    return partial(rs_complex, cs), spaces, lambda k: partial(rs_apply, cs, k)
 
 
 def _forms(twist):
-    def build(cs, truncation):
+    def build(cs):
         spaces = [
             GradedSpace(cs.chart, k, weight_offset=2 * twist, tag=f"forms-tw{twist}")
             for k in range(2 * cs.n + 1)
@@ -53,26 +68,51 @@ def _forms(twist):
             op = lambda form: nabla_twisted_d(cs, TwistedForm(form, 1)).base  # noqa: E731
         else:
             op = lambda form: form.d()  # noqa: E731
-        reference = _per_column(spaces, lambda k: op, truncation)
-        return _form_complex(cs, truncation, twist)[1], reference
+        return lambda truncation: _form_complex(cs, truncation, twist)[1], spaces, lambda k: op
 
     return build
 
 
-def _total(cs, truncation):
+def _total(cs):
     spaces = [_TotalSpace(cs, k) for k in range(2 * cs.n + 2)]
     op = lambda pair: total_differential(cs, *pair)  # noqa: E731
-    return total_complex(cs, truncation), _per_column(spaces, lambda k: op, truncation)
+    return partial(total_complex, cs), spaces, lambda k: op
 
 
-def _rumin(cc, truncation):
+def _rumin(cc):
     struct = cc.two_step
-    spaces = [struct.class_space(k) for k in range(2 * cc.n + 2)]
-    reference = _per_column(spaces, lambda k: partial(rumin_apply, struct, k), truncation)
-    return rumin_complex(cc, truncation), reference
+    return partial(rumin_complex, cc), struct.class_spaces(), lambda k: partial(rumin_apply, struct, k)
+
+
+def _view(matrix):
+    return matrix.rows.labels, matrix.cols.labels, matrix.entries
+
+
+def _block_views(matrix):
+    """``_view`` of the rows and columns of each block, renumbered from 0, by block."""
+    views = {}
+    index = {}
+    for axis, labels in enumerate((matrix.rows.labels, matrix.cols.labels)):
+        for i, label in enumerate(labels):
+            view = views.setdefault(label[0], ([], [], {}))
+            index[axis, i] = len(view[axis])
+            view[axis].append(label)
+    for (r, c), v in matrix.entries.items():
+        block = matrix.cols.labels[c][0]
+        if matrix.rows.labels[r][0] == block:
+            views[block][2][(index[0, r], index[1, c])] = v
+    return {block: (tuple(rows), tuple(cols), entries) for block, (rows, cols, entries) in views.items()}
 
 
 CASES = [
+    ("torus", 2, (0, 1, 2), "rs", _rs),
+    ("torus", 2, (0, 1, 2), "de-rham", _forms(0)),
+    ("torus", 2, (0, 1, 2), "twisted", _forms(1)),
+    ("torus", 2, (0, 1, 2), "total", _total),
+    ("torus", 3, (0, 1), "rs", _rs),
+    ("torus", 3, (0, 1), "de-rham", _forms(0)),
+    ("torus", 3, (0, 1), "twisted", _forms(1)),
+    ("torus", 3, (0, 1), "total", _total),
     ("affine", 2, 6, "rs", _rs),
     ("affine", 2, 6, "de-rham", _forms(0)),
     ("affine", 2, 6, "twisted", _forms(1)),
@@ -85,18 +125,40 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "model, n, max_weight, name, build", CASES, ids=[f"{c[3]}-{c[0]}{c[1]}-w{c[2]}" for c in CASES]
-)
-def test_expansion_equals_per_column_assembly(model, n, max_weight, name, build):
-    chart = standard_contact_chart(n) if model == "contact" else standard_cs_chart(n)
-    full = weight_truncation(max_weight)
-    for truncation in [full] + [Truncation.single(block) for block in full.blocks()]:
-        expanded, reference = build(chart, truncation)
-        assert len(expanded) == len(reference) == 2 * n + (name not in ("de-rham", "twisted"))
-        for k, (a, b) in enumerate(zip(expanded, reference)):
-            assert a.rows.labels == b.rows.labels and a.cols.labels == b.cols.labels
-            assert a.entries == b.entries, f"{name} degree {k} on {truncation.describe()}"
+def _case_id(case):
+    model, n, bound, name, _ = case
+    if model == "torus":
+        return f"{name}-torus{n}-norms{''.join(map(str, bound))}"
+    return f"{name}-{model}{n}-w{bound}"
+
+
+@pytest.mark.parametrize("model, n, bound, name, build", CASES, ids=[_case_id(c) for c in CASES])
+def test_expansion_equals_per_column_assembly(model, n, bound, name, build):
+    """``bound`` is the weight bound, or on the torus the sup-norms of the mode shells.
+
+    Each single block is compared with its rows and columns of the full
+    reference, which equal the per-column assembly on that block alone: the
+    operators are block-diagonal and a block's basis labels keep their order.
+    """
+    if model == "contact":
+        chart = standard_contact_chart(n)
+    else:
+        chart = standard_cs_chart(n, model)
+    if model == "torus":
+        full = mode_truncation(mode_shells(2 * n, bound))
+    else:
+        full = weight_truncation(bound)
+    expand, spaces, op_of = build(chart)
+    reference = _per_column(spaces, op_of, full)
+    assert len(reference) == 2 * n + (name not in ("de-rham", "twisted"))
+    expanded = expand(full)
+    assert [_view(m) for m in expanded] == [_view(m) for m in reference], f"{name} on the full truncation"
+    by_block = [_block_views(m) for m in reference]
+    for block in full.blocks():
+        single = expand(Truncation.single(block))
+        for k, (a, views) in enumerate(zip(single, by_block, strict=True)):
+            empty = ((), (), {})
+            assert _view(a) == views.get(block, empty), f"{name} degree {k} on block {block}"
     # the expansion ran: the operators' tables are kept on their chart
     assert sorted(k for key, k in chart.tables if key == name) == list(range(len(expanded)))
 
@@ -111,16 +173,66 @@ def test_tables_are_kept_on_the_owner_and_reused():
     assert all(cs.tables[key] is table for key, table in tables.items())
 
 
-def test_torus_keeps_per_column_assembly():
+def test_torus_tables_are_kept_on_the_chart_and_reused():
     cs = standard_cs_chart(2, "torus")
     rs_complex(cs, Truncation.single(("m", (0, 0, 0, 0))))
-    assert not cs.tables
+    tables = dict(cs.tables)
+    assert sorted(tables) == [("rs", k) for k in range(5)]
+    assert all(isinstance(table, ModeTable) for table in tables.values())
+    rs_complex(cs, Truncation.single(("m", (1, -2, 0, 1))))
+    rs_complex(cs, mode_truncation(mode_shells(4, (1,))))
+    assert cs.tables == tables
+    assert all(cs.tables[key] is table for key, table in tables.items())
+
+
+def test_probe_modes_are_the_lattice_simplex():
+    probes = probe_modes(4, 2)
+    assert len(probes) == 15 and len(set(probes)) == 15
+    assert probes[0] == (0, 0, 0, 0)
+    assert all(min(c) >= 0 and sum(c) <= 2 for c in probes)
+    assert len(probe_modes(6, 1)) == 7
+
+
+@pytest.mark.parametrize("m", range(-4, 5))
+def test_generalized_binomial(m):
+    # C(m, c) agrees with the falling factorial over c!, and with the
+    # negation rule C(-m, c) = (-1)^c C(m + c - 1, c)
+    for c in range(5):
+        falling = 1
+        for j in range(c):
+            falling *= m - j
+        assert generalized_binomial(m, c) * factorial(c) == falling
+        if m > 0:
+            assert generalized_binomial(-m, c) == (-1) ** c * comb(m + c - 1, c)
+
+
+def test_an_operator_mixing_modes_is_refused_at_the_table():
+    # multiplying by cos(theta_1) sends mode c to c + e_1 and c - e_1
+    cs = standard_cs_chart(2, "torus")
+    cos1 = TrigCoefficient(4, {("c", (1, 0, 0, 0)): 1})
+    space = GradedSpace(cs.chart, 1, tag="forms-tw0")
+    with pytest.raises(InternalConsistencyError, match="does not preserve modes"):
+        leibniz_table(cs, ("cos-multiple", 1), space, space, lambda form: form.times(cos1), 0)
+    assert ("cos-multiple", 1) not in cs.tables
 
 
 def test_wrong_order_is_caught_by_the_column_check(monkeypatch):
     # with order 0 the table holds d(v) = 0 alone, so d(x1) would read as 0
     monkeypatch.setattr(cohomology, "_DE_RHAM_ORDER", 0)
     argv = ["cohomology", "--model", "affine", "--n", "2", "--max-weight", "3"]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: expanded column ")
+    assert "disagrees with the operator applied directly" in lines[0]
+
+
+def test_wrong_order_is_caught_by_the_column_check_on_the_torus(monkeypatch):
+    # with order 0 the table holds d(v) = 0 alone, so d(cos(theta_1)) would read as 0
+    monkeypatch.setattr(cohomology, "_DE_RHAM_ORDER", 0)
+    argv = ["cohomology", "--model", "torus", "--n", "2", "--modes", "0,1"]
     result = CliRunner().invoke(main, argv)
     assert result.exit_code == 1, result.output
     assert result.stdout == ""
