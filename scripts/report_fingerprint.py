@@ -48,6 +48,7 @@ COMMANDS = (
     "claims --n 3",
     "cohomology --model torus --n 2 --modes 0,1,2",
     "cohomology --model torus --n 3 --modes 0,1",
+    "rumin verify --n 4 --max-weight 4",
 )
 
 

@@ -88,6 +88,12 @@ class RunConfig:
         else:
             if self.max_weight is None or self.max_weight < 0:
                 raise ConfigError("affine truncation needs --max-weight >= 0")
+            # at weight 0 every operator matrix has zero rows, so nothing is compared
+            if self.pipeline in ("rumin-verify", "rs-crosscheck") and self.max_weight < 1:
+                raise ConfigError(
+                    f"{self.pipeline} needs --max-weight >= 1: at 0 every operator "
+                    "matrix has zero rows, so nothing would be compared"
+                )
         if self.sample_count < 0:
             raise ConfigError("sample count must be nonnegative")
         if self.model == "torus":

@@ -510,6 +510,10 @@ class LeibnizTable:
                     row += (word, w - drop, fiber_key, e, q)
             self.rows[key] = tuple(row)
 
+    def measured_order(self) -> int:
+        """Length of the longest word with a nonzero value (0 for the zero operator)."""
+        return max((len(word) for row in self.rows.values() for word in row[::5]), default=0)
+
     def columns(self, labels, position: dict):
         """The column ``{row: value}`` of each domain basis label, in order.
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations_with_replacement
 from typing import Callable
 
 from .coefficients import Rational
@@ -45,7 +44,7 @@ from .forms import (
     wedge,
     zero_form,
 )
-from .grading import GradedSpace, Truncation, WordValues, assemble_operator, operator_complex
+from .grading import GradedSpace, LeibnizTable, Truncation, assemble_operator, operator_complex
 from .lefschetz import FiberCalculus, FiberMap, fiber_apply, is_primitive
 from .linalg import OperatorMatrix, sparse_rref
 
@@ -174,7 +173,9 @@ def class_operator_order(n: int, k: int) -> int:
     Below the middle the operator is the primitive projection of dH, above
     it -dH: one derivative between constant fiber maps.  At the middle it is
     dH after the constant middle inverse after dH, plus the Lie term: two
-    derivatives (criterion 8; ``operator_order`` measures it).
+    derivatives.  Criterion 8 checks these against ``operator_order``, which
+    reads each order off a table of order ``_MAX_ORDER`` = 3, exact for
+    orders up to 3.
     """
     return 2 if k == n else 1
 
@@ -195,54 +196,35 @@ def rumin_complex(cc: ContactChart, truncation: Truncation) -> list[OperatorMatr
 # -- operator order by iterated commutators ------------------------------------
 
 
-# operator_order probes coordinate words of up to _MAX_ORDER letters on the
-# lowest weight block of the class space and _PROBE_EXTRA_WEIGHT blocks above
+# the probe bound R of operator_order: rumin_apply differentiates at most
+# twice (dH after dH at the middle degree, through constant fiber maps), and
+# one more letter reads an order raised by one exactly
 _MAX_ORDER = 3
-_PROBE_EXTRA_WEIGHT = 1
 
 
 def operator_order(struct: TwoStepStructure, k: int) -> int:
-    """Measured differential order of the degree-k operator on probe sections.
+    """Measured differential order of the degree-k operator, exact up to ``_MAX_ORDER``.
 
-    Probes every class-space basis element of the lowest weight blocks
-    against all coordinate words up to length ``_MAX_ORDER``; the order is
-    the longest word length with a nonvanishing commutator.
-
-    A probe ``m.v_j`` (monomial m, primitive fiber vector v_j) stays a class
-    basis element under multiplication by a coordinate, with label
-    ``(j, x_a.m)``, so the commutator words are the ``WordValues`` of the
-    operator, the recurrence its Leibniz tables use: one ``rumin_apply`` per
-    distinct ``(j, m)``, memoized for this call only, and a word is zero
-    when its coordinates are.
+    Builds one fresh ``LeibnizTable`` of the operator at order R =
+    ``_MAX_ORDER`` (not the chart's, so the measurement does not lean on
+    ``class_operator_order``) and returns its longest word with a nonzero
+    value.  Write L = sum a_alpha(x) d^alpha with polynomial matrix
+    coefficients.  On a constant fiber section v only the term alpha = b of
+    ad^b L survives, so the word b is nonzero exactly when a_b is: the
+    table reads the largest |alpha| <= R with a_alpha != 0.  For an
+    operator of order r <= R this is r: ad^b L = 0 whenever |b| > r, and
+    for some |b| = r, ad^b L is a nonzero order-0 operator, which is
+    nonzero on a section of the constant primitive frame.  An order above
+    R, or a code path that is not a differential operator (a branch on the
+    exponent, say), escapes the table; the direct column checks of the
+    assembly stay for that.
     """
     if struct.chart.ring.kind != "poly":
         raise DegreeError("the order test multiplies by coordinates (poly ring only)")
-    space = struct.class_space(k)
-    values = WordValues(space, struct.class_space(k + 1), partial(rumin_apply, struct, k))
-    degree, offset = struct.class_degree(k)
-    base_weight = degree + offset
-    blocks = [("w", base_weight + extra) for extra in range(_PROBE_EXTRA_WEIGHT + 1)]
-    probes = []
-    for block in blocks:
-        for key in space.fiber_keys():
-            for mono in space._mono_labels(block):
-                probes.append((key, mono[1]))
-
-    order = 0
-    for length in range(1, _MAX_ORDER + 1):
-        nonzero = False
-        # words of maximal length are probed on the lowest block only
-        pool = probes if length < _MAX_ORDER else probes[: space.fiber_dim]
-        for word in combinations_with_replacement(range(struct.chart.dim), length):
-            for key, exp in pool:
-                if values(key, exp, word):
-                    nonzero = True
-                    break
-            if nonzero:
-                break
-        if nonzero:
-            order = length
-    return order
+    table = LeibnizTable(
+        struct.class_space(k), struct.class_space(k + 1), partial(rumin_apply, struct, k), _MAX_ORDER
+    )
+    return table.measured_order()
 
 
 # -- transporting classes along a lifted substitution ----------------------------

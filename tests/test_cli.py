@@ -356,6 +356,18 @@ class TestCliCommands:
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "command", [["rumin", "verify"], ["rs", "crosscheck"]], ids=["rumin-verify", "rs-crosscheck"]
+    )
+    def test_weight_zero_comparison_exit_2_with_one_line(self, runner, command):
+        # at weight 0 every operator matrix has zero rows: a pass would compare nothing
+        result = runner.invoke(main, command + ["--n", "2", "--max-weight", "0"])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "--max-weight >= 1" in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("modes", ["1", "2,1"])
     def test_torus_cohomology_without_the_constant_mode_exit_2(self, runner, modes):
         # the reported dims are the constant-mode block's: without it they

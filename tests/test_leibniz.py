@@ -6,7 +6,8 @@ chart under ``(operator name, k)``: a ``grading.LeibnizTable`` on the poly
 ring, a ``symbols.ModeTable`` on the trig ring.  The reference applies the
 same operator to every basis section (``assemble_operator`` without a
 table).  The matrices must agree entry for entry, on the full truncation
-and on every single block.
+and on every single block.  A fresh table of order ``rumin._MAX_ORDER``
+reads each stated order back, so none is set higher than the operator.
 """
 
 from functools import partial
@@ -24,6 +25,7 @@ from cscx.coefficients import TrigCoefficient
 from cscx.errors import InternalConsistencyError
 from cscx.grading import (
     GradedSpace,
+    LeibnizTable,
     Truncation,
     assemble_operator,
     leibniz_table,
@@ -32,7 +34,7 @@ from cscx.grading import (
     weight_truncation,
 )
 from cscx.lefschetz import TwistedForm, standard_cs_chart
-from cscx.rumin import rumin_apply, rumin_complex
+from cscx.rumin import _MAX_ORDER, class_operator_order, rumin_apply, rumin_complex
 from cscx.symbols import ModeTable, generalized_binomial, probe_modes
 
 
@@ -161,6 +163,32 @@ def test_expansion_equals_per_column_assembly(model, n, bound, name, build):
             assert _view(a) == views.get(block, empty), f"{name} degree {k} on block {block}"
     # the expansion ran: the operators' tables are kept on their chart
     assert sorted(k for key, k in chart.tables if key == name) == list(range(len(expanded)))
+
+
+STATED_ORDERS = {
+    "rs": class_operator_order,
+    "de-rham": lambda n, k: cohomology._DE_RHAM_ORDER,
+    "twisted": lambda n, k: cohomology._TWISTED_ORDER,
+    "total": lambda n, k: cohomology._TOTAL_ORDER,
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "name, build",
+    [("rs", _rs), ("de-rham", _forms(0)), ("twisted", _forms(1)), ("total", _total)],
+    ids=["rs", "de-rham", "twisted", "total"],
+)
+def test_stated_orders_are_tight(name, build, n):
+    """A table of order ``_MAX_ORDER`` reads back each stated order in every degree.
+
+    A stated order that is too low fails the column check; one that is too
+    high would pass unseen and only cost probes.
+    """
+    _, spaces, op_of = build(standard_cs_chart(n))
+    for k in range(len(spaces) - 1):
+        table = LeibnizTable(spaces[k], spaces[k + 1], op_of(k), _MAX_ORDER)
+        assert table.measured_order() == STATED_ORDERS[name](n, k), f"{name} degree {k}"
 
 
 def test_tables_are_kept_on_the_owner_and_reused():

@@ -4,9 +4,10 @@ import pytest
 
 from cscx import rumin
 from cscx.contact import lift_construction, standard_contact_chart
-from cscx.forms import basis_form, function_form, zero_form
+from cscx.forms import basis_form, function_form, t_derivative, zero_form
 from cscx.grading import WordValues, weight_truncation
 from cscx.rumin import (
+    class_operator_order,
     class_transport,
     generic_zigzag_matrix,
     operator_order,
@@ -161,6 +162,32 @@ class TestMemoizedOrders:
         # payload is a repeated (j, monomial) label
         assert payloads
         assert len(payloads) == len(set(payloads))
+
+
+class TestPerturbedOrders:
+    """operator_order reads an order raised by t-derivatives, exactly up to its bound."""
+
+    def _compose_with_t(self, monkeypatch, degree, times):
+        apply = rumin.rumin_apply
+
+        def composed(struct, k, payload):
+            if k == degree:
+                for _ in range(times):
+                    payload = t_derivative(payload)
+            return apply(struct, k, payload)
+
+        monkeypatch.setattr(rumin, "rumin_apply", composed)
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_one_t_derivative_raises_the_order_by_one(self, monkeypatch, contact2, k):
+        self._compose_with_t(monkeypatch, k, 1)
+        assert operator_order(contact2.two_step, k) == class_operator_order(2, k) + 1
+
+    def test_middle_operator_after_two_t_derivatives_reads_the_bound(self, monkeypatch, contact2):
+        # order 4, one above _MAX_ORDER; its -Lie term leaves a constant
+        # d/dt^3 coefficient, so the longest nonzero word is the bound itself
+        self._compose_with_t(monkeypatch, 2, 2)
+        assert operator_order(contact2.two_step, 2) == rumin._MAX_ORDER == 3
 
 
 class TestNaturality:
