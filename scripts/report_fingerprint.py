@@ -49,6 +49,8 @@ COMMANDS = (
     "cohomology --model torus --n 2 --modes 0,1,2",
     "cohomology --model torus --n 3 --modes 0,1",
     "rumin verify --n 4 --max-weight 4",
+    "rumin verify --n 3 --max-weight 8",
+    "cohomology --model affine --n 3 --max-weight 10",
 )
 
 

@@ -6,7 +6,10 @@ torus); every block is finite-dimensional and all ranks are exact over the
 rationals.  Every check runs in one pass over the blocks: a
 ``BlockComplexes`` assembles the block's de Rham, twisted and total
 complexes and the splice maps once, on the node indexing of the long
-exact sequence.  From it come cohomology dimensions, representatives,
+exact sequence.  One unit-pivot reduction of each complex
+(``linalg.reduced_cohomology_dims``) decides which nodes carry classes;
+only those build echelons and representatives, and their count must match
+the reduction's.  From the block come cohomology dimensions, representatives,
 induced maps on cohomology, the long exact sequence with its connecting
 map, and the degreewise splice of de Rham into the total complex, all
 computed at the cochain level and verified node by node.  Since every map
@@ -46,7 +49,15 @@ from .grading import (
     weight_truncation,
 )
 from .lefschetz import CsChart, TwistedForm
-from .linalg import Echelon, OperatorMatrix, first_nonzero_composite, sparse_nullspace, sparse_rank
+from .linalg import (
+    Echelon,
+    OperatorMatrix,
+    first_nonzero_composite,
+    reduced_cohomology_dims,
+    sparse_nullspace,
+    sparse_rank,
+    sparse_rref,
+)
 
 __all__ = [
     "OperatorMatrix",
@@ -93,19 +104,18 @@ def cohomology_dims(complex_maps: list[OperatorMatrix]) -> list[int]:
 class CochainQuotient:
     """Cohomology at one node, with explicit representative vectors.
 
-    Built from the column echelon of the incoming differential d_in
-    (``image``, its ``sparse_rref``; an empty ``Echelon`` when there is
-    none) and the outgoing differential (an absent or zero outgoing map has
-    the whole space as kernel); the representatives extend a basis of the
-    image to a basis of the kernel, chosen deterministically by leftmost
-    pivoting.  The quotient takes ``image`` over and extends it, so one
-    ``Echelon`` holds the image columns followed by the representatives and
-    class coordinates are a single reduction against it.
-
-    Along a complex each differential is eliminated once: the nullspace
-    elimination of ``d_out`` fills ``next_image`` (an empty ``Echelon``),
-    which is the column echelon of d_out and so the image span of the next
-    node; ``_quotients`` passes it there as ``image``.
+    ``classes`` is the node's dimension as ``reduced_cohomology_dims``
+    decided it.  A node with no class builds no echelon: a vector is a
+    cocycle exactly when the outgoing differential ``d_out`` kills it, and
+    then its class is zero (``coords`` gives ``{}``).  A node with classes
+    builds the column echelon of the incoming differential ``d_in`` (its
+    ``sparse_rref``) and extends it by kernel vectors of ``d_out`` (an
+    absent or zero outgoing map has the whole space as kernel), chosen
+    deterministically by leftmost pivoting, so one ``Echelon`` holds the
+    image columns followed by the representatives and class coordinates
+    are a single reduction against it.  The representatives must number
+    ``classes``, or the two engines disagree and ``InternalConsistencyError``
+    names the node (``where``).
 
     Precondition: the image lies in the kernel (d_out . d_in = 0, verified
     once by ``BlockComplexes``).  Then, once the representatives number
@@ -115,32 +125,44 @@ class CochainQuotient:
 
     def __init__(
         self,
-        image: Echelon,
+        d_in: OperatorMatrix | None,
         d_out: OperatorMatrix | None,
         space_dim: int,
-        next_image: Echelon | None = None,
+        classes: int,
+        where: str = "",
     ):
+        self._d_out = d_out
+        self._span: Echelon | None = None
+        self.reps: list[dict[int, Rational]] = []
+        self.dim = classes
+        if not classes:
+            return
         if d_out is not None and not d_out.is_zero():
-            kernel = sparse_nullspace(d_out.entries, d_out.cols.dim, next_image)
+            kernel = sparse_nullspace(d_out.entries, d_out.cols.dim)
         else:
             kernel = [{i: 1} for i in range(space_dim)]
+        image = sparse_rref(d_in.entries, d_in.cols.dim) if d_in is not None else Echelon()
         # the image columns were labelled by column index; classes are read
         # off by kept index
         image.labels = list(range(len(image)))
         self._span = image
         self._image_rank = len(image)
-        classes = len(kernel) - self._image_rank
         # representatives: kernel vectors independent modulo the image
-        self.reps = []
         for vec in kernel:
-            if len(self.reps) == classes:
+            if len(self.reps) == len(kernel) - self._image_rank:
                 break
             if image.add(vec):
                 self.reps.append(vec)
-        self.dim = len(self.reps)
+        if len(self.reps) != classes:
+            raise InternalConsistencyError(
+                f"{where}: the unit-pivot reduction gives {classes} classes, "
+                f"the quotient {len(self.reps)} representatives"
+            )
 
     def coords(self, vec: dict[int, Rational]) -> dict[int, Rational] | None:
-        """Class coordinates of a cocycle over the representatives."""
+        """Class coordinates of a cocycle over the representatives, None for a non-cocycle."""
+        if self._span is None:
+            return None if self._d_out is not None and self._d_out.apply(vec) else {}
         coords = self._span.coords(vec)
         if coords is None:
             return None
@@ -160,19 +182,23 @@ class CochainQuotient:
         return out
 
 
-def _quotients(maps: list[OperatorMatrix], bases: list[SectionBasis]) -> list[CochainQuotient]:
+def _quotients(maps: list[OperatorMatrix], bases: list[SectionBasis], where: str) -> list[CochainQuotient]:
     """The quotient at every node of a complex; ``maps[k]`` sends node k to node k+1.
 
-    The column echelon of ``maps[k]``, built by the nullspace elimination
-    at node k, moves on as the image span of node k+1.
+    One unit-pivot reduction of the whole complex decides which nodes carry
+    classes; only those build an echelon.
     """
-    out, image = [], Echelon()
-    for k, basis in enumerate(bases):
-        next_image = Echelon()
-        d_out = maps[k] if k < len(maps) else None
-        out.append(CochainQuotient(image, d_out, basis.dim, next_image))
-        image = next_image
-    return out
+    dims = reduced_cohomology_dims([m.entries for m in maps], [b.dim for b in bases])
+    return [
+        CochainQuotient(
+            maps[k - 1] if k else None,
+            maps[k] if k < len(maps) else None,
+            basis.dim,
+            dims[k],
+            f"{where} node {k}",
+        )
+        for k, basis in enumerate(bases)
+    ]
 
 
 def _in_span(span: Echelon, vec) -> bool:
@@ -382,9 +408,9 @@ class BlockComplexes:
         top = self.top
         a_bases, w_bases, tot = self.a_bases, self.w_bases, self.total
 
-        h_a = _quotients(self.de_rham, a_bases)
-        h_w = _quotients(self.twisted, w_bases)
-        h_t = _quotients(tot, self.t_bases)
+        h_a = _quotients(self.de_rham, a_bases, f"block {self.block} de-rham complex")
+        h_w = _quotients(self.twisted, w_bases, f"block {self.block} twisted complex")
+        h_t = _quotients(tot, self.t_bases, f"block {self.block} total complex")
 
         # induced maps on cohomology
         inc_maps = [

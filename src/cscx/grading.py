@@ -165,10 +165,16 @@ def sample_orbit_count(nvars: int) -> int:
 
 
 # largest total dimension of the form sections a run may truncate to.  It
-# admits affine n=3 w<=8 and n=4 w<=6 (40,081 each), contact n=2 w<=12
-# (30,303) and every reference command; affine n=2 w<=40 has 1,797,441 and
-# torus n=7 at sup-norm 3 about 1.1e16
-_MAX_SECTION_DIM = 50_000
+# admits affine n=3 w<=10 and n=5 w<=6 (134,245 each), n=2 w<=20 (118,721),
+# contact n=2 w<=16 (110,313) and n=3 w<=9 (99,385), and every reference
+# command; it refuses affine n=4 w<=8 (265,729) and contact n=2 w<=17
+# (145,521) and n=3 w<=10 (184,690).  Wall times at the edge (2-core x86,
+# CPython 3.11, one or two runs): cohomology n=3 w<=10 10.9-11.5 s, n=5 w<=6
+# 19.0-21.6 s, n=2 w<=20 9.0-10.2 s; les n=3 w<=10 7.9-8.6 s; rumin verify
+# n=3 w<=9 6.7 s, n=2 w<=16 4.8-5.9 s; rs crosscheck n=3 w<=9 15.2-17.8 s.
+# Affine n=2 w<=40 has 1,797,441 sections and torus n=7 at sup-norm 3
+# about 1.1e16
+_MAX_SECTION_DIM = 135_000
 
 
 def weight_section_dim(n: int, max_weight: int) -> int:

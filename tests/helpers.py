@@ -1,6 +1,7 @@
 """Deterministic random generators and reference implementations shared by the tests.
 
 The references are the dense linear algebra the sparse engine is compared
+against, the echelon quotients the unit-pivot reduction is compared
 against, the iterated commutator that defines operator orders, cos/sin
 built through the JSON boundary, the form serializer and the plain and
 twisted de Rham complexes.
@@ -21,6 +22,7 @@ from cscx.coefficients import (
     coefficient_to_json,
 )
 from cscx.forms import Chart, DifferentialForm, multi_indices
+from cscx.linalg import Echelon, sparse_nullspace
 
 
 def rng(*seed) -> random.Random:
@@ -199,3 +201,49 @@ def dense_nullspace(rows: list[list[Rational]], ncols: int) -> list[list[Rationa
             vec[c] = -rref[r][free]
         basis.append(vec)
     return basis
+
+
+# -- echelon quotients ---------------------------------------------------------------
+
+
+def image_columns(d) -> list[dict]:
+    """The nonzero columns of a matrix (None: no columns), left to right."""
+    cols: dict[int, dict] = {}
+    for (r, c), v in (d.entries if d is not None else {}).items():
+        cols.setdefault(c, {})[r] = v
+    return [cols[c] for c in sorted(cols)]
+
+
+def echelon_quotient(d_in, d_out, dim):
+    """Representatives and class coordinates at one node from echelons alone.
+
+    The image span is built column by column and extended by every kernel
+    vector of ``d_out`` (the whole space when it is absent or zero) that is
+    independent of it, so no class count is assumed.  Returns the
+    representatives and a ``coords`` function as ``CochainQuotient`` has.
+    """
+    if d_out is not None and not d_out.is_zero():
+        kernel = sparse_nullspace(d_out.entries, d_out.cols.dim)
+    else:
+        kernel = [{i: 1} for i in range(dim)]
+    span = Echelon()
+    for col in image_columns(d_in):
+        span.add(col)
+    image_rank = len(span)
+    reps = [vec for vec in kernel if span.add(vec)]
+
+    def coords(vec):
+        found = span.coords(vec)
+        if found is None:
+            return None
+        return {j - image_rank: v for j, v in found.items() if j >= image_rank}
+
+    return reps, coords
+
+
+def echelon_quotient_dims(maps, bases) -> list[int]:
+    """The number of echelon representatives at every node of a complex."""
+    return [
+        len(echelon_quotient(maps[k - 1] if k else None, maps[k] if k < len(maps) else None, basis.dim)[0])
+        for k, basis in enumerate(bases)
+    ]

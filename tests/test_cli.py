@@ -598,16 +598,17 @@ class TestSizeGuard:
             ("rs build --model torus --n 7 --modes 3", "at least 10^15"),
             ("cohomology --model torus --n 7 --sample-modes 100000", "3,276,816,384"),
             ("les --model affine --n 2 --max-weight %d" % (10**4300 - 1), "at least 10^15"),
+            ("cohomology --model affine --n 4 --max-weight 8", "265,729"),
             # the contact chart's t powers push these over; the base count admits them
-            ("rumin verify --n 2 --max-weight 14", "60,264"),
-            ("rumin verify --n 3 --max-weight 8", "50,445"),
+            ("rumin verify --n 2 --max-weight 17", "145,521"),
+            ("rumin verify --n 3 --max-weight 10", "184,690"),
             ("rumin verify --n 2 --max-weight %d" % (10**4300 - 1), "at least 10^15"),
         ],
-        ids=["affine-w40", "torus-n7-shell3", "torus-samples", "4300-digit-weight",
-             "contact-n2-w14", "contact-n3-w8", "contact-4300-digit-weight"],
+        ids=["affine-w40", "torus-n7-shell3", "torus-samples", "4300-digit-weight", "affine-n4-w8",
+             "contact-n2-w17", "contact-n3-w10", "contact-4300-digit-weight"],
     )
     def test_section_budget_exit_2(self, argv, estimate):
-        line = self._run_cli(argv.split(), expected="over the budget of 50,000")
+        line = self._run_cli(argv.split(), expected="over the budget of 135,000")
         assert line.startswith("error: the truncation spans ") and estimate in line
 
 

@@ -32,10 +32,17 @@ from cscx.grading import (
     sample_modes,
     weight_section_dim,
 )
-from cscx.linalg import Echelon, OperatorMatrix, SectionBasis, sparse_nullspace, sparse_rref
+from cscx.linalg import OperatorMatrix, SectionBasis, reduced_cohomology_dims, sparse_nullspace, sparse_rref
 from cscx.rumin import rumin_complex
 
-from helpers import de_rham_complex, dense_rank, twisted_complex
+from helpers import (
+    de_rham_complex,
+    dense_rank,
+    echelon_quotient,
+    echelon_quotient_dims,
+    image_columns,
+    twisted_complex,
+)
 
 
 def _basis(tag, size):
@@ -148,9 +155,15 @@ class TestSectionBudget:
             RunConfig("rs-build", "torus", n=2, mode_norms=(0, 1), sample_count=3),
             RunConfig("rs-build", "torus", n=3, mode_norms=(0,), sample_count=2),
             RunConfig("lefschetz-table", "cs-affine", n=3, max_weight=0),
+            RunConfig("cohomology", "cs-affine", n=3, max_weight=10),
+            RunConfig("cohomology", "cs-affine", n=5, max_weight=6),
+            RunConfig("cohomology", "cs-affine", n=2, max_weight=20),
+            RunConfig("rumin-verify", "contact-affine", n=3, max_weight=9),
+            RunConfig("rumin-verify", "contact-affine", n=2, max_weight=16),
         ],
         ids=["affine-n3-w6", "affine-n3-w8", "affine-n4-w4", "rumin-n3-w4", "rumin-n2-w12",
-             "torus-n2", "torus-n3", "lefschetz-n3"],
+             "torus-n2", "torus-n3", "lefschetz-n3", "affine-n3-w10", "affine-n5-w6",
+             "affine-n2-w20", "rumin-n3-w9", "rumin-n2-w16"],
     )
     def test_budget_admits(self, config):
         config.validate()
@@ -161,9 +174,9 @@ class TestQuotient:
         # complex 0 -> Q^2 -d-> Q^2 -> 0 with d = [[0,0],[1,0]]
         a, b = _basis("a", 2), _basis("b", 2)
         d = OperatorMatrix(b, a, {(1, 0): Fraction(1)})
-        h_a = CochainQuotient(Echelon(), d, 2)
-        assert h_a.dim == 1  # kernel is span(e1)
-        h_b = CochainQuotient(sparse_rref(d.entries, d.cols.dim), None, 2)
+        h_a = CochainQuotient(None, d, 2, 1)
+        assert h_a.dim == 1 and h_a.reps == [{1: 1}]  # kernel is span(e1)
+        h_b = CochainQuotient(d, None, 2, 1)
         assert h_b.dim == 1  # e1 modulo image span(e1)... representative e0
         coords = h_b.coords({0: Fraction(3)})
         assert coords == {0: Fraction(3)}
@@ -248,69 +261,55 @@ class TestLes:
         assert list(report.total_dims) == [1, 4, 5, 5, 4, 1]
 
 
-def _image_columns(d):
-    cols = {}
-    for (r, c), v in (d.entries if d is not None else {}).items():
-        cols.setdefault(c, {})[r] = v
-    return [cols[c] for c in sorted(cols)]
-
-
-def _fresh_image(d):
-    """The image span built column by column, labelled by kept index."""
-    span = Echelon()
-    for col in _image_columns(d):
-        span.add(col)
-    return span
-
-
-def _fresh_quotient(d_in, d_out, dim):
-    """Representatives and class coordinates from a fresh image echelon,
-    testing every kernel vector."""
-    if d_out is not None and not d_out.is_zero():
-        kernel = sparse_nullspace(d_out.entries, d_out.cols.dim)
-    else:
-        kernel = [{i: 1} for i in range(dim)]
-    span = _fresh_image(d_in)
-    image_rank = len(span)
-    reps = [vec for vec in kernel if span.add(vec)]
-
-    def coords(vec):
-        found = span.coords(vec)
-        if found is None:
-            return None
-        return {j - image_rank: v for j, v in found.items() if j >= image_rank}
-
-    return reps, coords
-
-
 _HANDOFF_BLOCKS = [("affine", ("w", w)) for w in range(5)] + [("torus", ("m", (0, 0, 0, 0)))]
 
 
+def _block_complexes(blocks):
+    """The de Rham, twisted and total complexes of a block, each with its name and bases."""
+    return [
+        ("de-rham", blocks.de_rham, blocks.a_bases),
+        ("twisted", blocks.twisted, blocks.w_bases),
+        ("total", blocks.total, blocks.t_bases),
+    ]
+
+
+def _non_cocycle(d_out):
+    """A unit vector that ``d_out`` does not kill, or None when it is zero."""
+    if d_out is None or d_out.is_zero():
+        return None
+    return {min(c for _, c in d_out.entries): 1}
+
+
 class TestEchelonHandOff:
-    """Quotients that inherit the nullspace echelon of the previous node and
-    stop once their classes are complete give the quotients built afresh."""
+    """Quotients decided by the unit-pivot reduction give the echelon
+    quotients built afresh: the same representatives and coordinates where
+    classes live, and no echelon at a zero node."""
 
     @pytest.mark.parametrize("model, block", _HANDOFF_BLOCKS, ids=[str(b) for _, b in _HANDOFF_BLOCKS])
     def test_quotients_match_fresh_build(self, cs_affine2, cs_torus2, model, block):
         blocks = BlockComplexes(cs_affine2 if model == "affine" else cs_torus2, block)
-        complexes = [
-            (blocks.de_rham, blocks.a_bases),
-            (blocks.twisted, blocks.w_bases),
-            (blocks.total, blocks.t_bases),
-        ]
-        for maps, bases in complexes:
-            quotients = _quotients(maps, bases)
+        for name, maps, bases in _block_complexes(blocks):
+            quotients = _quotients(maps, bases, name)
             assert len(quotients) == len(bases) == len(maps) + 1
             for k, quotient in enumerate(quotients):
                 d_in = maps[k - 1] if k else None
                 d_out = maps[k] if k < len(maps) else None
-                reps, coords = _fresh_quotient(d_in, d_out, bases[k].dim)
+                reps, coords = echelon_quotient(d_in, d_out, bases[k].dim)
                 assert quotient.reps == reps
                 assert quotient.dim == len(reps)
-                for vec in reps + _image_columns(d_in):
+                if not reps:
+                    # a zero node: every image column is a cocycle of class zero
+                    assert quotient._span is None
+                    for vec in image_columns(d_in):
+                        assert quotient.coords(vec) == {}
+                    outside = _non_cocycle(d_out)
+                    if outside is not None:
+                        assert quotient.coords(outside) is None
+                    continue
+                for vec in reps + image_columns(d_in):
                     assert quotient.coords(vec) == coords(vec)
                 if d_in is not None:
-                    # the inherited span starts with the column echelon of d_in
+                    # the span starts with the column echelon of d_in
                     reference = sparse_rref(d_in.entries, d_in.cols.dim)
                     rank = len(reference)
                     assert quotient._span._pivots[:rank] == reference._pivots
@@ -318,18 +317,35 @@ class TestEchelonHandOff:
 
     @pytest.mark.parametrize("model, block", _HANDOFF_BLOCKS, ids=[str(b) for _, b in _HANDOFF_BLOCKS])
     def test_nullspace_echelon_is_the_column_echelon(self, cs_affine2, cs_torus2, model, block):
+        # the nullspace's free columns are exactly those the column echelon drops
         blocks = BlockComplexes(cs_affine2 if model == "affine" else cs_torus2, block)
         for d in blocks.de_rham + blocks.twisted + blocks.total:
-            echelon = Echelon()
-            sparse_nullspace(d.entries, d.cols.dim, echelon)
-            reference = sparse_rref(d.entries, d.cols.dim)
-            assert echelon._pivots == reference._pivots
-            assert echelon._rows == reference._rows
-            assert echelon.labels == reference.labels
-            echelon.labels = list(range(len(echelon)))
-            fresh = _fresh_image(d)
-            for col in _image_columns(d):
-                assert echelon.coords(col) == fresh.coords(col)
+            kernel = sparse_nullspace(d.entries, d.cols.dim)
+            pivots = sparse_rref(d.entries, d.cols.dim).labels
+            assert sorted(pivots + [max(vec) for vec in kernel]) == list(range(d.cols.dim))
+            for vec in kernel:
+                assert d.apply(vec) == {}
+
+
+def _torus_blocks():
+    return mode_truncation(list(mode_shells(4, {0, 1}))).blocks()
+
+
+class TestReductionAgreesWithEchelons:
+    """The unit-pivot reduction gives the class count of the echelon
+    quotients at every node of every reference block."""
+
+    @pytest.mark.parametrize(
+        "model, blocks",
+        [("affine", [("w", w) for w in range(7)]), ("torus", _torus_blocks())],
+        ids=["affine-w6", "torus-modes-0-1"],
+    )
+    def test_dims_equal_echelon_quotients(self, cs_affine2, cs_torus2, model, blocks):
+        cs = cs_affine2 if model == "affine" else cs_torus2
+        for block in blocks:
+            for name, maps, bases in _block_complexes(BlockComplexes(cs, block)):
+                reduced = reduced_cohomology_dims([m.entries for m in maps], [b.dim for b in bases])
+                assert reduced == echelon_quotient_dims(maps, bases), (block, name)
 
 
 _ZERO_MODE = ("m", (0, 0, 0, 0))
@@ -419,6 +435,65 @@ class TestLesWitness:
         les = json.loads(result.output)["result"]["les"]
         assert not les["exact"]
         assert les["failure"].startswith("node H_total[1]: im != ker; counterexample class {")
+
+
+def _one_line_exit_1(result):
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+class TestTwoEngines:
+    """Where the reduction and the echelon quotients part, the run exits 1 with one line."""
+
+    def test_reduction_one_class_short_names_block_complex_and_node(self, monkeypatch):
+        reduce = cohomology.reduced_cohomology_dims
+
+        def one_short(maps, dims):
+            out = reduce(maps, dims)
+            # the first node with most classes; it keeps at least one
+            k = out.index(max(out))
+            if out[k] >= 2:
+                out[k] -= 1
+            return out
+
+        monkeypatch.setattr(cohomology, "reduced_cohomology_dims", one_short)
+        result = CliRunner().invoke(main, ["les", "--model", "torus", "--n", "2"])
+        line = _one_line_exit_1(result)
+        # the de Rham complex of the constant mode has dims [1, 4, 6, 4, 1, 0]
+        assert line == (
+            "error: block ('m', (0, 0, 0, 0)) de-rham complex node 2: the unit-pivot "
+            "reduction gives 5 classes, the quotient 6 representatives"
+        )
+
+    def test_class_sent_to_a_non_cocycle_of_a_zero_node(self, monkeypatch):
+        # de Rham d_0 of block 2 loses the column of its first quadratic
+        # function, so the inclusion stops being a chain map: it sends that
+        # new class to total node 0, a zero node whose differential is injective
+        build = BlockComplexes.__init__
+
+        def corrupted(self, cs, block):
+            build(self, cs, block)
+            if block == ("w", 2):
+                d = self.de_rham[0]
+                kept = {key: v for key, v in d.entries.items() if key[1] != 0}
+                self.de_rham[0] = OperatorMatrix(d.rows, d.cols, kept)
+
+        monkeypatch.setattr(BlockComplexes, "__init__", corrupted)
+        result = CliRunner().invoke(main, ["les", "--model", "affine", "--n", "2", "--max-weight", "2"])
+        assert _one_line_exit_1(result) == "error: chain map image is not a cocycle"
+
+    def test_class_hidden_as_a_zero_node_fails_the_sequence(self, monkeypatch):
+        # a class the reduction misses builds no echelon, but the rs ranks and
+        # the exactness count still see it
+        monkeypatch.setattr(cohomology, "reduced_cohomology_dims", lambda maps, dims: [0] * len(dims))
+        result = CliRunner().invoke(main, ["cohomology", "--model", "affine", "--n", "2", "--max-weight", "2"])
+        assert result.exit_code == 1, result.output
+        report = json.loads(result.stdout)
+        assert not report["passed"]
+        assert not report["result"]["checks"]["total_matches_rs"]
 
 
 class TestReports:

@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cscx.cohomology import CochainQuotient
 from cscx.coefficients import canon
 from cscx.contact import standard_contact_chart
-from cscx.errors import BasisMismatchError
+from cscx.errors import BasisMismatchError, InternalConsistencyError
 from cscx.grading import weight_truncation
 from cscx.linalg import (
     Echelon,
@@ -16,6 +16,7 @@ from cscx.linalg import (
     _content_reduce,
     _int_normalize,
     _markowitz_pivots,
+    reduced_cohomology_dims,
     sparse_nullspace,
     sparse_rank,
     sparse_rref,
@@ -196,12 +197,73 @@ class TestEchelonProperties:
                     if weight and v:
                         d_out[(r, i)] = d_out.get((r, i), Fraction(0)) + weight * v
         d_out = {key: v for key, v in d_out.items() if v}
-        b, c = _basis("b", space), _basis("c", tgt)
-        quotient = CochainQuotient(sparse_rref(d_in, src), OperatorMatrix(c, b, d_out), space)
-        kernel_dim = space - sparse_rank(d_out)
-        assert quotient.dim == kernel_dim - sparse_rank(d_in)
+        a, b, c = _basis("a", src), _basis("b", space), _basis("c", tgt)
+        classes = space - sparse_rank(d_out) - sparse_rank(d_in)
+        assert reduced_cohomology_dims([d_in, d_out], [src, space, tgt])[1] == classes
+        d_in_matrix, d_out_matrix = OperatorMatrix(b, a, d_in), OperatorMatrix(c, b, d_out)
+        quotient = CochainQuotient(d_in_matrix, d_out_matrix, space, classes)
+        assert quotient.dim == len(quotient.reps) == classes
         for j, rep in enumerate(quotient.reps):
             assert quotient.coords(rep) == {j: Fraction(1)}
+        with pytest.raises(InternalConsistencyError):
+            CochainQuotient(d_in_matrix, d_out_matrix, space, classes + 1)
+
+
+# entries with no unit to cancel, units, and entries that are not integers
+complex_entries = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def cochain_complexes(draw, max_nodes=5, max_dim=5):
+    """(maps, dims) of a random cochain complex over Q with d_{k+1} d_k = 0.
+
+    Each map is a random combination of covectors that kill the image of
+    the map before it, so consecutive maps compose to zero; a map may be
+    drawn zero and a node empty.
+    """
+    dims = draw(st.lists(st.integers(0, max_dim), min_size=1, max_size=max_nodes))
+    maps = []
+    for k in range(len(dims) - 1):
+        src, tgt = dims[k], dims[k + 1]
+        if k == 0:
+            annihilators = [[int(i == j) for j in range(src)] for i in range(src)]
+        else:
+            prev = maps[-1]
+            transposed = [[prev.get((i, j), 0) for i in range(src)] for j in range(dims[k - 1])]
+            annihilators = dense_nullspace(transposed, src)
+        entries = {}
+        if draw(st.integers(0, 4)):  # one map in five is zero
+            for r in range(tgt):
+                for y in annihilators:
+                    if not draw(st.booleans()):
+                        continue
+                    weight = draw(complex_entries)
+                    for i, v in enumerate(y):
+                        if v:
+                            entries[(r, i)] = entries.get((r, i), 0) + weight * v
+        maps.append({key: v for key, v in entries.items() if v})
+    return maps, dims
+
+
+class TestUnitReduction:
+    """The unit-pivot reduction against dense ranks on random small complexes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cochain_complexes())
+    # Q -2-> Q -0-> Q: nothing to cancel, the residue's rank decides
+    @example(([{(0, 0): 2}, {}], [1, 1, 1]))
+    # d_0 = (1, 1)^T, d_1 = (1, -1): cancelling d_0[0, 0] drops column 0 of
+    # d_1, whose remaining -1 is cancelled next
+    @example(([{(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (0, 1): -1}], [1, 2, 1]))
+    @example(([], [3]))
+    def test_dims_equal_dense_ranks(self, complex_):
+        maps, dims = complex_
+        ranks = [dense_rank(_dense(d, dims[k + 1], dims[k])) if dims[k + 1] else 0 for k, d in enumerate(maps)]
+        expected = [
+            dims[k] - (ranks[k] if k < len(maps) else 0) - (ranks[k - 1] if k else 0)
+            for k in range(len(dims))
+        ]
+        assert reduced_cohomology_dims(maps, dims) == expected
 
 
 def _canonical(values) -> bool:
@@ -312,11 +374,9 @@ class TestReachOnlyReduction:
     def test_nullspace_reduces_each_column_once(self, values, data):
         entries, m, n = data.draw(sparse_matrices(values, max_dim=10))
         reference, reference_echelon = _reference_nullspace(entries, n)
-        echelon = Echelon()
-        kernel = sparse_nullspace(entries, n, echelon)
+        kernel = sparse_nullspace(entries, n)
         assert [list(vec.items()) for vec in kernel] == [list(vec.items()) for vec in reference]
-        assert _state(echelon) == _state(reference_echelon)
-        assert _state(echelon) == _state(sparse_rref(entries, n))
+        assert _state(reference_echelon) == _state(sparse_rref(entries, n))
 
 
 def _full_scan_pivots(entries):
