@@ -51,6 +51,8 @@ COMMANDS = (
     "rumin verify --n 4 --max-weight 4",
     "rumin verify --n 3 --max-weight 8",
     "cohomology --model affine --n 3 --max-weight 10",
+    # the first crosscheck whose top-degree operators are not 0 x k
+    "rs crosscheck --n 2 --max-weight 6",
 )
 
 

@@ -296,7 +296,9 @@ def total_complex(cs: CsChart, truncation: Truncation) -> list[OperatorMatrix]:
     op = lambda pair: total_differential(cs, *pair)  # noqa: E731
     mats = []
     for k in range(2 * cs.n + 1):
-        table = leibniz_table(cs, ("total", k), spaces[k], spaces[k + 1], op, _TOTAL_ORDER)
+        table = None
+        if bases[k].labels:
+            table = leibniz_table(cs, ("total", k), spaces[k], spaces[k + 1], op, _TOTAL_ORDER)
         entries = operator_entries(spaces[k], spaces[k + 1], op, bases[k], bases[k + 1], table)
         mats.append(OperatorMatrix(bases[k + 1], bases[k], entries))
     return mats

@@ -12,24 +12,21 @@ Primitive sections read their fiber coordinates through their chart's
 ``lefschetz.FiberCalculus``.  ``operator_complex`` is the one builder of
 operator complexes: it builds each node's basis once and assembles the
 operator from every node to the next.  An operator of known differential
-order is assembled from its values on a few probe sections, kept in a
-table on the chart.  On the poly ring its ``LeibnizTable`` holds the
-iterated commutators with the coordinates applied to each constant fiber
-basis section, and every column is a sum of shifted table values
-(Grothendieck, EGA IV 16.8).  On the trig ring a constant-coefficient
-operator multiplies the mode m by its symbol, a polynomial in m of degree
-at most the order: its ``symbols.ModeTable`` holds the symbol's Newton
-differences at the probe modes c >= 0, |c| <= order, and every column
-evaluates the symbol at its mode by Newton's forward-difference formula.
+order r is assembled from its values on a few probe sections, kept in a
+table on the chart (``symbols``).  The operator runs once per constant
+fiber basis section v and probe c >= 0, |c| <= r: on x^c v on the poly
+ring (a ``LeibnizTable``), on cos(c.theta) v on the trig ring (a
+``ModeTable``).  The table keeps the Newton differences of these probe
+values, and every column is a binomial-weighted sum of them: on the poly
+ring the Leibniz expansion (Grothendieck, EGA IV 16.8), on the trig ring
+the operator's symbol evaluated at the column's mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations_with_replacement
 from math import comb
-from operator import add, mul
 from typing import Callable, Iterable, Sequence
 
 from .coefficients import (
@@ -50,6 +47,7 @@ from .forms import Chart, DifferentialForm, multi_indices
 # the traced benchmark wraps the fiber layer under these grading names
 from .lefschetz import FiberCalculus, fiber_apply, fiber_from_form  # noqa: F401
 from .linalg import OperatorMatrix, SectionBasis
+from .symbols import LeibnizTable, ModeTable
 
 Block = tuple  # ("w", weight) | ("m", mode-tuple)
 
@@ -400,176 +398,18 @@ def _direct_column(domain, codomain, op, label, codomain_basis) -> dict[int, Rat
     return codomain.vector(op(domain.element(label)), codomain_basis)
 
 
-def _item_key(label: tuple) -> tuple:
-    """``(block weight, fiber key, exponent)`` of a poly basis label.
-
-    A label is ``(("w", weight), fiber key + (("p", exponent),))``; the
-    fiber key is ``(j,)`` for a ``GradedSpace`` and ``(slot, j)`` for a
-    space of pairs.
-    """
-    block, rest = label
-    return block[1], rest[:-1], rest[-1][1]
-
-
-def _shifted(exp: tuple[int, ...], axis: int) -> tuple[int, ...]:
-    return exp[:axis] + (exp[axis] + 1,) + exp[axis + 1 :]
-
-
-class WordValues:
-    """Memoized commutator words of one operator with the coordinates, in coordinates.
-
-    For the domain section x^m v (fiber key ``key``, exponent m) and a
-    sorted word of chart axes,
-
-        W(key, m, (a,) + w) = W(key, x_a.m, w) - x_a.W(key, m, w),
-        W(key, m, ())       = coords(op(x^m v)),
-
-    so W(key, m, word) is the iterated commutator [...[op, x_a1], ...]
-    applied to x^m v.  A value is ``{(block weight, fiber key, exponent):
-    q}`` over the codomain basis.  Multiplying by a monomial only shifts
-    exponents and weights (the fiber basis is constant), so the recurrence
-    never touches a form, and ``op`` runs once per probe ``(key, m)``.
-    """
-
-    def __init__(self, domain, codomain, op):
-        self.domain = domain
-        self.codomain = codomain
-        self.op = op
-        self.weights = domain.chart.weights
-        self._memo: dict[tuple, dict[tuple, Rational]] = {}
-
-    def __call__(self, key: tuple, exp: tuple[int, ...], word: tuple[int, ...]) -> dict:
-        memo_key = (key, exp, word)
-        value = self._memo.get(memo_key)
-        if value is None:
-            if not word:
-                image = self.op(self.domain.element((None, key + (("p", exp),))))
-                coords = self.codomain.coordinates(image)
-                value = {_item_key(label): q for label, q in coords.items()}
-            else:
-                a, rest = word[0], word[1:]
-                value = dict(self(key, _shifted(exp, a), rest))
-                step = self.weights[a]
-                for (w, fiber_key, e), q in self(key, exp, rest).items():
-                    item = (w + step, fiber_key, _shifted(e, a))
-                    v = value.get(item, 0) - q
-                    if v:
-                        value[item] = v
-                    else:
-                        del value[item]
-            self._memo[memo_key] = value
-        return value
-
-
-def _leibniz_term(exp: tuple[int, ...], word: tuple[int, ...]):
-    """``(C(a, b), a - b)`` at x^a for the multi-index b of a sorted word.
-
-    None unless b <= a, that is, unless x^b divides x^a.  Each letter
-    raises one b_i, and C(a_i, b_i + 1) = C(a_i, b_i) (a_i - b_i) / (b_i + 1).
-    """
-    shift = list(exp)
-    coeff = 1
-    for axis in word:
-        s = shift[axis]
-        if not s:
-            return None
-        coeff = coeff * s // (exp[axis] - s + 1)
-        shift[axis] = s - 1
-    return coeff, tuple(shift)
-
-
-class LeibnizTable:
-    """The values coords((ad^b op) v) of one operator of differential order r.
-
-    One value per fiber key v of the domain and multi-index b with |b| <= r,
-    b written as a sorted word of chart axes: W(v, 1, b) of ``WordValues``,
-    so ``op`` runs only on the probes x^c v with |c| <= r, whatever the
-    weight bound.  The table keeps nothing else: per fiber key, one flat
-    tuple ``(word, base weight, fiber key, exponent, value, word, ...)`` of
-    the items of its nonzero values, with words, fiber keys and exponents
-    shared.  The base weight is the item's block weight less the weight of
-    the word, so the item of x^(a-b) (ad^b op)(v) lies in block base +
-    weight(a).
-    """
-
-    __slots__ = ("order", "weights", "rows")
-
-    def __init__(self, domain, codomain, op, order: int):
-        self.order = order
-        self.weights = domain.chart.weights
-        zero = (0,) * len(self.weights)
-        words = [
-            word
-            for length in range(order + 1)
-            for word in combinations_with_replacement(range(len(self.weights)), length)
-        ]
-        shared: dict[tuple, tuple] = {}
-        self.rows: dict[tuple, tuple] = {}
-        for key in domain.fiber_keys():
-            # one memo per fiber key: the words of distinct keys share no value
-            values = WordValues(domain, codomain, op)
-            row: list = []
-            for word in words:
-                drop = sum(self.weights[axis] for axis in word)
-                for (w, fiber_key, e), q in values(key, zero, word).items():
-                    fiber_key, e = shared.setdefault(fiber_key, fiber_key), shared.setdefault(e, e)
-                    row += (word, w - drop, fiber_key, e, q)
-            self.rows[key] = tuple(row)
-
-    def measured_order(self) -> int:
-        """Length of the longest word with a nonzero value (0 for the zero operator)."""
-        return max((len(word) for row in self.rows.values() for word in row[::5]), default=0)
-
-    def columns(self, labels, position: dict):
-        """The column ``{row: value}`` of each domain basis label, in order.
-
-        The column of x^a v is the Leibniz expansion of an operator of order r,
-
-            op(x^a v) = sum over b <= a, |b| <= r of C(a, b) x^(a-b) (ad^b op)(v),
-
-        a sum of shifted table values.  Each target block is recomputed from
-        the shifted exponent and the chart weights, and rows are found by
-        ``position``, the codomain basis, so block-diagonality is observed,
-        never assumed.
-        """
-        for _, rest in labels:
-            exp = rest[-1][1]
-            weight = sum(map(mul, exp, self.weights))
-            column: dict[int, Rational] = {}
-            items = iter(self.rows[rest[:-1]])
-            # the items of one word are consecutive
-            last_word = term = None
-            for word, base, fiber_key, e, q in zip(items, items, items, items, items):
-                if word != last_word:
-                    last_word, term = word, _leibniz_term(exp, word)
-                if term is None:
-                    continue
-                coeff, shift = term
-                # x^(a-b) raises the item's weight by weight(a) - weight(b)
-                label = (("w", base + weight), fiber_key + (("p", tuple(map(add, e, shift))),))
-                row = position.get(label)
-                if row is None:
-                    raise NonPrimitiveError(f"component {label} lies outside the truncation")
-                column[row] = column.get(row, 0) + coeff * q
-            yield {row: v for row, v in column.items() if v}
-
-
 def leibniz_table(owner, key, domain, codomain, op, order: int):
     """The table of an operator of order ``order``, kept in ``owner.tables`` under ``key``.
 
     ``owner`` is the chart the operator belongs to, and ``key`` is
-    ``(operator name, k)``.  On the poly ring it is a ``LeibnizTable``, on
-    the trig ring a ``symbols.ModeTable``.  The table is built on first
+    ``(operator name, k)``.  On the poly ring it is a ``symbols.LeibnizTable``,
+    on the trig ring a ``symbols.ModeTable``.  The table is built on first
     use, serves every later block and column, and goes away with its owner.
     """
     table = owner.tables.get(key)
     if table is None:
-        if domain.chart.ring.kind == "poly":
-            table = LeibnizTable(domain, codomain, op, order)
-        else:
-            from .symbols import ModeTable
-
-            table = ModeTable(domain, codomain, op, order)
+        table_type = LeibnizTable if domain.chart.ring.kind == "poly" else ModeTable
+        table = table_type(domain, codomain, op, order)
         owner.tables[key] = table
     return table
 
@@ -582,7 +422,7 @@ def operator_entries(
 
     Without a table every column applies ``op`` to its basis section and
     reads the image back.  With one, the columns are expanded from the
-    table (``LeibnizTable.columns`` or ``symbols.ModeTable.columns``), and
+    table (``symbols.LeibnizTable.columns`` or ``symbols.ModeTable.columns``), and
     rows are found by the codomain basis.  The last column of every domain
     block is also applied directly, and a disagreement (an order set too
     low, say) raises.
@@ -637,14 +477,15 @@ def operator_complex(
     With ``order`` (the differential order ``order(k)`` of each operator),
     each matrix is read off the table ``leibniz_table`` keeps on the chart
     ``owner`` under ``(name, k)``; without it, every column applies the
-    operator directly.
+    operator directly.  An operator with no domain section in the
+    truncation has no column and gets no table.
     """
     bases = [space.basis(truncation) for space in spaces]
     mats = []
     for k in range(len(spaces) - 1):
         op_k = partial(op, k)
         table = None
-        if order is not None:
+        if order is not None and bases[k].labels:
             table = leibniz_table(owner, (name, k), spaces[k], spaces[k + 1], op_k, order(k))
         mats.append(assemble_operator(spaces[k], spaces[k + 1], op_k, bases[k], bases[k + 1], table))
     return mats

@@ -44,9 +44,10 @@ from .forms import (
     wedge,
     zero_form,
 )
-from .grading import GradedSpace, LeibnizTable, Truncation, assemble_operator, operator_complex
+from .grading import GradedSpace, Truncation, assemble_operator, operator_complex
 from .lefschetz import FiberCalculus, FiberMap, fiber_apply, is_primitive
 from .linalg import OperatorMatrix, sparse_rref
+from .symbols import LeibnizTable
 
 
 @dataclass(frozen=True)
@@ -193,12 +194,12 @@ def rumin_complex(cc: ContactChart, truncation: Truncation) -> list[OperatorMatr
     )
 
 
-# -- operator order by iterated commutators ------------------------------------
+# -- operator order by probe differences ----------------------------------------
 
 
 # the probe bound R of operator_order: rumin_apply differentiates at most
 # twice (dH after dH at the middle degree, through constant fiber maps), and
-# one more letter reads an order raised by one exactly
+# one more probe degree reads an order raised by one exactly
 _MAX_ORDER = 3
 
 
@@ -207,17 +208,17 @@ def operator_order(struct: TwoStepStructure, k: int) -> int:
 
     Builds one fresh ``LeibnizTable`` of the operator at order R =
     ``_MAX_ORDER`` (not the chart's, so the measurement does not lean on
-    ``class_operator_order``) and returns its longest word with a nonzero
-    value.  Write L = sum a_alpha(x) d^alpha with polynomial matrix
-    coefficients.  On a constant fiber section v only the term alpha = b of
-    ad^b L survives, so the word b is nonzero exactly when a_b is: the
-    table reads the largest |alpha| <= R with a_alpha != 0.  For an
-    operator of order r <= R this is r: ad^b L = 0 whenever |b| > r, and
-    for some |b| = r, ad^b L is a nonzero order-0 operator, which is
-    nonzero on a section of the constant primitive frame.  An order above
-    R, or a code path that is not a differential operator (a branch on the
-    exponent, say), escapes the table; the direct column checks of the
-    assembly stay for that.
+    ``class_operator_order``) and returns its largest probe |b| with a
+    nonzero difference, x^(-b) (ad^b L)(v).  Write L = sum a_alpha(x)
+    d^alpha with polynomial matrix coefficients.  On a constant fiber
+    section v only the term alpha = b of ad^b L survives, so the probe b is
+    nonzero exactly when a_b is: the table reads the largest |alpha| <= R
+    with a_alpha != 0.  For an operator of order r <= R this is r:
+    ad^b L = 0 whenever |b| > r, and for some |b| = r, ad^b L is a nonzero
+    order-0 operator, which is nonzero on a section of the constant
+    primitive frame.  An order above R, or a code path that is not a
+    differential operator (a branch on the exponent, say), escapes the
+    table; the direct column checks of the assembly stay for that.
     """
     if struct.chart.ring.kind != "poly":
         raise DegreeError("the order test multiplies by coordinates (poly ring only)")

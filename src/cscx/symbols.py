@@ -1,27 +1,42 @@
-"""Mode tables: a constant-coefficient torus operator read off its symbol.
+"""Probe tables: an operator of known differential order read off a few probes.
 
-A constant-coefficient operator L of differential order r acts on a mode
-section as L(e^{i m.theta} v) = e^{i m.theta} P(m) v, with P a polynomial
-in the mode m of degree <= r.  On the real basis this reads
+Both tables follow one scheme.  For every fiber key v of the domain and
+every probe c of the lattice simplex {c >= 0, |c| <= r}, the operator runs
+once on the probe section of v at c, and its image is stored relative to
+the probe, as a function f(c) on the simplex.  ``newton_differences`` then
+replaces f(c) by its Newton difference Delta^c f(0), and every column is
+read off by Newton's forward-difference formula
+
+    f(p) = sum over c >= 0, |c| <= r of C(p, c) Delta^c f(0),
+
+with generalized binomials C(p, c) = prod_i C(p_i, c_i).  It is exact for
+any integer point p, negative entries too: both sides are polynomials in p
+of degree <= r and agree on every point with nonnegative entries.
+
+On the poly ring (``LeibnizTable``) the probe of v at c is x^c v and
+f(c) = x^(-c) L(x^c v).  Its difference Delta^b f(0) is x^(-b) (ad^b L)(v),
+the iterated commutator with the coordinates, and the formula at the
+exponent a is the Leibniz expansion of an operator of order r
+(Grothendieck, EGA IV 16.8):
+
+    L(x^a v) = sum over b <= a, |b| <= r of C(a, b) x^(a-b) (ad^b L)(v).
+
+On the trig ring (``ModeTable``) a constant-coefficient operator acts on a
+mode section as L(e^{i m.theta} v) = e^{i m.theta} P(m) v, with P a
+polynomial in m of degree <= r.  On the real basis this reads
 
     L(cos(m.theta) v) = cos(m.theta) A(m) v + sin(m.theta) B(m) v,
     L(sin(m.theta) v) = sin(m.theta) A(m) v - cos(m.theta) B(m) v,
 
 with A and B real polynomials of degree <= r; B(0) = 0, since L maps a
-real constant section v to the real P(0) v.  Newton's forward-difference
-formula recovers each from its values on the lattice simplex
-{c >= 0, |c| <= r}:
-
-    A(m) = sum over c >= 0, |c| <= r of C(m, c) Delta^c A(0),
-
-with generalized binomials C(m, c) = prod_i C(m_i, c_i).  It is exact for
-negative m_i too: both sides are polynomials in m and agree on N^{2n}.
+real constant section v to the real P(0) v.  The probe of v at c is
+cos(c.theta) v, and f(c) holds A(c) v and B(c) v.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import comb, prod
+from operator import add, mul
 
 from .coefficients import Rational
 from .errors import InternalConsistencyError, NonPrimitiveError
@@ -47,59 +62,141 @@ def generalized_binomial(m: int, c: int) -> int:
     return out
 
 
-def _probe(domain, codomain, op, key: tuple, c: tuple[int, ...]) -> tuple[dict, dict]:
-    """(A(c) v, B(c) v) from one application of ``op`` to cos(c.theta) v, v of fiber key ``key``."""
-    image = op(domain.element((("m", c), key + (("c", c),))))
-    a: dict = {}
-    b: dict = {}
-    for (_, rest), q in codomain.coordinates(image).items():
-        kind, image_mode = rest[-1]
-        if image_mode != c:
-            raise InternalConsistencyError(
-                f"probe in mode {c} has an image term in mode {image_mode}: "
-                "the operator does not preserve modes"
-            )
-        (a if kind == "c" else b)[rest[:-1]] = q
-    return a, b
+def newton_differences(values: dict[tuple[int, ...], dict]) -> None:
+    """Replace each probe value f(c) by its Newton difference Delta^c f(0), in place.
+
+    ``values`` maps every point c of a lattice simplex {c >= 0, |c| <= r}
+    to a sparse vector ``{item: q}`` of nonzero values.  Axis by axis and
+    level by level, values[c] -= values[c - e_i] for every c with c_i at
+    least the level, larger c first, so each c - e_i still holds the
+    previous level.  Entries that cancel are dropped.
+    """
+    probes = sorted(values, key=lambda c: (sum(c), c), reverse=True)
+    for axis in range(len(probes[0])):
+        for level in range(1, sum(probes[0]) + 1):
+            for c in probes:
+                if c[axis] < level:
+                    continue
+                target = values[c]
+                for item, q in values[c[:axis] + (c[axis] - 1,) + c[axis + 1 :]].items():
+                    v = target.get(item, 0) - q
+                    if v:
+                        target[item] = v
+                    else:
+                        del target[item]
 
 
-class ModeTable:
-    """The Newton differences Delta^c A(0) v and Delta^c B(0) v of one operator of order r.
+class _ProbeTable:
+    """The Newton differences of one operator of order r, per fiber key of its domain.
 
-    One probe per fiber key v of the domain and probe mode c: ``op`` runs on
-    cos(c.theta) v, and the image's cos coefficients are A(c) v, its sin
-    coefficients B(c) v, keyed by codomain fiber key.  An image term in any
-    other mode raises: the operator does not preserve modes.  The table
-    keeps nothing else: per fiber key, one flat tuple ``(probe index, part,
-    codomain fiber key, value, probe index, ...)`` of the nonzero entries
-    of the differences, part 0 for A and 1 for B.
+    The table keeps nothing else: per fiber key, one flat tuple ``(probe
+    index, item, value, probe index, ...)`` of the nonzero entries of the
+    differences, in probe order.  Each subclass's ``_probe(domain,
+    codomain, op, key, c)`` gives one probe's image as ``{item: value}``,
+    relative to the probe.
     """
 
-    __slots__ = ("order", "probes", "rows")
+    __slots__ = ("order", "probes", "supports", "rows")
 
     def __init__(self, domain, codomain, op, order: int):
         self.order = order
         self.probes = probe_modes(domain.chart.ring.nvars, order)
+        # the nonzero (axis, c_i) of each probe: C(p, c) is a product over them
+        self.supports = [tuple((axis, ci) for axis, ci in enumerate(c) if ci) for c in self.probes]
         self.rows: dict[tuple, tuple] = {}
         for key in domain.fiber_keys():
-            values = [_probe(domain, codomain, op, key, c) for c in self.probes]
+            values = {c: self._probe(domain, codomain, op, key, c) for c in self.probes}
+            newton_differences(values)
             row: list = []
             for i, c in enumerate(self.probes):
-                # Delta^c f = sum over d <= c of (-1)^|c-d| C(c, d) f(d)
-                terms = [
-                    (value, (-1) ** (sum(c) - sum(d)) * prod(map(comb, c, d)))
-                    for d, value in zip(self.probes, values)
-                    if all(map(int.__le__, d, c))
-                ]
-                for part in (0, 1):
-                    diff: dict = {}
-                    for value, weight in terms:
-                        for fiber_key, q in value[part].items():
-                            diff[fiber_key] = diff.get(fiber_key, 0) + weight * q
-                    for fiber_key, q in diff.items():
-                        if q:
-                            row += (i, part, fiber_key, q)
+                for item, q in values[c].items():
+                    row += (i, item, q)
             self.rows[key] = tuple(row)
+
+    def measured_order(self) -> int:
+        """Largest |c| with a nonzero difference (0 for the zero operator)."""
+        return max((sum(self.probes[i]) for row in self.rows.values() for i in row[::3]), default=0)
+
+    def _binomial(self, point: tuple[int, ...], i: int) -> int:
+        """C(point, c) for the probe c of index i, the weight of its rows at ``point``."""
+        out = 1
+        for axis, ci in self.supports[i]:
+            out *= generalized_binomial(point[axis], ci)
+        return out
+
+
+class LeibnizTable(_ProbeTable):
+    """The values x^(-b) (ad^b op)(v) of one poly-ring operator, |b| <= r.
+
+    The probe of v at c is x^c v; an image term is keyed ``(block weight
+    - weight(c), fiber key, exponent - c)``, so the item of x^(a-b) (ad^b
+    op)(v) lies in block weight(a) plus its stored weight.
+    """
+
+    __slots__ = ("weights",)
+
+    def __init__(self, domain, codomain, op, order: int):
+        self.weights = domain.chart.weights
+        super().__init__(domain, codomain, op, order)
+
+    def _probe(self, domain, codomain, op, key, c):
+        image = op(domain.element((None, key + (("p", c),))))
+        drop = sum(map(mul, c, self.weights))
+        return {
+            (block[1] - drop, rest[:-1], tuple(e - s for e, s in zip(rest[-1][1], c))): q
+            for (block, rest), q in codomain.coordinates(image).items()
+        }
+
+    def columns(self, labels, position: dict):
+        """The column ``{row: value}`` of each domain basis label, in order.
+
+        The column of x^a v weights each row of v by C(a, c) and shifts it
+        back by x^a.  Each target block is recomputed from the shifted
+        exponent and the chart weights, and rows are found by ``position``,
+        the codomain basis, so block-diagonality is observed, never assumed.
+        """
+        for _, rest in labels:
+            exp = rest[-1][1]
+            weight = sum(map(mul, exp, self.weights))
+            column: dict[int, Rational] = {}
+            items = iter(self.rows[rest[:-1]])
+            # the rows of one probe are consecutive
+            last = coeff = None
+            for i, (w, fiber_key, e), q in zip(items, items, items):
+                if i != last:
+                    last, coeff = i, self._binomial(exp, i)
+                if not coeff:
+                    continue
+                label = (("w", w + weight), fiber_key + (("p", tuple(map(add, e, exp))),))
+                row = position.get(label)
+                if row is None:
+                    raise NonPrimitiveError(f"component {label} lies outside the truncation")
+                column[row] = column.get(row, 0) + coeff * q
+            yield {row: v for row, v in column.items() if v}
+
+
+class ModeTable(_ProbeTable):
+    """The Newton differences Delta^c A(0) v and Delta^c B(0) v of one torus operator.
+
+    The probe of v at c is cos(c.theta) v; an image term is keyed ``(part,
+    fiber key)``, part "c" for A and "s" for B.  An image term in any other
+    mode than c raises: the operator does not preserve modes.
+    """
+
+    __slots__ = ()
+
+    def _probe(self, domain, codomain, op, key, c):
+        image = op(domain.element((("m", c), key + (("c", c),))))
+        out: dict = {}
+        for (_, rest), q in codomain.coordinates(image).items():
+            kind, image_mode = rest[-1]
+            if image_mode != c:
+                raise InternalConsistencyError(
+                    f"probe in mode {c} has an image term in mode {image_mode}: "
+                    "the operator does not preserve modes"
+                )
+            out[(kind, rest[:-1])] = q
+        return out
 
     def columns(self, labels, position: dict):
         """The column ``{row: value}`` of each domain basis label, in order.
@@ -112,17 +209,15 @@ class ModeTable:
             kind, label_mode = rest[-1]
             if label_mode != mode:
                 mode, values = label_mode, {}
-                coeffs = [
-                    prod(map(generalized_binomial, mode, c)) for c in self.probes
-                ]
+                coeffs = [self._binomial(mode, i) for i in range(len(self.probes))]
             key = rest[:-1]
             pair = values.get(key)
             if pair is None:
                 pair = values[key] = ({}, {})
                 items = iter(self.rows[key])
-                for i, part, fiber_key, q in zip(items, items, items, items):
+                for i, (part, fiber_key), q in zip(items, items, items):
                     if coeffs[i]:
-                        acc = pair[part]
+                        acc = pair[part == "s"]
                         acc[fiber_key] = acc.get(fiber_key, 0) + coeffs[i] * q
             a, b = pair
             # cos column: cos A + sin B; sin column: sin A - cos B

@@ -2,7 +2,8 @@
 
 The references are the dense linear algebra the sparse engine is compared
 against, the echelon quotients the unit-pivot reduction is compared
-against, the iterated commutator that defines operator orders, cos/sin
+against, the iterated commutator that defines operator orders, the Newton
+difference that the probe tables compute in place, cos/sin
 built through the JSON boundary, the form serializer and the plain and
 twisted de Rham complexes.
 """
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb, prod
 
 from cscx.cohomology import _form_complex
 from cscx.coefficients import (
@@ -153,6 +156,20 @@ def commutator_word(op, coords: list, payload: DifferentialForm) -> Differential
     left = commutator_word(op, rest, payload.times(head))
     right = commutator_word(op, rest, payload).times(head)
     return left - right
+
+
+def newton_difference(values: dict, c: tuple[int, ...]) -> dict:
+    """Delta^c f(0) = sum over d <= c of (-1)^|c-d| C(c, d) f(d), straight from the definition.
+
+    ``values`` maps lattice points d to sparse vectors ``{item: q}``; the
+    result drops zeros.
+    """
+    out: dict = {}
+    for d in product(*(range(ci + 1) for ci in c)):
+        weight = (-1) ** (sum(c) - sum(d)) * prod(map(comb, c, d))
+        for item, q in values[d].items():
+            out[item] = out.get(item, 0) + weight * q
+    return {item: q for item, q in out.items() if q}
 
 
 # -- dense linear algebra references ---------------------------------------------

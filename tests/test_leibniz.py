@@ -2,7 +2,7 @@
 
 ``rs_complex``, ``rumin_complex``, ``_form_complex`` and ``total_complex``
 assemble each operator from its values on probe sections, kept on the
-chart under ``(operator name, k)``: a ``grading.LeibnizTable`` on the poly
+chart under ``(operator name, k)``: a ``symbols.LeibnizTable`` on the poly
 ring, a ``symbols.ModeTable`` on the trig ring.  The reference applies the
 same operator to every basis section (``assemble_operator`` without a
 table).  The matrices must agree entry for entry, on the full truncation
@@ -11,10 +11,12 @@ reads each stated order back, so none is set higher than the operator.
 """
 
 from functools import partial
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cscx import cohomology
 from cscx.cli import main
@@ -25,7 +27,6 @@ from cscx.coefficients import TrigCoefficient
 from cscx.errors import InternalConsistencyError
 from cscx.grading import (
     GradedSpace,
-    LeibnizTable,
     Truncation,
     assemble_operator,
     leibniz_table,
@@ -35,7 +36,15 @@ from cscx.grading import (
 )
 from cscx.lefschetz import TwistedForm, standard_cs_chart
 from cscx.rumin import _MAX_ORDER, class_operator_order, rumin_apply, rumin_complex
-from cscx.symbols import ModeTable, generalized_binomial, probe_modes
+from cscx.symbols import (
+    LeibnizTable,
+    ModeTable,
+    generalized_binomial,
+    newton_differences,
+    probe_modes,
+)
+
+from helpers import newton_difference
 
 
 def _per_column(spaces, op_of, truncation):
@@ -84,6 +93,11 @@ def _total(cs):
 def _rumin(cc):
     struct = cc.two_step
     return partial(rumin_complex, cc), struct.class_spaces(), lambda k: partial(rumin_apply, struct, k)
+
+
+def _with_domain(matrices):
+    """The degrees whose operator has a domain section, hence a table."""
+    return [k for k, matrix in enumerate(matrices) if matrix.cols.dim]
 
 
 def _view(matrix):
@@ -161,8 +175,9 @@ def test_expansion_equals_per_column_assembly(model, n, bound, name, build):
         for k, (a, views) in enumerate(zip(single, by_block, strict=True)):
             empty = ((), (), {})
             assert _view(a) == views.get(block, empty), f"{name} degree {k} on block {block}"
-    # the expansion ran: the operators' tables are kept on their chart
-    assert sorted(k for key, k in chart.tables if key == name) == list(range(len(expanded)))
+    # the expansion ran: the tables of the operators with a domain section
+    # are kept on their chart
+    assert sorted(k for key, k in chart.tables if key == name) == _with_domain(expanded)
 
 
 STATED_ORDERS = {
@@ -193,12 +208,31 @@ def test_stated_orders_are_tight(name, build, n):
 
 def test_tables_are_kept_on_the_owner_and_reused():
     cs = standard_cs_chart(2)
-    rs_complex(cs, weight_truncation(3))
+    low = _with_domain(rs_complex(cs, weight_truncation(3)))
     tables = dict(cs.tables)
-    assert sorted(tables) == [("rs", k) for k in range(5)]
-    rs_complex(cs, Truncation.single(("w", 5)))
-    assert cs.tables == tables
+    assert sorted(tables) == [("rs", k) for k in low]
+    # block 5 reaches degrees that weights <= 3 leave empty: their tables
+    # are added, and the earlier ones are kept as they are
+    high = _with_domain(rs_complex(cs, Truncation.single(("w", 5))))
+    assert set(high) - set(low)
+    assert sorted(cs.tables) == [("rs", k) for k in sorted(set(low) | set(high))]
     assert all(cs.tables[key] is table for key, table in tables.items())
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [(rs_complex, "rs"), (total_complex, "total"), (lambda cs, t: _form_complex(cs, t, 0)[1], "de-rham")],
+    ids=["rs", "total", "de-rham"],
+)
+def test_no_table_for_an_operator_without_domain_sections(build, name):
+    # weights <= 2 leave the upper degrees empty; their operators have no
+    # column, so no probe runs for them
+    cs = standard_cs_chart(3)
+    matrices = build(cs, weight_truncation(2))
+    with_domain = _with_domain(matrices)
+    assert 0 < len(with_domain) < len(matrices)
+    assert sorted(k for key, k in cs.tables if key == name) == with_domain
+    assert all(not matrices[k].entries for k in range(len(matrices)) if k not in with_domain)
 
 
 def test_torus_tables_are_kept_on_the_chart_and_reused():
@@ -232,6 +266,41 @@ def test_generalized_binomial(m):
         assert generalized_binomial(m, c) * factorial(c) == falling
         if m > 0:
             assert generalized_binomial(-m, c) == (-1) ** c * comb(m + c - 1, c)
+
+
+def _simplex(draw, nvars, order):
+    return probe_modes(draw(st.integers(1, nvars)), draw(st.integers(0, order)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_newton_differences_match_the_definition(data):
+    probes = _simplex(data.draw, 4, 3)
+    vector = st.dictionaries(st.integers(0, 3), st.integers(-5, 5).filter(bool), max_size=4)
+    values = {c: data.draw(vector) for c in probes}
+    expected = {c: newton_difference(values, c) for c in probes}
+    newton_differences(values)
+    assert values == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_newton_expansion_reproduces_a_polynomial(data):
+    # sum over c of C(m, c) Delta^c P(0) = P(m) for deg P <= r, m of any sign
+    probes = _simplex(data.draw, 4, 3)
+    coefficients = {alpha: data.draw(st.integers(-4, 4)) for alpha in probes}
+
+    def poly(m):
+        return sum(q * prod(map(pow, m, alpha)) for alpha, q in coefficients.items())
+
+    values = {c: {0: poly(c)} if poly(c) else {} for c in probes}
+    newton_differences(values)
+    point = st.tuples(*(st.integers(-6, 6) for _ in probes[0]))
+    for m in data.draw(st.lists(point, min_size=1, max_size=5)):
+        expansion = sum(
+            prod(map(generalized_binomial, m, c)) * values[c].get(0, 0) for c in probes
+        )
+        assert expansion == poly(m)
 
 
 def test_an_operator_mixing_modes_is_refused_at_the_table():

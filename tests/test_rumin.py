@@ -1,11 +1,12 @@
 from fractions import Fraction
+from operator import add, mul
 
 import pytest
 
 from cscx import rumin
 from cscx.contact import lift_construction, standard_contact_chart
 from cscx.forms import basis_form, function_form, t_derivative, zero_form
-from cscx.grading import WordValues, weight_truncation
+from cscx.grading import weight_truncation
 from cscx.rumin import (
     class_operator_order,
     class_transport,
@@ -14,6 +15,7 @@ from cscx.rumin import (
     rumin_apply,
     rumin_complex,
 )
+from cscx.symbols import LeibnizTable
 
 from helpers import commutator_word, rng
 
@@ -114,37 +116,40 @@ class TestOrders:
 
 
 class TestMemoizedOrders:
-    """operator_order evaluates commutator words from memoized probe values."""
-
-    def _record_words(self, monkeypatch, struct, k):
-        seen = {}
-        evaluate = WordValues.__call__
-
-        def recording(values, key, exp, word):
-            seen[(key, exp, word)] = evaluate(values, key, exp, word)
-            return seen[(key, exp, word)]
-
-        monkeypatch.setattr(WordValues, "__call__", recording)
-        operator_order(struct, k)
-        return seen
+    """operator_order reads commutator words off the Newton differences of memoized probe values."""
 
     @pytest.mark.parametrize("k", range(5))
-    def test_memo_matches_commutator_word(self, monkeypatch, contact2, k):
+    def test_memo_matches_commutator_word(self, contact2, k):
+        # the difference at probe c, shifted back by x^c, is the commutator
+        # word of x^c's letters applied to the constant section v
         struct = contact2.two_step
-        seen = self._record_words(monkeypatch, struct, k)
-        assert any(len(word) == 3 for _, _, word in seen)
+        chart = contact2.chart
         space, codomain = struct.class_space(k), struct.class_space(k + 1)
-        coords = [contact2.chart.coord_coeff(a) for a in range(contact2.chart.dim)]
         op = lambda form: rumin_apply(struct, k, form)  # noqa: E731
-        for (key, exp, word), value in seen.items():
-            e = space.element((None, key + (("p", exp),)))
-            form = commutator_word(op, [coords[a] for a in word], e)
-            # the memo holds the word's coordinates as (block weight, fiber key, exponent)
-            expected = {
-                (block[1], rest[:-1], rest[-1][1]): q
-                for (block, rest), q in codomain.coordinates(form).items()
-            }
-            assert value == expected
+        table = LeibnizTable(space, codomain, op, rumin._MAX_ORDER)
+        assert max(map(sum, table.probes)) == 3
+        coords = [chart.coord_coeff(a) for a in range(chart.dim)]
+        zero = (0,) * chart.dim
+        seen = set()
+        for key, row in table.rows.items():
+            by_probe = {}
+            items = iter(row)
+            for i, (w, fiber_key, e), q in zip(items, items, items):
+                c = table.probes[i]
+                shifted = (w + sum(map(mul, c, chart.weights)), fiber_key, tuple(map(add, e, c)))
+                by_probe.setdefault(c, {})[shifted] = q
+            v = space.element((None, key + (("p", zero),)))
+            for c in table.probes:
+                letters = [coords[a] for a, times in enumerate(c) for _ in range(times)]
+                form = commutator_word(op, letters, v)
+                expected = {
+                    (block[1], rest[:-1], rest[-1][1]): q
+                    for (block, rest), q in codomain.coordinates(form).items()
+                }
+                assert by_probe.get(c, {}) == expected, (key, c)
+            seen.update(sum(c) for c in by_probe)
+        # the nonzero differences reach exactly the stated order
+        assert max(seen) == class_operator_order(2, k)
 
     @pytest.mark.parametrize("k", range(5))
     def test_one_apply_per_probe_label(self, monkeypatch, contact2, k):
