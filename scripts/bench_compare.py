@@ -19,7 +19,9 @@ median against the bound declared in BENCHMARK.json.  ``verdict`` is
 interquartile spread and ``unresolved`` otherwise: the runs cannot tell
 such a metric apart from noise.  On the claimed workload ``gain`` applies
 the rule for claiming a gain: the change wins at least nine tenths of the
-pairs and the verdict is ``better``.  Uses the standard library only.
+pairs and the verdict is ``better``.  When ``PYTHONDONTWRITEBYTECODE`` is
+set, a checkout holding ``src/cscx/__pycache__`` is refused (exit 2) before
+anything runs.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -50,6 +52,22 @@ def run_bench(checkout: Path, args: list[str]) -> dict:
     result = json.loads(lines[-1])
     result["env"] = env
     return result
+
+
+def stale_bytecode(*checkouts: Path) -> str | None:
+    """Why the checkouts cannot be compared, when bytecode writing is off.
+
+    With ``PYTHONDONTWRITEBYTECODE`` set a fresh checkout compiles all of
+    ``src/cscx`` on every run, while one holding a ``__pycache__`` does not,
+    so ``setup_s`` and ``peak_rss_mb`` would measure compilation.
+    """
+    if not os.environ.get("PYTHONDONTWRITEBYTECODE"):
+        return None
+    for checkout in checkouts:
+        cache = checkout / "src" / "cscx" / "__pycache__"
+        if cache.exists():
+            return f"{cache} holds bytecode but PYTHONDONTWRITEBYTECODE is set; delete it first"
+    return None
 
 
 def cpu_model() -> str:
@@ -127,6 +145,10 @@ def main() -> int:
     parser.add_argument("--claim", required=True, help="workload whose verdict_s gain is claimed")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
+    stale = stale_bytecode(args.parent, args.change)
+    if stale:
+        print(f"error: {stale}", file=sys.stderr)
+        return 2
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]

@@ -316,9 +316,12 @@ def _finish(build) -> None:
 
 def _parse_norms(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part != "")
+        norms = tuple(int(part) for part in text.split(",") if part != "")
     except ValueError as exc:
         raise ConfigError(f"cannot parse mode list {text!r}") from exc
+    if not norms:
+        raise ConfigError(f"--modes {text!r} names no sup-norm shell")
+    return norms
 
 
 def _truncated_config(

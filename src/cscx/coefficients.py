@@ -1,19 +1,22 @@
 """Exact scalar rings on charts.
 
-Two rings are provided, both with exact arithmetic and no floating point
-anywhere:
+One base and two rings, with exact arithmetic and no floating point
+anywhere.  ``_SparseCoefficient`` holds a sparse map ``terms`` from keys to
+nonzero rationals and everything that does not depend on what a key means:
+the ring check, sum, difference, negation, scaling, equality, hashing and
+the zero test.  Zero terms are pruned eagerly, so equality of canonical
+forms is exact equality of values.  Each ring adds its own constructor
+(which checks its keys), product, derivative and constant part:
 
-* ``PolyCoefficient`` -- multivariate polynomials over the rationals,
-  stored as a sparse map from exponent tuples to rationals.  The zero
-  polynomial is the empty map; zero terms are pruned eagerly so equality
-  of canonical forms is exact equality of values.
+* ``PolyCoefficient`` -- multivariate polynomials over the rationals, keyed
+  by exponent tuples; it also evaluates, substitutes, pads and restricts.
 
-* ``TrigCoefficient`` -- finite real Fourier sums over ``Z^m``, stored as
-  a sparse map from ``("c", m)`` (cos m.theta) and ``("s", m)`` (sin m.theta)
-  to rationals, one key per mode orbit {m, -m} and function; products
-  follow the product-to-sum rules.  The JSON format keeps the complex
-  coefficients c(k) of e^{ik.theta}; ``coefficient_from_json`` checks the
-  reality constraint ``c(-k) == conj(c(k))`` and converts them.
+* ``TrigCoefficient`` -- finite real Fourier sums over ``Z^m``, keyed by
+  ``("c", m)`` (cos m.theta) and ``("s", m)`` (sin m.theta), one key per
+  mode orbit {m, -m} and function; products follow the product-to-sum
+  rules.  The JSON format keeps the complex coefficients c(k) of
+  e^{ik.theta}; ``coefficient_from_json`` checks the reality constraint
+  ``c(-k) == conj(c(k))`` and converts them.
 
 A rational is a Python ``int`` when it is integral and a
 ``fractions.Fraction`` otherwise.  Almost every structure constant on the
@@ -97,12 +100,64 @@ def trig_ring(nvars: int) -> Ring:
     return Ring("trig", nvars)
 
 
-class PolyCoefficient:
-    """Sparse multivariate polynomial over the rationals."""
+class _SparseCoefficient:
+    """Shared storage and additive arithmetic of both rings.
+
+    ``terms`` is a sparse map from a ring's keys (exponents or cos/sin
+    modes) to nonzero rationals; each ring's constructor checks its keys.
+    """
 
     __slots__ = ("nvars", "terms")
 
+    _operands: str  # names the ring in a mismatch message
+
+    def _check(self, other) -> None:
+        if type(other) is not type(self) or other.nvars != self.nvars:
+            raise RingMismatchError(f"{self._operands} operands from different rings")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            out[key] = out[key] + coeff if key in out else coeff
+        return type(self)(self.nvars, out)
+
+    def __sub__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            out[key] = out[key] - coeff if key in out else -coeff
+        return type(self)(self.nvars, out)
+
+    def __neg__(self):
+        return type(self)(self.nvars, {k: -c for k, c in self.terms.items()})
+
+    def scale(self, q: Rational):
+        if q == 0:
+            return type(self)(self.nvars, {})
+        return type(self)(self.nvars, {k: c * q for k, c in self.terms.items()})
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and other.nvars == self.nvars
+            and other.terms == self.terms
+        )
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+class PolyCoefficient(_SparseCoefficient):
+    """Sparse multivariate polynomial over the rationals."""
+
+    __slots__ = ()
+
     kind = "poly"
+    _operands = "polynomial"
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Rational]):
         self.nvars = nvars
@@ -117,29 +172,6 @@ class PolyCoefficient:
             clean[exp] = coeff if type(coeff) is int else canon(coeff)
         self.terms = clean
 
-    # -- ring structure -------------------------------------------------
-
-    def _check(self, other: "PolyCoefficient") -> None:
-        if not isinstance(other, PolyCoefficient) or other.nvars != self.nvars:
-            raise RingMismatchError("polynomial operands from different rings")
-
-    def __add__(self, other: "PolyCoefficient") -> "PolyCoefficient":
-        self._check(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            out[exp] = out.get(exp, 0) + coeff
-        return PolyCoefficient(self.nvars, out)
-
-    def __sub__(self, other: "PolyCoefficient") -> "PolyCoefficient":
-        self._check(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            out[exp] = out.get(exp, 0) - coeff
-        return PolyCoefficient(self.nvars, out)
-
-    def __neg__(self) -> "PolyCoefficient":
-        return PolyCoefficient(self.nvars, {e: -c for e, c in self.terms.items()})
-
     def __mul__(self, other: "PolyCoefficient") -> "PolyCoefficient":
         self._check(other)
         out: dict[Exponent, Rational] = {}
@@ -148,24 +180,6 @@ class PolyCoefficient:
                 key = tuple(x + y for x, y in zip(ea, eb))
                 out[key] = out.get(key, 0) + ca * cb
         return PolyCoefficient(self.nvars, out)
-
-    def scale(self, q: Rational) -> "PolyCoefficient":
-        if q == 0:
-            return PolyCoefficient(self.nvars, {})
-        return PolyCoefficient(self.nvars, {e: c * q for e, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PolyCoefficient)
-            and other.nvars == self.nvars
-            and other.terms == self.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -250,7 +264,7 @@ class PolyCoefficient:
         return all(not any(exp) for exp in self.terms)
 
 
-class TrigCoefficient:
+class TrigCoefficient(_SparseCoefficient):
     """Finite real Fourier sum, a sparse map from ``(kind, mode)`` to a rational.
 
     ``("c", m)`` is cos(m . theta) and ``("s", m)`` is sin(m . theta), where m
@@ -258,9 +272,10 @@ class TrigCoefficient:
     constant function is ``("c", 0...0)``; there is no ``("s", 0...0)``.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ()
 
     kind = "trig"
+    _operands = "trig"
 
     def __init__(self, nvars: int, terms: Mapping[TrigTerm, Rational]):
         self.nvars = nvars
@@ -274,27 +289,6 @@ class TrigCoefficient:
                 )
             clean[term] = coeff if type(coeff) is int else canon(coeff)
         self.terms = clean
-
-    def _check(self, other: "TrigCoefficient") -> None:
-        if not isinstance(other, TrigCoefficient) or other.nvars != self.nvars:
-            raise RingMismatchError("trig operands from different rings")
-
-    def __add__(self, other: "TrigCoefficient") -> "TrigCoefficient":
-        self._check(other)
-        out = dict(self.terms)
-        for term, coeff in other.terms.items():
-            out[term] = out[term] + coeff if term in out else coeff
-        return TrigCoefficient(self.nvars, out)
-
-    def __sub__(self, other: "TrigCoefficient") -> "TrigCoefficient":
-        self._check(other)
-        out = dict(self.terms)
-        for term, coeff in other.terms.items():
-            out[term] = out[term] - coeff if term in out else -coeff
-        return TrigCoefficient(self.nvars, out)
-
-    def __neg__(self) -> "TrigCoefficient":
-        return TrigCoefficient(self.nvars, {t: -c for t, c in self.terms.items()})
 
     def __mul__(self, other: "TrigCoefficient") -> "TrigCoefficient":
         """Product to sum: each pair of terms gives the modes a + b and a - b.
@@ -317,22 +311,6 @@ class TrigCoefficient:
                     _accumulate(out, "s", plus, prod)
                     _accumulate(out, "s", minus, prod if ka == "s" else -prod)
         return TrigCoefficient(self.nvars, {t: Fraction(v, 2) for t, v in out.items()})
-
-    def scale(self, q: Rational) -> "TrigCoefficient":
-        return TrigCoefficient(self.nvars, {t: c * q for t, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TrigCoefficient)
-            and other.nvars == self.nvars
-            and other.terms == self.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __repr__(self) -> str:
         if not self.terms:

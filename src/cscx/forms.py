@@ -151,6 +151,8 @@ def _base_names(n: int) -> tuple[str, ...]:
 
 
 # -- index combinatorics (single source of sign truth) ----------------------
+# Every wedge sign comes from ``merge_wedge`` and every contraction sign,
+# for forms and fiber maps alike, from ``contract_axes``.
 
 
 def multi_indices(m: int, k: int) -> list[MultiIndex]:
@@ -173,14 +175,22 @@ def merge_wedge(left: MultiIndex, right: MultiIndex) -> tuple[int, MultiIndex] |
     return sign, tuple(merged)
 
 
-def contract_axis(key: MultiIndex, axis: int) -> tuple[int, MultiIndex] | None:
-    """Sign and key for inserting d/d(axis) into the first slot of dx^key."""
-    try:
-        pos = key.index(axis)
-    except ValueError:
-        return None
-    sign = -1 if pos % 2 else 1
-    return sign, key[:pos] + key[pos + 1 :]
+def contract_axes(key: MultiIndex, axes: MultiIndex) -> tuple[int, MultiIndex] | None:
+    """Sign and key for inserting d/d(axes[0]), d/d(axes[1]), ... in turn into dx^key.
+
+    Each insertion fills the first slot of what the previous one left, so
+    axes (a, b) act as phi |-> phi(d/da, d/db, ...); None when an axis is absent.
+    """
+    sign = 1
+    for axis in axes:
+        try:
+            pos = key.index(axis)
+        except ValueError:
+            return None
+        if pos % 2:
+            sign = -sign
+        key = key[:pos] + key[pos + 1 :]
+    return sign, key
 
 
 def validate_key(key: MultiIndex, degree: int, dim: int) -> None:
@@ -385,8 +395,8 @@ def t_derivative(omega: DifferentialForm, scale: Rational = 1) -> DifferentialFo
 def interior_product(P: PolyVectorField, omega: DifferentialForm) -> DifferentialForm:
     """Contraction by a degree-1 or degree-2 polyvector field.
 
-    Degree 2 uses the first-slots convention: a term on axes (a, b) acts as
-    phi |-> phi(d/da, d/db, ...).
+    Degree 2 uses the first-slots convention of ``contract_axes``: a term on
+    axes (a, b) acts as phi |-> phi(d/da, d/db, ...).
     """
     P._check(omega)
     if omega.degree < P.degree:
@@ -396,21 +406,10 @@ def interior_product(P: PolyVectorField, omega: DifferentialForm) -> Differentia
     out: dict[MultiIndex, Coefficient] = {}
     for pkey, pcoeff in P.terms.items():
         for key, coeff in omega.terms.items():
-            if P.degree == 1:
-                hit = contract_axis(key, pkey[0])
-                if hit is None:
-                    continue
-                sign, new_key = hit
-            else:
-                first = contract_axis(key, pkey[0])
-                if first is None:
-                    continue
-                s1, mid = first
-                second = contract_axis(mid, pkey[1])
-                if second is None:
-                    continue
-                s2, new_key = second
-                sign = s1 * s2
+            hit = contract_axes(key, pkey)
+            if hit is None:
+                continue
+            sign, new_key = hit
             piece = (pcoeff * coeff).scale(sign)
             out[new_key] = out[new_key] + piece if new_key in out else piece
     return DifferentialForm(omega.chart, omega.degree - P.degree, out, validated=True)

@@ -48,7 +48,7 @@ from .forms import (
     PolyVectorField,
     affine_cs_chart,
     basis_form,
-    contract_axis,
+    contract_axes,
     interior_product,
     merge_wedge,
     multi_indices,
@@ -176,18 +176,14 @@ class FiberCalculus:
             P = self.inverse_bivector()
             entries: dict[tuple[int, int], Rational] = {}
             for col, key in enumerate(self.indices(k)):
-                for (a, b), v in P.items():
-                    first = contract_axis(key, a)
-                    if first is None:
+                for axes, v in P.items():
+                    hit = contract_axes(key, axes)
+                    if hit is None:
                         continue
-                    s1, mid = first
-                    second = contract_axis(mid, b)
-                    if second is None:
-                        continue
-                    s2, new_key = second
+                    sign, new_key = hit
                     row = self.position(k - 2, new_key)
                     entry = (row, col)
-                    entries[entry] = entries.get(entry, 0) + v * s1 * s2
+                    entries[entry] = entries.get(entry, 0) + v * sign
             self._insert[k] = FiberMap(entries)
         return self._insert[k]
 

@@ -172,6 +172,20 @@ def newton_difference(values: dict, c: tuple[int, ...]) -> dict:
     return {item: q for item, q in out.items() if q}
 
 
+def contract_axis(key: tuple[int, ...], axis: int) -> tuple[int, tuple[int, ...]] | None:
+    """Sign and key for inserting d/d(axis) into the first slot of dx^key; one axis only.
+
+    The reference for ``forms.contract_axes``: a degree-2 contraction is two
+    of these in turn, the signs multiplied.
+    """
+    try:
+        pos = key.index(axis)
+    except ValueError:
+        return None
+    sign = -1 if pos % 2 else 1
+    return sign, key[:pos] + key[pos + 1 :]
+
+
 # -- dense linear algebra references ---------------------------------------------
 
 

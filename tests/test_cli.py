@@ -340,6 +340,20 @@ class TestCliCommands:
         assert len(result.stderr.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "command", [["cohomology"], ["les"], ["rs", "build"]], ids=["cohomology", "les", "rs-build"]
+    )
+    @pytest.mark.parametrize("modes", ["", ",", ",,"], ids=["empty", "comma", "commas"])
+    def test_empty_mode_list_exit_2_with_one_line(self, runner, command, modes):
+        # an empty list must not fall back to the constant shell the report does not name
+        argv = command + ["--model", "torus", "--n", "2", "--modes", modes, "--sample-modes", "0"]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "names no sup-norm shell" in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["rs", "build", "--model", "affine", "--max-weight", "1", "--sample-modes", "3"],
@@ -729,3 +743,25 @@ class TestReportFingerprint:
         assert result.returncode == 1, result.stderr
         lines = result.stdout.strip().splitlines()
         assert lines and all(line.startswith("no-report(exit 1)  ") for line in lines)
+
+
+class TestBenchCompare:
+    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_compare.py"
+
+    def test_stale_bytecode_is_refused_before_anything_runs(self, tmp_path):
+        # neither checkout holds BENCHMARK.json or perfbench: any run would fail differently
+        parent, change = tmp_path / "parent", tmp_path / "change"
+        (parent / "src" / "cscx" / "__pycache__").mkdir(parents=True)
+        (change / "src" / "cscx").mkdir(parents=True)
+        result = subprocess.run(
+            [sys.executable, str(self.SCRIPT), "--parent", str(parent), "--change", str(change),
+             "--claim", "contact-verify", "--out", str(tmp_path / "out.json")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert result.returncode != 0
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1, result.stderr
+        assert str(parent / "src" / "cscx" / "__pycache__") in lines[0]
+        assert "PYTHONDONTWRITEBYTECODE" in lines[0]
+        assert not (tmp_path / "out.json").exists()

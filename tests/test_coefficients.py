@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,58 @@ class TestMixedScalars:
         for got, reference in pairs:
             assert got == reference
             assert _canonical(got) and _canonical(reference)
+
+
+OPERANDS = {"poly": "polynomial", "trig": "trig"}
+
+
+class TestSharedArithmetic:
+    """The sparse-term arithmetic both rings share behaves alike on each."""
+
+    @pytest.mark.parametrize("kind", ["poly", "trig"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_additive_identities(self, kind, data):
+        a = data.draw(mixed_coefficients(kind))
+        b = data.draw(mixed_coefficients(kind))
+        assert a - b == a + (-b)
+        assert -(-a) == a
+        assert a.scale(0).is_zero()
+        assert (a - a).is_zero()
+
+    @pytest.mark.parametrize("kind", ["poly", "trig"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equal_values_hash_equal_whatever_the_insertion_order(self, kind, data):
+        a = data.draw(mixed_coefficients(kind))
+        items = list(a.terms.items())
+        shuffled = data.draw(st.permutations(items))
+        b = type(a)(a.nvars, dict(shuffled))
+        assert b == a and hash(b) == hash(a)
+        assert type(a)(a.nvars, dict(reversed(items))) == a
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_coefficients("poly"), mixed_coefficients("trig"))
+    def test_poly_and_trig_do_not_mix(self, p, t):
+        for left, right in ((p, t), (t, p)):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(RingMismatchError, match=f"{OPERANDS[left.kind]} operands"):
+                    op(left, right)
+            assert left != right
+
+    @pytest.mark.parametrize("kind", ["poly", "trig"])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
+    def test_different_variable_counts_raise(self, kind, op):
+        ring = poly_ring if kind == "poly" else trig_ring
+        with pytest.raises(RingMismatchError, match=f"^{OPERANDS[kind]} operands from different rings$"):
+            op(ring(4).one(), ring(3).one())
+        assert ring(4).zero() != ring(3).zero()
+
+    def test_constructor_key_length_messages(self):
+        with pytest.raises(InvalidAxisError, match="^exponent vector of length 3 in a 4-variable ring$"):
+            PolyCoefficient(4, {(1, 0, 0): 1})
+        with pytest.raises(InvalidAxisError, match="^frequency vector of length 3 in a 4-variable ring$"):
+            TrigCoefficient(4, {("c", (1, 0, 0)): 1})
 
 
 class TestDerivative:

@@ -9,7 +9,7 @@ from cscx import contact, lefschetz
 from cscx.contact import standard_contact_chart
 from cscx.descent import rs_apply, rs_complex, standard_pair
 from cscx.errors import CsStructureError, InternalConsistencyError, NonPrimitiveError
-from cscx.forms import affine_cs_chart, basis_form
+from cscx.forms import affine_cs_chart, basis_form, interior_product
 from cscx.grading import mode_truncation, weight_truncation
 from cscx.lefschetz import CsChart, fiber_from_form, is_primitive, standard_cs_chart, standard_omega
 from cscx.rumin import rumin_complex
@@ -113,6 +113,20 @@ class TestFiberMaps:
             if n < k <= 2 * n - 2:
                 assert not _compose(p, fib.insertion_map(k + 2))
             assert dense_rank(_dense(p, fib.dim(k))) == fib.primitive_dim(k)
+
+    def test_insertion_map_is_the_interior_product_of_the_inverse_bivector(self, n):
+        # the fiber layer and the form layer contract through one sign routine;
+        # each column is read back off the form-level contraction of a basis form
+        cs = standard_cs_chart(n)
+        fib, P = cs.fiber, cs.inverse_bivector_field()
+        for k in range(2, 2 * n + 1):
+            expected = {}
+            for col, key in enumerate(fib.indices(k)):
+                image = interior_product(P, basis_form(cs.chart, key))
+                for new_key, coeff in image.terms.items():
+                    assert coeff.is_constant()
+                    expected[(fib.position(k - 2, new_key), col)] = coeff.constant_part()
+            assert dict(fib.insertion_map(k)) == expected
 
     def test_middle_inverse_inverts_middle_wedge(self, n):
         fib = standard_cs_chart(n).fiber

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cscx.errors import ChartMismatchError, DegreeError, ReebInvarianceError
 from cscx.forms import (
     PolyVectorField,
     affine_cs_chart,
     basis_form,
+    contract_axes,
     coordinate_vector,
     exterior_derivative,
     form_from_json,
@@ -20,7 +23,7 @@ from cscx.forms import (
 from cscx.descent import iso_down
 from cscx.grading import GradedSpace
 
-from helpers import form_to_json, random_base_form, random_form, rng
+from helpers import contract_axis, form_to_json, random_base_form, random_form, rng
 
 AFFINE = affine_cs_chart(2)
 TORUS = torus_cs_chart(2)
@@ -118,6 +121,21 @@ class TestInteriorProduct:
             inner = interior_product(coordinate_vector(AFFINE, a), omega)
             total = total + interior_product(coordinate_vector(AFFINE, b), inner)
         assert got == total
+
+    @given(
+        st.lists(st.integers(0, 5), max_size=6, unique=True).map(lambda k: tuple(sorted(k))),
+        st.lists(st.integers(0, 5), min_size=1, max_size=2).map(tuple),
+    )
+    def test_contract_axes_matches_one_axis_at_a_time(self, key, axes):
+        # axes may be absent from the key or repeat (a, a); both give None
+        expected = (1, key)
+        for axis in axes:
+            hit = contract_axis(expected[1], axis)
+            if hit is None:
+                expected = None
+                break
+            expected = (expected[0] * hit[0], hit[1])
+        assert contract_axes(key, axes) == expected
 
     def test_degree_underflow(self):
         P = PolyVectorField(AFFINE, 2, {(0, 1): AFFINE.one_coeff()})
