@@ -88,11 +88,13 @@ class RunConfig:
         else:
             if self.max_weight is None or self.max_weight < 0:
                 raise ConfigError("affine truncation needs --max-weight >= 0")
-            # at weight 0 every operator matrix has zero rows, so nothing is compared
-            if self.pipeline in ("rumin-verify", "rs-crosscheck") and self.max_weight < 1:
+            # below this bound every matrix the pipeline compares has zero rows:
+            # every operator at weight 0, every d∘d composite of rumin verify at 1
+            least = {"rumin-verify": 2, "rs-crosscheck": 1}.get(self.pipeline, 0)
+            if self.max_weight < least:
                 raise ConfigError(
-                    f"{self.pipeline} needs --max-weight >= 1: at 0 every operator "
-                    "matrix has zero rows, so nothing would be compared"
+                    f"{self.pipeline} needs --max-weight >= {least}: below it every matrix "
+                    "it compares has zero rows, so nothing would be compared"
                 )
         if self.sample_count < 0:
             raise ConfigError("sample count must be nonnegative")
@@ -155,8 +157,12 @@ def _cs_chart(config: RunConfig):
 
 def _pipeline_rumin_verify(config: RunConfig):
     cc = standard_contact_chart(config.n)
-    truncation = weight_truncation(config.max_weight)
-    mats = rumin_complex(cc, truncation)
+    # one probe pass: the orders are read off fresh order-3 tables, and the
+    # complex off their prefixes at the stated orders
+    tables = [operator_order(cc.two_step, k) for k in range(2 * config.n + 1)]
+    expected = [class_operator_order(config.n, k) for k in range(len(tables))]
+    cc.tables.update((("rumin", k), t.prefix(r)) for k, (t, r) in enumerate(zip(tables, expected)))
+    mats = rumin_complex(cc, weight_truncation(config.max_weight))
     failure = first_nonzero_composite(mats)
     composites_zero = failure is None
     first_failure = None
@@ -164,8 +170,7 @@ def _pipeline_rumin_verify(config: RunConfig):
         k, composite = failure
         (row, col), value = min(composite.entries.items())
         first_failure = {"degree": k, "entry": [row, col, str(value)]}
-    orders = [operator_order(cc.two_step, k) for k in range(2 * config.n + 1)]
-    expected = [class_operator_order(config.n, k) for k in range(2 * config.n + 1)]
+    orders = [table.measured_order() for table in tables]
     body = {
         "ranks": [m.rank() for m in mats],
         "shapes": [list(m.shape) for m in mats],

@@ -133,6 +133,9 @@ class _SparseCoefficient:
         return type(self)(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def scale(self, q: Rational):
+        # the int 1, mostly a wedge or contraction sign; terms are never written to
+        if q == 1 and type(q) is int:
+            return self
         if q == 0:
             return type(self)(self.nvars, {})
         return type(self)(self.nvars, {k: c * q for k, c in self.terms.items()})

@@ -405,6 +405,8 @@ def leibniz_table(owner, key, domain, codomain, op, order: int):
     ``(operator name, k)``.  On the poly ring it is a ``symbols.LeibnizTable``,
     on the trig ring a ``symbols.ModeTable``.  The table is built on first
     use, serves every later block and column, and goes away with its owner.
+    A table kept there beforehand is used as it is: ``rumin verify`` keeps
+    the prefixes of its order-measuring tables (``_ProbeTable.prefix``).
     """
     table = owner.tables.get(key)
     if table is None:

@@ -174,9 +174,9 @@ def class_operator_order(n: int, k: int) -> int:
     Below the middle the operator is the primitive projection of dH, above
     it -dH: one derivative between constant fiber maps.  At the middle it is
     dH after the constant middle inverse after dH, plus the Lie term: two
-    derivatives.  Criterion 8 checks these against ``operator_order``, which
-    reads each order off a table of order ``_MAX_ORDER`` = 3, exact for
-    orders up to 3.
+    derivatives.  Criterion 8 checks these against ``operator_order``, whose
+    table of order ``_MAX_ORDER`` = 3 reads each order, exact for orders up
+    to 3.
     """
     return 2 if k == n else 1
 
@@ -203,29 +203,30 @@ def rumin_complex(cc: ContactChart, truncation: Truncation) -> list[OperatorMatr
 _MAX_ORDER = 3
 
 
-def operator_order(struct: TwoStepStructure, k: int) -> int:
-    """Measured differential order of the degree-k operator, exact up to ``_MAX_ORDER``.
+def operator_order(struct: TwoStepStructure, k: int) -> LeibnizTable:
+    """The order-measuring table of the degree-k operator, exact up to ``_MAX_ORDER``.
 
     Builds one fresh ``LeibnizTable`` of the operator at order R =
     ``_MAX_ORDER`` (not the chart's, so the measurement does not lean on
-    ``class_operator_order``) and returns its largest probe |b| with a
-    nonzero difference, x^(-b) (ad^b L)(v).  Write L = sum a_alpha(x)
-    d^alpha with polynomial matrix coefficients.  On a constant fiber
-    section v only the term alpha = b of ad^b L survives, so the probe b is
-    nonzero exactly when a_b is: the table reads the largest |alpha| <= R
-    with a_alpha != 0.  For an operator of order r <= R this is r:
-    ad^b L = 0 whenever |b| > r, and for some |b| = r, ad^b L is a nonzero
-    order-0 operator, which is nonzero on a section of the constant
+    ``class_operator_order``); its ``measured_order()`` is the largest probe
+    |b| with a nonzero difference, x^(-b) (ad^b L)(v).  Write L = sum
+    a_alpha(x) d^alpha with polynomial matrix coefficients.  On a constant
+    fiber section v only the term alpha = b of ad^b L survives, so the probe
+    b is nonzero exactly when a_b is: the table reads the largest
+    |alpha| <= R with a_alpha != 0.  For an operator of order r <= R this
+    is r: ad^b L = 0 whenever |b| > r, and for some |b| = r, ad^b L is a
+    nonzero order-0 operator, which is nonzero on a section of the constant
     primitive frame.  An order above R, or a code path that is not a
     differential operator (a branch on the exponent, say), escapes the
-    table; the direct column checks of the assembly stay for that.
+    table; the direct column checks of the assembly stay for that.  Its
+    ``prefix(r)`` is the order-r table, which ``rumin verify`` assembles its
+    complex from; nothing here keeps the table on the chart.
     """
     if struct.chart.ring.kind != "poly":
         raise DegreeError("the order test multiplies by coordinates (poly ring only)")
-    table = LeibnizTable(
+    return LeibnizTable(
         struct.class_space(k), struct.class_space(k + 1), partial(rumin_apply, struct, k), _MAX_ORDER
     )
-    return table.measured_order()
 
 
 # -- transporting classes along a lifted substitution ----------------------------

@@ -11,7 +11,11 @@ read off by Newton's forward-difference formula
 
 with generalized binomials C(p, c) = prod_i C(p_i, c_i).  It is exact for
 any integer point p, negative entries too: both sides are polynomials in p
-of degree <= r and agree on every point with nonnegative entries.
+of degree <= r and agree on every point with nonnegative entries.  Delta^c
+f(0) reads f only at the points c' <= c, and the simplex |c| <= r is
+downward closed and comes first in the probe order, so the rows at
+|c| <= r of a table of order R >= r are the order-r table's rows:
+``prefix`` cuts them off without running the operator.
 
 On the poly ring (``LeibnizTable``) the probe of v at c is x^c v and
 f(c) = x^(-c) L(x^c v).  Its difference Delta^b f(0) is x^(-b) (ad^b L)(v),
@@ -35,8 +39,10 @@ cos(c.theta) v, and f(c) holds A(c) v and B(c) v.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from copy import copy
 from itertools import product
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .coefficients import Rational
 from .errors import InternalConsistencyError, NonPrimitiveError
@@ -89,11 +95,11 @@ def newton_differences(values: dict[tuple[int, ...], dict]) -> None:
 class _ProbeTable:
     """The Newton differences of one operator of order r, per fiber key of its domain.
 
-    The table keeps nothing else: per fiber key, one flat tuple ``(probe
-    index, item, value, probe index, ...)`` of the nonzero entries of the
-    differences, in probe order.  Each subclass's ``_probe(domain,
-    codomain, op, key, c)`` gives one probe's image as ``{item: value}``,
-    relative to the probe.
+    The table keeps nothing else: per fiber key, one group ``(probe index,
+    items)`` per probe with a nonzero difference, in probe order, where
+    ``items`` holds the difference's nonzero entries as ``(item, value)``
+    pairs.  Each subclass's ``_probe(domain, codomain, op, key, c)`` gives
+    one probe's image as ``{item: value}``, relative to the probe.
     """
 
     __slots__ = ("order", "probes", "supports", "rows")
@@ -107,15 +113,21 @@ class _ProbeTable:
         for key in domain.fiber_keys():
             values = {c: self._probe(domain, codomain, op, key, c) for c in self.probes}
             newton_differences(values)
-            row: list = []
-            for i, c in enumerate(self.probes):
-                for item, q in values[c].items():
-                    row += (i, item, q)
-            self.rows[key] = tuple(row)
+            self.rows[key] = tuple(
+                (i, tuple(values[c].items())) for i, c in enumerate(self.probes) if values[c]
+            )
 
     def measured_order(self) -> int:
-        """Largest |c| with a nonzero difference (0 for the zero operator)."""
-        return max((sum(self.probes[i]) for row in self.rows.values() for i in row[::3]), default=0)
+        """Largest |c| with a nonzero difference, in each row's last group (0 if none)."""
+        return max((sum(self.probes[row[-1][0]]) for row in self.rows.values() if row), default=0)
+
+    def prefix(self, order: int):
+        """The order-r table of the same operator, r <= ``self.order``: its groups at |c| <= r."""
+        count = len(probe_modes(len(self.probes[0]), order))
+        out = copy(self)
+        out.order, out.probes, out.supports = order, self.probes[:count], self.supports[:count]
+        out.rows = {key: row[: bisect_left(row, count, key=itemgetter(0))] for key, row in self.rows.items()}
+        return out
 
     def _binomial(self, point: tuple[int, ...], i: int) -> int:
         """C(point, c) for the probe c of index i, the weight of its rows at ``point``."""
@@ -159,19 +171,16 @@ class LeibnizTable(_ProbeTable):
             exp = rest[-1][1]
             weight = sum(map(mul, exp, self.weights))
             column: dict[int, Rational] = {}
-            items = iter(self.rows[rest[:-1]])
-            # the rows of one probe are consecutive
-            last = coeff = None
-            for i, (w, fiber_key, e), q in zip(items, items, items):
-                if i != last:
-                    last, coeff = i, self._binomial(exp, i)
+            for i, items in self.rows[rest[:-1]]:
+                coeff = self._binomial(exp, i)
                 if not coeff:
                     continue
-                label = (("w", w + weight), fiber_key + (("p", tuple(map(add, e, exp))),))
-                row = position.get(label)
-                if row is None:
-                    raise NonPrimitiveError(f"component {label} lies outside the truncation")
-                column[row] = column.get(row, 0) + coeff * q
+                for (w, fiber_key, e), q in items:
+                    label = (("w", w + weight), fiber_key + (("p", tuple(map(add, e, exp))),))
+                    row = position.get(label)
+                    if row is None:
+                        raise NonPrimitiveError(f"component {label} lies outside the truncation")
+                    column[row] = column.get(row, 0) + coeff * q
             yield {row: v for row, v in column.items() if v}
 
 
@@ -214,11 +223,11 @@ class ModeTable(_ProbeTable):
             pair = values.get(key)
             if pair is None:
                 pair = values[key] = ({}, {})
-                items = iter(self.rows[key])
-                for i, (part, fiber_key), q in zip(items, items, items):
+                for i, items in self.rows[key]:
                     if coeffs[i]:
-                        acc = pair[part == "s"]
-                        acc[fiber_key] = acc.get(fiber_key, 0) + coeffs[i] * q
+                        for (part, fiber_key), q in items:
+                            acc = pair[part == "s"]
+                            acc[fiber_key] = acc.get(fiber_key, 0) + coeffs[i] * q
             a, b = pair
             # cos column: cos A + sin B; sin column: sin A - cos B
             if kind == "c":

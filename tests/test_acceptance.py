@@ -154,7 +154,7 @@ def test_criterion_8_operator_orders():
     """Every operator has order one except the middle one, which has order two."""
     for n in (2, 3):
         struct = standard_contact_chart(n).two_step
-        orders = [operator_order(struct, k) for k in range(2 * n + 1)]
+        orders = [operator_order(struct, k).measured_order() for k in range(2 * n + 1)]
         expected = [2 if k == n else 1 for k in range(2 * n + 1)]
         assert orders == expected, f"n={n}: measured orders {orders}"
     _report(8, "commutator test classifies orders as 1 except 2 in the middle (n=2,3)")

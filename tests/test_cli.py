@@ -9,13 +9,13 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from cscx import contact, descent
+from cscx import cli, contact, descent, rumin
 from cscx.claims import MAX_N, MAX_WEIGHT
 from cscx.cli import RunConfig, main, run_suite
 from cscx.descent import descend_complex, rs_complex, ss_fallback
 from cscx.errors import ConfigError, InternalConsistencyError
 from cscx.grading import GradedSpace, weight_truncation
-from cscx.lefschetz import TwistedForm
+from cscx.lefschetz import TwistedForm, standard_cs_chart
 from cscx.linalg import OperatorMatrix
 from cscx.rumin import rumin_complex
 
@@ -194,6 +194,34 @@ class TestRunSuite:
         assert report["result"]["composites_zero"]
         assert report["result"]["orders"] == [1, 1, 2, 1, 1]
 
+    def test_rumin_verify_runs_one_probe_pass(self, monkeypatch):
+        # the order tables are the only probe pass: the complex reads their
+        # prefixes, and rumin_apply runs again only for the direct column checks
+        calls = []
+        probes = []
+        apply, measure = rumin.rumin_apply, cli.operator_order
+
+        def counting(struct, k, payload):
+            calls.append(k)
+            return apply(struct, k, payload)
+
+        def measuring(struct, k):
+            before = len(calls)
+            table = measure(struct, k)
+            probes.append(len(calls) - before)
+            return table
+
+        monkeypatch.setattr(rumin, "rumin_apply", counting)
+        monkeypatch.setattr(cli, "operator_order", measuring)
+        code, report = run_suite(
+            RunConfig(pipeline="rumin-verify", model="contact-affine", n=2, max_weight=6)
+        )
+        assert code == 0 and report["result"]["orders"] == [1, 1, 2, 1, 1]
+        # the primitive fiber dims 1, 4, 5, 5, 4 times the 56 probes |c| <= 3 on R^5
+        assert probes == [56 * dim for dim in (1, 4, 5, 5, 4)] and sum(probes) == 1064
+        # plus one direct column per nonempty block of each degree: 23 at w <= 6
+        assert len(calls) == 1087
+
     def test_crosscheck_small(self):
         code, report = run_suite(
             RunConfig(pipeline="rs-crosscheck", model="cs-affine", n=2, max_weight=3)
@@ -371,16 +399,34 @@ class TestCliCommands:
         assert len(result.stderr.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "command", [["rumin", "verify"], ["rs", "crosscheck"]], ids=["rumin-verify", "rs-crosscheck"]
+        "command, least",
+        [(["rumin", "verify"], 2), (["rs", "crosscheck"], 1)],
+        ids=["rumin-verify", "rs-crosscheck"],
     )
-    def test_weight_zero_comparison_exit_2_with_one_line(self, runner, command):
+    def test_weight_zero_comparison_exit_2_with_one_line(self, runner, command, least):
         # at weight 0 every operator matrix has zero rows: a pass would compare nothing
         result = runner.invoke(main, command + ["--n", "2", "--max-weight", "0"])
         assert result.exit_code == 2, result.output
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
-        assert "--max-weight >= 1" in result.stderr
+        assert f"--max-weight >= {least}" in result.stderr
         assert len(result.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_weight_one_rumin_verify_exit_2_with_one_line(self, runner, n):
+        # at weight 1 every composite D_(k+1) D_k has zero rows: d∘d would compare nothing
+        mats = rumin_complex(contact.standard_contact_chart(n), weight_truncation(1))
+        assert all(later.rows.dim == 0 for later in mats[1:])
+        result = runner.invoke(main, ["rumin", "verify", "--n", str(n), "--max-weight", "1"])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "--max-weight >= 2" in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+        # rs crosscheck compares operators, and its degree 0 has rows at weight 1
+        assert rs_complex(standard_cs_chart(n), weight_truncation(1))[0].rows.dim > 0
+        result = runner.invoke(main, ["rs", "crosscheck", "--n", str(n), "--max-weight", "1"])
+        assert result.exit_code == 0, result.output
 
     @pytest.mark.parametrize("modes", ["1", "2,1"])
     def test_torus_cohomology_without_the_constant_mode_exit_2(self, runner, modes):
@@ -520,6 +566,47 @@ class TestFailedChecks:
         composite = mats[k + 1].compose(mats[k])
         assert composite.entries.get((row, col), 0) != 0
         assert str(composite.entries[(row, col)]) == value
+
+    def test_middle_order_too_low_fails_through_the_prefix(self, runner, monkeypatch):
+        # the complex is read off the order tables' prefixes at the stated
+        # orders: stated one too low at the middle, D_2 keeps only the first
+        # differences.  The last column of each block, checked directly, is
+        # x1^m v for the last primitive frame section v, whose second
+        # difference along x1 is zero, so the check stays silent (as it did
+        # with a table of its own) and the failure shows in d∘d and the orders
+        stated = rumin.class_operator_order
+        calls = []
+        apply = rumin.rumin_apply
+        built = []
+
+        def too_low(n, k):
+            return stated(n, k) - (k == n)
+
+        def counting(struct, k, payload):
+            calls.append(k)
+            return apply(struct, k, payload)
+
+        def keeping(cc, truncation):
+            built.append(rumin_complex(cc, truncation))
+            return built[-1]
+
+        for module in (rumin, cli):
+            monkeypatch.setattr(module, "class_operator_order", too_low)
+        monkeypatch.setattr(rumin, "rumin_apply", counting)
+        monkeypatch.setattr(cli, "rumin_complex", keeping)
+        result = runner.invoke(main, ["rumin", "verify", "--n", "2", "--max-weight", "6"])
+        assert result.exit_code == 1, result.output
+        body = json.loads(result.stdout)["result"]
+        assert body["orders"] == [1, 1, 2, 1, 1]
+        assert body["orders_expected"] == [1, 1, 1, 1, 1]
+        assert not body["composites_zero"] and body["first_failure"]["degree"] == 1
+        # no second probe pass: the order-1 prefix served D_2 ...
+        assert len(calls) == 1087
+        # ... and it differs from the true D_2 only there
+        monkeypatch.setattr(rumin, "class_operator_order", stated)
+        (lowered,) = built
+        true = rumin_complex(contact.standard_contact_chart(2), weight_truncation(6))
+        assert [m.entries == t.entries for m, t in zip(lowered, true)] == [True, True, False, True, True]
 
     def test_cohomology_fails_when_total_disagrees_with_rs(self, runner, monkeypatch):
         def broken_rs(cs, truncation):

@@ -151,6 +151,28 @@ class TestSharedArithmetic:
 
     @pytest.mark.parametrize("kind", ["poly", "trig"])
     @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), q=st.sampled_from([-1, 0, 1, 2, Fraction(1, 2)]))
+    def test_scale_multiplies_every_term(self, kind, data, q):
+        a = data.draw(mixed_coefficients(kind))
+        terms = dict(a.terms)
+        scaled = a.scale(q)
+        assert scaled == type(a)(a.nvars, {key: v * q for key, v in terms.items()})
+        assert scaled.terms == {key: v * q for key, v in terms.items() if q}
+        assert _canonical(scaled)
+        # a is left as it was
+        assert a.terms == terms
+
+    @pytest.mark.parametrize("kind", ["poly", "trig"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_scale_by_one_is_the_coefficient_itself(self, kind, data):
+        # nothing writes to terms after construction, so sharing is safe
+        a = data.draw(mixed_coefficients(kind))
+        assert a.scale(1) is a and a.scale(Fraction(1)) == a
+        assert a.scale(-1) == -a
+
+    @pytest.mark.parametrize("kind", ["poly", "trig"])
+    @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_equal_values_hash_equal_whatever_the_insertion_order(self, kind, data):
         a = data.draw(mixed_coefficients(kind))

@@ -206,6 +206,45 @@ def test_stated_orders_are_tight(name, build, n):
         assert table.measured_order() == STATED_ORDERS[name](n, k), f"{name} degree {k}"
 
 
+PREFIX_CASES = [
+    ("contact", 2, "rumin", _rumin),
+    ("contact", 3, "rumin", _rumin),
+    ("affine", 2, "rs", _rs),
+    ("affine", 3, "rs", _rs),
+    ("affine", 2, "total", _total),
+    ("affine", 3, "total", _total),
+    ("torus", 2, "rs", _rs),
+    ("torus", 3, "rs", _rs),
+    ("torus", 2, "total", _total),
+    ("torus", 3, "total", _total),
+]
+
+
+@pytest.mark.parametrize(
+    "model, n, name, build", PREFIX_CASES, ids=[f"{name}-{model}{n}" for model, n, name, _ in PREFIX_CASES]
+)
+def test_prefix_is_the_fresh_lower_order_table(model, n, name, build):
+    """The groups at |c| <= r of an order-R table are the fresh order-r table's rows, in order.
+
+    Delta^c f(0) reads f only at c' <= c, and the simplex |c| <= r is
+    downward closed, so cutting needs no probe run.
+    """
+    chart = standard_contact_chart(n) if model == "contact" else standard_cs_chart(n, model)
+    _, spaces, op_of = build(chart)
+    table_type = ModeTable if model == "torus" else LeibnizTable
+    for k in range(len(spaces) - 1):
+        full = table_type(spaces[k], spaces[k + 1], op_of(k), _MAX_ORDER)
+        assert any(full.rows.values()), f"{name} degree {k}"
+        for r in range(_MAX_ORDER + 1):
+            fresh = table_type(spaces[k], spaces[k + 1], op_of(k), r)
+            cut = full.prefix(r)
+            assert type(cut) is table_type and cut.order == r
+            assert (cut.probes, cut.supports) == (fresh.probes, fresh.supports)
+            assert list(cut.rows.items()) == list(fresh.rows.items()), f"{name} degree {k} order {r}"
+        # cutting copies: the order-R table is left whole
+        assert full.order == _MAX_ORDER and full.probes == probe_modes(len(full.probes[0]), _MAX_ORDER)
+
+
 def test_tables_are_kept_on_the_owner_and_reused():
     cs = standard_cs_chart(2)
     low = _with_domain(rs_complex(cs, weight_truncation(3)))

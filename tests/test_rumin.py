@@ -98,7 +98,7 @@ class TestMatrices:
 class TestOrders:
     def test_orders_n2(self, contact2):
         struct = contact2.two_step
-        orders = [operator_order(struct, k) for k in range(5)]
+        orders = [operator_order(struct, k).measured_order() for k in range(5)]
         assert orders == [1, 1, 2, 1, 1]
 
     def test_middle_commutator_structure(self, contact2):
@@ -133,11 +133,15 @@ class TestMemoizedOrders:
         seen = set()
         for key, row in table.rows.items():
             by_probe = {}
-            items = iter(row)
-            for i, (w, fiber_key, e), q in zip(items, items, items):
+            # one group per probe with a nonzero difference, in probe order
+            assert [i for i, _ in row] == sorted({i for i, _ in row})
+            for i, items in row:
+                assert items
                 c = table.probes[i]
-                shifted = (w + sum(map(mul, c, chart.weights)), fiber_key, tuple(map(add, e, c)))
-                by_probe.setdefault(c, {})[shifted] = q
+                by_probe[c] = {
+                    (w + sum(map(mul, c, chart.weights)), fiber_key, tuple(map(add, e, c))): q
+                    for (w, fiber_key, e), q in items
+                }
             v = space.element((None, key + (("p", zero),)))
             for c in table.probes:
                 letters = [coords[a] for a, times in enumerate(c) for _ in range(times)]
@@ -149,7 +153,7 @@ class TestMemoizedOrders:
                 assert by_probe.get(c, {}) == expected, (key, c)
             seen.update(sum(c) for c in by_probe)
         # the nonzero differences reach exactly the stated order
-        assert max(seen) == class_operator_order(2, k)
+        assert max(seen) == class_operator_order(2, k) == table.measured_order()
 
     @pytest.mark.parametrize("k", range(5))
     def test_one_apply_per_probe_label(self, monkeypatch, contact2, k):
@@ -186,13 +190,13 @@ class TestPerturbedOrders:
     @pytest.mark.parametrize("k", range(5))
     def test_one_t_derivative_raises_the_order_by_one(self, monkeypatch, contact2, k):
         self._compose_with_t(monkeypatch, k, 1)
-        assert operator_order(contact2.two_step, k) == class_operator_order(2, k) + 1
+        assert operator_order(contact2.two_step, k).measured_order() == class_operator_order(2, k) + 1
 
     def test_middle_operator_after_two_t_derivatives_reads_the_bound(self, monkeypatch, contact2):
         # order 4, one above _MAX_ORDER; its -Lie term leaves a constant
         # d/dt^3 coefficient, so the longest nonzero word is the bound itself
         self._compose_with_t(monkeypatch, 2, 2)
-        assert operator_order(contact2.two_step, 2) == rumin._MAX_ORDER == 3
+        assert operator_order(contact2.two_step, 2).measured_order() == rumin._MAX_ORDER == 3
 
 
 class TestNaturality:
