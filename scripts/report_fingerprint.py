@@ -53,6 +53,8 @@ COMMANDS = (
     "cohomology --model affine --n 3 --max-weight 10",
     # the first crosscheck whose top-degree operators are not 0 x k
     "rs crosscheck --n 2 --max-weight 6",
+    # the first n=3 crosscheck reaching every degree: degree 6 needs weight 8
+    "rs crosscheck --n 3 --max-weight 8",
 )
 
 

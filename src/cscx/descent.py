@@ -10,18 +10,16 @@ independent of rescaling that field.
 Three routes to the intrinsic complex on the quotient are implemented and
 must agree matrix-for-matrix.  The first two build their complexes through
 the one operator builder ``grading.operator_complex`` over the quotient's
-class spaces and differ in the op they pass it and in how it is assembled:
+class spaces and differ in their op and in the chart keeping its table:
 
 * ``descend_complex`` conjugates the contact-chart operators by the
-  descent identifications (``descend_rumin``), applied to every basis
-  section;
+  descent identifications (``descend_rumin``), probed through the
+  contact chart, which keeps its tables;
 * ``rs_complex`` applies the same three-regime operator as the contact
   side (``rumin_apply``) to the quotient structure, which has no potential
   and no Lie term: primitive projection of d below the middle, the
   second-order middle operator via the bijective wedge, minus the twisted
-  derivative above the middle.  Its matrices are read off the operator's
-  Leibniz table, so "descended equals intrinsic" also checks that
-  expansion against the per-column assembly;
+  derivative above the middle;
 * ``ss_fallback`` runs the generic representative-correction procedure on
   the total complex, treating ``total_differential`` as a black box.  Its
   cochains are the zig-zag's pairs (phi, psi): a k-form and the base form
@@ -35,7 +33,8 @@ payloads (with the transversal rescaling on twisted classes and the
 rescaled structure form of the contact fiber), and that the potential
 twist in dH and the Lie term drop out on lifted invariant payloads.
 "Intrinsic equals fallback" checks the three-regime formula itself
-against the independent generic zig-zag.
+against the independent generic zig-zag, which is assembled column by
+column from solves, so it also checks both table expansions.
 
 The line bundle is trivialized by the closed section omega (its generator
 s unwedges to omega); the induced flat derivative on twisted forms is the
@@ -181,6 +180,12 @@ def descend_rumin(pair: ChartPair, k: int, payload: DifferentialForm) -> Differe
     is applied there and its image is restricted back down; twisted
     classes (degree above n) are scaled by the transversal field's factor
     on the way up and by its inverse on the way down.
+
+    Promotion, restriction and the scalings are tensorial, and on a
+    promoted (invariant) payload the potential term of dH and the Lie term
+    vanish, so this operator has the intrinsic order 1, and 2 at the middle
+    (Rumin 1994; Rumin and Seshadri 2012): ``descend_complex`` reads it off
+    a Leibniz table of order ``class_operator_order(n, k)``.
     """
     n, scale = pair.cs.n, pair.contact.xi_scale
     lifted = promote_form(payload, pair.contact.chart)
@@ -193,13 +198,17 @@ def descend_rumin(pair: ChartPair, k: int, payload: DifferentialForm) -> Differe
 
 
 def descend_complex(pair: ChartPair, truncation: Truncation) -> list[OperatorMatrix]:
-    """The descended operators over the quotient class bases, column by column."""
+    """The descended operators over the quotient class bases, read off their Leibniz tables.
+
+    They are kept on the contact chart, whose transversal scale the
+    operator depends on, so two pairs over one cs chart share none.
+    """
     return operator_complex(
-        pair.cs,
+        pair.contact,
         "descended",
         pair.cs.two_step.class_spaces(),
         partial(descend_rumin, pair),
-        None,
+        partial(class_operator_order, pair.cs.n),
         truncation,
     )
 

@@ -169,7 +169,7 @@ def sample_orbit_count(nvars: int) -> int:
 # (145,521) and n=3 w<=10 (184,690).  Wall times at the edge (2-core x86,
 # CPython 3.11, one or two runs): cohomology n=3 w<=10 10.9-11.5 s, n=5 w<=6
 # 19.0-21.6 s, n=2 w<=20 9.0-10.2 s; les n=3 w<=10 7.9-8.6 s; rumin verify
-# n=3 w<=9 6.7 s, n=2 w<=16 4.8-5.9 s; rs crosscheck n=3 w<=9 15.2-17.8 s.
+# n=3 w<=9 6.7 s, n=2 w<=16 4.8-5.9 s; rs crosscheck n=3 w<=9 9.1-9.9 s.
 # Affine n=2 w<=40 has 1,797,441 sections and torus n=7 at sup-norm 3
 # about 1.1e16
 _MAX_SECTION_DIM = 135_000

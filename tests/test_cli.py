@@ -537,6 +537,61 @@ class TestFailedChecks:
         assert intrinsic[0].entries == mats[0].entries
         assert intrinsic[1].entries != mats[1].entries
 
+    def test_crosscheck_catches_one_fiber_coordinate_changed_in_rs_apply(self, runner, monkeypatch):
+        # the intrinsic operator with fiber coordinate 0 of its degree-1 image
+        # doubled: still of order 1, so its table passes the column check,
+        # and the descended route, probed through the contact chart, catches it
+        apply = descent.rs_apply
+
+        def changed(cs, i, payload):
+            image = apply(cs, i, payload)
+            if i == 1:
+                space = cs.two_step.class_space(2)
+                for label, q in space.coordinates(image).items():
+                    if label[1][0] == 0:
+                        image = image + space.element(label).scale(q)
+            return image
+
+        monkeypatch.setattr(descent, "rs_apply", changed)
+        result = runner.invoke(main, ["rs", "crosscheck", "--max-weight", "3"])
+        assert result.exit_code == 1, result.output
+        body = json.loads(result.stdout)["result"]
+        assert body["first_failure"] == {"pair": "descended-vs-intrinsic", "degree": 1}
+        # the witness is real: on fresh charts the descended route agrees with
+        # the changed intrinsic one at degree 0, not at degree 1, where it
+        # agrees with the zig-zag instead
+        truncation = weight_truncation(3)
+        cs = standard_cs_chart(2)
+        descended = descend_complex(descent.standard_pair(2), truncation)
+        intrinsic = rs_complex(cs, truncation)
+        fallback = ss_fallback(cs, truncation)
+        assert descended[0].entries == intrinsic[0].entries
+        assert descended[1].entries != intrinsic[1].entries
+        assert descended[1].entries == fallback[1].entries
+
+    def test_crosscheck_catches_a_middle_order_too_low_only_through_the_zigzag(
+        self, runner, monkeypatch
+    ):
+        # the descended and intrinsic tables both read their order from
+        # descent.class_operator_order: stated one too low at the middle, they
+        # keep the same first differences and agree.  The last column of each
+        # block, checked directly, has no second difference (see
+        # test_middle_order_too_low_fails_through_the_prefix), so only the
+        # zig-zag, assembled column by column from solves, catches it
+        stated = descent.class_operator_order
+        monkeypatch.setattr(descent, "class_operator_order", lambda n, k: stated(n, k) - (k == n))
+        result = runner.invoke(main, ["rs", "crosscheck", "--n", "2", "--max-weight", "5"])
+        assert result.exit_code == 1, result.output
+        body = json.loads(result.stdout)["result"]
+        assert body["first_failure"] == {"pair": "intrinsic-vs-fallback", "degree": 2}
+        assert all(body["descended_equals_intrinsic"])
+        assert body["intrinsic_equals_fallback"] == [True, True, False, True, True]
+        # at weights <= 3 a degree-2 section has coefficients of degree
+        # <= 1, whose second differences vanish: the order-1 table is exact
+        # there, and the mutation passes unseen
+        result = runner.invoke(main, ["rs", "crosscheck", "--n", "2", "--max-weight", "3"])
+        assert result.exit_code == 0, result.output
+
     def test_rumin_verify_witness_is_a_nonzero_composite_entry(self, runner, monkeypatch):
         corrupted = []
 

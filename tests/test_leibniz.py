@@ -1,13 +1,15 @@
 """Operators read off their tables equal the per-column assembly.
 
-``rs_complex``, ``rumin_complex``, ``_form_complex`` and ``total_complex``
-assemble each operator from its values on probe sections, kept on the
-chart under ``(operator name, k)``: a ``symbols.LeibnizTable`` on the poly
-ring, a ``symbols.ModeTable`` on the trig ring.  The reference applies the
-same operator to every basis section (``assemble_operator`` without a
-table).  The matrices must agree entry for entry, on the full truncation
-and on every single block.  A fresh table of order ``rumin._MAX_ORDER``
-reads each stated order back, so none is set higher than the operator.
+``rs_complex``, ``descend_complex``, ``rumin_complex``, ``_form_complex``
+and ``total_complex`` assemble each operator from its values on probe
+sections, kept on the chart under ``(operator name, k)``: a
+``symbols.LeibnizTable`` on the poly ring, a ``symbols.ModeTable`` on the
+trig ring; the descended operators' tables are kept on the contact chart
+of their pair.  The reference applies the same operator to every basis
+section (``assemble_operator`` without a table).  The matrices must agree
+entry for entry, on the full truncation and on every single block.  A
+fresh table of order ``rumin._MAX_ORDER`` reads each stated order back, so
+none is set higher than the operator.
 """
 
 from functools import partial
@@ -22,7 +24,15 @@ from cscx import cohomology
 from cscx.cli import main
 from cscx.cohomology import _TotalSpace, _form_complex, total_complex
 from cscx.contact import standard_contact_chart
-from cscx.descent import nabla_twisted_d, rs_apply, rs_complex, total_differential
+from cscx.descent import (
+    ChartPair,
+    descend_complex,
+    descend_rumin,
+    nabla_twisted_d,
+    rs_apply,
+    rs_complex,
+    total_differential,
+)
 from cscx.coefficients import TrigCoefficient
 from cscx.errors import InternalConsistencyError
 from cscx.grading import (
@@ -61,12 +71,21 @@ def _per_column(spaces, op_of, truncation):
 
 
 # each builder gives the expanded complex as a function of the truncation,
-# plus the spaces and per-degree operators of the per-column reference
+# the spaces and per-degree operators of the per-column reference, and the
+# chart that keeps the tables
 
 
 def _rs(cs):
     spaces = cs.two_step.class_spaces()
-    return partial(rs_complex, cs), spaces, lambda k: partial(rs_apply, cs, k)
+    return partial(rs_complex, cs), spaces, lambda k: partial(rs_apply, cs, k), cs
+
+
+def _descended(cs):
+    # the pair over this cs chart; its operator depends on the contact
+    # chart's transversal scale, so the contact chart keeps the tables
+    pair = ChartPair(standard_contact_chart(cs.n), cs)
+    spaces = cs.two_step.class_spaces()
+    return partial(descend_complex, pair), spaces, lambda k: partial(descend_rumin, pair, k), pair.contact
 
 
 def _forms(twist):
@@ -79,7 +98,7 @@ def _forms(twist):
             op = lambda form: nabla_twisted_d(cs, TwistedForm(form, 1)).base  # noqa: E731
         else:
             op = lambda form: form.d()  # noqa: E731
-        return lambda truncation: _form_complex(cs, truncation, twist)[1], spaces, lambda k: op
+        return lambda truncation: _form_complex(cs, truncation, twist)[1], spaces, lambda k: op, cs
 
     return build
 
@@ -87,12 +106,12 @@ def _forms(twist):
 def _total(cs):
     spaces = [_TotalSpace(cs, k) for k in range(2 * cs.n + 2)]
     op = lambda pair: total_differential(cs, *pair)  # noqa: E731
-    return partial(total_complex, cs), spaces, lambda k: op
+    return partial(total_complex, cs), spaces, lambda k: op, cs
 
 
 def _rumin(cc):
     struct = cc.two_step
-    return partial(rumin_complex, cc), struct.class_spaces(), lambda k: partial(rumin_apply, struct, k)
+    return partial(rumin_complex, cc), struct.class_spaces(), lambda k: partial(rumin_apply, struct, k), cc
 
 
 def _with_domain(matrices):
@@ -133,10 +152,12 @@ CASES = [
     ("affine", 2, 6, "de-rham", _forms(0)),
     ("affine", 2, 6, "twisted", _forms(1)),
     ("affine", 2, 6, "total", _total),
+    ("affine", 2, 6, "descended", _descended),
     ("affine", 3, 4, "rs", _rs),
     ("affine", 3, 4, "de-rham", _forms(0)),
     ("affine", 3, 4, "twisted", _forms(1)),
     ("affine", 3, 4, "total", _total),
+    ("affine", 3, 4, "descended", _descended),
     ("contact", 2, 6, "rumin", _rumin),
 ]
 
@@ -164,7 +185,7 @@ def test_expansion_equals_per_column_assembly(model, n, bound, name, build):
         full = mode_truncation(mode_shells(2 * n, bound))
     else:
         full = weight_truncation(bound)
-    expand, spaces, op_of = build(chart)
+    expand, spaces, op_of, owner = build(chart)
     reference = _per_column(spaces, op_of, full)
     assert len(reference) == 2 * n + (name not in ("de-rham", "twisted"))
     expanded = expand(full)
@@ -176,12 +197,15 @@ def test_expansion_equals_per_column_assembly(model, n, bound, name, build):
             empty = ((), (), {})
             assert _view(a) == views.get(block, empty), f"{name} degree {k} on block {block}"
     # the expansion ran: the tables of the operators with a domain section
-    # are kept on their chart
-    assert sorted(k for key, k in chart.tables if key == name) == _with_domain(expanded)
+    # are kept on their chart, and on no other
+    assert sorted(k for key, k in owner.tables if key == name) == _with_domain(expanded)
+    if owner is not chart:
+        assert not any(key == name for key, _ in chart.tables)
 
 
 STATED_ORDERS = {
     "rs": class_operator_order,
+    "descended": class_operator_order,
     "de-rham": lambda n, k: cohomology._DE_RHAM_ORDER,
     "twisted": lambda n, k: cohomology._TWISTED_ORDER,
     "total": lambda n, k: cohomology._TOTAL_ORDER,
@@ -191,8 +215,14 @@ STATED_ORDERS = {
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize(
     "name, build",
-    [("rs", _rs), ("de-rham", _forms(0)), ("twisted", _forms(1)), ("total", _total)],
-    ids=["rs", "de-rham", "twisted", "total"],
+    [
+        ("rs", _rs),
+        ("descended", _descended),
+        ("de-rham", _forms(0)),
+        ("twisted", _forms(1)),
+        ("total", _total),
+    ],
+    ids=["rs", "descended", "de-rham", "twisted", "total"],
 )
 def test_stated_orders_are_tight(name, build, n):
     """A table of order ``_MAX_ORDER`` reads back each stated order in every degree.
@@ -200,7 +230,7 @@ def test_stated_orders_are_tight(name, build, n):
     A stated order that is too low fails the column check; one that is too
     high would pass unseen and only cost probes.
     """
-    _, spaces, op_of = build(standard_cs_chart(n))
+    _, spaces, op_of, _ = build(standard_cs_chart(n))
     for k in range(len(spaces) - 1):
         table = LeibnizTable(spaces[k], spaces[k + 1], op_of(k), _MAX_ORDER)
         assert table.measured_order() == STATED_ORDERS[name](n, k), f"{name} degree {k}"
@@ -230,7 +260,7 @@ def test_prefix_is_the_fresh_lower_order_table(model, n, name, build):
     downward closed, so cutting needs no probe run.
     """
     chart = standard_contact_chart(n) if model == "contact" else standard_cs_chart(n, model)
-    _, spaces, op_of = build(chart)
+    _, spaces, op_of, _ = build(chart)
     table_type = ModeTable if model == "torus" else LeibnizTable
     for k in range(len(spaces) - 1):
         full = table_type(spaces[k], spaces[k + 1], op_of(k), _MAX_ORDER)
@@ -256,6 +286,25 @@ def test_tables_are_kept_on_the_owner_and_reused():
     assert set(high) - set(low)
     assert sorted(cs.tables) == [("rs", k) for k in sorted(set(low) | set(high))]
     assert all(cs.tables[key] is table for key, table in tables.items())
+
+
+def test_descended_tables_are_kept_per_contact_chart():
+    # the descended operator reads the contact chart's transversal scale: a
+    # table kept on the shared cs chart would serve the second pair the
+    # first pair's probe values, and the rescaling claim would compare a
+    # table with itself
+    cs = standard_cs_chart(2)
+    pairs = [ChartPair(standard_contact_chart(2, scale), cs) for scale in (1, 2)]
+    truncation = weight_truncation(5)
+    matrices = [descend_complex(pair, truncation) for pair in pairs]
+    with_domain = _with_domain(matrices[0])
+    assert len(with_domain) == 5
+    for pair in pairs:
+        assert sorted(pair.contact.tables) == [("descended", k) for k in with_domain]
+    assert not cs.tables
+    first, second = (pair.contact.tables for pair in pairs)
+    assert not {id(t) for t in first.values()} & {id(t) for t in second.values()}
+    assert [_view(m) for m in matrices[0]] == [_view(m) for m in matrices[1]]
 
 
 @pytest.mark.parametrize(
