@@ -169,7 +169,7 @@ def sample_orbit_count(nvars: int) -> int:
 # (145,521) and n=3 w<=10 (184,690).  Wall times at the edge (2-core x86,
 # CPython 3.11, one or two runs): cohomology n=3 w<=10 10.9-11.5 s, n=5 w<=6
 # 19.0-21.6 s, n=2 w<=20 9.0-10.2 s; les n=3 w<=10 7.9-8.6 s; rumin verify
-# n=3 w<=9 6.7 s, n=2 w<=16 4.8-5.9 s; rs crosscheck n=3 w<=9 9.1-9.9 s.
+# n=3 w<=9 6.7 s, n=2 w<=16 4.8-5.9 s; rs crosscheck n=3 w<=9 9.1-14.2 s.
 # Affine n=2 w<=40 has 1,797,441 sections and torus n=7 at sup-norm 3
 # about 1.1e16
 _MAX_SECTION_DIM = 135_000
@@ -471,23 +471,22 @@ def operator_complex(
     name: str,
     spaces: Sequence,
     op: Callable[[int, DifferentialForm], DifferentialForm],
-    order: Callable[[int], int] | None,
+    order: Callable[[int], int],
     truncation: Truncation,
 ) -> list[OperatorMatrix]:
     """Matrices of ``op(k, .)`` from ``spaces[k]`` to ``spaces[k + 1]``, one basis per node.
 
-    With ``order`` (the differential order ``order(k)`` of each operator),
-    each matrix is read off the table ``leibniz_table`` keeps on the chart
-    ``owner`` under ``(name, k)``; without it, every column applies the
-    operator directly.  An operator with no domain section in the
-    truncation has no column and gets no table.
+    Each matrix is read off the table ``leibniz_table`` keeps on the chart
+    ``owner`` under ``(name, k)``, built with the differential order
+    ``order(k)`` of the operator.  An operator with no domain section in
+    the truncation has no column and gets no table.
     """
     bases = [space.basis(truncation) for space in spaces]
     mats = []
     for k in range(len(spaces) - 1):
         op_k = partial(op, k)
         table = None
-        if order is not None and bases[k].labels:
+        if bases[k].labels:
             table = leibniz_table(owner, (name, k), spaces[k], spaces[k + 1], op_k, order(k))
         mats.append(assemble_operator(spaces[k], spaces[k + 1], op_k, bases[k], bases[k + 1], table))
     return mats
