@@ -226,10 +226,11 @@ def _pipeline_rs_crosscheck(config: RunConfig):
 def _pipeline_cohomology(config: RunConfig):
     cs = _cs_chart(config)
     report = rs_cohomology(cs, config.truncation())
-    # every boolean check counts; euler_rs and the sampled mode count are integers
-    checks = [v for v in report.checks.values() if isinstance(v, bool)]
-    passed = report.les["exact"] and report.les["snake_equals_wedge"] and all(checks)
-    return report.to_json(), passed
+    # every boolean check counts (euler_rs and the sampled mode count are
+    # integers); a failed run names the first false one on stderr
+    if report.first_failure is not None:
+        click.echo(f"error: {report.first_failure}", err=True)
+    return report.to_json(), report.first_failure is None
 
 
 def _pipeline_les(config: RunConfig):

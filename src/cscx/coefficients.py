@@ -1,44 +1,54 @@
 """Exact scalar rings on charts.
 
 One base and two rings, with exact arithmetic and no floating point
-anywhere.  ``_SparseCoefficient`` holds a sparse map ``terms`` from keys to
-nonzero rationals and everything that does not depend on what a key means:
-the ring check, sum, difference, negation, scaling, equality, hashing and
-the zero test.  Zero terms are pruned eagerly, so equality of canonical
-forms is exact equality of values.  Each ring adds its own constructor
-(which checks its keys), product, derivative and constant part:
+anywhere.  ``_SparseCoefficient`` holds a sparse map ``terms`` from a
+ring's term keys to nonzero rationals, and everything that does not depend
+on what a key means: the key check, sum, difference, negation, product,
+scaling, equality, hashing, the zero test and the constant part.  Each ring
+says what its keys mean: their variable vector (``term_vector``), the key of
+the function 1 (``unit_term``) and two single-term kernels,
+
+* ``term_partial(term, v)`` -- d/dv of one term, ``(term', factor)``, or
+  None when the term does not involve v;
+* ``term_product(a, b)`` -- the product of two terms as ``(term, factor)``
+  pairs.
+
+The coefficient product runs over ``term_product``, and every operation on
+the flat forms of ``forms`` over both kernels: there is no second
+arithmetic.  Coefficients stay the type of scalar functions where one is
+handed over whole -- chart data, JSON, substitution, evaluation -- and a
+form builds one on demand (``DifferentialForm.coefficient``).
 
 * ``PolyCoefficient`` -- multivariate polynomials over the rationals, keyed
-  by exponent tuples; it also evaluates, substitutes, pads and restricts.
+  by exponent tuples; a product of terms is one pair.  It also evaluates,
+  substitutes and pads.
 
 * ``TrigCoefficient`` -- finite real Fourier sums over ``Z^m``, keyed by
   ``("c", m)`` (cos m.theta) and ``("s", m)`` (sin m.theta), one key per
-  mode orbit {m, -m} and function; products follow the product-to-sum
-  rules.  The JSON format keeps the complex coefficients c(k) of
+  mode orbit {m, -m} and function; a product of terms is up to two halves
+  (product to sum).  The JSON format keeps the complex coefficients c(k) of
   e^{ik.theta}; ``coefficient_from_json`` checks the reality constraint
   ``c(-k) == conj(c(k))`` and converts them.
 
 A rational is a Python ``int`` when it is integral and a
-``fractions.Fraction`` otherwise.  Almost every structure constant on the
-monomial and Fourier bases is a small integer, and ``int`` arithmetic is
-many times cheaper than ``Fraction`` arithmetic; the two compare and hash
-equal and both expose ``numerator``/``denominator``, so equality,
-dictionary keys and serialization do not see the difference.  A
-``Fraction`` is built only where a division makes one.  ``canon`` turns an
-integral one back into an ``int``; both coefficient constructors (and
-``linalg.OperatorMatrix``) apply it to every non-``int`` value they store,
-because a sum such as 1/2 + 1/2 is an integral ``Fraction``.
+``fractions.Fraction`` otherwise: ``int`` arithmetic is many times cheaper,
+and the two compare and hash equal and both expose
+``numerator``/``denominator``.  A ``Fraction`` is built only where a
+division makes one.  ``canon`` turns an integral one back into an ``int``;
+the coefficient and form constructors (and ``linalg.OperatorMatrix``) apply
+it to every non-``int`` value they store, because a sum such as 1/2 + 1/2
+is an integral ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping, Union
 
 from .errors import (
     CscxError,
-    InternalConsistencyError,
     InvalidAxisError,
     RingMismatchError,
     UnsupportedRingOperationError,
@@ -69,18 +79,20 @@ class Ring:
         if self.nvars < 0:
             raise InvalidAxisError("ring needs a nonnegative variable count")
 
-    def zero(self) -> "Coefficient":
-        if self.kind == "poly":
-            return PolyCoefficient(self.nvars, {})
-        return TrigCoefficient(self.nvars, {})
+    @property
+    def coefficient_type(self) -> type:
+        """The coefficient class of this ring, which also holds its term kernels."""
+        return PolyCoefficient if self.kind == "poly" else TrigCoefficient
+
+    def unit_term(self):
+        """The term key of the constant function 1."""
+        return self.coefficient_type.unit_term(self.nvars)
 
     def one(self) -> "Coefficient":
         return self.const(1)
 
     def const(self, value: Rational) -> "Coefficient":
-        if self.kind == "poly":
-            return PolyCoefficient(self.nvars, {(0,) * self.nvars: value})
-        return TrigCoefficient(self.nvars, {("c", (0,) * self.nvars): value})
+        return self.coefficient_type(self.nvars, {self.unit_term(): value})
 
     def var(self, index: int) -> "PolyCoefficient":
         if self.kind != "poly":
@@ -101,15 +113,26 @@ def trig_ring(nvars: int) -> Ring:
 
 
 class _SparseCoefficient:
-    """Shared storage and additive arithmetic of both rings.
-
-    ``terms`` is a sparse map from a ring's keys (exponents or cos/sin
-    modes) to nonzero rationals; each ring's constructor checks its keys.
-    """
+    """Shared storage and arithmetic of both rings; the product runs over ``term_product``."""
 
     __slots__ = ("nvars", "terms")
 
     _operands: str  # names the ring in a mismatch message
+    _vector: str  # names a key's variable vector in a length message
+
+    def __init__(self, nvars: int, terms: Mapping):
+        self.nvars = nvars
+        clean = {}
+        for term, coeff in terms.items():
+            if coeff == 0:
+                continue
+            if len(self.term_vector(term)) != nvars:
+                raise InvalidAxisError(
+                    f"{self._vector} vector of length {len(self.term_vector(term))} "
+                    f"in a {nvars}-variable ring"
+                )
+            clean[term] = coeff if type(coeff) is int else canon(coeff)
+        self.terms = clean
 
     def _check(self, other) -> None:
         if type(other) is not type(self) or other.nvars != self.nvars:
@@ -124,20 +147,25 @@ class _SparseCoefficient:
 
     def __sub__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out[key] - coeff if key in out else -coeff
-        return type(self)(self.nvars, out)
+        return self + (-other)
 
     def __neg__(self):
         return type(self)(self.nvars, {k: -c for k, c in self.terms.items()})
 
+    def __mul__(self, other):
+        self._check(other)
+        product = self.term_product
+        out: dict = {}
+        for ta, qa in self.terms.items():
+            for tb, qb in other.terms.items():
+                for term, f in product(ta, tb):
+                    out[term] = out.get(term, 0) + qa * qb * f
+        return type(self)(self.nvars, out)
+
     def scale(self, q: Rational):
-        # the int 1, mostly a wedge or contraction sign; terms are never written to
+        # terms are never written to, so scaling by the int 1 can share them
         if q == 1 and type(q) is int:
             return self
-        if q == 0:
-            return type(self)(self.nvars, {})
         return type(self)(self.nvars, {k: c * q for k, c in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
@@ -153,6 +181,12 @@ class _SparseCoefficient:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def constant_part(self) -> Rational:
+        return self.terms.get(self.unit_term(self.nvars), 0)
+
+    def is_constant(self) -> bool:
+        return all(not any(self.term_vector(term)) for term in self.terms)
+
 
 class PolyCoefficient(_SparseCoefficient):
     """Sparse multivariate polynomial over the rationals."""
@@ -161,28 +195,28 @@ class PolyCoefficient(_SparseCoefficient):
 
     kind = "poly"
     _operands = "polynomial"
+    _vector = "exponent"
 
-    def __init__(self, nvars: int, terms: Mapping[Exponent, Rational]):
-        self.nvars = nvars
-        clean: dict[Exponent, Rational] = {}
-        for exp, coeff in terms.items():
-            if coeff == 0:
-                continue
-            if len(exp) != nvars:
-                raise InvalidAxisError(
-                    f"exponent vector of length {len(exp)} in a {nvars}-variable ring"
-                )
-            clean[exp] = coeff if type(coeff) is int else canon(coeff)
-        self.terms = clean
+    @staticmethod
+    def term_vector(exp: Exponent) -> Exponent:
+        return exp
 
-    def __mul__(self, other: "PolyCoefficient") -> "PolyCoefficient":
-        self._check(other)
-        out: dict[Exponent, Rational] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, 0) + ca * cb
-        return PolyCoefficient(self.nvars, out)
+    @staticmethod
+    def unit_term(nvars: int) -> Exponent:
+        return (0,) * nvars
+
+    @staticmethod
+    def term_partial(exp: Exponent, var: int) -> tuple[Exponent, int] | None:
+        """d/dv x^e = e_v x^(e - 1_v): the pair ``(exponent, factor)``, None when e_v = 0."""
+        e = exp[var]
+        if not e:
+            return None
+        return exp[:var] + (e - 1,) + exp[var + 1 :], e
+
+    @staticmethod
+    def term_product(a: Exponent, b: Exponent) -> tuple[tuple[Exponent, int], ...]:
+        """x^a x^b = x^(a + b): one pair ``(exponent, factor)``."""
+        return ((tuple(map(add, a, b)), 1),)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -192,22 +226,6 @@ class PolyCoefficient(_SparseCoefficient):
             mono = "*".join(f"v{i}^{e}" for i, e in enumerate(exp) if e)
             bits.append(f"{self.terms[exp]}{'*' + mono if mono else ''}")
         return "poly(" + " + ".join(bits) + ")"
-
-    # -- calculus --------------------------------------------------------
-
-    def partial(self, var: int) -> "PolyCoefficient":
-        if not 0 <= var < self.nvars:
-            raise InvalidAxisError(f"variable index {var} out of range")
-        out: dict[Exponent, Rational] = {}
-        for exp, coeff in self.terms.items():
-            e = exp[var]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[var] = e - 1
-            key = tuple(new)
-            out[key] = out.get(key, 0) + coeff * e
-        return PolyCoefficient(self.nvars, out)
 
     def evaluate(self, point: Iterable[Rational]) -> Rational:
         pt = [Fraction(p) for p in point]
@@ -246,25 +264,8 @@ class PolyCoefficient(_SparseCoefficient):
         extra = (0,) * (nvars - self.nvars)
         return PolyCoefficient(nvars, {exp + extra: c for exp, c in self.terms.items()})
 
-    def restrict(self, nvars: int) -> "PolyCoefficient":
-        """Drop trailing variables; every term must be independent of them."""
-        if nvars > self.nvars:
-            raise InvalidAxisError("restrict target has more variables")
-        out: dict[Exponent, Rational] = {}
-        for exp, coeff in self.terms.items():
-            if any(exp[nvars:]):
-                # callers check invariance first; reaching this is a bug
-                raise InternalConsistencyError(
-                    f"term {exp} depends on a dropped variable"
-                )
-            out[exp[:nvars]] = coeff
-        return PolyCoefficient(nvars, out)
 
-    def constant_part(self) -> Rational:
-        return self.terms.get((0,) * self.nvars, 0)
-
-    def is_constant(self) -> bool:
-        return all(not any(exp) for exp in self.terms)
+_HALF = Fraction(1, 2)
 
 
 class TrigCoefficient(_SparseCoefficient):
@@ -279,67 +280,61 @@ class TrigCoefficient(_SparseCoefficient):
 
     kind = "trig"
     _operands = "trig"
+    _vector = "frequency"
 
-    def __init__(self, nvars: int, terms: Mapping[TrigTerm, Rational]):
-        self.nvars = nvars
-        clean: dict[TrigTerm, Rational] = {}
-        for term, coeff in terms.items():
-            if coeff == 0:
-                continue
-            if len(term[1]) != nvars:
-                raise InvalidAxisError(
-                    f"frequency vector of length {len(term[1])} in a {nvars}-variable ring"
-                )
-            clean[term] = coeff if type(coeff) is int else canon(coeff)
-        self.terms = clean
+    @staticmethod
+    def term_vector(term: TrigTerm) -> Frequency:
+        return term[1]
 
-    def __mul__(self, other: "TrigCoefficient") -> "TrigCoefficient":
-        """Product to sum: each pair of terms gives the modes a + b and a - b.
+    @staticmethod
+    def unit_term(nvars: int) -> TrigTerm:
+        return ("c", (0,) * nvars)
 
-        The products are summed undivided and each sum is halved once.
+    @staticmethod
+    def term_partial(term: TrigTerm, var: int) -> tuple[TrigTerm, int] | None:
+        """d/dv cos(m . theta) = -m_v sin(m . theta), d/dv sin(m . theta) = m_v cos(m . theta)."""
+        kind, mode = term
+        m = mode[var]
+        if not m:
+            return None
+        return (("s", mode), -m) if kind == "c" else (("c", mode), m)
+
+    @staticmethod
+    def term_product(a: TrigTerm, b: TrigTerm) -> tuple[tuple[TrigTerm, Rational], ...]:
+        """Product to sum: the modes a + b and a - b, each with a factor of +-1/2.
+
+        A constant factor (the zero mode, a cosine) gives the other term whole.
         """
-        self._check(other)
-        out: dict[TrigTerm, Rational] = {}
-        for (ka, ma), ca in self.terms.items():
-            for (kb, mb), cb in other.terms.items():
-                prod = ca * cb
-                plus = tuple(x + y for x, y in zip(ma, mb))
-                minus = tuple(x - y for x, y in zip(ma, mb))
-                if ka == kb:
-                    # cos a cos b, sin a sin b = (cos(a - b) +- cos(a + b)) / 2
-                    _accumulate(out, "c", minus, prod)
-                    _accumulate(out, "c", plus, prod if ka == "c" else -prod)
-                else:
-                    # sin a cos b, cos a sin b = (sin(a + b) +- sin(a - b)) / 2
-                    _accumulate(out, "s", plus, prod)
-                    _accumulate(out, "s", minus, prod if ka == "s" else -prod)
-        return TrigCoefficient(self.nvars, {t: Fraction(v, 2) for t, v in out.items()})
+        (ka, ma), (kb, mb) = a, b
+        if not any(ma):
+            return ((b, 1),)
+        if not any(mb):
+            return ((a, 1),)
+        plus = tuple(map(add, ma, mb))
+        minus = tuple(map(sub, ma, mb))
+        if ka == kb:
+            # cos a cos b, sin a sin b = (cos(a - b) +- cos(a + b)) / 2
+            halves = (("c", minus, _HALF), ("c", plus, _HALF if ka == "c" else -_HALF))
+        else:
+            # sin a cos b, cos a sin b = (sin(a + b) +- sin(a - b)) / 2
+            halves = (("s", plus, _HALF), ("s", minus, _HALF if ka == "s" else -_HALF))
+        out = []
+        for kind, mode, f in halves:
+            # the orbit's representative: cos is even, sin is odd, sin 0 = 0
+            canonical = canonical_mode(mode)
+            if kind == "s":
+                if not any(mode):
+                    continue
+                if canonical != mode:
+                    f = -f
+            out.append(((kind, canonical), f))
+        return tuple(out)
 
     def __repr__(self) -> str:
         if not self.terms:
             return "trig(0)"
         bits = [f"{c}*{'cos' if k == 'c' else 'sin'}{m}" for (k, m), c in sorted(self.terms.items())]
         return "trig(" + " + ".join(bits) + ")"
-
-    def partial(self, var: int) -> "TrigCoefficient":
-        """d/dv cos(m . theta) = -m_v sin(m . theta), d/dv sin(m . theta) = m_v cos(m . theta)."""
-        if not 0 <= var < self.nvars:
-            raise InvalidAxisError(f"variable index {var} out of range")
-        out: dict[TrigTerm, Rational] = {}
-        for (kind, mode), c in self.terms.items():
-            m = mode[var]
-            if m:
-                if kind == "c":
-                    out[("s", mode)] = -m * c
-                else:
-                    out[("c", mode)] = m * c
-        return TrigCoefficient(self.nvars, out)
-
-    def constant_part(self) -> Rational:
-        return self.terms.get(("c", (0,) * self.nvars), 0)
-
-    def is_constant(self) -> bool:
-        return all(not any(mode) for _, mode in self.terms)
 
 
 Coefficient = Union[PolyCoefficient, TrigCoefficient]
@@ -353,27 +348,6 @@ def canonical_mode(freq: Frequency) -> Frequency:
         if f < 0:
             return tuple(-x for x in freq)
     return freq
-
-
-def _real_term(kind: str, mode: Frequency) -> tuple[TrigTerm, int] | None:
-    """Canonical ``(term, sign)`` with kind(mode . theta) = sign * term; None for zero.
-
-    cos is even, sin is odd and sin of the zero mode vanishes.
-    """
-    for f in mode:
-        if f > 0:
-            return (kind, mode), 1
-        if f < 0:
-            return (kind, tuple(-x for x in mode)), (1 if kind == "c" else -1)
-    return None if kind == "s" else ((kind, mode), 1)
-
-
-def _accumulate(out: dict[TrigTerm, Rational], kind: str, mode: Frequency, q: Rational) -> None:
-    hit = _real_term(kind, mode)
-    if hit is not None:
-        term, sign = hit
-        q = q if sign > 0 else -q
-        out[term] = out[term] + q if term in out else q
 
 
 # -- serialization ----------------------------------------------------------

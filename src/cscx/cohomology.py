@@ -603,9 +603,19 @@ class CohomologyReport:
     dims: dict
     les: dict
     checks: dict
+    # the first false check and its witness, None when every check holds;
+    # the CLI prints it on its error line, and the report leaves it out
+    first_failure: str | None
 
     def to_json(self) -> dict:
-        return asdict(self)
+        out = asdict(self)
+        del out["first_failure"]
+        return out
+
+
+def _first_difference(a: list[int], b: list[int]) -> str:
+    k = next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
+    return f"first differ in degree {k} ({a[k]} != {b[k]})"
 
 
 def rs_cohomology(cs: CsChart, truncation: Truncation) -> CohomologyReport:
@@ -635,12 +645,11 @@ def rs_cohomology(cs: CsChart, truncation: Truncation) -> CohomologyReport:
     if cs.model == "torus":
         zero_block = ("m", (0,) * cs.dim)
         nonzero = [b for b in rs_by_block if b != zero_block]
-        checks["sampled_modes_vanish"] = all(
-            not any(rs_by_block[b])
-            and not any(les_by_block[b].de_rham_dims)
-            and not any(les_by_block[b].twisted_dims)
-            for b in nonzero
-        )
+        carrying = [
+            b for b in nonzero
+            if any(rs_by_block[b]) or any(les_by_block[b].de_rham_dims) or any(les_by_block[b].twisted_dims)
+        ]
+        checks["sampled_modes_vanish"] = not carrying
         checks["sampled_mode_count"] = len(nonzero)
         checks["euler_zero"] = checks["euler_rs"] == 0
     if truncation.kind == "weight":
@@ -653,6 +662,20 @@ def rs_cohomology(cs: CsChart, truncation: Truncation) -> CohomologyReport:
         checks["weight_stable"] = rs_lower == rs_dims
         checks["stability_compared_bounds"] = [bound - 2, bound]
 
+    witnesses = {
+        "les.exact": lambda: les.failure,
+        "les.snake_equals_wedge": lambda: "a connecting map is not the wedge with omega",
+        "total_matches_rs": lambda: "the rs and total dimensions " + _first_difference(rs_dims, total_dims),
+        "sampled_modes_vanish": lambda: f"the sampled mode {carrying[0][1]} carries cohomology",
+        "euler_zero": lambda: f"the rs Euler characteristic is {checks['euler_rs']}, not 0",
+        "weight_stable": lambda: (
+            f"the rs dimensions at bounds {bound - 2} and {bound} " + _first_difference(rs_lower, rs_dims)
+        ),
+    }
+    named = {"les.exact": les.exact, "les.snake_equals_wedge": les.snake_equals_wedge, **checks}
+    name = next((name for name, v in named.items() if v is False), None)
+    first_failure = None if name is None else f"{name} is false: {witnesses[name]()}"
+
     return CohomologyReport(
         model=cs.model,
         n=cs.n,
@@ -660,4 +683,5 @@ def rs_cohomology(cs: CsChart, truncation: Truncation) -> CohomologyReport:
         dims={"rs": rs_dims, "deRham": de_rham_dims, "twisted": twisted_dims, "total": total_dims},
         les=les.to_json(),
         checks=checks,
+        first_failure=first_failure,
     )

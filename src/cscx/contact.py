@@ -159,7 +159,7 @@ def contactify(
         n=n, chart=chart, base=base, beta=promoted, alpha=alpha, xi=xi, xi_scale=scale
     )
     _check_contact_condition(cc)
-    if not interior_product(cc.xi, cc.alpha).terms.get((), chart.zero_coeff()) == chart.one_coeff():
+    if not interior_product(cc.xi, cc.alpha).coefficient(()) == chart.one_coeff():
         raise InternalConsistencyError("alpha(xi) != 1")
     if not interior_product(cc.xi, cc.d_alpha()).is_zero():
         raise InternalConsistencyError("i_xi d(alpha) != 0")
@@ -318,12 +318,10 @@ def h_cohomology_basis(cc: ContactChart, k: int) -> HBasis:
         degree, q_power = k - 1, -1
     vectors = fib.primitive_basis(degree)
     elements = []
+    unit = cc.chart.ring.unit_term()
     for vec in vectors:
-        terms = {
-            fib.indices(degree)[pos]: cc.chart.const(v) for pos, v in vec.items()
-        }
-        form = DifferentialForm(cc.chart, degree, terms, validated=True)
-        elements.append(HForm(cc, form, q_power))
+        terms = {(fib.indices(degree)[pos], unit): v for pos, v in vec.items()}
+        elements.append(HForm(cc, DifferentialForm(cc.chart, degree, terms), q_power))
     return HBasis(k=k, q_power=q_power, elements=tuple(elements))
 
 
@@ -356,16 +354,13 @@ def _integrate_closed_one_form(rhs: DifferentialForm) -> PolyCoefficient:
     chart = rhs.chart
     nvars = chart.ring.nvars
     total = PolyCoefficient(nvars, {})
-    for (axis,), coeff in rhs.terms.items():
-        for exp, q in coeff.terms.items():
-            # homotopy formula: the monomial g dx_axis integrates to
-            # g * x_axis / (|g| + 1)
-            new = list(exp)
-            new[axis] += 1
-            degree = sum(exp)
-            total = total + PolyCoefficient(
-                nvars, {tuple(new): Fraction(q, degree + 1)}
-            )
+    for ((axis,), exp), q in rhs.terms.items():
+        # homotopy formula: the monomial g dx_axis integrates to
+        # g * x_axis / (|g| + 1)
+        new = list(exp)
+        new[axis] += 1
+        degree = sum(exp)
+        total = total + PolyCoefficient(nvars, {tuple(new): Fraction(q, degree + 1)})
     return total
 
 
@@ -419,11 +414,12 @@ def _form_ratio(left: DifferentialForm, right: DifferentialForm) -> Rational:
     """The constant c with left = c * right, for constant-coefficient forms."""
     if right.is_zero():
         raise CsCompatibilityError("degenerate comparison form")
-    key, coeff = next(iter(sorted(right.terms.items())))
+    key = min(axes for axes, _ in right.terms)
+    coeff = right.coefficient(key)
     if not coeff.is_constant():
         raise CsCompatibilityError("comparison needs constant-coefficient forms")
-    lcoeff = left.terms.get(key)
-    if lcoeff is None or not lcoeff.is_constant():
+    lcoeff = left.coefficient(key)
+    if lcoeff.is_zero() or not lcoeff.is_constant():
         raise CsCompatibilityError("substitution is not cs-compatible")
     c = canon(Fraction(lcoeff.constant_part(), coeff.constant_part()))
     if c == 0 or not (left - right.scale(c)).is_zero():

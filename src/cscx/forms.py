@@ -1,9 +1,16 @@
 """Sparse exterior algebra on a chart.
 
 A chart fixes an ordered coordinate system, a coefficient ring and a weight
-for every coordinate.  A differential form of degree k is a sparse map from
-strictly increasing k-tuples of coordinate axes to ring coefficients; a
-polyvector field of degree 1 or 2 uses the same key discipline.
+for every coordinate.  A differential form of degree k is one flat map
+``{(axes, term): q}``: ``axes`` a strictly increasing k-tuple of coordinate
+axes, ``term`` a term key of the chart's ring (an exponent tuple, or
+``("c" | "s", mode)``) and ``q`` a nonzero canonical rational.  A
+polyvector field of degree 1 or 2 is stored the same way.  Every operation
+is one loop over such maps through the ring's single-term kernels
+``term_partial`` and ``term_product`` (see ``coefficients``), so applying
+an operator builds no coefficient object.  Coefficients cross the boundary
+only whole: ``from_coefficients``, ``function_form``, ``basis_form`` and
+``times`` take them, and ``coefficient(axes)`` builds one on demand.
 
 Conventions, fixed once and used everywhere:
 
@@ -23,6 +30,7 @@ finite-dimensional subcomplexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -31,6 +39,7 @@ from .coefficients import (
     PolyCoefficient,
     Rational,
     Ring,
+    canon,
     coefficient_from_json,
     json_int,
 )
@@ -76,18 +85,12 @@ class Chart:
     def dim(self) -> int:
         return len(self.coords)
 
-    @property
+    @cached_property
     def base_axes(self) -> tuple[int, ...]:
         return tuple(a for a in range(self.dim) if a != self.t_axis)
 
-    def zero_coeff(self) -> Coefficient:
-        return self.ring.zero()
-
     def one_coeff(self) -> Coefficient:
         return self.ring.one()
-
-    def const(self, value: Rational) -> Coefficient:
-        return self.ring.const(value)
 
     def coord_coeff(self, axis: int) -> Coefficient:
         return self.ring.var(axis)
@@ -152,7 +155,8 @@ def _base_names(n: int) -> tuple[str, ...]:
 
 # -- index combinatorics (single source of sign truth) ----------------------
 # Every wedge sign comes from ``merge_wedge`` and every contraction sign,
-# for forms and fiber maps alike, from ``contract_axes``.
+# for forms and fiber maps alike, from ``contract_axes``; both are pure and
+# cached, and what they return is an immutable tuple.
 
 
 def multi_indices(m: int, k: int) -> list[MultiIndex]:
@@ -160,6 +164,7 @@ def multi_indices(m: int, k: int) -> list[MultiIndex]:
     return list(combinations(range(m), k)) if k >= 0 else []
 
 
+@lru_cache(maxsize=1 << 16)
 def merge_wedge(left: MultiIndex, right: MultiIndex) -> tuple[int, MultiIndex] | None:
     """Sign and sorted key for dx^left ^ dx^right; None on a repeated axis."""
     merged = list(left)
@@ -175,6 +180,7 @@ def merge_wedge(left: MultiIndex, right: MultiIndex) -> tuple[int, MultiIndex] |
     return sign, tuple(merged)
 
 
+@lru_cache(maxsize=1 << 16)
 def contract_axes(key: MultiIndex, axes: MultiIndex) -> tuple[int, MultiIndex] | None:
     """Sign and key for inserting d/d(axes[0]), d/d(axes[1]), ... in turn into dx^key.
 
@@ -202,50 +208,86 @@ def validate_key(key: MultiIndex, degree: int, dim: int) -> None:
         raise InvalidAxisError(f"key {key} is not strictly increasing")
 
 
+def _canonical(terms: Mapping) -> dict:
+    """The nonzero entries of a flat map, each value canonical."""
+    return {k: (q if type(q) is int else canon(q)) for k, q in terms.items() if q}
+
+
 class _SparseGraded:
-    """Shared storage/arithmetic for forms and polyvector fields."""
+    """Shared storage/arithmetic for forms and polyvector fields.
+
+    ``terms`` is one flat map ``{(axes, term): q}``: ``axes`` a strictly
+    increasing multi-index, ``term`` a key of the chart's ring and ``q`` a
+    nonzero canonical rational.
+    """
 
     __slots__ = ("chart", "degree", "terms")
 
-    def __init__(
-        self,
-        chart: Chart,
-        degree: int,
-        terms: Mapping[MultiIndex, Coefficient],
-        validated: bool = False,
-    ):
+    def __init__(self, chart: Chart, degree: int, terms: Mapping[tuple[MultiIndex, object], Rational]):
         if degree < 0:
             raise DegreeError("negative degree")
+        ring = chart.ring
+        for key, term in terms:
+            validate_key(key, degree, chart.dim)
+            if len(ring.coefficient_type.term_vector(term)) != ring.nvars:
+                raise InvalidAxisError(f"term {term!r} is not a {ring.kind} term in {ring.nvars} variables")
         self.chart = chart
         self.degree = degree
-        clean: dict[MultiIndex, Coefficient] = {}
-        for key, coeff in terms.items():
-            if coeff.is_zero():
-                continue
-            if not validated:
-                validate_key(key, degree, chart.dim)
-            clean[key] = coeff
-        self.terms = clean
+        self.terms = _canonical(terms)
+
+    @classmethod
+    def _of(cls, chart: Chart, degree: int, terms: dict):
+        """The form of the flat terms an operation accumulated in a new dict: keys valid.
+
+        The dict is kept as it is when every value is a nonzero ``int``, the
+        common case; otherwise zeros are dropped and values made canonical.
+        """
+        out = object.__new__(cls)
+        out.chart = chart
+        out.degree = degree
+        for q in terms.values():
+            if type(q) is not int or not q:
+                terms = _canonical(terms)
+                break
+        out.terms = terms
+        return out
+
+    @classmethod
+    def from_coefficients(cls, chart: Chart, degree: int, coefficients: Mapping[MultiIndex, Coefficient]):
+        """The form or field with coefficient ``coefficients[axes]`` on each multi-index."""
+        ring = chart.ring
+        if any((f.kind, f.nvars) != (ring.kind, ring.nvars) for f in coefficients.values()):
+            raise RingMismatchError(f"a coefficient is not in the chart's {ring.kind} ring")
+        terms = {(tuple(key), t): q for key, f in coefficients.items() for t, q in f.terms.items()}
+        return cls(chart, degree, terms)
 
     def _check(self, other: "_SparseGraded") -> None:
-        if other.chart != self.chart:
+        if other.chart is not self.chart and other.chart != self.chart:
             raise ChartMismatchError("operands live on different charts")
 
-    def __add__(self, other):
+    def _sum(self, other, sign: int):
+        """self + sign * other, in one pass over other's terms."""
         self._check(other)
         if other.degree != self.degree:
             raise DegreeError(f"cannot add {self._plural} of different degrees")
         out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out[key] + coeff if key in out else coeff
-        return type(self)(self.chart, self.degree, out, validated=True)
+        for key, q in other.terms.items():
+            out[key] = out[key] + sign * q if key in out else sign * q
+        return type(self)._of(self.chart, self.degree, out)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     def scale(self, q: Rational):
-        return type(self)(
-            self.chart,
-            self.degree,
-            {k: c.scale(q) for k, c in self.terms.items()},
-            validated=True,
+        if q == 1 and type(q) is int:
+            return self
+        return type(self)._of(self.chart, self.degree, {k: v * q for k, v in self.terms.items()})
+
+    def coefficient(self, key: MultiIndex) -> Coefficient:
+        """The coefficient function on the multi-index ``key``, built on demand."""
+        key = tuple(key)
+        return self.chart.ring.coefficient_type(
+            self.chart.ring.nvars, {term: q for (axes, term), q in self.terms.items() if axes == key}
         )
 
     def is_zero(self) -> bool:
@@ -254,7 +296,7 @@ class _SparseGraded:
     def __eq__(self, other: object) -> bool:
         return (
             type(other) is type(self)
-            and other.chart == self.chart
+            and (other.chart is self.chart or other.chart == self.chart)
             and other.degree == self.degree
             and other.terms == self.terms
         )
@@ -268,39 +310,32 @@ class _SparseGraded:
             return f"{what}(deg={self.degree}, 0)"
         names = self.chart.coords
         bits = []
-        for key in sorted(self.terms):
+        for key in sorted({axes for axes, _ in self.terms}):
             label = "^".join(f"d{names[a]}" for a in key) or "1"
-            bits.append(f"[{label}] {self.terms[key]!r}")
+            bits.append(f"[{label}] {self.coefficient(key)!r}")
         return f"{what}(deg={self.degree}, " + " + ".join(bits) + ")"
 
 
 class DifferentialForm(_SparseGraded):
-    """Degree-k form: sparse map from ordered multi-indices to coefficients."""
+    """Degree-k form: a flat map from (multi-index, ring term) to rationals."""
 
     _plural = "forms"
 
     def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __neg__(self) -> "DifferentialForm":
-        return DifferentialForm(
-            self.chart, self.degree, {k: -c for k, c in self.terms.items()}, validated=True
-        )
+        return DifferentialForm._of(self.chart, self.degree, {k: -q for k, q in self.terms.items()})
 
     def times(self, f: Coefficient) -> "DifferentialForm":
-        """Multiply by a scalar function."""
-        return DifferentialForm(
-            self.chart, self.degree, {k: f * c for k, c in self.terms.items()}, validated=True
-        )
+        """Multiply by a scalar function: its wedge with the function form."""
+        return wedge(function_form(self.chart, f), self)
 
     def d(self) -> "DifferentialForm":
         return exterior_derivative(self)
 
-    def coefficient(self, key: MultiIndex) -> Coefficient:
-        return self.terms.get(tuple(key), self.chart.zero_coeff())
-
     def uses_axis(self, axis: int) -> bool:
-        return any(axis in key for key in self.terms)
+        return any(axis in key for key, _ in self.terms)
 
 
 class PolyVectorField(_SparseGraded):
@@ -308,10 +343,10 @@ class PolyVectorField(_SparseGraded):
 
     _plural = "polyvectors"
 
-    def __init__(self, chart, degree, terms, validated=False):
+    def __init__(self, chart, degree, terms):
         if degree not in (1, 2):
             raise DegreeError("polyvector fields here have degree 1 or 2")
-        super().__init__(chart, degree, terms, validated)
+        super().__init__(chart, degree, terms)
 
 
 def zero_form(chart: Chart, degree: int) -> DifferentialForm:
@@ -319,37 +354,45 @@ def zero_form(chart: Chart, degree: int) -> DifferentialForm:
 
 
 def function_form(chart: Chart, f: Coefficient) -> DifferentialForm:
-    return DifferentialForm(chart, 0, {(): f})
+    return DifferentialForm.from_coefficients(chart, 0, {(): f})
 
 
 def basis_form(chart: Chart, key: Iterable[int], coeff: Coefficient | None = None) -> DifferentialForm:
     key = tuple(key)
     c = coeff if coeff is not None else chart.one_coeff()
-    return DifferentialForm(chart, len(key), {key: c})
+    return DifferentialForm.from_coefficients(chart, len(key), {key: c})
 
 
 def coordinate_vector(chart: Chart, axis: int, coeff: Coefficient | None = None) -> PolyVectorField:
     c = coeff if coeff is not None else chart.one_coeff()
-    return PolyVectorField(chart, 1, {(axis,): c})
+    return PolyVectorField.from_coefficients(chart, 1, {(axis,): c})
 
 
 # -- operations --------------------------------------------------------------
+# Each runs one loop over the flat terms, through the ring's single-term
+# kernels ``term_partial`` and ``term_product``.
+
+
+def _contract_products(P: _SparseGraded, omega: _SparseGraded, combine) -> dict:
+    """Sum of sign * (p * q) on ``combine(axes of P, axes of omega)`` over all term pairs."""
+    product = omega.chart.ring.coefficient_type.term_product
+    out: dict = {}
+    for (pkey, pterm), p in P.terms.items():
+        for (key, term), q in omega.terms.items():
+            hit = combine(pkey, key)
+            if hit is None:
+                continue
+            sign, new_key = hit
+            for new_term, c in product(pterm, term):
+                k = (new_key, new_term)
+                out[k] = out.get(k, 0) + sign * c * p * q
+    return out
 
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     """Exterior product with the permutation-sign convention."""
     a._check(b)
-    degree = a.degree + b.degree
-    out: dict[MultiIndex, Coefficient] = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            merged = merge_wedge(ka, kb)
-            if merged is None:
-                continue
-            sign, key = merged
-            piece = (ca * cb).scale(sign)
-            out[key] = out[key] + piece if key in out else piece
-    return DifferentialForm(a.chart, degree, out, validated=True)
+    return DifferentialForm._of(a.chart, a.degree + b.degree, _contract_products(a, b, merge_wedge))
 
 
 def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
@@ -363,20 +406,21 @@ def horizontal_derivative(omega: DifferentialForm) -> DifferentialForm:
 
 
 def _derivative_over_axes(omega: DifferentialForm, axes: Iterable[int]) -> DifferentialForm:
-    chart = omega.chart
-    out: dict[MultiIndex, Coefficient] = {}
-    for key, coeff in omega.terms.items():
+    ring = omega.chart.ring.coefficient_type
+    vector, partial = ring.term_vector, ring.term_partial
+    out: dict = {}
+    for (key, term), q in omega.terms.items():
+        v = vector(term)
         for axis in axes:
-            df = coeff.partial(axis)
-            if df.is_zero():
+            # no derivative along a variable the term does not involve, nor a
+            # differential the key already holds
+            if not v[axis] or axis in key:
                 continue
-            merged = merge_wedge((axis,), key)
-            if merged is None:
-                continue
-            sign, new_key = merged
-            piece = df.scale(sign)
-            out[new_key] = out[new_key] + piece if new_key in out else piece
-    return DifferentialForm(chart, omega.degree + 1, out, validated=True)
+            new_term, c = partial(term, axis)
+            sign, new_key = merge_wedge((axis,), key)
+            k = (new_key, new_term)
+            out[k] = out.get(k, 0) + sign * c * q
+    return DifferentialForm._of(omega.chart, omega.degree + 1, out)
 
 
 def t_derivative(omega: DifferentialForm, scale: Rational = 1) -> DifferentialForm:
@@ -384,12 +428,14 @@ def t_derivative(omega: DifferentialForm, scale: Rational = 1) -> DifferentialFo
     chart = omega.chart
     if chart.t_axis is None:
         raise InvalidAxisError("chart has no transversal coordinate")
+    partial, axis = chart.ring.coefficient_type.term_partial, chart.t_axis
     out = {}
-    for key, coeff in omega.terms.items():
-        df = coeff.partial(chart.t_axis).scale(scale)
-        if not df.is_zero():
-            out[key] = df
-    return DifferentialForm(chart, omega.degree, out, validated=True)
+    for (key, term), q in omega.terms.items():
+        hit = partial(term, axis)
+        if hit is not None:
+            # one term in, one term out: no two land on one key
+            out[(key, hit[0])] = hit[1] * scale * q
+    return DifferentialForm._of(chart, omega.degree, out)
 
 
 def interior_product(P: PolyVectorField, omega: DifferentialForm) -> DifferentialForm:
@@ -403,51 +449,38 @@ def interior_product(P: PolyVectorField, omega: DifferentialForm) -> Differentia
         raise DegreeError(
             f"cannot contract a degree-{P.degree} polyvector into a degree-{omega.degree} form"
         )
-    out: dict[MultiIndex, Coefficient] = {}
-    for pkey, pcoeff in P.terms.items():
-        for key, coeff in omega.terms.items():
-            hit = contract_axes(key, pkey)
-            if hit is None:
-                continue
-            sign, new_key = hit
-            piece = (pcoeff * coeff).scale(sign)
-            out[new_key] = out[new_key] + piece if new_key in out else piece
-    return DifferentialForm(omega.chart, omega.degree - P.degree, out, validated=True)
+    out = _contract_products(P, omega, lambda pkey, key: contract_axes(key, pkey))
+    return DifferentialForm._of(omega.chart, omega.degree - P.degree, out)
 
 
 def lie_derivative(X: PolyVectorField, omega: DifferentialForm) -> DifferentialForm:
     """Cartan formula: L_X = i_X d + d i_X (X of degree 1)."""
     if X.degree != 1:
         raise DegreeError("Lie derivative needs a vector field")
-    inner = interior_product(X, omega) if omega.degree >= 1 else zero_form(omega.chart, 0)
     left = interior_product(X, exterior_derivative(omega))
     if omega.degree >= 1:
-        return left + exterior_derivative(inner)
+        return left + exterior_derivative(interior_product(X, omega))
     return left
 
 
 def bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:
-    """Lie bracket of two vector fields, computed componentwise."""
+    """Lie bracket of two vector fields: [X, Y]^a = X^b d_b Y^a - Y^b d_b X^a."""
     if X.degree != 1 or Y.degree != 1:
         raise DegreeError("bracket needs two vector fields")
     X._check(Y)
-    chart = X.chart
-    out: dict[MultiIndex, Coefficient] = {}
-    for (b,), xb in X.terms.items():
-        for (a,), ya in Y.terms.items():
-            dya = ya.partial(b)
-            if not dya.is_zero():
-                key = (a,)
-                piece = xb * dya
-                out[key] = out[key] + piece if key in out else piece
-    for (b,), yb in Y.terms.items():
-        for (a,), xa in X.terms.items():
-            dxa = xa.partial(b)
-            if not dxa.is_zero():
-                key = (a,)
-                piece = -(yb * dxa)
-                out[key] = out[key] + piece if key in out else piece
-    return PolyVectorField(chart, 1, out, validated=True)
+    ring = X.chart.ring.coefficient_type
+    out: dict = {}
+    for U, V, sign in ((X, Y, 1), (Y, X, -1)):
+        for ((b,), ub), p in U.terms.items():
+            for (key, va), q in V.terms.items():
+                hit = ring.term_partial(va, b)
+                if hit is None:
+                    continue
+                dva, c = hit
+                for term, e in ring.term_product(ub, dva):
+                    k = (key, term)
+                    out[k] = out.get(k, 0) + sign * c * e * p * q
+    return PolyVectorField._of(X.chart, 1, out)
 
 
 # -- the projection of a contact chart onto its base -------------------------
@@ -457,12 +490,11 @@ def promote_form(omega: DifferentialForm, chart: Chart) -> DifferentialForm:
     """Pull a base form back along the projection of the contact ``chart`` (append t)."""
     if omega.chart.ring.kind != "poly" or chart != contact_chart_over(omega.chart):
         raise ChartMismatchError("form does not live on the base of this contact chart")
-    terms = {key: coeff.pad(chart.ring.nvars) for key, coeff in omega.terms.items()}
-    return DifferentialForm(chart, omega.degree, terms, validated=True)
+    return DifferentialForm._of(chart, omega.degree, {(k, e + (0,)): q for (k, e), q in omega.terms.items()})
 
 
 def restrict_form(omega: DifferentialForm, base: Chart) -> DifferentialForm:
-    """Push an invariant, dt-free form down to the ``base`` chart."""
+    """Push an invariant, dt-free form down to the ``base`` chart (drop t)."""
     chart = omega.chart
     if chart.t_axis is None:
         if chart != base:
@@ -470,12 +502,9 @@ def restrict_form(omega: DifferentialForm, base: Chart) -> DifferentialForm:
         return omega
     if omega.uses_axis(chart.t_axis):
         raise ReebInvarianceError("form has a transversal component")
-    terms = {}
-    for key, coeff in omega.terms.items():
-        if any(exp[-1] for exp in coeff.terms):
-            raise ReebInvarianceError("form depends on the transversal coordinate")
-        terms[key] = coeff.restrict(base.ring.nvars)
-    return DifferentialForm(base, omega.degree, terms, validated=True)
+    if any(exp[-1] for _, exp in omega.terms):
+        raise ReebInvarianceError("form depends on the transversal coordinate")
+    return DifferentialForm._of(base, omega.degree, {(k, e[:-1]): q for (k, e), q in omega.terms.items()})
 
 
 # -- substitutions -----------------------------------------------------------
@@ -498,52 +527,31 @@ class LinearSubstitution:
     t_scale: Rational = 1
     shift: PolyCoefficient | None = None
 
-    def pullback_coefficient(self, f: Coefficient) -> Coefficient:
-        if not isinstance(f, PolyCoefficient):
-            raise UnsupportedRingOperationError("substitutions act on the poly ring")
-        images: list[PolyCoefficient] = []
-        nbase = len(self.matrix)
-        for i in range(nbase):
-            terms = {}
-            for j, q in enumerate(self.matrix[i]):
-                if q:
-                    exp = [0] * self.dst.ring.nvars
-                    exp[j] = 1
-                    terms[tuple(exp)] = q
-            images.append(PolyCoefficient(self.dst.ring.nvars, terms))
+    @cached_property
+    def images(self) -> list[PolyCoefficient]:
+        """The pullback of each source coordinate function, in the target ring."""
+        nvars = self.dst.ring.nvars
+        unit = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
+        images = [PolyCoefficient(nvars, {unit[j]: q for j, q in enumerate(row)}) for row in self.matrix]
         if self.src.t_axis is not None:
-            nvars = self.dst.ring.nvars
-            t_exp = [0] * nvars
-            t_exp[self.dst.t_axis] = 1
-            t_image = PolyCoefficient(nvars, {tuple(t_exp): self.t_scale})
+            t_image = PolyCoefficient(nvars, {unit[self.dst.t_axis]: self.t_scale})
             if self.shift is not None:
                 t_image = t_image + self.shift.pad(nvars)
             images.append(t_image)
-        return f.substitute(images)
-
-    def pullback_differential(self, axis: int) -> DifferentialForm:
-        if axis == self.src.t_axis:
-            nvars = self.dst.ring.nvars
-            out = basis_form(self.dst, (self.dst.t_axis,)).scale(self.t_scale)
-            if self.shift is not None:
-                out = out + exterior_derivative(
-                    function_form(self.dst, self.shift.pad(nvars))
-                )
-            return out
-        terms = {}
-        for j, q in enumerate(self.matrix[axis]):
-            if q:
-                terms[(j,)] = self.dst.const(q)
-        return DifferentialForm(self.dst, 1, terms, validated=True)
+        return images
 
     def pullback(self, omega: DifferentialForm) -> DifferentialForm:
+        """Substitute the images into each coefficient; each dx_i goes to d(image of x_i)."""
         if omega.chart != self.src:
             raise ChartMismatchError("form does not live on the substitution source")
+        if self.src.ring.kind != "poly":
+            raise UnsupportedRingOperationError("substitutions act on the poly ring")
+        differentials = [exterior_derivative(function_form(self.dst, image)) for image in self.images]
         total = zero_form(self.dst, omega.degree)
-        for key, coeff in omega.terms.items():
-            piece = function_form(self.dst, self.pullback_coefficient(coeff))
+        for key in sorted({axes for axes, _ in omega.terms}):
+            piece = function_form(self.dst, omega.coefficient(key).substitute(self.images))
             for axis in key:
-                piece = wedge(piece, self.pullback_differential(axis))
+                piece = wedge(piece, differentials[axis])
             total = total + piece
         return total
 
@@ -553,7 +561,7 @@ class LinearSubstitution:
 
 def form_from_json(obj: dict, chart: Chart) -> DifferentialForm:
     degree = json_int(obj["degree"], "form degree", DegreeError)
-    terms = {}
+    coefficients = {}
     for item in obj.get("terms", []):
         key = tuple(json_int(a, "form index entry", InvalidAxisError) for a in item["idx"])
         coeff = coefficient_from_json(item["coef"], nvars=chart.ring.nvars)
@@ -562,5 +570,5 @@ def form_from_json(obj: dict, chart: Chart) -> DifferentialForm:
                 f"coefficient at {list(key)} is not in the chart's {chart.ring.kind} ring "
                 f"in {chart.ring.nvars} variables"
             )
-        terms[key] = coeff
-    return DifferentialForm(chart, degree, terms)
+        coefficients[key] = coeff
+    return DifferentialForm.from_coefficients(chart, degree, coefficients)

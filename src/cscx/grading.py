@@ -27,15 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from math import comb
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .coefficients import (
-    Coefficient,
-    PolyCoefficient,
-    Rational,
-    TrigCoefficient,
-    canonical_mode,
-)
+from .coefficients import Rational, canonical_mode
 from .errors import (
     ConfigError,
     InternalConsistencyError,
@@ -169,7 +164,7 @@ def sample_orbit_count(nvars: int) -> int:
 # (145,521) and n=3 w<=10 (184,690).  Wall times at the edge (2-core x86,
 # CPython 3.11, one or two runs): cohomology n=3 w<=10 10.9-11.5 s, n=5 w<=6
 # 19.0-21.6 s, n=2 w<=20 9.0-10.2 s; les n=3 w<=10 7.9-8.6 s; rumin verify
-# n=3 w<=9 6.7 s, n=2 w<=16 4.8-5.9 s; rs crosscheck n=3 w<=9 9.1-14.2 s.
+# n=3 w<=9 6.7 s, n=2 w<=16 4.8-5.9 s; rs crosscheck n=3 w<=9 5.0-6.6 s.
 # Affine n=2 w<=40 has 1,797,441 sections and torus n=7 at sup-norm 3
 # about 1.1e16
 _MAX_SECTION_DIM = 135_000
@@ -308,68 +303,48 @@ class GradedSpace:
                     labels.append((block, (j, mono)))
         return SectionBasis(key=self.key + (truncation.kind,), labels=tuple(labels))
 
-    def _mono_coefficient(self, mono: tuple) -> Coefficient:
-        if mono[0] == "p":
-            return PolyCoefficient(self.chart.ring.nvars, {mono[1]: 1})
-        return TrigCoefficient(self.chart.ring.nvars, {mono: 1})
-
     def element(self, label: tuple) -> DifferentialForm:
         (_, (j, mono)) = label
-        coeff = self._mono_coefficient(mono)
-        if self.fiber is not None:
-            vec = self.fiber.primitive_basis(self.degree)[j]
-        else:
-            vec = {j: 1}
-        terms = {}
-        for pos, q in vec.items():
-            terms[self._indices[pos]] = coeff.scale(q)
-        return DifferentialForm(self.chart, self.degree, terms, validated=True)
+        # a poly label ("p", exponent) carries its ring term; a trig label is one
+        term = mono[1] if mono[0] == "p" else mono
+        vec = self.fiber.primitive_basis(self.degree)[j] if self.fiber is not None else {j: 1}
+        keys = self._indices
+        return DifferentialForm._of(self.chart, self.degree, {(keys[pos], term): q for pos, q in vec.items()})
 
     # -- form -> coordinates ----------------------------------------------------
 
-    def _coeff_blocks(self, coeff: Coefficient) -> dict[Block, dict[tuple, Rational]]:
-        """Split one coefficient into {block: {mono_label: scalar}} pieces."""
-        out: dict[Block, dict[tuple, Rational]] = {}
-        if isinstance(coeff, PolyCoefficient):
-            weights = self.chart.weights
-            for exp, q in coeff.terms.items():
-                w = self.degree + self.weight_offset + sum(
-                    e * wt for e, wt in zip(exp, weights)
-                )
-                out.setdefault(("w", w), {})[("p", exp)] = q
-        elif isinstance(coeff, TrigCoefficient):
-            # a trig term (kind, mode) is its own monomial label
-            for label, q in coeff.terms.items():
-                out.setdefault(("m", label[1]), {})[label] = q
-        else:
-            raise UnsupportedRingOperationError("unknown coefficient type")
-        return out
-
     def coordinates(self, form: DifferentialForm) -> dict[tuple, Rational]:
-        """Nonzero coordinates of a form, keyed by basis label ``(block, (j, mono))``."""
+        """Nonzero coordinates of a form, keyed by basis label ``(block, (j, mono))``.
+
+        The flat terms are grouped by monomial; each group is one fiber
+        vector, read in the primitive basis.
+        """
         if form.degree != self.degree:
             raise NonPrimitiveError(
                 f"degree {form.degree} form in a degree {self.degree} space"
             )
-        per_block: dict[tuple[Block, tuple], dict[int, Rational]] = {}
-        for key, coeff in form.terms.items():
-            idx = self._pos.get(key)
+        pos, weights = self._pos, self.chart.weights
+        poly = self.chart.ring.kind == "poly"
+        per_mono: dict[tuple[Block, tuple], dict[int, Rational]] = {}
+        for (key, term), q in form.terms.items():
+            idx = pos.get(key)
             if idx is None:
                 raise NonPrimitiveError(f"key {key} leaves the base axes")
-            for block, monos in self._coeff_blocks(coeff).items():
-                for mono, q in monos.items():
-                    vec = per_block.setdefault((block, mono), {})
-                    vec[idx] = vec.get(idx, 0) + q
-        out: dict[tuple, Rational] = {}
-        for (block, mono), vec in sorted(per_block.items()):
-            vec = {i: v for i, v in vec.items() if v}
-            if not vec:
-                continue
-            if self.fiber is not None:
-                coords = self.fiber.primitive_coords(self.degree, vec)
+            if poly:
+                w = self.degree + self.weight_offset + sum(map(mul, term, weights))
+                label = (("w", w), ("p", term))
             else:
-                coords = [vec.get(i, 0) for i in range(len(self._indices))]
-            for j, q in enumerate(coords):
+                # a trig term (kind, mode) is its own monomial label
+                label = (("m", term[1]), term)
+            # each (key, term) is stored once, so each entry is written once
+            per_mono.setdefault(label, {})[idx] = q
+        out: dict[tuple, Rational] = {}
+        for (block, mono), vec in sorted(per_mono.items()):
+            if self.fiber is not None:
+                coords = enumerate(self.fiber.primitive_coords(self.degree, vec))
+            else:
+                coords = sorted(vec.items())
+            for j, q in coords:
                 if q:
                     out[(block, (j, mono))] = q
         return out

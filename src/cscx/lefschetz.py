@@ -113,6 +113,7 @@ class FiberCalculus:
         self._middle_inverse: FiberMap | None = None
         self._primitive: dict[int, list[FiberVector]] = {}
         self._primitive_span: dict[int, Echelon] = {}
+        self._unit_coords: dict[tuple[int, int], list[Rational]] = {}
         self._decomp: dict[int, tuple[list[tuple[int, int]], Echelon]] = {}
         self._components: dict[int, list[tuple[int, int, FiberMap]]] = {}
         self._inverse_bivector: dict[tuple[int, int], Rational] | None = None
@@ -125,9 +126,10 @@ class FiberCalculus:
             self._positions[k] = {key: i for i, key in enumerate(self._indices[k])}
         return self._indices[k]
 
-    def position(self, k: int, key: MultiIndex) -> int:
+    def positions(self, k: int) -> dict[MultiIndex, int]:
+        """The position of each multi-index of degree k in ``indices(k)``."""
         self.indices(k)
-        return self._positions[k][key]
+        return self._positions[k]
 
     def dim(self, k: int) -> int:
         return len(self.indices(k))
@@ -164,7 +166,7 @@ class FiberCalculus:
                     if merged is None:
                         continue
                     sign, new_key = merged
-                    row = self.position(k + 2, new_key)
+                    row = self.positions(k + 2)[new_key]
                     entry = (row, col)
                     entries[entry] = entries.get(entry, 0) + v * sign
             self._wedge[k] = FiberMap(entries)
@@ -181,7 +183,7 @@ class FiberCalculus:
                     if hit is None:
                         continue
                     sign, new_key = hit
-                    row = self.position(k - 2, new_key)
+                    row = self.positions(k - 2)[new_key]
                     entry = (row, col)
                     entries[entry] = entries.get(entry, 0) + v * sign
             self._insert[k] = FiberMap(entries)
@@ -217,7 +219,20 @@ class FiberCalculus:
         return len(self.primitive_basis(k))
 
     def primitive_coords(self, k: int, vec: FiberVector) -> list[Rational]:
-        """Coordinates of a fiber vector in the primitive basis (must lie in it)."""
+        """Coordinates of a fiber vector in the primitive basis (must lie in it).
+
+        Most vectors a class space reads back are some q e_i: those read q
+        times the coordinates of e_i, solved once per degree.
+        """
+        if len(vec) != 1:
+            return self._solve_primitive(k, vec)
+        ((i, q),) = vec.items()
+        unit = self._unit_coords.get((k, i))
+        if unit is None:
+            unit = self._unit_coords[(k, i)] = self._solve_primitive(k, {i: 1})
+        return [x if type(x := q * c) is int else canon(x) for c in unit]
+
+    def _solve_primitive(self, k: int, vec: FiberVector) -> list[Rational]:
         if k not in self._primitive_span:
             self._primitive_span[k] = Echelon(self.primitive_basis(k))
         coords = self._primitive_span[k].coords(vec)
@@ -301,15 +316,16 @@ class FiberCalculus:
 def fiber_apply(
     fib: FiberCalculus, entries: FiberMap, form: DifferentialForm, out_degree: int
 ) -> DifferentialForm:
-    """Apply a fiber map to the multi-index coordinates of a form."""
+    """Apply a fiber map to the multi-index coordinates of a form, term by term."""
     out_keys = fib.indices(out_degree)
-    accum: dict[MultiIndex, object] = {}
-    for key, coeff in form.terms.items():
-        for row, q in entries.columns.get(fib.position(form.degree, key), ()):
-            out_key = out_keys[row]
-            piece = coeff.scale(q)
-            accum[out_key] = accum[out_key] + piece if out_key in accum else piece
-    return DifferentialForm(form.chart, out_degree, accum, validated=True)
+    position = fib.positions(form.degree)
+    columns = entries.columns
+    accum: dict = {}
+    for (key, term), q in form.terms.items():
+        for row, v in columns.get(position[key], ()):
+            k = (out_keys[row], term)
+            accum[k] = accum.get(k, 0) + v * q
+    return DifferentialForm._of(form.chart, out_degree, accum)
 
 
 def is_primitive(fib: FiberCalculus, form: DifferentialForm) -> bool:
@@ -325,15 +341,16 @@ def fiber_from_form(omega: DifferentialForm, n: int) -> FiberCalculus:
     """
     if omega.degree != 2:
         raise CsStructureError("structure form must have degree 2")
+    unit = omega.chart.ring.unit_term()
     terms: dict[tuple[int, int], Rational] = {}
-    for key, coeff in omega.terms.items():
+    for (key, term), q in omega.terms.items():
         if any(a >= 2 * n for a in key):
             raise CsStructureError("structure form must live on the base axes")
-        if not coeff.is_constant():
+        if term != unit:
             raise CsStructureError(
                 "structure form must have constant coefficients for graded truncation"
             )
-        terms[key] = coeff.constant_part()
+        terms[key] = q
     return FiberCalculus(2 * n, n, terms)
 
 
@@ -388,9 +405,8 @@ class CsChart:
         return TwoStepStructure(chart=self.chart, n=self.n, lef=self.omega, fiber=self.fiber)
 
     def inverse_bivector_field(self) -> PolyVectorField:
-        terms = {
-            key: self.chart.const(v) for key, v in self.fiber.inverse_bivector().items()
-        }
+        unit = self.chart.ring.unit_term()
+        terms = {(key, unit): v for key, v in self.fiber.inverse_bivector().items()}
         return PolyVectorField(self.chart, 2, terms)
 
 

@@ -149,11 +149,11 @@ def rumin_apply(struct: TwoStepStructure, k: int, payload: DifferentialForm) -> 
         image = struct.dH(payload)
         return fiber_apply(fib, fib.pi0_map(k + 1), image, k + 1)
     if k == n:
-        image = struct.dH(payload)
-        correction = fiber_apply(fib, _middle_inverse(fib), -image, n - 1)
-        if not (image + struct.L(correction)).is_zero():
+        target = -struct.dH(payload)
+        correction = fiber_apply(fib, _middle_inverse(fib), target, n - 1)
+        if struct.L(correction) != target:
             raise InternalConsistencyError("middle correction failed to cancel")
-        out = -struct.lie(payload) + struct.dH(correction)
+        out = struct.dH(correction) - struct.lie(payload)
     else:
         _assert_primitive(fib, payload)
         out = -struct.dH(payload)

@@ -42,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from copy import copy
 from itertools import product
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, sub
 
 from .coefficients import Rational
 from .errors import InternalConsistencyError, NonPrimitiveError
@@ -155,7 +155,7 @@ class LeibnizTable(_ProbeTable):
         image = op(domain.element((None, key + (("p", c),))))
         drop = sum(map(mul, c, self.weights))
         return {
-            (block[1] - drop, rest[:-1], tuple(e - s for e, s in zip(rest[-1][1], c))): q
+            (block[1] - drop, rest[:-1], tuple(map(sub, rest[-1][1], c))): q
             for (block, rest), q in codomain.coordinates(image).items()
         }
 

@@ -4,8 +4,9 @@ The references are the dense linear algebra the sparse engine is compared
 against, the echelon quotients the unit-pivot reduction is compared
 against, the iterated commutator that defines operator orders, the Newton
 difference that the probe tables compute in place, cos/sin
-built through the JSON boundary, the form serializer and the plain and
-twisted de Rham complexes.
+built through the JSON boundary, the form operations on ``{axes:
+Coefficient}`` dicts that the flat form kernels are compared against, the
+form serializer and the plain and twisted de Rham complexes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from cscx.coefficients import (
     coefficient_from_json,
     coefficient_to_json,
 )
-from cscx.forms import Chart, DifferentialForm, multi_indices
+from cscx.forms import Chart, DifferentialForm, contract_axes, merge_wedge, multi_indices
 from cscx.linalg import Echelon, sparse_nullspace
 
 
@@ -88,7 +89,7 @@ def random_form(chart: Chart, degree: int, r: random.Random, terms: int = 3) -> 
         key = r.choice(keys)
         coeff = random_coefficient(chart.ring, r, terms=2)
         out[key] = out[key] + coeff if key in out else coeff
-    return DifferentialForm(chart, degree, out)
+    return DifferentialForm.from_coefficients(chart, degree, out)
 
 
 def random_base_form(chart: Chart, degree: int, r: random.Random, terms: int = 3) -> DifferentialForm:
@@ -109,7 +110,7 @@ def random_base_form(chart: Chart, degree: int, r: random.Random, terms: int = 3
         if coeff.is_zero():
             continue
         out[key] = out[key] + coeff if key in out else coeff
-    return DifferentialForm(chart, degree, out)
+    return DifferentialForm.from_coefficients(chart, degree, out)
 
 
 def trig_cos(ring: Ring, freq) -> TrigCoefficient:
@@ -122,15 +123,156 @@ def trig_sin(ring: Ring, freq) -> TrigCoefficient:
     return trig_from_exponentials(ring.nvars, [(tuple(freq), Fraction(0), Fraction(-1, 2))])
 
 
+def coefficients_of(omega) -> dict:
+    """A form or polyvector as ``{axes: Coefficient}``, sorted by axes, built with ``coefficient``."""
+    return {key: omega.coefficient(key) for key in sorted({axes for axes, _ in omega.terms})}
+
+
 def form_to_json(omega: DifferentialForm) -> dict:
     """The serialized form that ``cscx.forms.form_from_json`` reads."""
     return {
         "degree": omega.degree,
         "terms": [
             {"idx": list(key), "coef": coefficient_to_json(coeff)}
-            for key, coeff in sorted(omega.terms.items())
+            for key, coeff in coefficients_of(omega).items()
         ],
     }
+
+
+# -- coefficient-object references for the flat form kernels ----------------------
+# The forms store one flat map {(axes, term): q} and run the ring kernels
+# term_partial and term_product.  These references work on {axes: Coefficient}
+# dicts instead, and differentiate and multiply coefficients without the
+# kernels: exponents add on the poly ring, and on the trig ring the complex
+# coefficients of e^{ik.theta} (the JSON format) multiply and differentiate.
+
+
+def _exponentials(f: TrigCoefficient) -> dict:
+    return {
+        tuple(t["freq"]): (Fraction(int(t["re"]["num"]), int(t["re"]["den"])),
+                           Fraction(int(t["im"]["num"]), int(t["im"]["den"])))
+        for t in coefficient_to_json(f)["terms"]
+    }
+
+
+def _from_exponentials(nvars: int, coeffs: dict) -> TrigCoefficient:
+    terms = [
+        {"freq": list(k), "re": _frac_json(re), "im": _frac_json(im)}
+        for k, (re, im) in coeffs.items()
+        if re or im
+    ]
+    return coefficient_from_json({"ring": "trig", "nvars": nvars, "terms": terms})
+
+
+def reference_product(f, g):
+    """f * g: exponents add (poly); c(k) d(l) lands on e^{i(k+l).theta} (trig)."""
+    out: dict = {}
+    if f.kind == "poly":
+        for ea, qa in f.terms.items():
+            for eb, qb in g.terms.items():
+                key = tuple(a + b for a, b in zip(ea, eb))
+                out[key] = out.get(key, 0) + Fraction(qa) * qb
+        return PolyCoefficient(f.nvars, out)
+    for k, (ar, ai) in _exponentials(f).items():
+        for m, (br, bi) in _exponentials(g).items():
+            key = tuple(a + b for a, b in zip(k, m))
+            re, im = out.get(key, (0, 0))
+            out[key] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+    return _from_exponentials(f.nvars, out)
+
+
+def reference_partial(f, var: int):
+    """d f / d v_var: e x^(e-1) (poly); i k_var c(k) per e^{ik.theta} (trig)."""
+    if f.kind == "poly":
+        out: dict = {}
+        for exp, q in f.terms.items():
+            if exp[var]:
+                key = exp[:var] + (exp[var] - 1,) + exp[var + 1:]
+                out[key] = out.get(key, 0) + exp[var] * q
+        return PolyCoefficient(f.nvars, out)
+    return _from_exponentials(
+        f.nvars, {k: (-k[var] * im, k[var] * re) for k, (re, im) in _exponentials(f).items()}
+    )
+
+
+def kernel_partial(f, var: int):
+    """d f / d v_var term by term through the ring's ``term_partial`` kernel."""
+    out: dict = {}
+    for term, q in f.terms.items():
+        hit = f.term_partial(term, var)
+        if hit is not None:
+            out[hit[0]] = out.get(hit[0], 0) + hit[1] * q
+    return type(f)(f.nvars, out)
+
+
+def _add_to(out: dict, key, coeff) -> None:
+    out[key] = out[key] + coeff if key in out else coeff
+
+
+def _reference_pairs(P, omega, combine, degree):
+    out: dict = {}
+    for pkey, p in coefficients_of(P).items():
+        for key, f in coefficients_of(omega).items():
+            hit = combine(pkey, key)
+            if hit is not None:
+                _add_to(out, hit[1], reference_product(p, f).scale(hit[0]))
+    return DifferentialForm.from_coefficients(omega.chart, degree, out)
+
+
+def reference_wedge(a, b):
+    return _reference_pairs(a, b, merge_wedge, a.degree + b.degree)
+
+
+def reference_interior(P, omega):
+    return _reference_pairs(P, omega, lambda pkey, key: contract_axes(key, pkey), omega.degree - P.degree)
+
+
+def reference_derivative(omega, axes):
+    """sum over axes of (d_axis f) dx_axis ^ dx^key, coefficient by coefficient."""
+    out: dict = {}
+    for key, f in coefficients_of(omega).items():
+        for axis in axes:
+            hit = merge_wedge((axis,), key)
+            if hit is not None:
+                _add_to(out, hit[1], reference_partial(f, axis).scale(hit[0]))
+    return DifferentialForm.from_coefficients(omega.chart, omega.degree + 1, out)
+
+
+def reference_t_derivative(omega, scale):
+    axis = omega.chart.t_axis
+    out = {key: reference_partial(f, axis).scale(scale) for key, f in coefficients_of(omega).items()}
+    return DifferentialForm.from_coefficients(omega.chart, omega.degree, out)
+
+
+def reference_lie(X, omega):
+    """Cartan's formula on the references: i_X d omega + d i_X omega."""
+    axes = range(omega.chart.dim)
+    left = reference_interior(X, reference_derivative(omega, axes))
+    if omega.degree == 0:
+        return left
+    return left + reference_derivative(reference_interior(X, omega), axes)
+
+
+def reference_fiber_apply(fib, entries, omega, out_degree):
+    out: dict = {}
+    for key, f in coefficients_of(omega).items():
+        for (row, col), v in entries.items():
+            if col == fib.positions(omega.degree)[key]:
+                _add_to(out, fib.indices(out_degree)[row], f.scale(v))
+    return DifferentialForm.from_coefficients(omega.chart, out_degree, out)
+
+
+def reference_promote(omega, chart):
+    out = {key: f.pad(chart.ring.nvars) for key, f in coefficients_of(omega).items()}
+    return DifferentialForm.from_coefficients(chart, omega.degree, out)
+
+
+def reference_restrict(omega, base):
+    out = {}
+    for key, f in coefficients_of(omega).items():
+        assert omega.chart.t_axis not in key and not any(exp[-1] for exp in f.terms)
+        out[key] = PolyCoefficient(base.ring.nvars, {exp[:-1]: q for exp, q in f.terms.items()})
+    return DifferentialForm.from_coefficients(base, omega.degree, out)
 
 
 def de_rham_complex(cs, truncation):

@@ -683,6 +683,35 @@ class TestFailedChecks:
         assert body["les"]["exact"] and body["les"]["snake_equals_wedge"]
         failed = [name for name, v in body["checks"].items() if v is False]
         assert failed == ["total_matches_rs"]
+        assert result.stderr == (
+            "error: total_matches_rs is false: the rs and total dimensions first differ in degree 0 (0 != 1)\n"
+        )
+
+    def test_cohomology_exit_1_names_the_first_false_check(self, runner, monkeypatch):
+        # the rs middle order stated one too low: at w <= 3 the rs dims still
+        # read right and only weight_stable trips, so the report alone does
+        # not say what differs; the error line names the check and the degree
+        argv = ["cohomology", "--model", "affine", "--n", "2", "--max-weight", "3"]
+        plain = runner.invoke(main, argv)
+        stated = descent.class_operator_order
+        monkeypatch.setattr(descent, "class_operator_order", lambda n, k: stated(n, k) - (k == n))
+        result = runner.invoke(main, argv)
+        assert result.exit_code == plain.exit_code == 1, result.output
+        report, unmutated = json.loads(result.stdout), json.loads(plain.stdout)
+        # the report bytes are those of the run without the error line
+        for r in (report, unmutated):
+            del r["meta"]
+        assert report == unmutated
+        assert [name for name, v in report["result"]["checks"].items() if v is False] == ["weight_stable"]
+        line = "error: weight_stable is false: the rs dimensions at bounds 1 and 3 first differ in degree 1 (0 != 1)\n"
+        assert result.stderr == plain.stderr == line
+        # the witness, read independently: H^1 at bound 1 and at bound 3
+        lower = json.loads(runner.invoke(main, argv[:-1] + ["1"]).stdout)["result"]["dims"]["rs"]
+        assert (lower[1], report["result"]["dims"]["rs"][1]) == (0, 1)
+
+    def test_cohomology_pass_prints_no_error_line(self, runner):
+        result = runner.invoke(main, ["cohomology", "--model", "affine", "--n", "2", "--max-weight", "4"])
+        assert result.exit_code == 0 and result.stderr == ""
 
     @pytest.mark.parametrize("max_weight", [0, 1])
     def test_cohomology_below_the_stable_range_is_unstable(self, runner, max_weight):

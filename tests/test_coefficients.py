@@ -16,7 +16,17 @@ from cscx.coefficients import (
 )
 from cscx.errors import InvalidAxisError, RingMismatchError
 
-from helpers import random_poly, random_trig, rng, trig_cos, trig_from_exponentials, trig_sin
+from helpers import (
+    kernel_partial,
+    random_poly,
+    random_trig,
+    reference_partial,
+    reference_product,
+    rng,
+    trig_cos,
+    trig_from_exponentials,
+    trig_sin,
+)
 
 POLY = poly_ring(4)
 TRIG = trig_ring(4)
@@ -126,7 +136,7 @@ class TestMixedScalars:
             (a * b, fa * fb),
             (a.scale(q), fa.scale(Fraction(q))),
         ]
-        pairs += [(a.partial(var), fa.partial(var)) for var in range(4)]
+        pairs += [(kernel_partial(a, var), kernel_partial(fa, var)) for var in range(4)]
         for got, reference in pairs:
             assert got == reference
             assert _canonical(got) and _canonical(reference)
@@ -197,7 +207,7 @@ class TestSharedArithmetic:
         ring = poly_ring if kind == "poly" else trig_ring
         with pytest.raises(RingMismatchError, match=f"^{OPERANDS[kind]} operands from different rings$"):
             op(ring(4).one(), ring(3).one())
-        assert ring(4).zero() != ring(3).zero()
+        assert ring(4).const(0) != ring(3).const(0)
 
     def test_constructor_key_length_messages(self):
         with pytest.raises(InvalidAxisError, match="^exponent vector of length 3 in a 4-variable ring$"):
@@ -207,18 +217,20 @@ class TestSharedArithmetic:
 
 
 class TestDerivative:
+    """The ring kernel ``term_partial``, summed over a coefficient's terms."""
+
     def test_power_rule(self):
         x = POLY.var(0)
-        assert (x * x).partial(0) == x.scale(2)
+        assert kernel_partial(x * x, 0) == x.scale(2)
 
     def test_annihilates_independent_variable(self):
         f = random_poly(poly_ring(4), rng("indep"))
         padded = f.pad(5)
-        assert padded.partial(4).is_zero()
+        assert kernel_partial(padded, 4).is_zero()
 
     def test_cos_derivative(self):
         theta = (1, 0, 0, 0)
-        assert trig_cos(TRIG, theta).partial(0) == -trig_sin(TRIG, theta)
+        assert kernel_partial(trig_cos(TRIG, theta), 0) == -trig_sin(TRIG, theta)
 
     def test_leibniz_poly_200_random_pairs(self):
         r = rng("leibniz-poly")
@@ -226,8 +238,8 @@ class TestDerivative:
             f = random_poly(POLY, r)
             g = random_poly(POLY, r)
             for var in range(4):
-                left = (f * g).partial(var)
-                right = f * g.partial(var) + g * f.partial(var)
+                left = kernel_partial(f * g, var)
+                right = f * kernel_partial(g, var) + g * kernel_partial(f, var)
                 assert left == right
 
     def test_leibniz_trig_200_random_pairs(self):
@@ -236,22 +248,43 @@ class TestDerivative:
             f = random_trig(TRIG, r)
             g = random_trig(TRIG, r)
             for var in range(4):
-                left = (f * g).partial(var)
-                right = f * g.partial(var) + g * f.partial(var)
+                left = kernel_partial(f * g, var)
+                right = f * kernel_partial(g, var) + g * kernel_partial(f, var)
                 assert left == right
 
     @given(polys(), st.integers(0, 3), st.integers(0, 3))
     def test_mixed_partials_commute_poly(self, f, i, j):
-        assert f.partial(i).partial(j) == f.partial(j).partial(i)
+        assert kernel_partial(kernel_partial(f, i), j) == kernel_partial(kernel_partial(f, j), i)
 
     @settings(max_examples=40)
     @given(trigs(), st.integers(0, 3), st.integers(0, 3))
     def test_mixed_partials_commute_trig(self, f, i, j):
-        assert f.partial(i).partial(j) == f.partial(j).partial(i)
+        assert kernel_partial(kernel_partial(f, i), j) == kernel_partial(kernel_partial(f, j), i)
 
-    def test_invalid_axis(self):
-        with pytest.raises(InvalidAxisError):
-            POLY.one().partial(9)
+
+class TestTermKernels:
+    """Both kernels against references that never call them (see ``helpers``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys(), polys(), st.integers(0, 3))
+    def test_poly_kernels(self, f, g, var):
+        assert f * g == reference_product(f, g)
+        assert kernel_partial(f, var) == reference_partial(f, var)
+
+    @settings(max_examples=60, deadline=None)
+    @given(trigs(), trigs(), st.integers(0, 3))
+    def test_trig_kernels(self, f, g, var):
+        assert f * g == reference_product(f, g)
+        assert kernel_partial(f, var) == reference_partial(f, var)
+
+    def test_trig_product_to_sum_cases(self):
+        # equal modes (a difference of zero), a difference that leaves the
+        # canonical half-space, and a constant factor on either side
+        c, s = trig_cos(TRIG, (1, 0, 0, 0)), trig_sin(TRIG, (1, 0, 0, 0))
+        c2, s2 = trig_cos(TRIG, (0, 1, 0, 0)), trig_sin(TRIG, (-1, 1, 0, 0))
+        for f in (c, s, c2, s2, TRIG.const(3)):
+            for g in (c, s, c2, s2, TRIG.const(Fraction(1, 2))):
+                assert f * g == reference_product(f, g)
 
 
 class TestEvaluate:

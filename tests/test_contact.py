@@ -29,7 +29,7 @@ from cscx.forms import (
     wedge,
     zero_form,
 )
-from helpers import rng, trig_cos, trig_sin
+from helpers import coefficients_of, rng, trig_cos, trig_sin
 
 
 def _standard_beta(n):
@@ -74,7 +74,7 @@ class TestLeviForm:
         frame = h_frame(contact2)
         lie = bracket(frame[0], frame[1])
         value = interior_product(lie, contact2.alpha)
-        assert value.terms == {(): contact2.chart.const(-1)}
+        assert value == function_form(contact2.chart, contact2.chart.ring.const(-1))
 
 
 class TestPartialMap:
@@ -115,7 +115,7 @@ class TestCohomologyBundles:
         basis = h_cohomology_basis(contact2, 2)
         target = basis_form(contact2.chart, (0, 2))  # dx1 ^ dx2
         fib = contact2.fiber
-        vec = {fib.position(2, key): coeff.constant_part() for key, coeff in target.terms.items()}
+        vec = {fib.positions(2)[key]: coeff.constant_part() for key, coeff in coefficients_of(target).items()}
         # insertion of the inverse bivector annihilates it
         assert not fib.insertion_map(2).apply(vec)
         # and it lies in the primitive span
@@ -141,7 +141,7 @@ class TestContactify:
         da = contact2.d_alpha()
         for _ in range(2):
             top = wedge(top, da)
-        assert top.terms == {(0, 1, 2, 3, 4): contact2.chart.const(2)}
+        assert top == basis_form(contact2.chart, (0, 1, 2, 3, 4), contact2.chart.ring.const(2))
 
     def test_symmetric_potential(self):
         base = affine_cs_chart(2)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cscx.errors import ChartMismatchError, DegreeError, ReebInvarianceError
+from cscx.errors import ChartMismatchError, DegreeError, InvalidAxisError, ReebInvarianceError, RingMismatchError
 from cscx.forms import (
+    DifferentialForm,
     PolyVectorField,
     affine_cs_chart,
     basis_form,
@@ -14,16 +15,37 @@ from cscx.forms import (
     exterior_derivative,
     form_from_json,
     function_form,
+    horizontal_derivative,
     interior_product,
     lie_derivative,
+    promote_form,
+    restrict_form,
+    t_derivative,
     torus_cs_chart,
     wedge,
     zero_form,
 )
 from cscx.descent import iso_down
 from cscx.grading import GradedSpace
+from cscx.lefschetz import fiber_apply, standard_cs_chart
 
-from helpers import contract_axis, form_to_json, random_base_form, random_form, rng
+from helpers import (
+    coefficients_of,
+    contract_axis,
+    form_to_json,
+    random_base_form,
+    random_form,
+    reference_derivative,
+    reference_fiber_apply,
+    reference_interior,
+    reference_lie,
+    reference_partial,
+    reference_promote,
+    reference_restrict,
+    reference_t_derivative,
+    reference_wedge,
+    rng,
+)
 
 AFFINE = affine_cs_chart(2)
 TORUS = torus_cs_chart(2)
@@ -36,13 +58,13 @@ class TestWedge:
 
     def test_basis_two_form(self):
         got = wedge(basis_form(AFFINE, (0,)), basis_form(AFFINE, (1,)))
-        assert got.terms == {(0, 1): AFFINE.one_coeff()}
+        assert got == basis_form(AFFINE, (0, 1))
 
     def test_one_transposition(self):
         x1 = AFFINE.coord_coeff(0)
         y1 = AFFINE.coord_coeff(1)
         got = wedge(basis_form(AFFINE, (1,)).times(x1), basis_form(AFFINE, (0,)).times(y1))
-        assert got.terms == {(0, 1): (x1 * y1).scale(-1)}
+        assert got == basis_form(AFFINE, (0, 1), (x1 * y1).scale(-1))
 
     def test_graded_commutativity(self):
         r = rng("graded-comm")
@@ -68,7 +90,7 @@ class TestExteriorDerivative:
     def test_product_coefficient(self):
         x1 = AFFINE.coord_coeff(0)
         got = exterior_derivative(basis_form(AFFINE, (1,)).times(x1))
-        assert got.terms == {(0, 1): AFFINE.one_coeff()}
+        assert got == basis_form(AFFINE, (0, 1))
 
     def test_dd_zero_500_random_per_ring(self):
         for chart, tag in ((AFFINE, "affine"), (TORUS, "torus")):
@@ -103,17 +125,17 @@ class TestInteriorProduct:
         assert got == basis_form(ch, (0,))
 
     def test_convention_anchor(self):
-        P = PolyVectorField(AFFINE, 2, {(0, 1): AFFINE.one_coeff()})
+        P = PolyVectorField.from_coefficients(AFFINE, 2, {(0, 1): AFFINE.one_coeff()})
         got = interior_product(P, basis_form(AFFINE, (0, 1)))
-        assert got.terms == {(): AFFINE.one_coeff()}
+        assert got == function_form(AFFINE, AFFINE.one_coeff())
 
     def test_block_sum(self):
-        P = PolyVectorField(
+        P = PolyVectorField.from_coefficients(
             AFFINE, 2, {(0, 1): AFFINE.one_coeff(), (2, 3): AFFINE.one_coeff()}
         )
         omega = basis_form(AFFINE, (0, 1)) + basis_form(AFFINE, (2, 3))
         got = interior_product(P, omega)
-        assert got.terms == {(): AFFINE.const(2)}
+        assert got == function_form(AFFINE, AFFINE.ring.const(2))
         # cross-check by expanding the slot convention per pair: the term on
         # axes (a, b) inserts d/da into the first slot, then d/db
         total = zero_form(AFFINE, 0)
@@ -138,7 +160,7 @@ class TestInteriorProduct:
         assert contract_axes(key, axes) == expected
 
     def test_degree_underflow(self):
-        P = PolyVectorField(AFFINE, 2, {(0, 1): AFFINE.one_coeff()})
+        P = PolyVectorField.from_coefficients(AFFINE, 2, {(0, 1): AFFINE.one_coeff()})
         with pytest.raises(DegreeError):
             interior_product(P, basis_form(AFFINE, (0,)))
 
@@ -158,20 +180,20 @@ class TestLieDerivative:
         r = rng("cartan")
         for _ in range(100):
             coeffs = [Fraction(r.randint(-3, 3)) for _ in range(4)]
-            X = PolyVectorField(
+            X = PolyVectorField.from_coefficients(
                 AFFINE,
                 1,
-                {(a,): AFFINE.const(c) for a, c in enumerate(coeffs) if c},
+                {(a,): AFFINE.ring.const(c) for a, c in enumerate(coeffs) if c},
             )
             if X.is_zero():
                 continue
             omega = random_form(AFFINE, r.randint(0, 3), r)
             transported = zero_form(AFFINE, omega.degree)
-            for key, coeff in omega.terms.items():
-                moved = AFFINE.zero_coeff()
+            for key, coeff in coefficients_of(omega).items():
+                moved = AFFINE.ring.const(0)
                 for a, c in enumerate(coeffs):
                     if c:
-                        moved = moved + coeff.partial(a).scale(c)
+                        moved = moved + reference_partial(coeff, a).scale(c)
                 transported = transported + basis_form(AFFINE, key, moved)
             assert lie_derivative(X, omega) == transported
 
@@ -271,3 +293,96 @@ class TestSerialization:
             for _ in range(20):
                 omega = random_form(chart, r.randint(0, 3), r)
                 assert form_from_json(form_to_json(omega), chart) == omega
+
+
+def _random_field(chart, degree, r):
+    """A random polyvector field of degree 1 or 2 built from random coefficients."""
+    form = random_form(chart, degree, r)
+    return PolyVectorField.from_coefficients(chart, degree, coefficients_of(form))
+
+
+class TestFlatKernels:
+    """Every flat-map operation against its coefficient-object reference, on both rings."""
+
+    CHARTS = [AFFINE, TORUS]
+
+    @pytest.mark.parametrize("chart", CHARTS, ids=["poly", "trig"])
+    def test_wedge_and_derivatives(self, chart):
+        r = rng("flat-wedge", chart.ring.kind)
+        for _ in range(60):
+            a = random_form(chart, r.randint(0, 3), r)
+            b = random_form(chart, r.randint(0, 2), r)
+            assert wedge(a, b) == reference_wedge(a, b)
+            assert exterior_derivative(a) == reference_derivative(a, range(chart.dim))
+            assert horizontal_derivative(a) == reference_derivative(a, chart.base_axes)
+            f = coefficients_of(random_form(chart, 0, r)).get((), chart.ring.const(0))
+            assert a.times(f) == DifferentialForm.from_coefficients(
+                chart, a.degree, {key: c * f for key, c in coefficients_of(a).items()}
+            )
+
+    @pytest.mark.parametrize("chart", CHARTS, ids=["poly", "trig"])
+    def test_interior_and_lie(self, chart):
+        r = rng("flat-interior", chart.ring.kind)
+        for _ in range(40):
+            X = _random_field(chart, 1, r)
+            P = _random_field(chart, 2, r)
+            omega = random_form(chart, r.randint(2, 4), r)
+            assert interior_product(X, omega) == reference_interior(X, omega)
+            assert interior_product(P, omega) == reference_interior(P, omega)
+            assert lie_derivative(X, omega) == reference_lie(X, omega)
+
+    @pytest.mark.parametrize("chart", CHARTS, ids=["poly", "trig"])
+    def test_dd_zero_and_graded_leibniz(self, chart):
+        r = rng("flat-leibniz", chart.ring.kind)
+        for _ in range(60):
+            p = r.randint(0, 2)
+            a = random_form(chart, p, r)
+            b = random_form(chart, r.randint(0, 2), r)
+            assert exterior_derivative(exterior_derivative(a)).is_zero()
+            left = exterior_derivative(wedge(a, b))
+            right = wedge(exterior_derivative(a), b) + wedge(a, exterior_derivative(b)).scale((-1) ** p)
+            assert left == right
+
+    @pytest.mark.parametrize("model", ["affine", "torus"])
+    def test_fiber_apply(self, model):
+        cs = standard_cs_chart(2, model)
+        fib = cs.fiber
+        r = rng("flat-fiber", model)
+        for _ in range(30):
+            k = r.randint(0, 4)
+            omega = random_form(cs.chart, k, r)
+            maps = [(fib.pi0_map(k), k)] + ([(fib.wedge_map(k), k + 2)] if k <= 2 else [])
+            if k == 3:
+                maps.append((fib.middle_inverse(), 1))
+            for entries, out in maps:
+                assert fiber_apply(fib, entries, omega, out) == reference_fiber_apply(fib, entries, omega, out)
+
+    def test_t_derivative_promote_restrict(self, contact2):
+        ch, base = contact2.chart, contact2.base
+        r = rng("flat-t")
+        for _ in range(40):
+            omega = random_form(ch, r.randint(0, 3), r)
+            scale = Fraction(r.randint(1, 5), r.randint(1, 3))
+            assert t_derivative(omega, scale) == reference_t_derivative(omega, scale)
+            down = random_form(base, r.randint(0, 3), r)
+            up = promote_form(down, ch)
+            assert up == reference_promote(down, ch)
+            assert restrict_form(up, base) == reference_restrict(up, base) == down
+
+    def test_flat_constructor_checks_keys_and_terms(self):
+        unit = AFFINE.ring.unit_term()
+        assert DifferentialForm(AFFINE, 1, {((0,), unit): Fraction(4, 2)}).terms == {((0,), unit): 2}
+        assert DifferentialForm(AFFINE, 1, {((0,), unit): 0}).is_zero()
+        with pytest.raises(InvalidAxisError):
+            DifferentialForm(AFFINE, 1, {((9,), unit): 1})
+        with pytest.raises(InvalidAxisError):
+            DifferentialForm(AFFINE, 1, {((0,), (0, 0, 0)): 1})
+        with pytest.raises(RingMismatchError):
+            basis_form(AFFINE, (0,)).times(TORUS.one_coeff())
+
+    def test_coefficient_reads_one_multi_index(self):
+        x1, y1 = AFFINE.coord_coeff(0), AFFINE.coord_coeff(1)
+        omega = basis_form(AFFINE, (0,), x1 * y1 + y1) + basis_form(AFFINE, (2,), x1)
+        assert omega.coefficient((0,)) == x1 * y1 + y1
+        assert omega.coefficient([2]) == x1
+        assert omega.coefficient((1,)).is_zero()

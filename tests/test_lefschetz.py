@@ -50,7 +50,7 @@ class TestWedgeAndInsertion:
 
     def test_insertion_of_structure_form(self):
         got = lefschetz_Lambda(CS2, untwisted(CS2.omega))
-        assert got.base == function_form(CS2.chart, CS2.chart.const(2))
+        assert got.base == function_form(CS2.chart, CS2.chart.ring.const(2))
         assert got.ell_power == 1
 
     def test_insertion_of_disjoint_pair(self):
@@ -136,7 +136,7 @@ class TestFullDecomposition:
             basis_form(CS2.chart, (0, 1)) - basis_form(CS2.chart, (2, 3))
         ).scale(Fraction(1, 2))
         assert parts[0].base == expected0 and parts[0].ell_power == 0
-        assert parts[1].base == function_form(CS2.chart, CS2.chart.const(Fraction(1, 2)))
+        assert parts[1].base == function_form(CS2.chart, CS2.chart.ring.const(Fraction(1, 2)))
         assert parts[1].ell_power == 1
 
     def test_primitive_input_passes_through(self):

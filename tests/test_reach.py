@@ -75,6 +75,8 @@ INVOCATIONS = [
     ("rs crosscheck --n 2 --max-weight 2", 0),
     ("cohomology --model affine --n 2 --max-weight 4 --csv {dir}/dims.csv", 0),
     ("cohomology --model torus --n 2 --modes 0 --sample-modes 1 --out {dir}/report.json", 0),
+    # below the stable range: weight_stable is false, named on the error line
+    ("cohomology --model affine --n 2 --max-weight 1", 1),
     ("les --model affine --n 2 --max-weight 2", 0),
     ("les --model torus --n 2 --modes 0", 0),
     ("rumin verify --n 1", 2),

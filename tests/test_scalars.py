@@ -37,8 +37,8 @@ def _scalars(obj):
     if isinstance(obj, OperatorMatrix):
         yield from obj.entries.values()
     elif isinstance(obj, _SparseGraded):
-        for coeff in obj.terms.values():
-            yield from coeff.terms.values()
+        # one flat map {(axes, term): q}
+        yield from obj.terms.values()
     else:
         yield from obj.terms.values()
 
@@ -128,5 +128,5 @@ class TestNoFloatNoIntegralFraction:
 
     def test_integral_fraction_constant(self, cs_affine2):
         chart = cs_affine2.chart
-        form = DifferentialForm(chart, 1, {(0,): chart.const(Fraction(4, 2))})
+        form = DifferentialForm(chart, 1, {((0,), chart.ring.unit_term()): Fraction(4, 2)})
         _assert_canonical(form, exterior_derivative(form))
