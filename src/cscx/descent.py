@@ -24,8 +24,9 @@ class spaces and differ in their op and in the chart keeping its table:
   the total complex, treating ``total_differential`` as a black box.  Its
   cochains are the zig-zag's pairs (phi, psi): a k-form and the base form
   of a twisted (k-1)-form (None at degree 0), with differential
-  (phi, psi) |-> (d phi + omega ^ psi, -d psi); ``cohomology`` assembles
-  the total complex from the same pairs.
+  (phi, psi) |-> (d phi + omega ^ psi, -d psi), laid out by
+  ``grading.PairSpace``, over which ``cohomology`` assembles the total
+  complex.
 
 Since the first two routes share one operator, "descended equals
 intrinsic" checks the descent identifications: promoting and restricting
@@ -33,8 +34,9 @@ payloads (with the transversal rescaling on twisted classes and the
 rescaled structure form of the contact fiber), and that the potential
 twist in dH and the Lie term drop out on lifted invariant payloads.
 "Intrinsic equals fallback" checks the three-regime formula itself
-against the independent generic zig-zag, which is assembled column by
-column from solves, so it also checks both table expansions.
+against the independent generic zig-zag, which applies the total
+differential once per basis section, with no table, and solves, so it
+also checks both table expansions.
 
 The line bundle is trivialized by the closed section omega (its generator
 s unwedges to omega); the induced flat derivative on twisted forms is the

@@ -6,7 +6,9 @@ homogeneous (trig ring, one block per real mode orbit {k, -k}, spanned by
 cos and sin of that mode).  A ``Truncation`` fixes the list of grading
 blocks; a ``GradedSpace`` enumerates an exact basis of a section space per
 block and converts between forms and coordinate vectors (a trig term
-``(kind, mode)`` is its own monomial label).
+``(kind, mode)`` is its own monomial label).  A ``PairSpace`` lays out the
+(form, twisted form) pairs of the total complex and of the generic
+zig-zag in one slot order, built from two graded spaces.
 
 Primitive sections read their fiber coordinates through their chart's
 ``lefschetz.FiberCalculus``.  ``operator_complex`` is the one builder of
@@ -37,7 +39,7 @@ from .errors import (
     NonPrimitiveError,
     UnsupportedRingOperationError,
 )
-from .forms import Chart, DifferentialForm, multi_indices
+from .forms import Chart, DifferentialForm, multi_indices, zero_form
 
 # the traced benchmark wraps the fiber layer under these grading names
 from .lefschetz import FiberCalculus, fiber_apply, fiber_from_form  # noqa: F401
@@ -356,6 +358,57 @@ class GradedSpace:
         return label_vector(self.coordinates(form), basis)
 
 
+class PairSpace:
+    """Degree-k pairs of a two-step complex: a k-form slot and a twisted slot.
+
+    Elements are pairs ``(phi, psi)``: a k-form and the base form of a
+    twisted (k-1)-form of power one (twist weight 2), None at degree 0: the
+    cochains of ``cohomology.total_complex``, and the pairs the zig-zag lifts
+    classes to on a cs or a contact chart (t sits in the coefficients).
+    Coordinates are read against the basis passed; the space keeps no state.
+    """
+
+    def __init__(self, chart: Chart, k: int):
+        self.chart = chart
+        self.a = GradedSpace(chart, k, tag="total-a")
+        self.b = GradedSpace(chart, k - 1, weight_offset=2, tag="total-b")
+        self.key = ("total", chart.coords, k)
+        self._slots = (("a", self.a), ("b", self.b))
+
+    def basis(self, truncation: Truncation) -> SectionBasis:
+        """The one slot layout: the form slot's labels tagged ``"a"`` come
+        first, the twisted slot's tagged ``"b"`` start at offset ``a.dim``."""
+        labels = tuple(
+            (block, (tag,) + rest)
+            for tag, space in self._slots
+            for block, rest in space.basis(truncation).labels
+        )
+        return SectionBasis(key=self.key + (truncation.kind,), labels=labels)
+
+    def fiber_keys(self) -> list[tuple]:
+        """The slot-tagged fiber parts of the basis labels, as in ``basis``."""
+        return [(tag,) + key for tag, space in self._slots for key in space.fiber_keys()]
+
+    def element(self, label) -> tuple[DifferentialForm, DifferentialForm | None]:
+        block, payload = label
+        slot_label = (block, payload[1:])
+        if payload[0] == "a":
+            return self.a.element(slot_label), None
+        return zero_form(self.chart, self.a.degree), self.b.element(slot_label)
+
+    def coordinates(self, pair) -> dict[tuple, Rational]:
+        """Nonzero coordinates of a pair, keyed by slot-tagged basis label."""
+        coords: dict[tuple, Rational] = {}
+        for (tag, space), form in zip(self._slots, pair):
+            if form is not None and form.terms:
+                for (block, rest), v in space.coordinates(form).items():
+                    coords[(block, (tag,) + rest)] = v
+        return coords
+
+    def vector(self, pair, basis: SectionBasis) -> dict[int, Rational]:
+        return label_vector(self.coordinates(pair), basis)
+
+
 def label_vector(coords: dict[tuple, Rational], basis: SectionBasis) -> dict[int, Rational]:
     """Label-keyed coordinates as a vector over ``basis``."""
     position = basis.position
@@ -370,7 +423,11 @@ def label_vector(coords: dict[tuple, Rational], basis: SectionBasis) -> dict[int
 
 def _direct_column(domain, codomain, op, label, codomain_basis) -> dict[int, Rational]:
     """Column of one basis section: the operator applied, its image read back."""
-    return codomain.vector(op(domain.element(label)), codomain_basis)
+    image = op(domain.element(label))
+    try:
+        return codomain.vector(image, codomain_basis)
+    except NonPrimitiveError as exc:
+        raise NonPrimitiveError(f"the image of {label}: {exc}") from None
 
 
 def leibniz_table(owner, key, domain, codomain, op, order: int):
@@ -426,9 +483,9 @@ def operator_entries(
 
 
 def assemble_operator(
-    domain: GradedSpace,
-    codomain: GradedSpace,
-    op: Callable[[DifferentialForm], DifferentialForm],
+    domain: GradedSpace | PairSpace,
+    codomain: GradedSpace | PairSpace,
+    op: Callable,
     domain_basis: SectionBasis,
     codomain_basis: SectionBasis,
     table=None,

@@ -21,6 +21,10 @@ read through the quotient-complex identification -- the one under which
 the induced differential on the twisted slot is minus the twisted de Rham
 differential -- so the descended operators match the intrinsic formulas on
 the quotient with no further sign bookkeeping.
+
+The generic zig-zag (``generic_zigzag_matrix``) reaches the same operators
+without these formulas, by solves over two assembled matrices of a
+black-box pair differential on the pairs of ``grading.PairSpace``.
 """
 
 from __future__ import annotations
@@ -44,9 +48,9 @@ from .forms import (
     wedge,
     zero_form,
 )
-from .grading import GradedSpace, Truncation, assemble_operator, operator_complex
+from .grading import GradedSpace, PairSpace, Truncation, assemble_operator, operator_complex
 from .lefschetz import FiberCalculus, FiberMap, fiber_apply, is_primitive
-from .linalg import OperatorMatrix, sparse_rref
+from .linalg import Echelon, OperatorMatrix, sparse_rref
 from .symbols import LeibnizTable
 
 
@@ -119,9 +123,6 @@ class TwoStepStructure:
     def class_spaces(self) -> list[GradedSpace]:
         """The class spaces of degrees 0, ..., 2n+1, the nodes of the complex."""
         return [self.class_space(k) for k in range(2 * self.n + 2)]
-
-    def full_space(self, degree: int, offset: int = 0) -> GradedSpace:
-        return GradedSpace(self.chart, degree, weight_offset=offset, tag="full")
 
 
 def _middle_inverse(fib: FiberCalculus) -> FiberMap:
@@ -266,93 +267,79 @@ def generic_zigzag_matrix(
 ) -> OperatorMatrix:
     """Degree-k operator computed by the generic representative correction.
 
-    Works directly on (phi, psi) pairs through the supplied pair
-    differential (default: the structure's own block form of d).  Class
-    projections and the middle-degree correction are solved against
-    assembled graded bases, each system eliminated once.  Only the class
-    bases and ``assemble_operator``, the loop that reads an op off basis
-    sections, are shared with the closed-form path, so the two routes
-    produce directly comparable matrices.
+    The pair differential D (default: the structure's block form of d) is a
+    black box, applied once per basis section by ``assemble_operator`` into
+    ``grading.PairSpace(k + 1)``: X = D after lifting a class e (to (e, 0)
+    up to the middle degree, to (0, -e) above it) and, up to the middle,
+    B = D(0, .) on the twisted slot of degree k.  Solves, each system
+    eliminated once, finish it: below the middle, project the form rows X_a
+    against [class embedding | B_a]; at the middle, add B C with
+    B_a C = -X_a; from the middle on, X_a must vanish and -X is extracted
+    from the twisted slot.  A failed check raises ``InternalConsistencyError``
+    naming the degree and the first domain label that fails it.
     """
-    n = struct.n
+    n, chart = struct.n, struct.chart
     diff = pair_differential or struct.pair_differential
-    domain = struct.class_space(k)
-    codomain = struct.class_space(k + 1)
-    domain_basis = domain.basis(truncation)
-    codomain_basis = codomain.basis(truncation)
+    domain, codomain = struct.class_space(k), struct.class_space(k + 1)
+    domain_basis, codomain_basis = domain.basis(truncation), codomain.basis(truncation)
+    pairs = PairSpace(chart, k + 1)
+    pair_basis = pairs.basis(truncation)
+    a_dim = pairs.a.basis(truncation).dim
+    zero = partial(zero_form, chart)
 
-    if k <= n:
-        # graded differential out of the filtered slot at this degree:
-        # payloads of degree k-1 (twist weight 2) map into full (k+1)-forms
-        a_next = struct.full_space(k + 1)
-        a_next_basis = a_next.basis(truncation)
-        b_slot = struct.full_space(k - 1, offset=2)
-        b_slot_basis = b_slot.basis(truncation)
+    def assemble(space, op, basis) -> dict[tuple[int, int], Rational]:
+        # an image leaving the truncation is a fault of D, not bad input
+        try:
+            return assemble_operator(space, pairs, op, basis, pair_basis).entries
+        except NonPrimitiveError as exc:
+            raise InternalConsistencyError(f"zig-zag degree {k}: {exc}") from exc
 
-        def e0(psi: DifferentialForm) -> DifferentialForm:
-            return diff(zero_form(struct.chart, k), psi)[0]
+    def fail(check: str) -> Callable[[int], InternalConsistencyError]:
+        return lambda col: InternalConsistencyError(
+            f"zig-zag degree {k}: {check} at domain label {domain_basis.labels[col]}"
+        )
 
-        e0_entries = assemble_operator(b_slot, a_next, e0, b_slot_basis, a_next_basis).entries
-
-    if k < n:
-        # augmented system [class embedding | graded image] for the projection
-        augmented = assemble_operator(
-            codomain, a_next, lambda form: form, codomain_basis, a_next_basis
-        ).entries
-        p_dim = codomain_basis.dim
-        for (r, c), v in e0_entries.items():
-            augmented[(r, c + p_dim)] = v
-        projection = sparse_rref(augmented, p_dim + b_slot_basis.dim)
+    if k > n:
+        X = assemble(domain, lambda e: diff(zero(k), -e), domain_basis)
     else:
-        # class extraction above the middle: solve against the embedding alone
-        b_next = struct.full_space(k, offset=2)
-        b_next_basis = b_next.basis(truncation)
-        emb_b = assemble_operator(
-            codomain, b_next, lambda form: form, codomain_basis, b_next_basis
-        ).entries
-        extraction = sparse_rref(emb_b, codomain_basis.dim)
+        X = assemble(domain, lambda e: diff(e, None if k == 0 else zero(k - 1)), domain_basis)
+        b_slot = PairSpace(chart, k).b
+        b_basis = b_slot.basis(truncation)
+        B = assemble(b_slot, partial(diff, zero(k)), b_basis)
+        B_a = {(r, c): v for (r, c), v in B.items() if r < a_dim}
+        X_a = {(r, c): v for (r, c), v in X.items() if r < a_dim}
+    if k < n:
+        p_dim = codomain_basis.dim
+        system = assemble(codomain, lambda form: (form, zero(k)), codomain_basis)
+        system.update({(r, c + p_dim): v for (r, c), v in B_a.items()})
+        system = sparse_rref(system, p_dim + b_basis.dim)
+        solution = _solve_columns(system, X_a, fail("graded projection system is unsolvable"))
+        entries = {(r, c): v for (r, c), v in solution.items() if r < p_dim}
+        return OperatorMatrix(codomain_basis, domain_basis, entries)
     if k == n:
-        correction_system = sparse_rref(e0_entries, b_slot_basis.dim)
+        # B_a S = X_a gives C = -S, so X + B C = X - B S, whose form rows cancel
+        S = _solve_columns(sparse_rref(B_a, b_basis.dim), X_a, fail("middle correction is unsolvable"))
+        BS = OperatorMatrix(pair_basis, b_basis, B).compose(OperatorMatrix(b_basis, domain_basis, S))
+        for key, v in BS.entries.items():
+            X[key] = X.get(key, 0) - v
+    leaked = [c for (r, c), v in X.items() if r < a_dim and v]
+    if leaked:
+        raise fail("primitive class left the filtration")(min(leaked))
+    embedding = assemble(codomain, lambda form: (zero(k + 1), form), codomain_basis)
+    extraction = sparse_rref(embedding, codomain_basis.dim)
+    entries = _solve_columns(extraction, X, fail("output left the class subspace"))
+    return OperatorMatrix(codomain_basis, domain_basis, {key: -q for key, q in entries.items()})
 
-    entries: dict[tuple[int, int], Rational] = {}
-    for col, label in enumerate(domain_basis.labels):
-        e = domain.element(label)
-        if k <= n:
-            psi0 = None if k == 0 else zero_form(struct.chart, k - 1)
-            a_out, b_out = diff(e, psi0)
-        else:
-            a_out, b_out = diff(zero_form(struct.chart, k), -e)
-            if not a_out.is_zero():
-                raise InternalConsistencyError("primitive class left the filtration")
-        if k < n:
-            rhs = a_next.vector(a_out, a_next_basis)
-            solution = projection.coords(rhs)
-            if solution is None:
-                raise InternalConsistencyError("graded projection system is unsolvable")
-            for pos, q in solution.items():
-                if pos < p_dim:
-                    entries[(pos, col)] = q
-            continue
-        if k == n:
-            rhs = a_next.vector(-a_out, a_next_basis)
-            solution = correction_system.coords(rhs)
-            if solution is None:
-                raise InternalConsistencyError("middle correction system is unsolvable")
-            correction = zero_form(struct.chart, n - 1)
-            for pos, q in solution.items():
-                correction = correction + b_slot.element(b_slot_basis.labels[pos]).scale(q)
-            a_fixed, b_fixed = diff(e, correction)
-            if not a_fixed.is_zero():
-                raise InternalConsistencyError("corrected representative is not clean")
-            image = -b_fixed
-        else:
-            image = -b_out
-        if image.is_zero():
-            continue
-        target = b_next.vector(image, b_next_basis)
-        coords = extraction.coords(target)
+
+def _solve_columns(system: Echelon, rhs: dict, fail) -> dict[tuple[int, int], Rational]:
+    """Entries (i, c) of x_c with system x_c = rhs[:, c]; the first unsolvable c raises fail(c)."""
+    columns: dict[int, dict[int, Rational]] = {}
+    for (r, c), v in rhs.items():
+        columns.setdefault(c, {})[r] = v
+    out: dict[tuple[int, int], Rational] = {}
+    for col in sorted(columns):
+        coords = system.coords(columns[col])
         if coords is None:
-            raise NonPrimitiveError("zig-zag output left the class subspace")
-        for pos, q in coords.items():
-            entries[(pos, col)] = q
-    return OperatorMatrix(codomain_basis, domain_basis, entries)
+            raise fail(col)
+        out.update({(pos, col): q for pos, q in coords.items()})
+    return out

@@ -14,6 +14,7 @@ from cscx.claims import MAX_N, MAX_WEIGHT
 from cscx.cli import RunConfig, main, run_suite
 from cscx.descent import descend_complex, rs_complex, ss_fallback
 from cscx.errors import ConfigError, InternalConsistencyError
+from cscx.forms import basis_form, wedge
 from cscx.grading import GradedSpace, weight_truncation
 from cscx.lefschetz import TwistedForm, standard_cs_chart
 from cscx.linalg import OperatorMatrix
@@ -458,6 +459,10 @@ class TestCliCommands:
         assert result.exit_code == 2
 
 
+def _without_meta(report: str) -> dict:
+    return {key: value for key, value in json.loads(report).items() if key != "meta"}
+
+
 def _bump(matrix: OperatorMatrix, row: int, col: int) -> OperatorMatrix:
     """A copy of ``matrix`` with 1 added to one entry."""
     entries = dict(matrix.entries)
@@ -591,6 +596,50 @@ class TestFailedChecks:
         # there, and the mutation passes unseen
         result = runner.invoke(main, ["rs", "crosscheck", "--n", "2", "--max-weight", "3"])
         assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize(
+        "leak, check",
+        [
+            # the twisted slot at degree 4 gains omega^omega f: no longer a class
+            ("b", "output left the class subspace"),
+            # the form slot gains dx1^dy1^psi above the middle
+            ("a", "primitive class left the filtration"),
+            # the twisted slot at degree 4 gains a factor x1: weight w+1
+            ("weight", "lies outside the truncation"),
+        ],
+    )
+    def test_zigzag_fault_exits_1_naming_the_degree_and_label(self, runner, monkeypatch, leak, check):
+        argv = ["rs", "crosscheck", "--n", "3", "--max-weight", "6"]
+        total = descent.total_differential
+
+        def leaking(cs, phi, psi):
+            a, b = total(cs, phi, psi)
+            if leak == "b" and b.degree == 4 and b.terms:
+                f = b.coefficient(min(axes for axes, _ in b.terms))
+                b = b + wedge(cs.omega, cs.omega).times(f)
+            if leak == "a" and psi is not None and psi.degree >= cs.n:
+                a = a + wedge(basis_form(cs.chart, (0, 1)), psi)
+            if leak == "weight" and b.degree == 4:
+                b = b.times(cs.chart.coord_coeff(0))
+            return a, b
+
+        passing = runner.invoke(main, argv)
+        assert passing.exit_code == 0, passing.output
+        # a wrapper that changes nothing leaves the report bytes as they were
+        monkeypatch.setattr(descent, "total_differential", lambda cs, phi, psi: total(cs, phi, psi))
+        unchanged = runner.invoke(main, argv)
+        assert unchanged.exit_code == 0
+        assert _without_meta(unchanged.stdout) == _without_meta(passing.stdout)
+        monkeypatch.setattr(descent, "total_differential", leaking)
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1, result.output
+        assert result.stdout == ""
+        line = result.stderr
+        assert line.startswith("error: zig-zag degree 4: ") and line.count("\n") == 1
+        assert check in line
+        # the witness names a degree-4 class label of the truncation
+        classes = standard_cs_chart(3).two_step.class_space(4).basis(weight_truncation(6))
+        assert any(f"{label}" in line for label in classes.labels)
 
     def test_rumin_verify_witness_is_a_nonzero_composite_entry(self, runner, monkeypatch):
         corrupted = []

@@ -12,7 +12,6 @@ from cscx.cohomology import (
     CochainQuotient,
     Truncation,
     _quotients,
-    _TotalSpace,
     cohomology_dims,
     les_and_splice,
     les_check,
@@ -26,6 +25,7 @@ from cscx.descent import rs_complex
 from cscx.errors import CscxError, NotAComplexError
 from cscx.grading import (
     GradedSpace,
+    PairSpace,
     contact_section_dim,
     mode_section_dim,
     mode_shells,
@@ -233,8 +233,8 @@ class TestOneBuildPerBlock:
         assert calls == [[block] for block in weight_truncation(3).blocks()]
 
     def test_total_space_vector_reads_the_basis_it_is_given(self, cs_affine2):
-        big = _TotalSpace(cs_affine2, 2).basis(weight_truncation(4))
-        fresh = _TotalSpace(cs_affine2, 2)
+        big = PairSpace(cs_affine2.chart, 2).basis(weight_truncation(4))
+        fresh = PairSpace(cs_affine2.chart, 2)
         for i, label in enumerate(big.labels):
             assert fresh.vector(fresh.element(label), big) == {i: Fraction(1)}
         fresh.basis(weight_truncation(2))
@@ -243,6 +243,24 @@ class TestOneBuildPerBlock:
             elem = fresh.element(label)
             assert fresh.vector(elem, single) == {i: Fraction(1)}
             assert fresh.vector(elem, big) == {big.position[label]: Fraction(1)}
+
+    def test_pair_space_on_a_contact_chart(self, contact2):
+        # the zig-zag's pairs upstairs: t sits in the coefficients with
+        # weight 2, and the twisted slot carries twist weight 2
+        chart = contact2.chart
+        pairs = PairSpace(chart, 2)
+        basis = pairs.basis(weight_truncation(4))
+        slots = [payload[0] for _, payload in basis.labels]
+        a_dim = slots.count("a")
+        assert a_dim and slots == ["a"] * a_dim + ["b"] * (len(slots) - a_dim)
+        assert any(exponent[chart.t_axis] for _, (_, _, (_, exponent)) in basis.labels)
+        for i, label in enumerate(basis.labels):
+            (_, weight), (slot, _, (_, exponent)) = label
+            phi, psi = pairs.element(label)
+            form, twist = (phi, 0) if slot == "a" else (psi, 2)
+            assert form.degree == (2 if slot == "a" else 1)
+            assert weight == form.degree + twist + sum(e * w for e, w in zip(exponent, chart.weights))
+            assert pairs.vector((phi, psi), basis) == {i: 1}
 
 
 class TestLes:

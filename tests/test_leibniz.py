@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from cscx import cohomology
 from cscx.cli import main
-from cscx.cohomology import _TotalSpace, _form_complex, total_complex
+from cscx.cohomology import _form_complex, total_complex
 from cscx.contact import standard_contact_chart
 from cscx.descent import (
     ChartPair,
@@ -37,6 +37,7 @@ from cscx.coefficients import TrigCoefficient
 from cscx.errors import InternalConsistencyError
 from cscx.grading import (
     GradedSpace,
+    PairSpace,
     Truncation,
     assemble_operator,
     leibniz_table,
@@ -104,7 +105,7 @@ def _forms(twist):
 
 
 def _total(cs):
-    spaces = [_TotalSpace(cs, k) for k in range(2 * cs.n + 2)]
+    spaces = [PairSpace(cs.chart, k) for k in range(2 * cs.n + 2)]
     op = lambda pair: total_differential(cs, *pair)  # noqa: E731
     return partial(total_complex, cs), spaces, lambda k: op, cs
 

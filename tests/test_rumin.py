@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from operator import add, mul
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from cscx import rumin
 from cscx.contact import lift_construction, standard_contact_chart
 from cscx.forms import basis_form, function_form, t_derivative, zero_form
-from cscx.grading import weight_truncation
+from cscx.descent import rs_complex, total_differential
+from cscx.grading import PairSpace, weight_truncation
 from cscx.rumin import (
     class_operator_order,
     class_transport,
@@ -93,6 +95,29 @@ class TestMatrices:
         for k, formula in enumerate(rumin_complex(contact2, truncation)):
             generic = generic_zigzag_matrix(struct, k, truncation)
             assert formula.entries == generic.entries, f"paths differ at k={k}"
+
+    @pytest.mark.parametrize("chart", ["contact", "cs"])
+    def test_middle_zigzag_applies_the_pair_differential_once_per_column(
+        self, contact2, cs_affine2, chart
+    ):
+        # X = D(lift(e)) takes one call per class column and B = D(0, psi) one
+        # per twisted-slot column; the correction is B C, not a second D
+        owner = contact2 if chart == "contact" else cs_affine2
+        struct, n, truncation = owner.two_step, owner.n, weight_truncation(4)
+        diff = struct.pair_differential if chart == "contact" else partial(total_differential, owner)
+        calls = []
+
+        def counted(phi, psi):
+            calls.append(phi.degree)
+            return diff(phi, psi)
+
+        matrix = generic_zigzag_matrix(struct, n, truncation, pair_differential=counted)
+        classes = struct.class_space(n).basis(truncation).dim
+        b_slot = PairSpace(struct.chart, n).b.basis(truncation).dim
+        assert classes and b_slot
+        assert len(calls) == classes + b_slot
+        formulas = rumin_complex(owner, truncation) if chart == "contact" else rs_complex(owner, truncation)
+        assert matrix.entries == formulas[n].entries
 
 
 class TestOrders:
