@@ -4,6 +4,9 @@
     python3 scripts/bench_compare.py --parent ../parent --change . \\
         --claim contact-verify --out BENCH_orders.json
 
+``--claim`` names the workload whose ``verdict_s`` gain is claimed; without
+it no gain is claimed and every workload gets its pairs on seed 1.
+
 Each run is ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` inside one checkout, with T the ``run_seconds`` of
 BENCHMARK.json; the last line of its output is parsed.  Every workload
@@ -142,7 +145,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--claim", required=True, help="workload whose verdict_s gain is claimed")
+    parser.add_argument("--claim", help="workload whose verdict_s gain is claimed (default: none)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     stale = stale_bytecode(args.parent, args.change)
@@ -155,7 +158,7 @@ def main() -> int:
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
     claimed = {}
-    for seed in CLAIM_SEEDS:
+    for seed in CLAIM_SEEDS if args.claim else ():
         pairs = pairs_for(args.parent, args.change, args.claim, seed, seconds)
         claimed[str(seed)] = {"summary": summarize(pairs, spec, True), "runs": pairs}
     others = {}
@@ -184,7 +187,7 @@ def main() -> int:
             "platform": platform.platform(),
             "nproc": len(os.sched_getaffinity(0)),
         },
-        "claim": {"workload": args.claim, "metric": "verdict_s", "by_seed": claimed},
+        "claim": {"workload": args.claim, "metric": "verdict_s", "by_seed": claimed} if args.claim else None,
         "other_workloads": others,
         "traced_all": {"counts": counts, "runs": traced},
     }

@@ -46,6 +46,8 @@ COMMANDS = (
     "rumin verify --n 2 --max-weight 10",
     "claims --n 2",
     "claims --n 3",
+    # the lift and the descent round trips at a larger rank
+    "claims --n 4",
     "cohomology --model torus --n 2 --modes 0,1,2",
     "cohomology --model torus --n 3 --modes 0,1",
     "rumin verify --n 4 --max-weight 4",

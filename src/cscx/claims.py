@@ -62,10 +62,10 @@ from .rumin import (
 # suite's descent checks
 MAX_WEIGHT = 4
 
-# largest rank the claims admit: their cost grows about 4x per rank, most of
-# it the descent round trips over every row and degree.  --n 3 takes 3.5 s,
-# --n 4 12 s and --n 5 51 s (2-core x86, CPython 3.11.7), so n = 7 would take
-# over ten minutes
+# largest rank the claims admit: their cost grows about 3x per rank, most of
+# it the descent round trips over every row and degree.  --n 3 takes 1.2 s,
+# --n 4 4.4 s and n = 5, run in-process with this limit lifted, 12 s (2-core
+# x86, CPython 3.11.7), so n = 7 would take about two minutes
 MAX_N = 4
 
 _XI_SCALES = (2, -3, Fraction(1, 5))
@@ -75,7 +75,7 @@ def run_claims(n: int) -> tuple[dict, bool]:
     """Check every claim on the rank-n charts; return (report body, all passed)."""
     if n > MAX_N:
         raise ConfigError(
-            f"claims --n {n} is too large: the claims take about 50 s at n = 5 and 4 "
+            f"claims --n {n} is too large: the claims take about 12 s at n = 5 and 3 "
             f"times longer per rank; the limit is n <= {MAX_N}"
         )
     truncation = weight_truncation(MAX_WEIGHT)

@@ -16,12 +16,13 @@ the function 1 (``unit_term``) and two single-term kernels,
 The coefficient product runs over ``term_product``, and every operation on
 the flat forms of ``forms`` over both kernels: there is no second
 arithmetic.  Coefficients stay the type of scalar functions where one is
-handed over whole -- chart data, JSON, substitution, evaluation -- and a
-form builds one on demand (``DifferentialForm.coefficient``).
+handed over whole -- chart data, JSON, the images of a substitution,
+evaluation -- and a form builds one on demand
+(``DifferentialForm.coefficient``).
 
 * ``PolyCoefficient`` -- multivariate polynomials over the rationals, keyed
-  by exponent tuples; a product of terms is one pair.  It also evaluates,
-  substitutes and pads.
+  by exponent tuples; a product of terms is one pair.  It also evaluates
+  and pads.
 
 * ``TrigCoefficient`` -- finite real Fourier sums over ``Z^m``, keyed by
   ``("c", m)`` (cos m.theta) and ``("s", m)`` (sin m.theta), one key per
@@ -239,23 +240,6 @@ class PolyCoefficient(_SparseCoefficient):
                     value *= base**power
             total += value
         return canon(total)
-
-    def substitute(self, images: list["PolyCoefficient"]) -> "PolyCoefficient":
-        """Composition: replace variable i by images[i] (all in the target ring)."""
-        if len(images) != self.nvars:
-            raise InvalidAxisError("substitution needs one image per variable")
-        if not images:
-            raise InvalidAxisError("substitution into an empty ring")
-        target = images[0].nvars
-        result = PolyCoefficient(target, {})
-        one = PolyCoefficient(target, {(0,) * target: 1})
-        for exp, coeff in self.terms.items():
-            term = one.scale(coeff)
-            for var, power in enumerate(exp):
-                for _ in range(power):
-                    term = term * images[var]
-            result = result + term
-        return result
 
     def pad(self, nvars: int) -> "PolyCoefficient":
         """Embed into a ring with extra trailing variables."""

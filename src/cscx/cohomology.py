@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .coefficients import Rational
 from .descent import nabla_twisted_d, rs_complex, total_differential
-from .errors import InternalConsistencyError, NotAComplexError
+from .errors import InternalConsistencyError, NonPrimitiveError, NotAComplexError
 from .forms import wedge, zero_form
 from .grading import (
     GradedSpace,
@@ -249,9 +249,12 @@ def total_complex(cs: CsChart, truncation: Truncation) -> list[OperatorMatrix]:
     mats = []
     for k in range(2 * cs.n + 1):
         table = None
-        if bases[k].labels:
-            table = leibniz_table(cs, ("total", k), spaces[k], spaces[k + 1], op, _TOTAL_ORDER)
-        entries = operator_entries(spaces[k], spaces[k + 1], op, bases[k], bases[k + 1], table)
+        try:
+            if bases[k].labels:
+                table = leibniz_table(cs, ("total", k), spaces[k], spaces[k + 1], op, _TOTAL_ORDER)
+            entries = operator_entries(spaces[k], spaces[k + 1], op, bases[k], bases[k + 1], table)
+        except NonPrimitiveError as exc:
+            raise InternalConsistencyError(f"operator {('total', k)}: {exc}") from exc
         mats.append(OperatorMatrix(bases[k + 1], bases[k], entries))
     return mats
 

@@ -351,17 +351,12 @@ def _integrate_closed_one_form(rhs: DifferentialForm) -> PolyCoefficient:
     """Exact potential of a closed polynomial one-form on the base chart."""
     if not horizontal_derivative(rhs).is_zero():
         raise InternalConsistencyError("right-hand side is not closed")
-    chart = rhs.chart
-    nvars = chart.ring.nvars
-    total = PolyCoefficient(nvars, {})
+    terms: dict = {}
     for ((axis,), exp), q in rhs.terms.items():
-        # homotopy formula: the monomial g dx_axis integrates to
-        # g * x_axis / (|g| + 1)
-        new = list(exp)
-        new[axis] += 1
-        degree = sum(exp)
-        total = total + PolyCoefficient(nvars, {tuple(new): Fraction(q, degree + 1)})
-    return total
+        # homotopy formula: the monomial g dx_axis integrates to g x_axis / (|g| + 1)
+        new = exp[:axis] + (exp[axis] + 1,) + exp[axis + 1 :]
+        terms[new] = terms.get(new, 0) + Fraction(q, sum(exp) + 1)
+    return PolyCoefficient(rhs.chart.ring.nvars, terms)
 
 
 def lift_construction(

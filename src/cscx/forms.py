@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .coefficients import (
     Coefficient,
@@ -162,6 +162,26 @@ def _base_names(n: int) -> tuple[str, ...]:
 def multi_indices(m: int, k: int) -> list[MultiIndex]:
     """All strictly increasing k-tuples from range(m), lexicographic."""
     return list(combinations(range(m), k)) if k >= 0 else []
+
+
+def monomials_of_weight(var_weights: Sequence[int], target: int) -> list[tuple[int, ...]]:
+    """All exponent tuples with the given weighted degree, lexicographic."""
+    if target < 0:
+        return []
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: tuple[int, ...], remaining: int) -> None:
+        pos = len(prefix)
+        if pos == len(var_weights):
+            if remaining == 0:
+                out.append(prefix)
+            return
+        w = var_weights[pos]
+        for e in range(remaining // w + 1):
+            rec(prefix + (e,), remaining - e * w)
+
+    rec((), target)
+    return out
 
 
 @lru_cache(maxsize=1 << 16)
@@ -518,7 +538,8 @@ class LinearSubstitution:
     image of the i-th source base coordinate, so the pullback of the source
     coordinate function v_i is  sum_j matrix[i][j] v_j'.  ``shift`` is a
     polynomial in the target base coordinates; both charts must carry the
-    poly ring.
+    poly ring.  ``pullback`` runs on the images as 0-forms and on their
+    differentials, both built once per substitution.
     """
 
     src: Chart
@@ -540,17 +561,26 @@ class LinearSubstitution:
             images.append(t_image)
         return images
 
+    @cached_property
+    def image_forms(self) -> tuple[list[DifferentialForm], list[DifferentialForm]]:
+        """Each image as a 0-form on ``dst``, and its differential (the pulled-back dx_i)."""
+        forms = [function_form(self.dst, image) for image in self.images]
+        return forms, [exterior_derivative(f) for f in forms]
+
     def pullback(self, omega: DifferentialForm) -> DifferentialForm:
-        """Substitute the images into each coefficient; each dx_i goes to d(image of x_i)."""
+        """Map q x^e dx_{a1} ^ ... to q prod image_i^(e_i) d(image_a1) ^ ..., term by term."""
         if omega.chart != self.src:
             raise ChartMismatchError("form does not live on the substitution source")
         if self.src.ring.kind != "poly":
             raise UnsupportedRingOperationError("substitutions act on the poly ring")
-        differentials = [exterior_derivative(function_form(self.dst, image)) for image in self.images]
+        images, differentials = self.image_forms
         total = zero_form(self.dst, omega.degree)
-        for key in sorted({axes for axes, _ in omega.terms}):
-            piece = function_form(self.dst, omega.coefficient(key).substitute(self.images))
-            for axis in key:
+        for (axes, exp), q in omega.terms.items():
+            piece = DifferentialForm._of(self.dst, 0, {((), self.dst.ring.unit_term()): q})
+            for var, power in enumerate(exp):
+                for _ in range(power):
+                    piece = wedge(piece, images[var])
+            for axis in axes:
                 piece = wedge(piece, differentials[axis])
             total = total + piece
         return total

@@ -39,7 +39,7 @@ from .errors import (
     NonPrimitiveError,
     UnsupportedRingOperationError,
 )
-from .forms import Chart, DifferentialForm, multi_indices, zero_form
+from .forms import Chart, DifferentialForm, monomials_of_weight, multi_indices, zero_form
 
 # the traced benchmark wraps the fiber layer under these grading names
 from .lefschetz import FiberCalculus, fiber_apply, fiber_from_form  # noqa: F401
@@ -47,26 +47,6 @@ from .linalg import OperatorMatrix, SectionBasis
 from .symbols import LeibnizTable, ModeTable
 
 Block = tuple  # ("w", weight) | ("m", mode-tuple)
-
-
-def monomials_of_weight(var_weights: Sequence[int], target: int) -> list[tuple[int, ...]]:
-    """All exponent tuples with the given weighted degree, lexicographic."""
-    if target < 0:
-        return []
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int) -> None:
-        pos = len(prefix)
-        if pos == len(var_weights):
-            if remaining == 0:
-                out.append(prefix)
-            return
-        w = var_weights[pos]
-        for e in range(remaining // w + 1):
-            rec(prefix + (e,), remaining - e * w)
-
-    rec((), target)
-    return out
 
 
 # -- truncations ---------------------------------------------------------------
@@ -511,16 +491,21 @@ def operator_complex(
     Each matrix is read off the table ``leibniz_table`` keeps on the chart
     ``owner`` under ``(name, k)``, built with the differential order
     ``order(k)`` of the operator.  An operator with no domain section in
-    the truncation has no column and gets no table.
+    the truncation has no column and gets no table.  An image leaving the
+    truncation is a fault of the operator, not bad input: it raises
+    ``InternalConsistencyError`` naming the table key and the domain label.
     """
     bases = [space.basis(truncation) for space in spaces]
     mats = []
     for k in range(len(spaces) - 1):
         op_k = partial(op, k)
         table = None
-        if bases[k].labels:
-            table = leibniz_table(owner, (name, k), spaces[k], spaces[k + 1], op_k, order(k))
-        mats.append(assemble_operator(spaces[k], spaces[k + 1], op_k, bases[k], bases[k + 1], table))
+        try:
+            if bases[k].labels:
+                table = leibniz_table(owner, (name, k), spaces[k], spaces[k + 1], op_k, order(k))
+            mats.append(assemble_operator(spaces[k], spaces[k + 1], op_k, bases[k], bases[k + 1], table))
+        except NonPrimitiveError as exc:
+            raise InternalConsistencyError(f"operator {(name, k)}: {exc}") from exc
     return mats
 
 

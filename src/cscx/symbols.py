@@ -41,11 +41,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from copy import copy
-from itertools import product
+from math import comb
 from operator import add, itemgetter, mul, sub
 
 from .coefficients import Rational
 from .errors import InternalConsistencyError, NonPrimitiveError
+from .forms import monomials_of_weight
 
 
 def probe_modes(nvars: int, order: int) -> list[tuple[int, ...]]:
@@ -53,10 +54,7 @@ def probe_modes(nvars: int, order: int) -> list[tuple[int, ...]]:
 
     Each probe is its own ``canonical_mode``: its first nonzero entry is positive.
     """
-    return sorted(
-        (c for c in product(range(order + 1), repeat=nvars) if sum(c) <= order),
-        key=lambda c: (sum(c), c),
-    )
+    return [c for s in range(order + 1) for c in monomials_of_weight((1,) * nvars, s)]
 
 
 def generalized_binomial(m: int, c: int) -> int:
@@ -123,7 +121,7 @@ class _ProbeTable:
 
     def prefix(self, order: int):
         """The order-r table of the same operator, r <= ``self.order``: its groups at |c| <= r."""
-        count = len(probe_modes(len(self.probes[0]), order))
+        count = comb(len(self.probes[0]) + order, order)
         out = copy(self)
         out.order, out.probes, out.supports = order, self.probes[:count], self.supports[:count]
         out.rows = {key: row[: bisect_left(row, count, key=itemgetter(0))] for key, row in self.rows.items()}
@@ -167,7 +165,7 @@ class LeibnizTable(_ProbeTable):
         exponent and the chart weights, and rows are found by ``position``,
         the codomain basis, so block-diagonality is observed, never assumed.
         """
-        for _, rest in labels:
+        for block, rest in labels:
             exp = rest[-1][1]
             weight = sum(map(mul, exp, self.weights))
             column: dict[int, Rational] = {}
@@ -179,7 +177,9 @@ class LeibnizTable(_ProbeTable):
                     label = (("w", w + weight), fiber_key + (("p", tuple(map(add, e, exp))),))
                     row = position.get(label)
                     if row is None:
-                        raise NonPrimitiveError(f"component {label} lies outside the truncation")
+                        raise NonPrimitiveError(
+                            f"the image of {(block, rest)}: component {label} lies outside the truncation"
+                        )
                     column[row] = column.get(row, 0) + coeff * q
             yield {row: v for row, v in column.items() if v}
 
@@ -242,6 +242,8 @@ class ModeTable(_ProbeTable):
                     label = (block, fiber_key + ((part_kind, mode),))
                     row = position.get(label)
                     if row is None:
-                        raise NonPrimitiveError(f"component {label} lies outside the truncation")
+                        raise NonPrimitiveError(
+                            f"the image of {(block, rest)}: component {label} lies outside the truncation"
+                        )
                     column[row] = part_sign * q
             yield column

@@ -5,8 +5,9 @@ against, the echelon quotients the unit-pivot reduction is compared
 against, the iterated commutator that defines operator orders, the Newton
 difference that the probe tables compute in place, cos/sin
 built through the JSON boundary, the form operations on ``{axes:
-Coefficient}`` dicts that the flat form kernels are compared against, the
-form serializer and the plain and twisted de Rham complexes.
+Coefficient}`` dicts that the flat form kernels are compared against (the
+pullback along a substitution among them), the form serializer and the
+plain and twisted de Rham complexes.
 """
 
 from __future__ import annotations
@@ -251,6 +252,46 @@ def reference_lie(X, omega):
     if omega.degree == 0:
         return left
     return left + reference_derivative(reference_interior(X, omega), axes)
+
+
+def reference_pullback(sub, omega):
+    """The pullback along a ``forms.LinearSubstitution``, coefficient by coefficient.
+
+    The coordinate images are rebuilt from the substitution's matrix, t
+    scale and shift; each coefficient is composed with them one power at a
+    time by ``reference_product``, and each dx_i becomes the
+    ``reference_derivative`` of its image, wedged on by ``reference_wedge``.
+    """
+    dst = sub.dst
+    nvars = dst.ring.nvars
+
+    def monomial(axis, q):
+        return PolyCoefficient(nvars, {tuple(int(i == axis) for i in range(nvars)): q})
+
+    zero = PolyCoefficient(nvars, {})
+    images = [sum((monomial(j, q) for j, q in enumerate(row)), zero) for row in sub.matrix]
+    if sub.src.t_axis is not None:
+        shift = sub.shift.pad(nvars) if sub.shift is not None else zero
+        images.append(monomial(dst.t_axis, sub.t_scale) + shift)
+    differentials = [
+        reference_derivative(DifferentialForm.from_coefficients(dst, 0, {(): f}), range(dst.dim))
+        for f in images
+    ]
+    out: dict = {}
+    for key, f in coefficients_of(omega).items():
+        composed = zero
+        for exp, q in f.terms.items():
+            term = PolyCoefficient(nvars, {(0,) * nvars: q})
+            for var, power in enumerate(exp):
+                for _ in range(power):
+                    term = reference_product(term, images[var])
+            composed = composed + term
+        piece = DifferentialForm.from_coefficients(dst, 0, {(): composed})
+        for axis in key:
+            piece = reference_wedge(piece, differentials[axis])
+        for axes, g in coefficients_of(piece).items():
+            _add_to(out, axes, g)
+    return DifferentialForm.from_coefficients(dst, omega.degree, out)
 
 
 def reference_fiber_apply(fib, entries, omega, out_degree):

@@ -641,6 +641,34 @@ class TestFailedChecks:
         classes = standard_cs_chart(3).two_step.class_space(4).basis(weight_truncation(6))
         assert any(f"{label}" in line for label in classes.labels)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rs", "crosscheck", "--n", "2", "--max-weight", "4"],
+            ["cohomology", "--model", "affine", "--n", "2", "--max-weight", "4"],
+        ],
+    )
+    def test_table_read_back_fault_exits_1_naming_the_operator_and_label(self, runner, monkeypatch, argv):
+        # the intrinsic degree-1 image gains a factor x1 (weight w + 1): the
+        # table's columns leave the truncation on valid input, a fault of the
+        # operator, not bad input
+        apply = descent.rs_apply
+
+        def heavier(cs, i, payload):
+            image = apply(cs, i, payload)
+            return image.times(cs.chart.coord_coeff(0)) if i == 1 else image
+
+        monkeypatch.setattr(descent, "rs_apply", heavier)
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1, result.output
+        assert result.stdout == ""
+        line = result.stderr
+        assert line.startswith("error: operator ('rs', 1): the image of ") and line.count("\n") == 1
+        assert "lies outside the truncation" in line
+        # the domain label is a degree-1 class label of the truncation
+        classes = standard_cs_chart(2).two_step.class_space(1).basis(weight_truncation(4))
+        assert any(f"the image of {label}: " in line for label in classes.labels)
+
     def test_rumin_verify_witness_is_a_nonzero_composite_entry(self, runner, monkeypatch):
         corrupted = []
 

@@ -3,6 +3,8 @@ from math import comb
 
 import pytest
 
+from cscx.claims import _substitutions
+from cscx.coefficients import PolyCoefficient
 from cscx.contact import (
     contactify,
     d_alpha_on_frame,
@@ -29,7 +31,7 @@ from cscx.forms import (
     wedge,
     zero_form,
 )
-from helpers import coefficients_of, rng, trig_cos, trig_sin
+from helpers import coefficients_of, random_form, reference_pullback, rng, trig_cos, trig_sin
 
 
 def _standard_beta(n):
@@ -239,6 +241,35 @@ class TestLiftConstruction:
         lift = lift_construction(A, B, M)
         assert lift.pullback(A.alpha) == B.alpha.scale(lift.scale)
         assert lift.pullback(A.d_alpha()) == B.d_alpha().scale(lift.scale)
+
+    @pytest.mark.parametrize("degree", range(4))
+    def test_pullback_matches_the_coefficient_reference(self, degree):
+        # the lift of each claims substitution, on random polynomial forms of
+        # the n = 2 contact chart, against the composition of coefficients
+        cc = standard_contact_chart(2)
+        for name, src, matrix, _ in _substitutions(cc):
+            lift = lift_construction(src, cc, matrix)
+            r = rng("pullback", name, degree)
+            for _ in range(4):
+                omega = random_form(src.chart, degree, r)
+                assert lift.pullback(omega) == reference_pullback(lift.substitution, omega), name
+
+    def test_repeated_pullback_builds_no_coefficient(self, monkeypatch):
+        cc = standard_contact_chart(2)
+        _, src, matrix, _ = _substitutions(cc)[2]
+        lift = lift_construction(src, cc, matrix)
+        omega = random_form(src.chart, 2, rng("pullback-count"))
+        first = lift.pullback(omega)
+        built = []
+        init = PolyCoefficient.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(PolyCoefficient, "__init__", counting)
+        assert lift.pullback(omega) == first
+        assert built == []
 
     def test_incompatible_substitution(self):
         A = standard_contact_chart(2)

@@ -13,6 +13,7 @@ none is set higher than the operator.
 """
 
 from functools import partial
+from itertools import product
 from math import comb, factorial, prod
 
 import pytest
@@ -342,6 +343,16 @@ def test_probe_modes_are_the_lattice_simplex():
     assert probes[0] == (0, 0, 0, 0)
     assert all(min(c) >= 0 and sum(c) <= 2 for c in probes)
     assert len(probe_modes(6, 1)) == 7
+
+
+def test_probe_modes_match_the_box_filter():
+    # the simplex is enumerated shell by shell; filtering the whole box
+    # (order + 1)^nvars and sorting by (|c|, c) gives the same list
+    for nvars in range(1, 7):
+        for order in range(4):
+            box = (c for c in product(range(order + 1), repeat=nvars) if sum(c) <= order)
+            assert probe_modes(nvars, order) == sorted(box, key=lambda c: (sum(c), c))
+    assert len(probe_modes(15, 3)) == comb(18, 3)
 
 
 @pytest.mark.parametrize("m", range(-4, 5))
